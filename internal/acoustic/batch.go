@@ -1,7 +1,7 @@
 package acoustic
 
 // Batched frame-synchronous scoring: the dense half of the lane-group
-// decoder (see internal/decoder/lane.go). Where ScoreUtterance walks one
+// decoder (see internal/decoder/lane.go). Where ScoreUtterance scores one
 // utterance front to back, ScoreStep advances N utterances by ONE frame in
 // a single call, looping weight-row-outer / lane-inner so every weight row
 // (GMM component means, DNN/RNN matrices, template rows) is read once per
@@ -64,27 +64,93 @@ func (g *GMMScorer) ScoreDim() int { return g.m.NumSenones + 1 }
 // NewLaneState implements BatchScorer.
 func (g *GMMScorer) NewLaneState() LaneState { return sharedGMMLane }
 
-// ScoreStep implements BatchScorer: senone-outer, lane-inner, so each
-// senone's two component-mean rows are loaded once and scored against every
-// active lane's frame. Per (lane, senone) the arithmetic is exactly
-// ScoreUtterance's.
+// ScoreStep implements BatchScorer: active lanes are compacted, then the
+// mixture runs senone-outer / lane-inner, so each senone's two
+// component-mean rows are loaded once and scored against every active lane's
+// frame, four lanes' squared distances interleaved per row (sqDist4).
 func (g *GMMScorer) ScoreStep(states []LaneState, frames [][]float32, out [][]float32) {
-	for lane, x := range frames {
-		if x != nil {
-			out[lane][0] = unusedScore
+	var xs, outs [laneChunk][]float32
+	for base := 0; base < len(frames); base += laneChunk {
+		end := min(base+laneChunk, len(frames))
+		n := 0
+		for lane := base; lane < end; lane++ {
+			if x := frames[lane]; x != nil {
+				xs[n], outs[n] = x, out[lane]
+				n++
+			}
+		}
+		if n > 0 {
+			g.stepLanes(xs[:n], outs[:n])
 		}
 	}
+}
+
+// stepLanes scores one frame for n compacted lanes.
+func (g *GMMScorer) stepLanes(xs, outs [][]float32) {
+	dim := g.m.Dim
+	for _, o := range outs {
+		o[0] = unusedScore
+	}
+	var lo, hi [4]float64
 	for s := 1; s <= g.m.NumSenones; s++ {
 		c := g.comps[s]
-		for lane, x := range frames {
-			if x == nil {
-				continue
+		c1, c2 := c[:dim], c[dim:]
+		k := 0
+		for ; k+4 <= len(xs); k += 4 {
+			lo[0], lo[1], lo[2], lo[3] = sqDist4(c1, xs[k], xs[k+1], xs[k+2], xs[k+3])
+			hi[0], hi[1], hi[2], hi[3] = sqDist4(c2, xs[k], xs[k+1], xs[k+2], xs[k+3])
+			for j := 0; j < 4; j++ {
+				outs[k+j][s] = g.mixture(lo[j], hi[j])
 			}
-			l1 := logGauss(x, c[:g.m.Dim], g.m.Sigma) + g.lw
-			l2 := logGauss(x, c[g.m.Dim:], g.m.Sigma) + g.lw
-			out[lane][s] = logSumExp2(l1, l2)
+		}
+		for ; k < len(xs); k++ {
+			outs[k][s] = g.mixture(sqDist(c1, xs[k]), sqDist(c2, xs[k]))
 		}
 	}
+}
+
+// mixture turns a frame's squared distances to a senone's two component
+// means into the mixture log-likelihood: each component's isotropic
+// log-density -0.5·sq/σ² - 0.5·dim·log(2πσ²) plus the log mixture weight,
+// combined with a stable log-sum-exp.
+func (g *GMMScorer) mixture(sq1, sq2 float64) float32 {
+	l1 := float32(-0.5*sq1/g.variance-g.norm) + g.lw
+	l2 := float32(-0.5*sq2/g.variance-g.norm) + g.lw
+	return logSumExp2(l1, l2)
+}
+
+// sqDist returns ‖x−mu‖², differences taken in float32 and accumulated in
+// float64.
+func sqDist(mu, x []float32) float64 {
+	x = x[:len(mu)]
+	var sq float64
+	for j, m := range mu {
+		diff := float64(x[j] - m)
+		sq += diff * diff
+	}
+	return sq
+}
+
+// sqDist4 is sqDist for four frames against one shared mean row: each
+// frame's sum accumulates in its own register in sqDist's element order, so
+// the results are bitwise-identical to four sqDist calls while the four
+// independent add chains overlap (the dot4 trick, see below).
+func sqDist4(mu, a, b, c, d []float32) (s0, s1, s2, s3 float64) {
+	a = a[:len(mu)]
+	b = b[:len(mu)]
+	c = c[:len(mu)]
+	d = d[:len(mu)]
+	for j, m := range mu {
+		d0 := float64(a[j] - m)
+		d1 := float64(b[j] - m)
+		d2 := float64(c[j] - m)
+		d3 := float64(d[j] - m)
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return
 }
 
 // ---------------------------------------------------------------------------
@@ -227,9 +293,8 @@ func rowDotLanes(w []float32, src, dst [][]float32, i int) {
 // RNN
 
 // rnnLaneState is one lane's Elman recurrence state plus the exponential
-// score smoother — exactly the per-utterance locals of
-// RNNScorer.ScoreUtterance, lifted into a slot so the recurrence survives
-// across ScoreStep calls.
+// score smoother — the per-utterance locals of a frame-at-a-time pass, lifted
+// into a slot so the recurrence survives across ScoreStep calls.
 type rnnLaneState struct {
 	h, hNew []float32
 	smooth  []float32

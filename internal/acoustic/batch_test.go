@@ -33,15 +33,21 @@ func randUtt(rng *rand.Rand, n, dim int) [][]float32 {
 	return u
 }
 
+// raggedLens are utterance lengths around the kernel's tile and block edges:
+// empty, below/at/above one dot4 quad, and below/at/above one and two
+// scoreBlocks.
+var raggedLens = []int{0, 1, 3, 4, 5, scoreBlock - 1, scoreBlock, scoreBlock + 1, 2*scoreBlock + 1}
+
 // TestScoreStepMatchesUtterance is the batched-scoring determinism contract:
 // for every scorer kind, rows produced by lockstep ScoreStep calls over
-// several lanes are float32-bitwise-identical to the rows ScoreUtterance
+// several lanes are float32-bitwise-identical to the rows the scalar oracle
 // produces for each lane's frames alone — including the recurrent RNN state
-// and lanes of different lengths (idle lanes are skipped, not advanced).
+// and lanes of different lengths (idle lanes are skipped, not advanced) —
+// and so are the rows of the blocked ScoreUtterance, at every ragged length.
 func TestScoreStepMatchesUtterance(t *testing.T) {
 	m, scorers := batchScorers(t)
 	rng := rand.New(rand.NewSource(10))
-	lens := []int{17, 5, 11, 1}
+	lens := append([]int{17, 5, 11, 1}, raggedLens...)
 	utts := make([][][]float32, len(lens))
 	for i, n := range lens {
 		utts[i] = randUtt(rng, n, m.Dim)
@@ -51,7 +57,10 @@ func TestScoreStepMatchesUtterance(t *testing.T) {
 			// Solo reference, one utterance at a time.
 			want := make([][][]float32, len(utts))
 			for i, u := range utts {
-				want[i] = sc.ScoreUtterance(u)
+				want[i] = scalarScore(t, sc, u)
+				if d := diffRows(sc.ScoreUtterance(u), want[i]); d != "" {
+					t.Fatalf("%s ScoreUtterance, %d frames: %s", sc.Name(), len(u), d)
+				}
 			}
 			// Batched: all lanes in lockstep; shorter lanes go idle (nil).
 			states := make([]LaneState, len(utts))
@@ -106,7 +115,7 @@ func TestLaneStateReset(t *testing.T) {
 	b := randUtt(rng, 7, m.Dim)
 	for _, sc := range scorers {
 		t.Run(sc.Name(), func(t *testing.T) {
-			want := sc.ScoreUtterance(b)
+			want := scalarScore(t, sc, b)
 			st := []LaneState{sc.NewLaneState()}
 			st[0].Reset()
 			out := [][]float32{make([]float32, sc.ScoreDim())}

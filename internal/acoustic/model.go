@@ -99,18 +99,6 @@ func (m *SenoneModel) Synthesize(rng *rand.Rand, senones []int32, opts Synthesis
 	return frames, align
 }
 
-// logGauss returns the log-density of frame x under an isotropic Gaussian
-// centred at mu with standard deviation sigma.
-func logGauss(x, mu []float32, sigma float32) float32 {
-	var sq float64
-	for d := range x {
-		diff := float64(x[d] - mu[d])
-		sq += diff * diff
-	}
-	v := float64(sigma) * float64(sigma)
-	return float32(-0.5*sq/v - 0.5*float64(len(x))*math.Log(2*math.Pi*v))
-}
-
 // logSumExp2 returns log(exp(a)+exp(b)) stably.
 func logSumExp2(a, b float32) float32 {
 	if a < b {

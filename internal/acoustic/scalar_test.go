@@ -1,0 +1,193 @@
+package acoustic
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+)
+
+// The scalar oracle: frame-at-a-time scoring, one matvec per layer per frame
+// and one row allocated per frame. It defines the arithmetic every batched
+// path (ScoreUtterance, ScoreStep, ScoreWindow) must reproduce float32-bit
+// for bit, and it is the baseline TestScoreKernelRatio times the blocked
+// kernel against.
+
+func scalarScore(t testing.TB, sc Scorer, frames [][]float32) [][]float32 {
+	t.Helper()
+	switch s := sc.(type) {
+	case *GMMScorer:
+		return s.scalarScore(frames)
+	case *DNNScorer:
+		return s.scalarScore(frames)
+	case *RNNScorer:
+		return s.scalarScore(frames)
+	}
+	t.Fatalf("no scalar oracle for %T", sc)
+	return nil
+}
+
+func (g *GMMScorer) scalarScore(frames [][]float32) [][]float32 {
+	out := make([][]float32, len(frames))
+	for f, x := range frames {
+		row := make([]float32, g.m.NumSenones+1)
+		row[0] = unusedScore
+		for s := 1; s <= g.m.NumSenones; s++ {
+			c := g.comps[s]
+			l1 := logGauss(x, c[:g.m.Dim], g.m.Sigma) + g.lw
+			l2 := logGauss(x, c[g.m.Dim:], g.m.Sigma) + g.lw
+			row[s] = logSumExp2(l1, l2)
+		}
+		out[f] = row
+	}
+	return out
+}
+
+func (d *DNNScorer) scalarScore(frames [][]float32) [][]float32 {
+	out := make([][]float32, len(frames))
+	h := make([]float32, d.hidden)
+	h2 := make([]float32, d.hidden)
+	for f, x := range frames {
+		// Hidden stack (computed for cost and perturbation).
+		matVec(h, d.w1, x)
+		reluInPlace(h)
+		for l := 1; l < d.layers; l++ {
+			matVec(h2, d.wh, h)
+			reluInPlace(h2)
+			h, h2 = h2, h
+		}
+		row := make([]float32, d.m.NumSenones+1)
+		row[0] = unusedScore
+		for s := 1; s <= d.m.NumSenones; s++ {
+			t := d.tmplB[s] + dot(d.tmplW[s], x)
+			p := dot(d.proj[s*d.hidden:(s+1)*d.hidden], h)
+			row[s] = t + d.perturb*p
+		}
+		out[f] = row
+	}
+	return out
+}
+
+func (r *RNNScorer) scalarScore(frames [][]float32) [][]float32 {
+	out := make([][]float32, len(frames))
+	h := make([]float32, r.hidden)
+	hNew := make([]float32, r.hidden)
+	smooth := make([]float32, r.m.NumSenones+1)
+	first := true
+	for f, x := range frames {
+		// Elman recurrence: h = tanh(Wx x + Wr h).
+		matVec(hNew, r.wx, x)
+		addMatVec(hNew, r.wr, h)
+		tanhInPlace(hNew)
+		h, hNew = hNew, h
+
+		row := make([]float32, r.m.NumSenones+1)
+		row[0] = unusedScore
+		for s := 1; s <= r.m.NumSenones; s++ {
+			t := r.tmpl.tmplB[s] + dot(r.tmpl.tmplW[s], x)
+			p := dot(r.proj[s*r.hidden:(s+1)*r.hidden], h)
+			raw := t + 0.02*p
+			if first {
+				smooth[s] = raw
+			} else {
+				smooth[s] = (1-r.alpha)*smooth[s] + r.alpha*raw
+			}
+			row[s] = smooth[s]
+		}
+		first = false
+		out[f] = row
+	}
+	return out
+}
+
+func matVec(dst, m, x []float32) {
+	n := len(x)
+	rows := len(dst)
+	for i := 0; i < rows; i++ {
+		dst[i] = dot(m[i*n:(i+1)*n], x)
+	}
+}
+
+// logGauss returns the log-density of frame x under an isotropic Gaussian
+// centred at mu with standard deviation sigma.
+func logGauss(x, mu []float32, sigma float32) float32 {
+	var sq float64
+	for d := range x {
+		diff := float64(x[d] - mu[d])
+		sq += diff * diff
+	}
+	v := float64(sigma) * float64(sigma)
+	return float32(-0.5*sq/v - 0.5*float64(len(x))*math.Log(2*math.Pi*v))
+}
+
+// diffRows describes the first place got differs from want bit for bit, or
+// returns "" when they are identical.
+func diffRows(got, want [][]float32) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d rows, want %d", len(got), len(want))
+	}
+	for f := range want {
+		if len(got[f]) != len(want[f]) {
+			return fmt.Sprintf("frame %d: row len %d, want %d", f, len(got[f]), len(want[f]))
+		}
+		for s := range want[f] {
+			if got[f][s] != want[f][s] {
+				return fmt.Sprintf("frame %d senone %d: %g != scalar %g", f, s, got[f][s], want[f][s])
+			}
+		}
+	}
+	return ""
+}
+
+// TestScoreKernelRatio holds the blocked kernel's gain where CI can see it:
+// ScoreUtterance against the scalar oracle on the same utterance in the same
+// run, median of 5 rounds each. The DNN floor is well under the measured
+// ratio (2.1x) so a busy host does not trip it; RNN (sequential recurrence)
+// and GMM (log/exp-bound) must simply not lose.
+func TestScoreKernelRatio(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("timing gate: skipped under -short and -race")
+	}
+	floor := map[string]float64{"GMM": 0.95, "DNN": 1.3, "RNN": 0.95}
+	// The bench/ harness's big-dnn shape: 120 senones, dim 16, hidden 256,
+	// 3 layers, one 224-frame utterance.
+	m := newModel(t, 30, 120, 16)
+	utt := randUtt(rand.New(rand.NewSource(33)), 224, m.Dim)
+	for _, sc := range []Scorer{
+		NewGMMScorer(m),
+		NewDNNScorer(m, rand.New(rand.NewSource(31)), 0, 0),
+		NewRNNScorer(m, rand.New(rand.NewSource(32)), 0),
+	} {
+		if d := diffRows(sc.ScoreUtterance(utt), scalarScore(t, sc, utt)); d != "" {
+			t.Fatalf("%s: %s", sc.Name(), d)
+		}
+		// The two sides take turns round by round, so a busy stretch of the
+		// host lands on both.
+		const rounds, reps = 5, 4
+		timeIt := func(score func()) time.Duration {
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				score()
+			}
+			return time.Since(start) / time.Duration(reps*len(utt))
+		}
+		var scalars, blockeds [rounds]time.Duration
+		for i := 0; i < rounds; i++ {
+			scalars[i] = timeIt(func() { scalarScore(t, sc, utt) })
+			blockeds[i] = timeIt(func() { sc.ScoreUtterance(utt) })
+		}
+		median := func(d [rounds]time.Duration) time.Duration {
+			sort.Slice(d[:], func(i, j int) bool { return d[i] < d[j] })
+			return d[rounds/2]
+		}
+		scalar, blocked := median(scalars), median(blockeds)
+		ratio := float64(scalar) / float64(blocked)
+		t.Logf("%s: scalar %v/frame, blocked %v/frame, %.2fx", sc.Name(), scalar, blocked, ratio)
+		if ratio < floor[sc.Name()] {
+			t.Errorf("%s: blocked ScoreUtterance is %.2fx the scalar oracle, want >= %.2fx",
+				sc.Name(), ratio, floor[sc.Name()])
+		}
+	}
+}

@@ -2,7 +2,9 @@ package acoustic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 )
 
 // Scorer turns an utterance's feature frames into per-frame senone
@@ -11,7 +13,12 @@ import (
 // unused and holds -Inf semantics via a very negative value).
 type Scorer interface {
 	// ScoreUtterance scores all frames at once, mirroring the batch
-	// interface between the GPU and the accelerator (Section 5.2).
+	// interface between the GPU and the accelerator (Section 5.2). Each call
+	// starts a fresh utterance (recurrent state does not carry over from
+	// the previous call). It is safe for concurrent use: model weights are
+	// read-only after construction and every call works on private state.
+	// The rows of one call share a single backing slab, so retaining one
+	// row keeps the whole utterance's scores alive.
 	ScoreUtterance(frames [][]float32) [][]float32
 	// FLOPsPerFrame reports the arithmetic cost per frame, used by the
 	// GPU time/energy model.
@@ -20,6 +27,37 @@ type Scorer interface {
 }
 
 const unusedScore = float32(-1e30)
+
+// scoreBlock is how many consecutive frames ScoreUtterance hands the window
+// kernel per pass: every weight row is read once per block and applied to
+// all its frames, four at a time (dot4). Wide enough to amortize the weight
+// traffic, narrow enough that a block's activations stay cache-resident.
+const scoreBlock = 16
+
+// scoreBlocked is ScoreUtterance for every scorer: the window kernel driven
+// to completion. One slab holds the whole score matrix; the frames walk
+// through ScoreWindow in scoreBlock-wide blocks against a window state
+// borrowed from the scorer's pool, so a call allocates the result and
+// nothing else, whatever the frame count.
+func scoreBlocked(sc WindowScorer, states *sync.Pool, frames [][]float32) [][]float32 {
+	dim := sc.ScoreDim()
+	out := make([][]float32, len(frames))
+	slab := make([]float32, len(frames)*dim)
+	for f := range out {
+		out[f] = slab[f*dim : (f+1)*dim : (f+1)*dim]
+	}
+	st, _ := states.Get().(LaneState)
+	if st == nil {
+		st = sc.NewWindowState(scoreBlock)
+	}
+	st.Reset()
+	for base := 0; base < len(frames); base += scoreBlock {
+		end := min(base+scoreBlock, len(frames))
+		sc.ScoreWindow(st, frames[base:end], out[base:end])
+	}
+	states.Put(st)
+	return out
+}
 
 // ---------------------------------------------------------------------------
 // GMM scorer
@@ -32,12 +70,21 @@ type GMMScorer struct {
 	comps  [][]float32 // per senone: two mixture means, concatenated
 	lw     float32     // log mixture weight (uniform: log 0.5)
 	offset float32     // mixture mean offset relative to sigma
+	// Per-component log-density constants, fixed by the model: the variance
+	// σ² and the normalizer 0.5·dim·log(2πσ²).
+	variance float64
+	norm     float64
+	windows  sync.Pool // scoreBlock-wide window states for ScoreUtterance
 }
 
 // NewGMMScorer derives a GMM from the senone model. The two component means
 // sit at mu ± 0.25·sigma, so the mixture is centred on the template.
 func NewGMMScorer(m *SenoneModel) *GMMScorer {
-	g := &GMMScorer{m: m, lw: float32(-0.6931472), offset: 0.25 * m.Sigma}
+	v := float64(m.Sigma) * float64(m.Sigma)
+	g := &GMMScorer{
+		m: m, lw: float32(-0.6931472), offset: 0.25 * m.Sigma,
+		variance: v, norm: 0.5 * float64(m.Dim) * math.Log(2*math.Pi*v),
+	}
 	g.comps = make([][]float32, m.NumSenones+1)
 	for s := 1; s <= m.NumSenones; s++ {
 		c := make([]float32, 2*m.Dim)
@@ -61,19 +108,7 @@ func (g *GMMScorer) FLOPsPerFrame() float64 {
 // ScoreUtterance evaluates the two-component mixture for every senone on
 // every frame (Scorer interface).
 func (g *GMMScorer) ScoreUtterance(frames [][]float32) [][]float32 {
-	out := make([][]float32, len(frames))
-	for f, x := range frames {
-		row := make([]float32, g.m.NumSenones+1)
-		row[0] = unusedScore
-		for s := 1; s <= g.m.NumSenones; s++ {
-			c := g.comps[s]
-			l1 := logGauss(x, c[:g.m.Dim], g.m.Sigma) + g.lw
-			l2 := logGauss(x, c[g.m.Dim:], g.m.Sigma) + g.lw
-			row[s] = logSumExp2(l1, l2)
-		}
-		out[f] = row
-	}
-	return out
+	return scoreBlocked(g, &g.windows, frames)
 }
 
 // ---------------------------------------------------------------------------
@@ -96,6 +131,7 @@ type DNNScorer struct {
 	tmplW   [][]float32
 	tmplB   []float32
 	perturb float32
+	windows sync.Pool // scoreBlock-wide window states for ScoreUtterance
 }
 
 // NewDNNScorer builds the emulated network. hidden is the hidden width
@@ -150,31 +186,9 @@ func (d *DNNScorer) FLOPsPerFrame() float64 {
 }
 
 // ScoreUtterance runs the hidden stack and template output layer over the
-// utterance (Scorer interface). Scratch buffers are reused across frames,
-// so a DNNScorer must not score two utterances concurrently.
+// utterance (Scorer interface).
 func (d *DNNScorer) ScoreUtterance(frames [][]float32) [][]float32 {
-	out := make([][]float32, len(frames))
-	h := make([]float32, d.hidden)
-	h2 := make([]float32, d.hidden)
-	for f, x := range frames {
-		// Hidden stack (computed for cost and perturbation).
-		matVec(h, d.w1, x)
-		reluInPlace(h)
-		for l := 1; l < d.layers; l++ {
-			matVec(h2, d.wh, h)
-			reluInPlace(h2)
-			h, h2 = h2, h
-		}
-		row := make([]float32, d.m.NumSenones+1)
-		row[0] = unusedScore
-		for s := 1; s <= d.m.NumSenones; s++ {
-			t := d.tmplB[s] + dot(d.tmplW[s], x)
-			p := dot(d.proj[s*d.hidden:(s+1)*d.hidden], h)
-			row[s] = t + d.perturb*p
-		}
-		out[f] = row
-	}
-	return out
+	return scoreBlocked(d, &d.windows, frames)
 }
 
 // ---------------------------------------------------------------------------
@@ -185,13 +199,14 @@ func (d *DNNScorer) ScoreUtterance(frames [][]float32) [][]float32 {
 // template scores, modelling the temporal integration a trained LSTM
 // performs over CTC phone posteriors.
 type RNNScorer struct {
-	m      *SenoneModel
-	hidden int
-	wx     []float32
-	wr     []float32
-	proj   []float32
-	tmpl   *DNNScorer // reuse the template output layer
-	alpha  float32
+	m       *SenoneModel
+	hidden  int
+	wx      []float32
+	wr      []float32
+	proj    []float32
+	tmpl    *DNNScorer // reuse the template output layer
+	alpha   float32
+	windows sync.Pool // scoreBlock-wide window states for ScoreUtterance
 }
 
 // NewRNNScorer builds the emulated recurrent scorer; hidden defaults to 256.
@@ -223,50 +238,13 @@ func (r *RNNScorer) FLOPsPerFrame() float64 {
 }
 
 // ScoreUtterance runs the Elman recurrence with score smoothing over the
-// utterance (Scorer interface). The recurrent state is reused across
-// frames, so an RNNScorer must not score two utterances concurrently.
+// utterance (Scorer interface).
 func (r *RNNScorer) ScoreUtterance(frames [][]float32) [][]float32 {
-	out := make([][]float32, len(frames))
-	h := make([]float32, r.hidden)
-	hNew := make([]float32, r.hidden)
-	smooth := make([]float32, r.m.NumSenones+1)
-	first := true
-	for f, x := range frames {
-		// Elman recurrence: h = tanh(Wx x + Wr h).
-		matVec(hNew, r.wx, x)
-		addMatVec(hNew, r.wr, h)
-		tanhInPlace(hNew)
-		h, hNew = hNew, h
-
-		row := make([]float32, r.m.NumSenones+1)
-		row[0] = unusedScore
-		for s := 1; s <= r.m.NumSenones; s++ {
-			t := r.tmpl.tmplB[s] + dot(r.tmpl.tmplW[s], x)
-			p := dot(r.proj[s*r.hidden:(s+1)*r.hidden], h)
-			raw := t + 0.02*p
-			if first {
-				smooth[s] = raw
-			} else {
-				smooth[s] = (1-r.alpha)*smooth[s] + r.alpha*raw
-			}
-			row[s] = smooth[s]
-		}
-		first = false
-		out[f] = row
-	}
-	return out
+	return scoreBlocked(r, &r.windows, frames)
 }
 
 // ---------------------------------------------------------------------------
 // Helpers
-
-func matVec(dst, m, x []float32) {
-	n := len(x)
-	rows := len(dst)
-	for i := 0; i < rows; i++ {
-		dst[i] = dot(m[i*n:(i+1)*n], x)
-	}
-}
 
 func addMatVec(dst, m, x []float32) {
 	n := len(x)

@@ -21,9 +21,14 @@ package acoustic
 //
 // The contract is the same bitwise equality that makes lanes safe: the rows
 // produced by consecutive ScoreWindow calls over an utterance's frames are
-// float32-identical to the rows ScoreUtterance produces for the whole
-// utterance — same operands, same order, per (frame, element).
-// TestScoreWindowMatchesUtterance locks this down for all three scorers.
+// float32-identical to scoring the utterance one frame at a time (the scalar
+// oracle in scalar_test.go) — same operands, same order, per (frame,
+// element), at any window width. TestScoreWindowMatchesUtterance locks this
+// down for all three scorers.
+//
+// ScoreUtterance is this kernel driven to completion: scoreBlocked
+// (scorer.go) walks the utterance through ScoreWindow in scoreBlock-wide
+// windows against a pooled window state.
 
 // WindowScorer is a BatchScorer that can additionally score a window of
 // consecutive frames of one utterance in a single call.
@@ -103,7 +108,7 @@ func (d *DNNScorer) NewWindowState(width int) LaneState {
 // runs as a lane batch through ScoreStep — every weight row of w1/wh and
 // every template/projection row streams through the cache once per window,
 // with four frames' dot products interleaved per row (dot4). Per frame the
-// arithmetic is exactly ScoreUtterance's.
+// arithmetic is exactly a solo matvec pass's.
 func (d *DNNScorer) ScoreWindow(state LaneState, frames, out [][]float32) {
 	ws := state.(*dnnWindowState)
 	d.ScoreStep(ws.states[:len(frames)], frames, out)
@@ -152,10 +157,10 @@ func (r *RNNScorer) NewWindowState(width int) LaneState {
 // dotted against all window frames with rowDotLanes (four frames' chains
 // interleaved per row — the dot4 ILP batch.go documents). Phase two is the
 // inherently sequential remainder, frame by frame: finish the Elman update
-// with the wr·h dot (same operand order as ScoreUtterance's matVec-then-
+// with the wr·h dot (same operand order as the scalar oracle's matVec-then-
 // addMatVec: the wx dot completes first, then the wr dot is added), tanh,
 // projection, and exponential smoothing. Per (frame, element) the arithmetic
-// matches ScoreUtterance exactly, so the rows are bitwise-identical.
+// matches the oracle exactly, so the rows are bitwise-identical.
 func (r *RNNScorer) ScoreWindow(state LaneState, frames, out [][]float32) {
 	ws := state.(*rnnWindowState)
 	n := len(frames)
@@ -174,13 +179,12 @@ func (r *RNNScorer) ScoreWindow(state LaneState, frames, out [][]float32) {
 	// loops' induction variables to the stack — a store added to a 6-instr
 	// inner loop, measured at ~2x the whole RNN scoring cost. Inside the
 	// helpers only a handful of values are live, so the dots get clean
-	// register-only loops, same codegen as ScoreUtterance's.
+	// register-only loops.
 	h, hNew := ws.h, ws.hNew
 	for f := 0; f < n; f++ {
 		// hNew = tanh((wx·x) + wr·h), the wx half precomputed: seeding with
-		// the batched rows and adding the recurrence dots keeps
-		// ScoreUtterance's operand order (per element, the wx dot completes
-		// first).
+		// the batched rows and adding the recurrence dots keeps the scalar
+		// operand order (per element, the wx dot completes first).
 		copy(hNew, ax[f])
 		recurrenceStep(hNew, r.wr, h)
 		h, hNew = hNew, h
@@ -202,7 +206,7 @@ func recurrenceStep(hNew, wr, h []float32) {
 
 // projectSmooth turns one frame's hidden state into its output row: the
 // projection dot against each senone's proj row (the template dot t[s] is
-// precomputed), then the exponential smoothing, exactly ScoreUtterance's
+// precomputed), then the exponential smoothing, in the scalar oracle's
 // arithmetic and order. noinline for the same register-pressure reason as
 // recurrenceStep.
 //

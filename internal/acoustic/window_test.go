@@ -2,6 +2,7 @@ package acoustic
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -25,14 +26,23 @@ func windowScorers(t *testing.T) (*SenoneModel, []WindowScorer) {
 // for every scorer kind and a sweep of window widths — including widths that
 // split the utterance unevenly and a width larger than the utterance — the
 // rows produced by consecutive ScoreWindow calls are float32-bitwise-
-// identical to ScoreUtterance over the same frames. The RNN case proves the
-// recurrence carries across window boundaries exactly.
+// identical to the scalar oracle's over the same frames, and so are the
+// rows of ScoreUtterance (the same kernel at width scoreBlock). The RNN case
+// proves the recurrence carries across window boundaries exactly.
 func TestScoreWindowMatchesUtterance(t *testing.T) {
 	m, scorers := windowScorers(t)
 	rng := rand.New(rand.NewSource(20))
-	utt := randUtt(rng, 19, m.Dim)
+	for _, n := range append([]int{19}, raggedLens...) {
+		testScoreWindowMatches(t, scorers, randUtt(rng, n, m.Dim))
+	}
+}
+
+func testScoreWindowMatches(t *testing.T, scorers []WindowScorer, utt [][]float32) {
 	for _, sc := range scorers {
-		want := sc.ScoreUtterance(utt)
+		want := scalarScore(t, sc, utt)
+		if d := diffRows(sc.ScoreUtterance(utt), want); d != "" {
+			t.Fatalf("%s ScoreUtterance, %d frames: %s", sc.Name(), len(utt), d)
+		}
 		for _, width := range []int{1, 3, 4, 8, 32} {
 			st := sc.NewWindowState(width)
 			st.Reset()
@@ -68,7 +78,7 @@ func TestWindowStateReset(t *testing.T) {
 	a := randUtt(rng, 9, m.Dim)
 	b := randUtt(rng, 7, m.Dim)
 	for _, sc := range scorers {
-		want := sc.ScoreUtterance(b)
+		want := scalarScore(t, sc, b)
 		st := sc.NewWindowState(4)
 		st.Reset()
 		out := make([][]float32, 4)
@@ -120,5 +130,57 @@ func TestScoreWindowAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s ScoreWindow allocates %.1f objects/call, want 0", sc.Name(), allocs)
 		}
+	}
+}
+
+// TestScoreUtteranceAllocs: a ScoreUtterance call allocates its result (the
+// row headers and one slab) and borrows everything else from the scorer's
+// pool, so the count does not grow with the utterance.
+func TestScoreUtteranceAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	m, scorers := windowScorers(t)
+	rng := rand.New(rand.NewSource(23))
+	for _, sc := range scorers {
+		for _, n := range []int{3, 2*scoreBlock + 1, 20 * scoreBlock} {
+			utt := randUtt(rng, n, m.Dim)
+			allocs := testing.AllocsPerRun(20, func() {
+				sc.ScoreUtterance(utt)
+			})
+			if allocs > 2 {
+				t.Errorf("%s ScoreUtterance(%d frames) allocates %.1f objects/call, want <= 2", sc.Name(), n, allocs)
+			}
+		}
+	}
+}
+
+// TestScoreUtteranceConcurrent is the goroutine-safety contract on Scorer:
+// 8 goroutines score different utterances through one scorer instance at
+// once and each gets exactly the scalar oracle's rows. Run under -race.
+func TestScoreUtteranceConcurrent(t *testing.T) {
+	m, scorers := windowScorers(t)
+	rng := rand.New(rand.NewSource(24))
+	const workers, rounds = 8, 20
+	utts := make([][][]float32, workers)
+	for i := range utts {
+		utts[i] = randUtt(rng, scoreBlock+3*i+1, m.Dim)
+	}
+	for _, sc := range scorers {
+		var wg sync.WaitGroup
+		for _, u := range utts {
+			u, want := u, scalarScore(t, sc, u)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					if d := diffRows(sc.ScoreUtterance(u), want); d != "" {
+						t.Errorf("%s, %d frames, round %d: %s", sc.Name(), len(u), r, d)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

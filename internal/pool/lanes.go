@@ -132,9 +132,9 @@ type LaneScheduler struct {
 }
 
 // NewLaneScheduler builds a scheduler of cfg.Lanes slots over the AM and LM
-// graphs and a batch-capable scorer (all repo scorers qualify). The scorer
-// must not be shared with concurrent ScoreUtterance callers while the
-// scheduler is live: batched scoring owns the lane states.
+// graphs and a batch-capable scorer (all repo scorers qualify). The lane
+// states belong to the scheduler's group, so the scorer may still serve
+// concurrent ScoreUtterance callers while the scheduler is live.
 func NewLaneScheduler(amGraph, lmGraph *wfst.WFST, scorer acoustic.Scorer, cfg LaneConfig) (*LaneScheduler, error) {
 	cfg = cfg.withDefaults()
 	// cfg.Decoder.Lookahead > 0 puts the group in score-ahead mode: each

@@ -95,8 +95,8 @@ func checkDims(frames [][]float32, dim int) error {
 // waiters, shedding with a structured 429 past that), decodes at the
 // degradation level the current queue depth selects, and frees its slot the
 // moment its deadline fires — an expired request never occupies a worker.
-// On the classic path frames are scored sequentially (scorers are not
-// concurrency-safe) and the searches fan out across the pool; with
+// On the classic path the request scores its own frames (concurrently with
+// other requests) and the searches fan out across the pool; with
 // Config.Lanes the raw frames go to the model's lane scheduler, which
 // scores them batched across all concurrently decoding utterances.
 func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
@@ -227,7 +227,7 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 		// and admitting it unbounded would defeat the gate.
 		scores := make([][][]float32, len(req.Utterances))
 		for i, u := range req.Utterances {
-			scores[i] = m.score(u.Frames)
+			scores[i] = m.scorer().ScoreUtterance(u.Frames)
 		}
 		batch, _ = m.pool.DecodeBiasContext(ctx, scores, preset, tb)
 	}
@@ -397,10 +397,10 @@ func (sn *streamSender) stop() {
 }
 
 // streamEngine abstracts the two decode backends behind /v1/stream: a
-// private solo decoder (scoring chunk-by-chunk under the model's scorer
-// lock) or a lane in the model's shared lane scheduler (scoring batched
-// across connections). abort releases whatever the engine holds on early
-// exits; it is idempotent and safe after finish.
+// private solo decoder (scoring chunk-by-chunk) or a lane in the model's
+// shared lane scheduler (scoring batched across connections). abort
+// releases whatever the engine holds on early exits; it is idempotent and
+// safe after finish.
 type streamEngine interface {
 	push(frames [][]float32) error
 	partial() []int32
@@ -416,11 +416,11 @@ type soloStreamEngine struct {
 }
 
 func (e *soloStreamEngine) push(frames [][]float32) error {
-	// Score the chunk (serialized per model: scorers are stateful) and
-	// push the rows one frame at a time, as a live frontend would. A dead
+	// Score the chunk and push the rows one frame at a time, as a live
+	// frontend would (each chunk is scored as its own utterance). A dead
 	// search is not an error — Push no-ops and Finish reports the best
 	// partial with SearchFailures set.
-	for _, row := range e.m.score(frames) {
+	for _, row := range e.m.scorer().ScoreUtterance(frames) {
 		if err := e.stream.Push(row); err != nil {
 			return err
 		}
@@ -434,10 +434,10 @@ func (e *soloStreamEngine) abort()                           {}
 
 // pipeStreamEngine is the score-ahead solo path (Config.Decoder.Lookahead >
 // 0 with a window-capable scorer): a private Pipeline scores up to k frames
-// ahead of this connection's search, whole windows per scorer call, without
-// taking the model scorer lock — window state is private per pipeline, so
-// concurrent streams batch their own dense work independently. Results are
-// byte-identical to the solo engine at lookahead 0.
+// ahead of this connection's search, whole windows per scorer call — window
+// state is private per pipeline, so concurrent streams batch their own dense
+// work independently. Results are byte-identical to the solo engine at
+// lookahead 0.
 type pipeStreamEngine struct {
 	p *decoder.Pipeline
 	s *decoder.PipeStream

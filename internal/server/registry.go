@@ -36,7 +36,7 @@ const (
 
 // model is one servable entry: a task-built System or a bundle-loaded
 // Recognizer, plus the per-model serving machinery (decode pool, stream
-// offset cache, scorer lock). Everything except the lifecycle fields is
+// offset cache). Everything except the lifecycle fields is
 // immutable once the model reaches the ready state.
 type model struct {
 	name string
@@ -58,16 +58,9 @@ type model struct {
 	streamTenants *pool.TenantCaches
 	// lanes, when non-nil (Config.Lanes > 0), is the frame-synchronous
 	// lane scheduler the decode routes use instead of the pool and the
-	// per-connection stream decoders. It owns the model's acoustic scorer:
-	// while it is live, score must not run concurrently with lane decodes
-	// (the handlers route exclusively through lanes when it is set).
+	// per-connection stream decoders (the handlers route exclusively
+	// through lanes when it is set).
 	lanes *pool.LaneScheduler
-
-	// scorerMu serializes this model's acoustic scorer: scorers keep
-	// per-utterance scratch state and are not concurrency-safe. Distinct
-	// models score concurrently; the search fans out through the pool
-	// either way.
-	scorerMu sync.Mutex
 
 	resident    int64
 	loadSeconds float64
@@ -116,25 +109,13 @@ func (m *model) dim() int {
 	return m.rec.Senones.Dim
 }
 
-// scorer exposes the model's acoustic scorer. Callers that bypass score()
-// — the score-ahead pipeline path — must confine themselves to the
-// WindowScorer surface, whose per-caller state makes it safe without the
-// scorer lock.
+// scorer exposes the model's acoustic scorer. Requests score through it
+// concurrently (see acoustic.Scorer).
 func (m *model) scorer() acoustic.Scorer {
 	if m.sys != nil {
 		return m.sys.Task.Scorer
 	}
 	return m.rec.Scorer
-}
-
-// score runs the model's acoustic scorer under its scorer lock.
-func (m *model) score(frames [][]float32) [][]float32 {
-	m.scorerMu.Lock()
-	defer m.scorerMu.Unlock()
-	if m.sys != nil {
-		return m.sys.Task.Scorer.ScoreUtterance(frames)
-	}
-	return m.rec.Scorer.ScoreUtterance(frames)
 }
 
 // words renders word IDs as a space-joined surface string.

@@ -131,9 +131,6 @@ type Server struct {
 
 	// models is the named-model registry behind every decode route:
 	// refcounted resolution, hot add/swap/drain, and the memory budget.
-	// Scorer serialization lives per model (scorers keep per-utterance
-	// scratch state and are not concurrency-safe; distinct models score
-	// concurrently).
 	models *modelRegistry
 
 	// sup owns the self-healing lifecycle: quarantine, backoff reloads, the

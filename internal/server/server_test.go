@@ -11,10 +11,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	unfold "repro"
+	"repro/internal/acoustic"
 	"repro/internal/task"
 )
 
@@ -277,7 +279,12 @@ func TestStreamLive(t *testing.T) {
 		t.Errorf("final line incomplete: %+v", fin)
 	}
 
-	// After the stream ends the gauge must settle back to zero.
+	// After the stream ends the gauge must settle back to zero. The final
+	// line reaches the client before the handler returns and drops the
+	// gauge, so give the handler a moment to get there.
+	for deadline := time.Now().Add(2 * time.Second); s.streamsGauge.Value() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if v := s.streamsGauge.Value(); v != 0 {
 		t.Errorf("streams gauge after finish = %g, want 0", v)
 	}
@@ -411,5 +418,85 @@ func TestDebugEndpoints(t *testing.T) {
 	noPprof.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("disabled pprof: %d, want 404", rec.Code)
+	}
+}
+
+// rendezvousScorer blocks every ScoreUtterance call until `want` calls are
+// inside it at once, then scores through the wrapped scorer. A server that
+// serialises a model's scoring never gets the second call in, and the
+// rendezvous times out.
+type rendezvousScorer struct {
+	acoustic.Scorer
+	want    int
+	mu      sync.Mutex
+	inside  int
+	all     chan struct{} // closed when `want` calls are inside
+	timeout time.Duration
+	missed  atomic.Int32
+}
+
+func (r *rendezvousScorer) ScoreUtterance(frames [][]float32) [][]float32 {
+	r.mu.Lock()
+	r.inside++
+	if r.inside == r.want {
+		close(r.all)
+	}
+	r.mu.Unlock()
+	select {
+	case <-r.all:
+	case <-time.After(r.timeout):
+		r.missed.Add(1)
+	}
+	return r.Scorer.ScoreUtterance(frames)
+}
+
+// TestRecognizeScoresConcurrently: two simultaneous /v1/recognize requests
+// on one model overlap their acoustic scoring — each is held inside the
+// scorer until the other has entered it — and still return the sequential
+// path's transcripts.
+func TestRecognizeScoresConcurrently(t *testing.T) {
+	base := getSystem(t)
+	tk := *base.Task
+	sc := &rendezvousScorer{Scorer: tk.Scorer, want: 2, all: make(chan struct{}), timeout: 10 * time.Second}
+	tk.Scorer = sc
+	sys := *base
+	sys.Task = &tk
+	s := New(Config{Workers: 2})
+	if err := s.Load(&sys); err != nil {
+		t.Fatal(err)
+	}
+
+	utts := base.TestSet()[:2]
+	dec, err := base.NewDecoder(s.cfg.Decoder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i, u := range utts {
+		i, u := i, u
+		want := dec.Decode(base.Task.Scorer.ScoreUtterance(u.Frames)).Words
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(recognizeRequest{Utterances: []utteranceRequest{{Frames: u.Frames}}})
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/recognize", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Errorf("request %d: %d %s", i, rec.Code, rec.Body.String())
+				return
+			}
+			var resp recognizeResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != 1 {
+				t.Errorf("request %d: bad response %q: %v", i, rec.Body.String(), err)
+				return
+			}
+			if got := resp.Results[0].Words; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("request %d: words %v != sequential %v", i, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := sc.missed.Load(); n != 0 {
+		t.Fatalf("%d of 2 scoring calls never overlapped the other: scoring is serialised per model", n)
 	}
 }

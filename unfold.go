@@ -168,8 +168,9 @@ func (s *System) NewDecodePool(cfg PoolConfig) (*DecodePool, error) {
 // pre-scored utterances across workers, the lane scheduler takes raw
 // feature frames and batches the SCORING: concurrent utterances share one
 // dense scorer call per frame step, which is where DNN/RNN scoring wins
-// (see BENCH_PR8.json). The scheduler owns the system's scorer while open —
-// do not call Recognize concurrently with lane decodes.
+// (see BENCH_PR8.json). The lane states are the scheduler's own, so the
+// system's scorer stays usable by concurrent ScoreUtterance callers;
+// Recognize itself is single-caller because it shares one decoder.
 func (s *System) NewLaneScheduler(cfg LaneConfig) (*LaneScheduler, error) {
 	return pool.NewLaneScheduler(s.Task.AM.G, s.Task.LMGraph.G, s.Task.Scorer, cfg)
 }
@@ -180,9 +181,8 @@ func (s *System) NewLaneScheduler(cfg LaneConfig) (*LaneScheduler, error) {
 // batch throughput aggregates. For repeated batches build a DecodePool
 // once via NewDecodePool and keep it warm instead.
 //
-// Scoring runs sequentially before the fan-out — acoustic scorers keep
-// per-utterance scratch state and are not concurrency-safe — so the
-// reported throughput covers the search, the component this pool scales.
+// Scoring runs sequentially before the fan-out, so the reported
+// throughput covers the search, the component this pool scales.
 func (s *System) RecognizeBatch(frames [][][]float32, workers int) ([][]int32, Throughput, error) {
 	return s.RecognizeBatchContext(context.Background(), frames, workers)
 }
