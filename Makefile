@@ -136,14 +136,17 @@ bench-report:
 # Benchmark-regression smoke: re-measures the hot path and fails if any
 # row's allocs/frame exceeds the committed BENCH_PR3.json baseline.
 # Allocation counts (unlike wall-clock) are stable across machines, so this
-# is safe to run on shared CI runners. The one timing gate is a same-run
-# ratio, not an absolute: TestScoreKernelRatio times the blocked
+# is safe to run on shared CI runners. The two timing gates are same-run
+# ratios, not absolutes: TestScoreKernelRatio times the blocked
 # ScoreUtterance kernel against the scalar test oracle (median of 5) and
-# fails below 1.3x for the DNN, 0.95x for RNN and GMM.
+# fails below 1.3x for the DNN, 0.95x for RNN and GMM; TestSearchKernelRatio
+# times the tokenStore search against the map oracle on a 12 000-word
+# fixture at beam 85 (median of 5) and fails below 3.6x.
 bench-check:
 	@mkdir -p build
 	go run ./cmd/unfold-bench -out build/unfold-bench-check.json -check BENCH_PR3.json
 	go test -run TestScoreKernelRatio -count=1 -v ./internal/acoustic
+	go test -run TestSearchKernelRatio -count=1 -v ./internal/decoder
 
 # On-disk format compatibility gate (docs/MODEL_STORE.md): the checked-in
 # golden v2 bundle must load, convert to a v3 flat bundle via wfst-tool,

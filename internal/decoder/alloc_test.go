@@ -1,11 +1,13 @@
 package decoder
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 
 	"repro/internal/bias"
 	"repro/internal/semiring"
+	"repro/internal/wfst"
 )
 
 // These tests are the allocation-regression gates for the zero-allocation
@@ -213,5 +215,53 @@ func TestAllocsStreamPush(t *testing.T) {
 	if perFrame > 2 {
 		t.Errorf("stream lifecycle allocates %.2f objects/frame (%.0f per %d-frame utterance), want <= 2",
 			perFrame, allocs, len(scores))
+	}
+}
+
+// TestAllocsNewOnTheFlyConstant gates construction: the server builds a
+// decoder for every /v1/stream request and pools build one per worker, so
+// anything O(graph) in NewOnTheFly lands on request latency and live heap.
+// The epsilon-state index and the label bound belong to the graph and are
+// built once; every later NewOnTheFly over the same graphs must allocate the
+// same few hundred bytes whether the AM has a thousand states or a million
+// (whose bitset alone is 122 KiB).
+func TestAllocsNewOnTheFlyConstant(t *testing.T) {
+	lb := wfst.NewBuilder()
+	lb.SetStart(lb.AddState())
+	lm := lb.MustBuild()
+	lm.SortByInput()
+	perDecoder := func(states int) uint64 {
+		ab := wfst.NewBuilder()
+		for i := 0; i < states; i++ {
+			ab.AddState()
+		}
+		ab.SetStart(0)
+		for i := 0; i < states-1; i++ {
+			ab.AddArc(wfst.StateID(i), wfst.Arc{In: int32(i % 2), Next: wfst.StateID(i + 1)})
+		}
+		am := ab.MustBuild()
+		if _, err := NewOnTheFly(am, lm, Config{}); err != nil { // first use builds the index
+			t.Fatal(err)
+		}
+		const rounds = 64
+		best := ^uint64(0)
+		var m0, m1 runtime.MemStats
+		for try := 0; try < 3; try++ { // min of 3: a background allocation can only add
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < rounds; i++ {
+				if _, err := NewOnTheFly(am, lm, Config{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/rounds)
+		}
+		return best
+	}
+	small, large := perDecoder(1_000), perDecoder(1_000_000)
+	t.Logf("NewOnTheFly allocates %d B over a 1e3-state AM, %d B over a 1e6-state AM", small, large)
+	if small != large || large > 1024 {
+		t.Errorf("second NewOnTheFly allocates %d B (1e3 states) vs %d B (1e6 states): want equal and <= 1 KiB",
+			small, large)
 	}
 }

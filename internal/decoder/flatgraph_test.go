@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/task"
 	"repro/internal/wfst"
 )
 
@@ -90,5 +91,79 @@ func TestAllocsStepFrameFlatGraphs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("flat-graph stepFrame loop allocates %.1f objects per utterance, want 0", allocs)
+	}
+}
+
+// TestEpsIndexTaskFixtures checks the graph index the epsilon closure trusts
+// against the arc tables of every task fixture, on both storage forms a
+// decoder meets: the pointer-built graph and its flat-aliased twin. The AM
+// bitset is what epsClosure reads; the LM (whose back-off arcs are its
+// input-epsilon arcs) is the dense case of the same invariant.
+func TestEpsIndexTaskFixtures(t *testing.T) {
+	for _, spec := range task.AllSpecs(1.0) {
+		tk, err := task.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, g := range map[string]*wfst.WFST{
+			"am": tk.AM.G, "am-flat": flatten(t, tk.AM.G),
+			"lm": tk.LMGraph.G, "lm-flat": flatten(t, tk.LMGraph.G),
+		} {
+			bits := g.EpsInStates()
+			marked := 0
+			for s := 0; s < g.NumStates(); s++ {
+				has := false
+				for _, a := range g.Arcs(wfst.StateID(s)) {
+					has = has || a.In == wfst.Epsilon
+				}
+				if got := bits[s>>6]>>(s&63)&1 != 0; got != has {
+					t.Fatalf("%s %s state %d: bit %v, arcs say %v", spec.Name, name, s, got, has)
+				}
+				if has {
+					marked++
+				}
+			}
+			if marked == 0 || marked == g.NumStates() {
+				t.Errorf("%s %s: %d of %d states have an input-epsilon arc; the fixture no longer separates the two kinds",
+					spec.Name, name, marked, g.NumStates())
+			}
+		}
+	}
+}
+
+// TestMemoKeyGuard pins the construction-time check on find's packed memo
+// key: a word label that needs more than memoWordBits would alias another
+// (state, word) pair and return a wrong arc index, so LookupMemo refuses such
+// graphs up front, while the unpacked lookups still take them.
+func TestMemoKeyGuard(t *testing.T) {
+	build := func(word int32) (am, lm *wfst.WFST) {
+		ab := wfst.NewBuilder()
+		ab.SetStart(ab.AddState())
+		ab.SetFinal(0, 0)
+		ab.AddArc(0, wfst.Arc{In: 1, Out: word, Next: 0})
+		lb := wfst.NewBuilder()
+		lb.SetStart(lb.AddState())
+		lb.SetFinal(0, 0)
+		lb.AddArc(0, wfst.Arc{In: word, Out: word, Next: 0})
+		lm = lb.MustBuild()
+		lm.SortByInput()
+		return ab.MustBuild(), lm
+	}
+	am, lm := build(1<<memoWordBits - 1)
+	if _, err := NewOnTheFly(am, lm, Config{}); err != nil {
+		t.Fatalf("largest label that fits: %v", err)
+	}
+	amBig, lmBig := build(1 << memoWordBits)
+	for name, g := range map[string][2]*wfst.WFST{"lm": {am, lmBig}, "am": {amBig, lm}, "both": {amBig, lmBig}} {
+		if _, err := NewOnTheFly(g[0], g[1], Config{}); err == nil {
+			t.Errorf("label 1<<%d in %s accepted under LookupMemo", memoWordBits, name)
+		}
+	}
+	d, err := NewOnTheFly(amBig, lmBig, Config{Lookup: LookupBinary})
+	if err != nil {
+		t.Fatalf("LookupBinary packs no key and must accept the graph: %v", err)
+	}
+	if res := d.Decode([][]float32{{0, 0}}); len(res.Words) != 1 || res.Words[0] != 1<<memoWordBits {
+		t.Errorf("binary lookup over the wide label decoded %v", res.Words)
 	}
 }

@@ -19,6 +19,9 @@ type OnTheFly struct {
 	am  *wfst.WFST
 	lm  *wfst.WFST
 	cfg Config
+	// amEps is the AM graph's shared EpsInStates bitset: the epsilon closure
+	// visits only tokens whose AM state has a non-emitting arc.
+	amEps []uint64
 	// memo is the software analogue of the Offset Lookup Table: it maps
 	// (LM state, word) to the resolved arc index from a previous binary
 	// search. It persists across utterances, as the hardware table does,
@@ -57,12 +60,25 @@ func NewOnTheFly(amGraph, lmGraph *wfst.WFST, cfg Config) (*OnTheFly, error) {
 		return nil, fmt.Errorf("decoder: LM graph must be input-sorted")
 	}
 	cfg = cfg.withDefaults()
+	if cfg.Lookup == LookupMemo {
+		if l := max(amGraph.MaxLabel(), lmGraph.MaxLabel()); l >= 1<<memoWordBits {
+			return nil, fmt.Errorf("decoder: label %d does not fit the offset memo's %d-bit word field", l, memoWordBits)
+		}
+	}
 	memo := cfg.OffsetCache
 	if memo == nil {
 		memo = newMapOffsetCache()
 	}
-	return &OnTheFly{am: amGraph, lm: lmGraph, cfg: cfg, memo: memo}, nil
+	return &OnTheFly{am: amGraph, lm: lmGraph, cfg: cfg, amEps: amGraph.EpsInStates(), memo: memo}, nil
 }
+
+// memoWordBits is the width of the word field in find's packed memo key; a
+// wider label would alias another (state, word) pair, so NewOnTheFly rejects
+// such graphs under LookupMemo.
+const memoWordBits = 20
+
+// hasEps reports whether AM state s has a non-emitting arc.
+func (d *OnTheFly) hasEps(s wfst.StateID) bool { return d.amEps[s>>6]>>(s&63)&1 != 0 }
 
 // ResetMemo clears the offset memo table (for ablations that model a cold
 // table per utterance). With a shared OffsetCache installed, only the
@@ -286,7 +302,7 @@ func (d *OnTheFly) find(s wfst.StateID, word int32, st *Stats) (int, bool) {
 		st.LMProbes += int64(probes)
 		return idx, ok
 	default: // LookupMemo
-		mk := uint64(uint32(s))<<20 | uint64(uint32(word))
+		mk := uint64(uint32(s))<<memoWordBits | uint64(uint32(word))
 		if idx, hit := d.memo.Get(mk); hit {
 			st.MemoHits++
 			return int(idx), true
@@ -306,11 +322,15 @@ func (d *OnTheFly) find(s wfst.StateID, word int32, st *Stats) (int, bool) {
 // arc with a word output (possible in general transducers, though not
 // produced by our AM builder) still performs the LM transition. The worklist
 // holds store entry indices (entries are never removed during a closure, so
-// indices are stable) and is recycled through the scratch set.
+// indices are stable) and is recycled through the scratch set. Only tokens
+// whose AM state has a non-emitting arc enter it: popping any other token
+// relaxes nothing, so leaving it out changes no relaxation and no order.
 func (d *OnTheFly) epsClosure(active *tokenStore, lat *lattice, st *Stats, thr semiring.Weight, frame int32, sc *scratch) {
 	queue := sc.queue[:0]
-	for i := range active.keys {
-		queue = append(queue, int32(i))
+	for i, key := range active.keys {
+		if amS, _, _ := d.unpack(key); d.hasEps(amS) {
+			queue = append(queue, int32(i))
+		}
 	}
 	for len(queue) > 0 {
 		idx := queue[len(queue)-1]
@@ -344,7 +364,7 @@ func (d *OnTheFly) epsClosure(active *tokenStore, lat *lattice, st *Stats, thr s
 			if created {
 				st.TokensCreated++
 			}
-			if improved {
+			if improved && d.hasEps(a.Next) {
 				queue = append(queue, nIdx)
 			}
 		}

@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -119,18 +120,77 @@ func (s *tokenStore) copyFrom(o *tokenStore) {
 	copy(s.ctrl, o.ctrl)
 }
 
-// pruneEnt is one histogram-pruning sort record: cost-ordered with the token
-// key as the deterministic tiebreaker, exactly as the retained map frontier
-// sorts (decoder.go beamPrune).
+// pruneEnt is one histogram-pruning selection record: cost-ordered with the
+// token key as the deterministic tiebreaker, exactly as the retained map
+// frontier sorts (decoder.go beamPrune).
 type pruneEnt struct {
 	c semiring.Weight
 	k uint64
 	i int32 // entry index in the store being pruned
 }
 
+// less is the (cost, key) order of the histogram cap. Keys are unique within
+// a frontier, so it is a strict total order over finite costs; a NaN cost
+// compares equal to everything, as it does in the map beamPrune.
+func (a pruneEnt) less(b pruneEnt) bool { return a.c < b.c || (a.c == b.c && a.k < b.k) }
+
+// cmpPruneEnt is less as a three-way comparison, for slices.SortFunc.
+func cmpPruneEnt(a, b pruneEnt) int {
+	switch {
+	case a.less(b):
+		return -1
+	case b.less(a):
+		return 1
+	}
+	return 0
+}
+
+// selectSmallest permutes ents so that ents[:k] holds its k smallest entries
+// under less, with the largest of them at ents[k-1]; 0 < k <= len(ents). It
+// is an introselect: median-of-three Hoare partitioning narrows the window
+// around position k-1 in expected linear time, and a window that is small,
+// or has used up its depth budget, is sorted outright, which bounds the
+// worst case at O(n log n). The partition scans stop at the entries the
+// previous swap placed, whatever less answers, so an inconsistent order (NaN
+// costs) can cost exactness but never bounds or termination.
+func selectSmallest(ents []pruneEnt, k int) {
+	lo, hi := 0, len(ents)-1
+	for depth := 2 * bits.Len(uint(len(ents))); hi-lo >= 12 && depth > 0; depth-- {
+		mid := lo + (hi-lo)/2
+		if ents[mid].less(ents[lo]) {
+			ents[mid], ents[lo] = ents[lo], ents[mid]
+		}
+		if ents[hi].less(ents[mid]) {
+			ents[hi], ents[mid] = ents[mid], ents[hi]
+			if ents[mid].less(ents[lo]) {
+				ents[mid], ents[lo] = ents[lo], ents[mid]
+			}
+		}
+		p := ents[mid]
+		i, j := lo-1, hi+1
+		for {
+			for i++; ents[i].less(p); i++ {
+			}
+			for j--; p.less(ents[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			ents[i], ents[j] = ents[j], ents[i]
+		}
+		// ents[lo:j+1] <= ents[j+1:hi+1], both non-empty.
+		if k-1 <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	slices.SortFunc(ents[lo:hi+1], cmpPruneEnt)
+}
+
 // scratch is the per-decode working set: the three frontier stores (current,
 // next, rescue snapshot), the reusable lattice arena, the epsilon-closure
-// worklist, and the histogram-pruning sort buffers. Decodes borrow one from
+// worklist, and the histogram-pruning selection buffers. Decodes borrow one from
 // scratchPool and return it, so the whole set is recycled across utterances;
 // a Stream owns one for its lifetime. Nothing in a scratch escapes into a
 // Result (backtraces copy), which is what makes the recycling safe.
@@ -192,19 +252,7 @@ func (sc *scratch) beamPrune(s *tokenStore, beam semiring.Weight, maxActive int)
 		for i := range s.keys {
 			ents = append(ents, pruneEnt{s.toks[i].cost, s.keys[i], int32(i)})
 		}
-		slices.SortFunc(ents, func(a, b pruneEnt) int {
-			switch {
-			case a.c < b.c:
-				return -1
-			case a.c > b.c:
-				return 1
-			case a.k < b.k:
-				return -1
-			case a.k > b.k:
-				return 1
-			}
-			return 0
-		})
+		selectSmallest(ents, maxActive)
 		if cap(sc.dead) < n {
 			sc.dead = make([]bool, n)
 		} else {

@@ -3,6 +3,7 @@ package decoder
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/semiring"
@@ -130,7 +131,9 @@ func TestTokenStoreCopyFrom(t *testing.T) {
 // TestStoreBeamPruneMatchesMap drives the store beamPrune and the retained
 // map beamPrune with identical random frontiers and asserts identical
 // survivor sets, thresholds and cut counts — including histogram capping and
-// its (cost, key) tiebreak.
+// its (cost, key) tiebreak. Every fourth trial is the search_wide shape: up
+// to 8 000 tokens against the default cap of 3 000, costs quantised so that
+// hundreds of tokens tie on cost and the key decides who survives.
 func TestStoreBeamPruneMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sc := getScratch()
@@ -142,15 +145,24 @@ func TestStoreBeamPruneMatchesMap(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			maxActive = 1 + rng.Intn(n)
 		}
+		keySpace, quantum := uint64(1000), float32(0)
+		if trial%4 == 3 {
+			n = 3001 + rng.Intn(5000)
+			beam, maxActive = 40, 3000
+			keySpace, quantum = 1<<40, 2.5
+		}
 		s := sc.cur
 		s.reset()
 		m := map[uint64]token{}
 		for i := 0; i < n; i++ {
-			k := rng.Uint64() % 1000
-			c := semiring.Weight(rng.Float32() * 40)
+			k := rng.Uint64() % keySpace
+			c := rng.Float32() * 40
+			if quantum > 0 {
+				c = quantum * float32(int(c/quantum))
+			}
 			// Duplicate keys take the min, as a real frontier would.
-			s.relax(k, c, int32(i))
-			relax(m, k, c, int32(i))
+			s.relax(k, semiring.Weight(c), int32(i))
+			relax(m, k, semiring.Weight(c), int32(i))
 		}
 		gotThr, gotCut := sc.beamPrune(s, beam, maxActive)
 		wantThr, wantCut := beamPrune(m, beam, maxActive)
@@ -170,9 +182,59 @@ func TestStoreBeamPruneMatchesMap(t *testing.T) {
 	}
 }
 
+// TestSelectSmallestMatchesSort is the property test of the histogram cap's
+// selection: on every input shape that bends a quickselect (random, already
+// sorted, reverse sorted, one cost throughout, costs quantised to four values
+// so the key breaks heavy ties) and every k including the edges, ents[:k]
+// must be exactly the first k of a full sort under the same order, with the
+// k-th at ents[k-1] — the entry beamPrune reads its threshold from.
+func TestSelectSmallestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	shapes := map[string]func(i, n int) semiring.Weight{
+		"random":    func(i, n int) semiring.Weight { return semiring.Weight(rng.Float32() * 100) },
+		"sorted":    func(i, n int) semiring.Weight { return semiring.Weight(i) },
+		"reverse":   func(i, n int) semiring.Weight { return semiring.Weight(n - i) },
+		"equal":     func(i, n int) semiring.Weight { return 7 },
+		"quantised": func(i, n int) semiring.Weight { return semiring.Weight(rng.Intn(4)) },
+	}
+	for name, cost := range shapes {
+		for _, n := range []int{1, 2, 3, 11, 12, 13, 14, 100, 1000, 5234} {
+			ents := make([]pruneEnt, n)
+			for i := range ents {
+				// Keys are unique, as in a frontier; ascending with the index
+				// keeps "sorted" and "reverse" monotone under (cost, key) too.
+				ents[i] = pruneEnt{c: cost(i, n), k: uint64(i)*2 + 1, i: int32(i)}
+			}
+			want := slices.Clone(ents)
+			slices.SortFunc(want, cmpPruneEnt)
+			for _, k := range []int{1, n - 1, n, 1 + rng.Intn(n), 1 + rng.Intn(n)} {
+				if k < 1 {
+					continue
+				}
+				got := slices.Clone(ents)
+				selectSmallest(got, k)
+				if got[k-1] != want[k-1] {
+					t.Fatalf("%s n=%d k=%d: k-th is %+v, sort says %+v", name, n, k, got[k-1], want[k-1])
+				}
+				slices.SortFunc(got[:k], cmpPruneEnt)
+				if !slices.Equal(got[:k], want[:k]) {
+					t.Fatalf("%s n=%d k=%d: selected set differs from the sorted prefix", name, n, k)
+				}
+				slices.SortFunc(got[k:], cmpPruneEnt)
+				if !slices.Equal(got[k:], want[k:]) {
+					t.Fatalf("%s n=%d k=%d: selection lost or duplicated entries", name, n, k)
+				}
+			}
+		}
+	}
+}
+
 // TestStoreBeamPruneNaN pins the non-finite parity property: a NaN-cost
 // token fails `cost > thr` just as it does in the map implementation, so
-// both keep it.
+// both keep it. Under the histogram cap a NaN compares equal to everything,
+// which leaves the choice of survivors to the algorithm (and, in the map, to
+// iteration order) — but the selection must still terminate in bounds and
+// cut exactly down to the cap, as the map does.
 func TestStoreBeamPruneNaN(t *testing.T) {
 	nan := semiring.Weight(math.NaN())
 	sc := getScratch()
@@ -194,5 +256,31 @@ func TestStoreBeamPruneNaN(t *testing.T) {
 	}
 	if s.len() != 2 {
 		t.Fatalf("expected NaN token kept alongside best (len=2), got %d", s.len())
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	for _, nanEvery := range []int{1, 2, 10, 1000} {
+		const n, maxActive = 6000, 3000
+		s.reset()
+		m = map[uint64]token{}
+		for i := 0; i < n; i++ {
+			c := semiring.Weight(rng.Float32() * 30)
+			if i%nanEvery == 0 {
+				c = nan
+			}
+			s.relax(uint64(i), c, -1)
+			relax(m, uint64(i), c, -1)
+		}
+		_, gotCut := sc.beamPrune(s, 40, maxActive)
+		_, wantCut := beamPrune(m, 40, maxActive)
+		if gotCut != wantCut || s.len() != len(m) || s.len() != maxActive {
+			t.Fatalf("NaN every %d under the cap: store cut=%d len=%d, map cut=%d len=%d, cap %d",
+				nanEvery, gotCut, s.len(), wantCut, len(m), maxActive)
+		}
+		for i, k := range s.keys {
+			if idx, created, _ := s.relax(k, semiring.Zero, -1); created || int(idx) != i {
+				t.Fatalf("NaN every %d: probe table lost survivor %d (key %d)", nanEvery, i, k)
+			}
+		}
 	}
 }

@@ -19,8 +19,10 @@
 package flatstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -152,8 +154,14 @@ var crcTable = crc32.IEEETable
 // into place, so a crash mid-write never leaves a partial bundle under the
 // target name.
 type Writer struct {
-	f        *os.File
-	path     string // final path (f is the temp file)
+	f    *os.File
+	path string // final path (f is the temp file)
+	// buf sits under each section's counting writer and over the file and
+	// crc, so a section writer's 4-byte records reach both in 1 MiB blocks.
+	// AddSection flushes it before returning: nothing is ever pending when
+	// Close writes the header at offset 0 and syncs.
+	buf      *bufio.Writer
+	crc      hash.Hash32
 	off      uint64
 	sections []section
 	err      error
@@ -170,7 +178,9 @@ func Create(path string) (*Writer, error) {
 	if err != nil {
 		return nil, &Error{Reason: "io", Cause: err}
 	}
-	return &Writer{f: f, path: path, off: HeaderSize}, nil
+	w := &Writer{f: f, path: path, off: HeaderSize, crc: crc32.New(crcTable)}
+	w.buf = bufio.NewWriterSize(io.MultiWriter(f, w.crc), 1<<20)
+	return w, nil
 }
 
 // AddSection appends one section whose payload is produced by write. The
@@ -202,12 +212,16 @@ func (w *Writer) AddSection(kind SectionKind, write func(io.Writer) error) error
 		}
 		w.off += pad
 	}
-	h := crc32.New(crcTable)
-	cw := &countingWriter{w: io.MultiWriter(w.f, h)}
-	if err := write(cw); err != nil {
+	w.crc.Reset()
+	cw := &countingWriter{w: w.buf}
+	err := write(cw)
+	if err == nil {
+		err = w.buf.Flush()
+	}
+	if err != nil {
 		return w.fail(&Error{Section: kind, Reason: "io", Cause: err})
 	}
-	w.sections = append(w.sections, section{kind: kind, offset: w.off, length: cw.n, crc: h.Sum32()})
+	w.sections = append(w.sections, section{kind: kind, offset: w.off, length: cw.n, crc: w.crc.Sum32()})
 	w.off += cw.n
 	return nil
 }

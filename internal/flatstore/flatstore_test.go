@@ -2,6 +2,7 @@ package flatstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -161,6 +162,70 @@ func TestWriterAtomicity(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("temp file leaked: %v", ents)
+	}
+}
+
+// TestWriterChunkingByteIdentical pins the buffered section writer: a bundle
+// whose payloads arrive one byte per Write must be the same file, bit for
+// bit, as one whose payloads arrive in a single Write. The sections straddle
+// the 1 MiB buffer (one below it, one several times over with an odd tail),
+// so a byte dropped or reordered at a flush boundary, a length recorded
+// before the flush, or a CRC taken over the wrong span changes the digest.
+func TestWriterChunkingByteIdentical(t *testing.T) {
+	big := make([]byte, 2<<20+4097)
+	for i := range big {
+		big[i] = byte(i*31 + i>>8)
+	}
+	payloads := []struct {
+		kind SectionKind
+		p    []byte
+	}{
+		{SectionMeta, []byte(`{"format_version":3}`)},
+		{SectionAMStates, big},
+		{SectionAMArcs, big[:1<<20-3]},
+		{SectionLexicon, []byte("a\nb\n")},
+	}
+	digest := func(chunk int) [sha256.Size]byte {
+		path := filepath.Join(t.TempDir(), "model.ufb3")
+		w, err := Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range payloads {
+			if err := w.AddSection(s.kind, func(out io.Writer) error {
+				for p := s.p; len(p) > 0; {
+					n := min(chunk, len(p))
+					if _, err := out.Write(p[:n]); err != nil {
+						return err
+					}
+					p = p[n:]
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := OpenBytes(raw, Options{VerifySections: true})
+		if err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
+		}
+		for _, s := range payloads {
+			if got, _ := b.Section(s.kind); !bytes.Equal(got, s.p) {
+				t.Fatalf("chunk %d: section %s does not read back", chunk, s.kind)
+			}
+		}
+		return sha256.Sum256(raw)
+	}
+	whole := digest(len(big))
+	if got := digest(1); got != whole {
+		t.Errorf("1-byte writes: sha256 %x, single write %x", got, whole)
 	}
 }
 

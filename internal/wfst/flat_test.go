@@ -2,6 +2,7 @@ package wfst
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/semiring"
@@ -161,5 +162,112 @@ func TestFlatRejectsCorruptTables(t *testing.T) {
 		if err := tc.run(); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+}
+
+// indexFixture is a graph wide enough to span several bitset words, with
+// input-epsilon arcs on a minority of states (every 7th) and its largest
+// label on an output.
+func indexFixture(t *testing.T) *WFST {
+	t.Helper()
+	const n = 300
+	b := NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddState()
+	}
+	b.SetStart(0)
+	for i := 0; i < n-1; i++ {
+		b.AddArc(StateID(i), Arc{In: int32(1 + i%5), Out: int32(i), Next: StateID(i + 1)})
+		if i%7 == 3 {
+			b.AddArc(StateID(i), Arc{In: Epsilon, Out: Epsilon, Next: StateID(i + 1)})
+		}
+	}
+	return b.MustBuild()
+}
+
+// checkIndex asserts the once-per-graph index against the arc table it was
+// derived from: bit s of EpsInStates is set iff Arcs(s) holds an arc with
+// In == Epsilon, and MaxLabel is the largest label on any arc.
+func checkIndex(t *testing.T, f *WFST) {
+	t.Helper()
+	bits := f.EpsInStates()
+	if want := (f.NumStates() + 63) / 64; len(bits) != want {
+		t.Fatalf("bitset has %d words, want %d for %d states", len(bits), want, f.NumStates())
+	}
+	var maxLabel int32
+	for s := 0; s < f.NumStates(); s++ {
+		has := false
+		for _, a := range f.Arcs(StateID(s)) {
+			has = has || a.In == Epsilon
+			maxLabel = max(maxLabel, a.In, a.Out)
+		}
+		if got := bits[s>>6]>>(s&63)&1 != 0; got != has {
+			t.Fatalf("state %d: bit %v, arcs say %v", s, got, has)
+		}
+	}
+	if got := f.MaxLabel(); got != maxLabel {
+		t.Fatalf("MaxLabel %d, arcs say %d", got, maxLabel)
+	}
+}
+
+// TestIndexMatchesArcs covers the builder-built graph, the flat-aliased one
+// (whose buffers the build must only read), the empty graph, and a sort
+// after the index exists (arcs move within a state, so it stays valid).
+func TestIndexMatchesArcs(t *testing.T) {
+	f := indexFixture(t)
+	checkIndex(t, f)
+	checkIndex(t, NewBuilder().MustBuild())
+
+	states, arcs := flatEncode(t, f)
+	origStates, origArcs := append([]byte(nil), states...), append([]byte(nil), arcs...)
+	g, err := NewFromFlat(f.Start(), f.NumStates(), states, arcs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, g)
+	if !bytes.Equal(states, origStates) || !bytes.Equal(arcs, origArcs) {
+		t.Fatal("building the index wrote through the flat buffers")
+	}
+	if first, second := g.EpsInStates(), g.EpsInStates(); &first[0] != &second[0] {
+		t.Fatal("EpsInStates rebuilt the bitset on a second call")
+	}
+	g.SortByInput()
+	checkIndex(t, g)
+}
+
+// TestIndexConcurrentFirstUse races eight goroutines to the first use of a
+// fresh graph's index (pool workers and stream requests construct decoders
+// concurrently); under -race this proves the build is published safely, and
+// every caller must see the one complete bitset.
+func TestIndexConcurrentFirstUse(t *testing.T) {
+	f := indexFixture(t)
+	states, arcs := flatEncode(t, f)
+	g, err := NewFromFlat(f.Start(), f.NumStates(), states, arcs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, graph := range []*WFST{f, g} {
+		const workers = 8
+		got := make([][]uint64, workers)
+		labels := make([]int32, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if w%2 == 0 {
+					labels[w], got[w] = graph.MaxLabel(), graph.EpsInStates()
+				} else {
+					got[w], labels[w] = graph.EpsInStates(), graph.MaxLabel()
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if &got[w][0] != &got[0][0] || labels[w] != labels[0] {
+				t.Fatalf("worker %d saw a different index than worker 0", w)
+			}
+		}
+		checkIndex(t, graph)
 	}
 }
