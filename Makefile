@@ -1,7 +1,7 @@
 # Developer entry points. Everything is stdlib-only Go; no tools beyond
 # the toolchain are required.
 
-.PHONY: all build test vet lint race race-soak lanes-soak pipeline-soak bias-soak fuzz-smoke cover check bench bench-report bench-check experiments loadgen-smoke format-compat chaos chaos-smoke
+.PHONY: all build test vet lint loc race race-soak lanes-soak pipeline-soak bias-soak fuzz-smoke cover check bench bench-report bench-check experiments loadgen-smoke format-compat chaos chaos-smoke
 
 # Soak durations and fuzz budget. The defaults are the pre-release deep
 # pass; the nightly workflow overrides them (RACE_SOAK=60s ... FUZZTIME=5m)
@@ -33,9 +33,20 @@ lint:
 	fi
 	go vet ./...
 
+# Go line counts, non-test and test: decoder + pool + server (the unit
+# ROADMAP items 1, 4 and 6 gate on), then the whole tree. Blank lines and
+# comments count; a PR that claims to shrink the code quotes this before
+# and after.
+loc:
+	@count() { find "$$@" -name '*.go' $$neg -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	for set in "internal/decoder internal/pool internal/server" "."; do \
+		neg='!'; src=$$(count $$set); neg=''; tst=$$(count $$set); \
+		printf '%-50s %6d non-test %6d test\n' "$$set" $$src $$tst; \
+	done
+
 # race-checks the whole module, in particular the concurrent DecodePool
-# and its sharded offset cache (internal/pool's hammer tests). Run this
-# before sending any change that touches concurrent code.
+# and LaneScheduler. Run this before sending any change that touches
+# concurrent code.
 race:
 	go test -race ./...
 
@@ -69,11 +80,10 @@ pipeline-soak:
 
 # Tenant-churn bias endurance pass: $(BIAS_SOAK) of many-tenant biased
 # batch + stream load through the lane scheduler under the race detector,
-# with tenants joining and getting evicted from the compiler cache and the
-# per-tenant offset-cache partitions mid-flight, every completed decode
+# with lane slots changing bias machines mid-flight, every completed decode
 # checked against its biased solo reference (docs/BIASING.md). `make race`
 # runs the same test at its 2s default; run the deep pass for changes
-# touching internal/bias, the tenant partitions or the bias plumbing.
+# touching internal/bias or the bias plumbing.
 bias-soak:
 	go test -race -run TestSoakBiasTenantChurn -count=1 -v ./internal/pool/ -bias-soak $(BIAS_SOAK)
 

@@ -315,7 +315,7 @@ func BenchmarkParallelDecode(b *testing.B) {
 				}
 			}
 			b.ReportMetric(last.Throughput.UtterancesPerSec(), "utt/s")
-			b.ReportMetric(100*last.Cache.HitRate(), "cache-hit-%")
+			b.ReportMetric(100*last.Throughput.CacheHitRate(), "cache-hit-%")
 		})
 	}
 }

@@ -111,7 +111,6 @@ func main() {
 			wer.Add(u.Words, batch.Results[i].Words)
 		}
 		fmt.Printf("\npool (%d workers): %s\n", p.Workers(), batch.Throughput)
-		fmt.Printf("%s\n", batch.Cache)
 		if !batch.Search.Healthy() {
 			fmt.Printf("%s\n", batch.Search)
 		}

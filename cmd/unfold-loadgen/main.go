@@ -30,10 +30,11 @@
 // -tenants turns the run into a multi-tenant biased-decoding drill: each
 // request carries a bias block for one of N synthetic tenants, picked from
 // a Zipf distribution (-zipf) so a hot head of tenants dominates while a
-// long tail churns the server's per-tenant caches. Every tenant's phrase
-// list is deterministic in the task seed. The report gains a bias section
-// scraped from the server's /metrics: compile-cache hit rates and
-// per-tenant offset-cache hit rates, with zero 5xx as the pass bar.
+// long tail churns the server's compiled-machine cache. Every tenant's
+// phrase list is deterministic in the task seed. The report gains a bias
+// section scraped from the server's /metrics: the compile-cache hit rate
+// and how many tenants the server compiled for, with zero 5xx as the pass
+// bar.
 //
 // Examples:
 //
@@ -109,17 +110,15 @@ type report struct {
 // biasReport is the -tenants section: the server-side view of the tenant
 // churn, scraped from /metrics after the load stops.
 type biasReport struct {
-	Tenants            int     `json:"tenants"`
-	CompileHits        float64 `json:"compile_cache_hits"`
-	CompileMisses      float64 `json:"compile_cache_misses"`
-	CompileHitRate     float64 `json:"compile_cache_hit_rate"`
-	PartitionsResident float64 `json:"cache_partitions_resident"`
-	PartitionsDropped  float64 `json:"cache_partitions_dropped"`
-	// TenantHitRate is each tenant's offset-cache hit rate across the
-	// server's schedulers (unfold_bias_l2_tenant_* series). Only tenants
-	// the server still tracks appear; partitioned-away tails show up in
-	// PartitionsDropped instead.
-	TenantHitRate map[string]float64 `json:"tenant_cache_hit_rate"`
+	Tenants        int     `json:"tenants"`
+	CompileHits    float64 `json:"compile_cache_hits"`
+	CompileMisses  float64 `json:"compile_cache_misses"`
+	CompileHitRate float64 `json:"compile_cache_hit_rate"`
+	// TenantsSeen counts the tenant labels carrying compile traffic in the
+	// unfold_bias_tenant_compile_{hits,misses}_total series (tenants past
+	// the server's cardinality cap share one overflow label). Zero means
+	// the server never saw a tenant block.
+	TenantsSeen int `json:"tenants_seen"`
 }
 
 // chaosReport is the -chaos section of the run report: what was injected,
@@ -418,9 +417,7 @@ func oneStream(client *http.Client, o options, tl *tally, frames [][]float32, bi
 }
 
 // scrapeBias pulls the server's unfold_bias_* series from /metrics into
-// the report: compile-cache traffic, partition residency/churn, and each
-// still-tracked tenant's offset-cache hit rate (summed across the pool,
-// lane and stream schedulers).
+// the report: compile-cache traffic, in total and by tenant label.
 func scrapeBias(client *http.Client, o options) (*biasReport, error) {
 	resp, err := client.Get(o.target + "/metrics")
 	if err != nil {
@@ -431,8 +428,8 @@ func scrapeBias(client *http.Client, o options) (*biasReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := &biasReport{Tenants: o.tenants, TenantHitRate: map[string]float64{}}
-	hits, misses := map[string]float64{}, map[string]float64{}
+	br := &biasReport{Tenants: o.tenants}
+	seen := map[string]bool{}
 	for _, line := range strings.Split(string(raw), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -462,26 +459,13 @@ func scrapeBias(client *http.Client, o options) (*biasReport, error) {
 			br.CompileHits += v
 		case "unfold_bias_compile_cache_misses_total":
 			br.CompileMisses += v
-		case "unfold_bias_tenant_partitions":
-			br.PartitionsResident += v
-		case "unfold_bias_tenant_partitions_dropped_total":
-			br.PartitionsDropped += v
-		case "unfold_bias_l2_tenant_hits_total":
-			hits[tenant] += v
-		case "unfold_bias_l2_tenant_misses_total":
-			misses[tenant] += v
+		case "unfold_bias_tenant_compile_hits_total", "unfold_bias_tenant_compile_misses_total":
+			if v > 0 {
+				seen[tenant] = true
+			}
 		}
 	}
-	for t, h := range hits {
-		if tot := h + misses[t]; tot > 0 {
-			br.TenantHitRate[t] = h / tot
-		}
-	}
-	for t, m := range misses {
-		if _, ok := hits[t]; !ok && m > 0 {
-			br.TenantHitRate[t] = 0
-		}
-	}
+	br.TenantsSeen = len(seen)
 	if tot := br.CompileHits + br.CompileMisses; tot > 0 {
 		br.CompileHitRate = br.CompileHits / tot
 	}
@@ -815,8 +799,8 @@ func run(o options) error {
 		rep.FailureReason = "no request succeeded"
 	case biasScrapeErr != nil:
 		rep.FailureReason = fmt.Sprintf("could not scrape bias metrics: %v", biasScrapeErr)
-	case o.tenants > 0 && len(rep.Bias.TenantHitRate) == 0:
-		rep.FailureReason = "no per-tenant bias cache series in /metrics — tenant blocks were not honored"
+	case o.tenants > 0 && rep.Bias.TenantsSeen == 0:
+		rep.FailureReason = "no per-tenant compile series in /metrics — tenant blocks were not honored"
 	}
 
 	out, err := json.MarshalIndent(rep, "", "  ")

@@ -50,7 +50,7 @@ func ExampleSystem_Footprint() {
 }
 
 // Parallel batch decoding: a DecodePool fans utterances out to workers
-// sharing one bounded offset cache; transcripts are byte-identical to
+// each with its own offset table; transcripts are byte-identical to
 // sequential decoding regardless of the worker count.
 func ExampleDecodePool() {
 	sys, err := unfold.NewSystem(task.Spec{
@@ -91,11 +91,11 @@ func ExampleDecodePool() {
 	}
 	fmt.Println("decoded", len(batch.Results), "utterances on", p.Workers(), "workers")
 	fmt.Println("matches sequential:", same)
-	fmt.Println("cache was used:", batch.Cache.Lookups() > 0)
+	fmt.Println("offset table was used:", batch.Throughput.CacheLookups > 0)
 	// Output:
 	// decoded 4 utterances on 4 workers
 	// matches sequential: true
-	// cache was used: true
+	// offset table was used: true
 }
 
 // Frame-synchronous batched decoding: a LaneScheduler advances concurrent

@@ -221,10 +221,10 @@ func TestAllocsStreamPush(t *testing.T) {
 // TestAllocsNewOnTheFlyConstant gates construction: the server builds a
 // decoder for every /v1/stream request and pools build one per worker, so
 // anything O(graph) in NewOnTheFly lands on request latency and live heap.
-// The epsilon-state index and the label bound belong to the graph and are
-// built once; every later NewOnTheFly over the same graphs must allocate the
-// same few hundred bytes whether the AM has a thousand states or a million
-// (whose bitset alone is 122 KiB).
+// The epsilon-state index belongs to the graph and is built once, and the
+// offset table waits for the first memo fetch; every later NewOnTheFly over
+// the same graphs must allocate the same few hundred bytes whether the AM
+// has a thousand states or a million (whose bitset alone is 122 KiB).
 func TestAllocsNewOnTheFlyConstant(t *testing.T) {
 	lb := wfst.NewBuilder()
 	lb.SetStart(lb.AddState())

@@ -66,12 +66,6 @@ type Config struct {
 	PreemptivePruning bool
 	// Lookup selects the LM arc-fetch strategy. On-the-fly decoder only.
 	Lookup LookupKind
-	// OffsetCache replaces the decoder's private unbounded memo map for the
-	// LookupMemo strategy. nil (the default) preserves the seed behaviour:
-	// a per-decoder map that grows without bound. A worker pool installs a
-	// bounded per-worker cache backed by shared storage here. On-the-fly
-	// decoder only; cache contents never change results, only probe counts.
-	OffsetCache OffsetCache
 	// Telemetry, when non-nil, publishes continuous observability for this
 	// decoder — per-frame frontier sizes, per-decode search-work counters
 	// (LM fetches, back-off hops, memo hits, prune and rescue events), and

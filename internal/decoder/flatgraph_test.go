@@ -130,40 +130,3 @@ func TestEpsIndexTaskFixtures(t *testing.T) {
 		}
 	}
 }
-
-// TestMemoKeyGuard pins the construction-time check on find's packed memo
-// key: a word label that needs more than memoWordBits would alias another
-// (state, word) pair and return a wrong arc index, so LookupMemo refuses such
-// graphs up front, while the unpacked lookups still take them.
-func TestMemoKeyGuard(t *testing.T) {
-	build := func(word int32) (am, lm *wfst.WFST) {
-		ab := wfst.NewBuilder()
-		ab.SetStart(ab.AddState())
-		ab.SetFinal(0, 0)
-		ab.AddArc(0, wfst.Arc{In: 1, Out: word, Next: 0})
-		lb := wfst.NewBuilder()
-		lb.SetStart(lb.AddState())
-		lb.SetFinal(0, 0)
-		lb.AddArc(0, wfst.Arc{In: word, Out: word, Next: 0})
-		lm = lb.MustBuild()
-		lm.SortByInput()
-		return ab.MustBuild(), lm
-	}
-	am, lm := build(1<<memoWordBits - 1)
-	if _, err := NewOnTheFly(am, lm, Config{}); err != nil {
-		t.Fatalf("largest label that fits: %v", err)
-	}
-	amBig, lmBig := build(1 << memoWordBits)
-	for name, g := range map[string][2]*wfst.WFST{"lm": {am, lmBig}, "am": {amBig, lm}, "both": {amBig, lmBig}} {
-		if _, err := NewOnTheFly(g[0], g[1], Config{}); err == nil {
-			t.Errorf("label 1<<%d in %s accepted under LookupMemo", memoWordBits, name)
-		}
-	}
-	d, err := NewOnTheFly(amBig, lmBig, Config{Lookup: LookupBinary})
-	if err != nil {
-		t.Fatalf("LookupBinary packs no key and must accept the graph: %v", err)
-	}
-	if res := d.Decode([][]float32{{0, 0}}); len(res.Words) != 1 || res.Words[0] != 1<<memoWordBits {
-		t.Errorf("binary lookup over the wide label decoded %v", res.Words)
-	}
-}

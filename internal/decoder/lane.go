@@ -175,7 +175,7 @@ func (g *LaneGroup) Stats() LaneStats { return g.stats }
 var ErrLanesFull = fmt.Errorf("decoder: lane group full")
 
 // Join attaches a new utterance to a free slot, decoding with d (which
-// carries the lane's configuration, offset cache and search preset). The
+// carries the lane's configuration, offset table and search preset). The
 // slot's stream, scratch and scorer state are recycled in place, so a warm
 // join allocates nothing. Returns ErrLanesFull when no slot is free.
 func (g *LaneGroup) Join(d *OnTheFly) (*Lane, error) {
@@ -304,7 +304,7 @@ func (g *LaneGroup) stepLookahead() int {
 }
 
 // step pushes one score row through the lane's stream with panic isolation:
-// a panic in this lane's frontier step (corrupted cache offset, poisoned
+// a panic in this lane's frontier step (an out-of-range read on a poisoned
 // row) marks the lane failed without disturbing the other lanes, mirroring
 // the worker-pool isolation in internal/pool.decodeOne.
 func (l *Lane) step(row []float32) {

@@ -199,15 +199,6 @@ func TestLaneGroupEmptyUtterance(t *testing.T) {
 	compareLaneResult(t, 0, got, dSolo.Decode(nil))
 }
 
-// evilOffsetCache returns a wildly out-of-range arc index, driving the
-// decoder into an out-of-bounds read — the lane-level panic-isolation
-// trigger (same class of fault the pool's fault tests inject).
-type evilOffsetCache struct{}
-
-func (evilOffsetCache) Get(key uint64) (int32, bool) { return 1 << 30, true }
-func (evilOffsetCache) Put(key uint64, idx int32)    {}
-func (evilOffsetCache) Reset()                       {}
-
 // TestLaneGroupPanicIsolation: a panic inside one lane's frontier step
 // marks only that lane failed; the other lane's result stays byte-identical
 // to solo, and the failed slot is reusable after Leave/Finish.
@@ -224,11 +215,16 @@ func TestLaneGroupPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evilCfg := cfg
-	evilCfg.OffsetCache = evilOffsetCache{}
-	evilDec, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, evilCfg)
+	evilDec, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The fault is injected mid-utterance from inside the frontier step
+	// (Join's initial closure, frame -1, runs outside the lane's recover).
+	evilDec.frameHook = func(frame int, _ []uint64, _ []token) {
+		if frame == 3 {
+			panic("injected frontier fault")
+		}
 	}
 	healthy, _ := g.Join(healthyDec)
 	healthy.Push(f.tk.Test[0].Frames)

@@ -22,13 +22,16 @@ type OnTheFly struct {
 	// amEps is the AM graph's shared EpsInStates bitset: the epsilon closure
 	// visits only tokens whose AM state has a non-emitting arc.
 	amEps []uint64
-	// memo is the software analogue of the Offset Lookup Table: it maps
-	// (LM state, word) to the resolved arc index from a previous binary
-	// search. It persists across utterances, as the hardware table does,
-	// because word recurrence is exactly the locality it exploits. The
-	// default is an unbounded private map; Config.OffsetCache substitutes a
-	// bounded or shared implementation (internal/pool's tiered cache).
-	memo OffsetCache
+	// memo is the paper's Offset Lookup Table (Section 3.2, Figure 7): a
+	// direct-mapped table from (LM state, word) to the arc index a previous
+	// binary search resolved, overwritten on conflict. It persists across
+	// this decoder's utterances, as the hardware table does, because word
+	// recurrence is exactly the locality it exploits. It is allocated by the
+	// first LookupMemo fetch, so construction stays O(1) and the other lookup
+	// strategies never pay for it. Its contents never decide a result: an
+	// entry is a pure function of the static LM graph, so a conflict or a
+	// cold table costs only a repeated binary search.
+	memo []memoEntry
 	// frameHook, when non-nil, receives the post-closure frontier after the
 	// initial epsilon closure (frame == -1) and after every decoded frame,
 	// in frontier iteration order. It is the seam the differential test
@@ -60,30 +63,35 @@ func NewOnTheFly(amGraph, lmGraph *wfst.WFST, cfg Config) (*OnTheFly, error) {
 		return nil, fmt.Errorf("decoder: LM graph must be input-sorted")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Lookup == LookupMemo {
-		if l := max(amGraph.MaxLabel(), lmGraph.MaxLabel()); l >= 1<<memoWordBits {
-			return nil, fmt.Errorf("decoder: label %d does not fit the offset memo's %d-bit word field", l, memoWordBits)
-		}
-	}
-	memo := cfg.OffsetCache
-	if memo == nil {
-		memo = newMapOffsetCache()
-	}
-	return &OnTheFly{am: amGraph, lm: lmGraph, cfg: cfg, amEps: amGraph.EpsInStates(), memo: memo}, nil
+	return &OnTheFly{am: amGraph, lm: lmGraph, cfg: cfg, amEps: amGraph.EpsInStates()}, nil
 }
 
-// memoWordBits is the width of the word field in find's packed memo key; a
-// wider label would alias another (state, word) pair, so NewOnTheFly rejects
-// such graphs under LookupMemo.
-const memoWordBits = 20
+// memoBits sizes the offset table: 1<<12 entries of 12 bytes, 48 KiB. The
+// Figure 7 sweep at big-gmm scale (EXPERIMENTS.md) found search time flat
+// from one entry to 1<<18, so the size is a constant, not an option.
+const memoBits = 12
+
+// memoEntry is one offset-table slot. State and word are stored whole, so a
+// hit is exact for any label width. arc is the arc index plus one: the zero
+// entry is an empty slot and can never hit.
+type memoEntry struct {
+	state wfst.StateID
+	word  int32
+	arc   int32
+}
+
+// memoSlot maps (LM state, word) to its direct-mapped slot by a Fibonacci
+// hash, so adjacent LM states and adjacent words spread over the table.
+func memoSlot(s wfst.StateID, word int32) uint64 {
+	return (uint64(uint32(s))<<32 | uint64(uint32(word))) * 0x9E3779B97F4A7C15 >> (64 - memoBits)
+}
 
 // hasEps reports whether AM state s has a non-emitting arc.
 func (d *OnTheFly) hasEps(s wfst.StateID) bool { return d.amEps[s>>6]>>(s&63)&1 != 0 }
 
-// ResetMemo clears the offset memo table (for ablations that model a cold
-// table per utterance). With a shared OffsetCache installed, only the
-// decoder-local layer is guaranteed to cool.
-func (d *OnTheFly) ResetMemo() { d.memo.Reset() }
+// ResetMemo clears the offset table (for ablations that model a cold table
+// per utterance).
+func (d *OnTheFly) ResetMemo() { clear(d.memo) }
 
 func otfKey(am, lm wfst.StateID) uint64 {
 	return uint64(uint32(am))<<32 | uint64(uint32(lm))
@@ -302,17 +310,20 @@ func (d *OnTheFly) find(s wfst.StateID, word int32, st *Stats) (int, bool) {
 		st.LMProbes += int64(probes)
 		return idx, ok
 	default: // LookupMemo
-		mk := uint64(uint32(s))<<memoWordBits | uint64(uint32(word))
-		if idx, hit := d.memo.Get(mk); hit {
+		if d.memo == nil {
+			d.memo = make([]memoEntry, 1<<memoBits)
+		}
+		e := &d.memo[memoSlot(s, word)]
+		if e.arc != 0 && e.state == s && e.word == word {
 			st.MemoHits++
-			return int(idx), true
+			return int(e.arc - 1), true
 		}
 		var probes int
 		idx, ok := d.lm.FindArc(s, word, &probes)
 		st.LMProbes += int64(probes)
 		st.MemoMisses++
 		if ok {
-			d.memo.Put(mk, int32(idx))
+			*e = memoEntry{state: s, word: word, arc: int32(idx) + 1}
 		}
 		return idx, ok
 	}

@@ -83,8 +83,8 @@ func NewTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) *Telemetry 
 		LMFetches:        reg.Counter("unfold_decoder_lm_fetches_total", "Cross-word LM resolutions."),
 		LMProbes:         reg.Counter("unfold_decoder_lm_probes_total", "LM arc-search probes."),
 		BackoffHops:      reg.Counter("unfold_decoder_backoff_hops_total", "Back-off arcs walked during LM resolution."),
-		MemoHits:         reg.Counter("unfold_decoder_memo_hits_total", "Offset-cache hits."),
-		MemoMisses:       reg.Counter("unfold_decoder_memo_misses_total", "Offset-cache misses."),
+		MemoHits:         reg.Counter("unfold_decoder_memo_hits_total", "Offset-table hits."),
+		MemoMisses:       reg.Counter("unfold_decoder_memo_misses_total", "Offset-table misses."),
 		PreemptivePruned: reg.Counter("unfold_decoder_preemptive_pruned_total", "Hypotheses abandoned mid back-off walk."),
 		Rescues:          reg.Counter("unfold_decoder_rescues_total", "Beam widenings by search-failure rescue."),
 		SearchFailures:   reg.Counter("unfold_decoder_search_failures_total", "Frames whose active set emptied for good."),

@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic, seedable fault injectors for
 // the robustness test harness: byte-level bundle corruption, scorer NaN/Inf
-// bursts, and cache-layer failures (panics, dropped writes, slow lookups).
+// bursts, and disk and reload failures under a live server (disk.go).
 //
 // Every injector is a pure function of its seed, so a failing fault test
 // reproduces with the same seed — the injectors never read global
@@ -16,11 +16,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/acoustic"
-	"repro/internal/decoder"
 )
 
 // ---------------------------------------------------------------------------
@@ -171,83 +168,3 @@ func (s *NaNScorer) FLOPsPerFrame() float64 { return s.Inner.FLOPsPerFrame() }
 
 // Name labels the scorer in reports (acoustic.Scorer interface).
 func (s *NaNScorer) Name() string { return s.Inner.Name() + "+fault" }
-
-// ---------------------------------------------------------------------------
-// Cache faults (offset-lookup layer)
-
-// FlakyCache wraps a decoder.OffsetCache with failure modes: a one-shot
-// panic after a fixed number of operations (exercising worker panic
-// isolation) and periodic dropped writes (exercising the invariant that
-// cache contents never change results). Counters are atomic so one
-// FlakyCache may be shared across pool workers.
-type FlakyCache struct {
-	Inner decoder.OffsetCache
-	// PanicAt, if positive, makes exactly the PanicAt-th operation panic.
-	PanicAt int64
-	// DropEvery, if positive, silently discards every DropEvery-th Put.
-	DropEvery int64
-
-	ops  atomic.Int64
-	puts atomic.Int64
-}
-
-// Get implements decoder.OffsetCache, panicking on the scheduled operation.
-func (c *FlakyCache) Get(key uint64) (int32, bool) {
-	c.tick()
-	return c.Inner.Get(key)
-}
-
-// Put implements decoder.OffsetCache, dropping scheduled writes.
-func (c *FlakyCache) Put(key uint64, idx int32) {
-	c.tick()
-	if c.DropEvery > 0 && c.puts.Add(1)%c.DropEvery == 0 {
-		return
-	}
-	c.Inner.Put(key, idx)
-}
-
-// Reset implements decoder.OffsetCache.
-func (c *FlakyCache) Reset() { c.Inner.Reset() }
-
-// Ops reports how many cache operations have been observed.
-func (c *FlakyCache) Ops() int64 { return c.ops.Load() }
-
-func (c *FlakyCache) tick() {
-	if n := c.ops.Add(1); c.PanicAt > 0 && n == c.PanicAt {
-		panic(fmt.Sprintf("faultinject: injected cache failure at op %d", n))
-	}
-}
-
-// SlowCache wraps a decoder.OffsetCache and sleeps on a fixed schedule —
-// the "stuck worker" fault used to prove cancellation still returns
-// promptly when decode work drags.
-type SlowCache struct {
-	Inner decoder.OffsetCache
-	// Delay is the sleep applied every Every-th Get (default 1ms / 100).
-	Delay time.Duration
-	Every int64
-
-	gets atomic.Int64
-}
-
-// Get implements decoder.OffsetCache with scheduled stalls.
-func (c *SlowCache) Get(key uint64) (int32, bool) {
-	every := c.Every
-	if every == 0 {
-		every = 100
-	}
-	if c.gets.Add(1)%every == 0 {
-		d := c.Delay
-		if d == 0 {
-			d = time.Millisecond
-		}
-		time.Sleep(d)
-	}
-	return c.Inner.Get(key)
-}
-
-// Put implements decoder.OffsetCache.
-func (c *SlowCache) Put(key uint64, idx int32) { c.Inner.Put(key, idx) }
-
-// Reset implements decoder.OffsetCache.
-func (c *SlowCache) Reset() { c.Inner.Reset() }

@@ -7,17 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
-
-// stubCache is a minimal OffsetCache for wrapper tests.
-type stubCache struct{ m map[uint64]int32 }
-
-func newStub() *stubCache { return &stubCache{m: map[uint64]int32{}} }
-
-func (c *stubCache) Get(key uint64) (int32, bool) { v, ok := c.m[key]; return v, ok }
-func (c *stubCache) Put(key uint64, idx int32)    { c.m[key] = idx }
-func (c *stubCache) Reset()                       { c.m = map[uint64]int32{} }
 
 // stubScorer returns constant finite scores so poison is attributable.
 type stubScorer struct{ senones int }
@@ -130,60 +120,5 @@ func TestNaNScorerInjects(t *testing.T) {
 	}
 	if inf.Name() != "stub+fault" || inf.FLOPsPerFrame() != 1 {
 		t.Error("delegation broken")
-	}
-}
-
-// TestFlakyCachePanicsOnSchedule: the PanicAt-th operation panics, once.
-func TestFlakyCachePanicsOnSchedule(t *testing.T) {
-	c := &FlakyCache{Inner: newStub(), PanicAt: 3}
-	c.Put(1, 10)
-	c.Get(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("operation 3 did not panic")
-			}
-		}()
-		c.Get(1)
-	}()
-	// Past the scheduled op, the cache behaves normally again.
-	if v, ok := c.Get(1); !ok || v != 10 {
-		t.Errorf("post-panic Get = %d,%v", v, ok)
-	}
-	if c.Ops() != 4 {
-		t.Errorf("ops = %d, want 4", c.Ops())
-	}
-}
-
-// TestFlakyCacheDropsWrites: every DropEvery-th Put is discarded.
-func TestFlakyCacheDropsWrites(t *testing.T) {
-	c := &FlakyCache{Inner: newStub(), DropEvery: 2}
-	for i := uint64(0); i < 10; i++ {
-		c.Put(i, int32(i))
-	}
-	var present int
-	for i := uint64(0); i < 10; i++ {
-		if _, ok := c.Get(i); ok {
-			present++
-		}
-	}
-	if present != 5 {
-		t.Errorf("%d of 10 writes survived, want 5", present)
-	}
-}
-
-// TestSlowCacheStalls: the scheduled stall actually takes wall time and
-// values flow through unchanged.
-func TestSlowCacheStalls(t *testing.T) {
-	c := &SlowCache{Inner: newStub(), Delay: 5 * time.Millisecond, Every: 10}
-	c.Put(9, 90)
-	start := time.Now()
-	for i := 0; i < 20; i++ {
-		if v, ok := c.Get(9); !ok || v != 90 {
-			t.Fatalf("Get = %d,%v", v, ok)
-		}
-	}
-	if d := time.Since(start); d < 10*time.Millisecond {
-		t.Errorf("20 gets with 2 scheduled stalls took only %v", d)
 	}
 }

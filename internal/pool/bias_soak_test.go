@@ -20,13 +20,12 @@ var biasSoak = flag.Duration("bias-soak", 2*time.Second, "wall time for the tena
 // bias-soak; a 2s slice of it rides in make race): six client goroutines
 // hammer one lane scheduler with Zipf-distributed tenants — each tenant
 // carrying its own bias machine — mixed with tenantless traffic and
-// mid-flight cancellations, far more tenants than MaxTenants partitions so
-// the tenant-level LRU churns the whole time. Under the race detector this
-// exercises every cross-thread seam the tenant layer added: per-lane
-// SetBias/SetShared installs racing batch submission, partition creation
-// and drop racing concurrent Partition calls, and TenantStats scrapes
-// racing live decodes. The correctness bar never drops: every completed
-// utterance is byte-identical to its tenant's solo biased oracle.
+// mid-flight cancellations, three times as many tenants as lanes so every
+// slot keeps changing machines. Under the race detector this exercises the
+// cross-thread seams the tenant layer added: per-lane SetBias installs
+// racing batch submission, and stats scrapes racing live decodes. The
+// correctness bar never drops: every completed utterance is byte-identical
+// to its tenant's solo biased oracle.
 func TestSoakBiasTenantChurn(t *testing.T) {
 	f := getFixture(t)
 	const tenants = 12
@@ -55,7 +54,6 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 
 	s, err := NewLaneScheduler(f.tk.AM.G, f.tk.LMGraph.G, f.tk.Scorer, LaneConfig{
 		Lanes:   4,
-		Tenants: TenantPartitionConfig{Entries: 256, Shards: 2, MaxTenants: 4},
 		Decoder: decoder.Config{PreemptivePruning: true},
 	})
 	if err != nil {
@@ -89,12 +87,11 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 				var tb *TenantBias
 				if rng.Intn(4) != 0 {
 					ti = int(zipf.Uint64())
-					tb = &TenantBias{Tenant: fmt.Sprintf("tenant-%d", ti), Machine: machines[ti]}
+					tb = &TenantBias{Machine: machines[ti]}
 				}
 				switch rng.Intn(4) {
 				case 0: // scrape racing decodes
-					_ = s.TenantCaches().TenantStats()
-					_ = s.CacheStats()
+					_ = s.Stats()
 				case 1: // chunked biased stream
 					h, err := s.OpenLaneBias(context.Background(), nil, tb)
 					if err != nil {
@@ -168,12 +165,5 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 	if st := s.Stats(); st.Joins != st.Drains {
 		t.Errorf("slot leak: joins %d != drains %d", st.Joins, st.Drains)
 	}
-	tc := s.TenantCaches()
-	if tc.Dropped() == 0 {
-		t.Error("tenant-level LRU never churned; soak was meant to exceed MaxTenants")
-	}
-	if tc.Tenants() > 4 {
-		t.Errorf("resident partitions %d exceed MaxTenants 4", tc.Tenants())
-	}
-	t.Logf("bias soak: %d utterances over %d tenants, %d partitions dropped", done.Load(), tenants, tc.Dropped())
+	t.Logf("bias soak: %d utterances over %d tenants", done.Load(), tenants)
 }

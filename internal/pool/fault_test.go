@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/decoder"
-	"repro/internal/faultinject"
 )
 
 // sequentialResults decodes the fixture sequentially — the ground truth
@@ -92,71 +91,6 @@ func TestDecodePoolIsolatesPanic(t *testing.T) {
 	}
 }
 
-// TestDecodePoolFlakyCachePanic injects a cache-layer panic through the
-// WrapCache seam: exactly one utterance fails, the rest match sequential.
-func TestDecodePoolFlakyCachePanic(t *testing.T) {
-	f := getFixture(t)
-	want := sequentialResults(t, f)
-	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{
-		Workers: 1,
-		Decoder: decoder.Config{PreemptivePruning: true},
-		WrapCache: func(c decoder.OffsetCache) decoder.OffsetCache {
-			return &faultinject.FlakyCache{Inner: c, PanicAt: 1}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := p.Decode(f.scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Failed() != 1 {
-		t.Fatalf("Failed() = %d, want exactly 1 (the op-1 panic)", batch.Failed())
-	}
-	for i, e := range batch.Errors {
-		if e != nil {
-			if e.Stage != StageSearch {
-				t.Errorf("utt %d stage %q, want %q", i, e.Stage, StageSearch)
-			}
-			continue
-		}
-		if fmt.Sprint(batch.Results[i].Words) != fmt.Sprint(want[i].Words) {
-			t.Errorf("utt %d diverged from sequential", i)
-		}
-	}
-}
-
-// TestDecodePoolLossyCacheIsHarmless drops every third cache write and
-// checks the engine's determinism invariant end to end: cache contents never
-// change transcripts, only probe counts.
-func TestDecodePoolLossyCacheIsHarmless(t *testing.T) {
-	f := getFixture(t)
-	want := sequentialResults(t, f)
-	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{
-		Workers: 2,
-		Decoder: decoder.Config{PreemptivePruning: true},
-		WrapCache: func(c decoder.OffsetCache) decoder.OffsetCache {
-			return &faultinject.FlakyCache{Inner: c, DropEvery: 3}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := p.Decode(f.scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := batch.Failed(); n != 0 {
-		t.Fatalf("lossy cache produced %d errors", n)
-	}
-	for i, r := range batch.Results {
-		if fmt.Sprint(r.Words) != fmt.Sprint(want[i].Words) || r.Cost != want[i].Cost {
-			t.Errorf("utt %d: lossy cache changed the result", i)
-		}
-	}
-}
-
 // TestDecodePoolCancelBeforeStart: an already-canceled context returns
 // immediately with every utterance marked StageCanceled and ctx.Err().
 func TestDecodePoolCancelBeforeStart(t *testing.T) {
@@ -188,8 +122,8 @@ func TestDecodePoolCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestDecodePoolCancelMidBatch slows the cache down, expires the deadline
-// mid-decode, and checks the liveness contract: the call returns within
+// TestDecodePoolCancelMidBatch submits far more work than fits the deadline,
+// expires it mid-decode, and checks the liveness contract: the call returns within
 // ~100ms of the deadline (per-frame cancellation checks), results stay
 // index-aligned, finished utterances keep sequential-identical transcripts,
 // and interrupted ones carry StageCanceled errors.
@@ -198,15 +132,12 @@ func TestDecodePoolCancelMidBatch(t *testing.T) {
 	want := sequentialResults(t, f)
 	// Replicate the fixture so the batch cannot finish inside the deadline.
 	var scores [][][]float32
-	for r := 0; r < 30; r++ {
+	for r := 0; r < 2000; r++ {
 		scores = append(scores, f.scores...)
 	}
 	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{
 		Workers: 2,
 		Decoder: decoder.Config{PreemptivePruning: true},
-		WrapCache: func(c decoder.OffsetCache) decoder.OffsetCache {
-			return &faultinject.SlowCache{Inner: c, Delay: time.Millisecond, Every: 50}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,42 +20,18 @@ type LaneConfig struct {
 	// Lanes is the lockstep width: how many utterances advance together
 	// through one batched scorer call per frame step. Default 4.
 	Lanes int
-	// L1Entries / L2Entries / L2Shards size the two-layer offset cache
-	// exactly as in Config: each lane slot owns a direct-mapped L1 over one
-	// shared LRU. Defaults 512 / 1<<16 / 16.
-	L1Entries int
-	L2Entries int
-	L2Shards  int
-	// Tenants sizes the per-tenant L2 partitions biased lanes route their
-	// shared-layer traffic through, exactly as in Config.Tenants.
-	Tenants TenantPartitionConfig
-	// Decoder configures each slot's beam search. Its OffsetCache field is
-	// overwritten with the slot's tiered cache; leave it nil.
+	// Decoder configures each slot's beam search.
 	Decoder decoder.Config
 	// Telemetry, when non-nil, publishes the lane instruments
 	// (unfold_lane_active, unfold_lane_joins_total, unfold_lane_drains_total)
-	// plus the shared batch/cache/decoder sets. nil disables all of it.
+	// plus the shared batch/decoder sets. nil disables all of it.
 	Telemetry *Telemetry
-	// WrapCache, when non-nil, wraps each slot's tiered cache before it is
-	// handed to the decoder — the same fault-injection seam Config.WrapCache
-	// exposes for the worker pool.
-	WrapCache func(decoder.OffsetCache) decoder.OffsetCache
 }
 
 func (c LaneConfig) withDefaults() LaneConfig {
 	if c.Lanes <= 0 {
 		c.Lanes = 4
 	}
-	if c.L1Entries <= 0 {
-		c.L1Entries = 512
-	}
-	if c.L2Entries <= 0 {
-		c.L2Entries = 1 << 16
-	}
-	if c.L2Shards <= 0 {
-		c.L2Shards = 16
-	}
-	c.Tenants = c.Tenants.withDefaults()
 	return c
 }
 
@@ -69,7 +45,7 @@ var ErrLaneSchedulerClosed = errors.New("pool: lane scheduler closed")
 type laneJob struct {
 	ctx    context.Context
 	preset *decoder.SearchPreset
-	tb     *TenantBias // tenant assignment; nil decodes two-layer on the shared L2
+	tb     *TenantBias // tenant assignment; nil decodes two-layer
 	utt    int         // index in the submitting batch; -1 for streamed lanes
 
 	queued    [][]float32 // frames submitted before admission
@@ -99,7 +75,7 @@ type laneJob struct {
 // Determinism carries over from the group: every utterance's result is
 // byte-identical to a solo decode regardless of lane width, admission order,
 // or what the other lanes are doing. Each slot owns its own decoder (its own
-// L1 cache and search preset), so per-utterance degradation presets work
+// offset table and search preset), so per-utterance degradation presets work
 // exactly as in DecodePool: installed at admission, visible only to that
 // lane.
 //
@@ -110,11 +86,8 @@ type laneJob struct {
 // every step, so a canceled utterance leaves its slot within one frame and
 // returns its partial result with a StageCanceled error, decodeOne-style.
 type LaneScheduler struct {
-	cfg     LaneConfig
-	shared  *ShardedLRU
-	tenants *TenantCaches
-	caches  []*TieredCache
-	decs    []*decoder.OnTheFly
+	cfg  LaneConfig
+	decs []*decoder.OnTheFly
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -124,11 +97,6 @@ type LaneScheduler struct {
 	active     []*laneJob
 	closed     bool
 	runnerDone chan struct{}
-
-	// telMu serializes the telemetry L1 snapshot across overlapping batches,
-	// as in DecodePool.
-	telMu  sync.Mutex
-	lastL1 CacheStats
 }
 
 // NewLaneScheduler builds a scheduler of cfg.Lanes slots over the AM and LM
@@ -145,31 +113,18 @@ func NewLaneScheduler(amGraph, lmGraph *wfst.WFST, scorer acoustic.Scorer, cfg L
 	if err != nil {
 		return nil, err
 	}
-	s := &LaneScheduler{
-		cfg:        cfg,
-		shared:     NewShardedLRU(cfg.L2Entries, cfg.L2Shards),
-		tenants:    NewTenantCaches(cfg.Tenants),
-		group:      group,
-		runnerDone: make(chan struct{}),
-	}
+	s := &LaneScheduler{cfg: cfg, group: group, runnerDone: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
+	dcfg := cfg.Decoder
+	dcfg.Telemetry = cfg.Telemetry.decoderTelemetry()
 	for i := 0; i < cfg.Lanes; i++ {
-		tc := NewTieredCache(cfg.L1Entries, s.shared)
-		dcfg := cfg.Decoder
-		dcfg.OffsetCache = tc
-		dcfg.Telemetry = cfg.Telemetry.decoderTelemetry()
-		if cfg.WrapCache != nil {
-			dcfg.OffsetCache = cfg.WrapCache(tc)
-		}
 		d, err := decoder.NewOnTheFly(amGraph, lmGraph, dcfg)
 		if err != nil {
 			return nil, fmt.Errorf("pool: lane %d: %w", i, err)
 		}
 		s.decs = append(s.decs, d)
-		s.caches = append(s.caches, tc)
 		s.freeDecs = append(s.freeDecs, i)
 	}
-	cfg.Telemetry.observeTenants(s.tenants, "lanes")
 	go s.run()
 	return s, nil
 }
@@ -193,21 +148,6 @@ func (s *LaneScheduler) Quiesced() bool {
 	return len(s.queue) == 0 && len(s.active) == 0 &&
 		len(s.freeDecs) == len(s.decs) && s.group.Active() == 0
 }
-
-// CacheStats merges the shared LRU's counters, every resident tenant
-// partition's counters, and every slot's L1 counters.
-func (s *LaneScheduler) CacheStats() CacheStats {
-	st := s.shared.Stats()
-	st.Add(s.tenants.Stats())
-	for _, c := range s.caches {
-		st.Add(c.Stats())
-	}
-	return st
-}
-
-// TenantCaches exposes the scheduler's tenant partition set — per-tenant
-// cache statistics for /metrics and the fairness tests.
-func (s *LaneScheduler) TenantCaches() *TenantCaches { return s.tenants }
 
 // Close stops the runner, failing any queued or in-flight utterances with
 // ErrLaneSchedulerClosed, and waits for it to exit. Further submissions fail
@@ -292,11 +232,11 @@ func (s *LaneScheduler) admitLocked() bool {
 			} else {
 				dec.ClearSearchPreset()
 			}
-			// Tenant assignment installs under the same exclusivity as the
+			// The bias machine installs under the same exclusivity as the
 			// preset — the slot is free, so no lane is mid-decode on it. It
 			// must land before Join: Join reseeds the slot's stream from the
 			// decoder's (possibly biased) start key. Both branches run every
-			// admission so a slot never carries a previous lane's tenant.
+			// admission so a slot never carries a previous lane's machine.
 			if j.tb != nil {
 				if err := dec.SetBias(j.tb.Machine); err != nil {
 					dec.ClearBias()
@@ -305,14 +245,8 @@ func (s *LaneScheduler) admitLocked() bool {
 					progress = true
 					continue
 				}
-				if l2 := s.tenants.Partition(j.tb.Tenant); l2 != nil {
-					s.caches[di].SetShared(l2)
-				} else {
-					s.caches[di].SetShared(s.shared)
-				}
 			} else {
 				dec.ClearBias()
-				s.caches[di].SetShared(s.shared)
 			}
 			lane, err := s.group.Join(dec)
 			if err != nil {
@@ -461,11 +395,9 @@ func (s *LaneScheduler) DecodeContext(ctx context.Context, featUtts [][][]float3
 }
 
 // DecodeBiasContext is DecodeContext with a tenant assignment: every lane
-// this batch occupies decodes under the tenant's bias machine (nil
-// tb.Machine decodes two-layer) and routes its shared-layer cache traffic
-// through the tenant's private partition. The assignment installs at
-// admission, per lane, so concurrently interleaved utterances from other
-// tenants keep their own machines and partitions. A nil tb is
+// this batch occupies decodes under the tenant's bias machine. The
+// assignment installs at admission, per lane, so concurrently interleaved
+// utterances from other tenants keep their own machines. A nil tb is
 // byte-identical to DecodeContext.
 func (s *LaneScheduler) DecodeBiasContext(ctx context.Context, featUtts [][][]float32, preset *decoder.SearchPreset, tb *TenantBias) (*Batch, error) {
 	start := time.Now()
@@ -525,25 +457,14 @@ func (s *LaneScheduler) DecodeBiasContext(ctx context.Context, featUtts [][][]fl
 			b.Search.Panics++
 		}
 	}
-	b.Cache = s.CacheStats()
-	if tel := s.cfg.Telemetry; tel != nil {
-		var l1 CacheStats
-		for _, c := range s.caches {
-			l1.Add(c.Stats())
-		}
-		s.telMu.Lock()
-		delta := CacheStats{L1Hits: l1.L1Hits - s.lastL1.L1Hits, L1Misses: l1.L1Misses - s.lastL1.L1Misses}
-		s.lastL1 = l1
-		s.telMu.Unlock()
-		tel.recordBatch(len(featUtts), time.Since(start),
-			searchDelta{panics: b.Search.Panics, canceled: b.Search.Canceled}, delta)
-	}
+	s.cfg.Telemetry.recordBatch(len(featUtts), time.Since(start),
+		searchDelta{panics: b.Search.Panics, canceled: b.Search.Canceled})
 	b.Throughput = metrics.Throughput{
 		Utterances:   len(featUtts),
 		Frames:       b.Decoder.Frames,
 		Wall:         time.Since(start),
-		CacheHits:    b.Cache.L1Hits + b.Cache.L2Hits,
-		CacheLookups: b.Cache.Lookups(),
+		CacheHits:    b.Decoder.MemoHits,
+		CacheLookups: b.Decoder.MemoHits + b.Decoder.MemoMisses,
 		AllocBytes:   int64(alloc.Bytes),
 		AllocObjects: int64(alloc.Objects),
 		GCCycles:     int64(alloc.GCs),
@@ -568,8 +489,8 @@ func (s *LaneScheduler) OpenLane(ctx context.Context, preset *decoder.SearchPres
 }
 
 // OpenLaneBias is OpenLane with a tenant assignment (see DecodeBiasContext);
-// the stream decodes under tb's bias machine and cache partition for its
-// whole lifetime. A nil tb is byte-identical to OpenLane.
+// the stream decodes under tb's bias machine for its whole lifetime. A nil
+// tb is byte-identical to OpenLane.
 func (s *LaneScheduler) OpenLaneBias(ctx context.Context, preset *decoder.SearchPreset, tb *TenantBias) (*LaneHandle, error) {
 	j := &laneJob{ctx: ctx, preset: preset, tb: tb, utt: -1, done: make(chan struct{})}
 	s.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/acoustic"
 	"repro/internal/decoder"
 	"repro/internal/semiring"
 	"repro/internal/telemetry"
@@ -81,8 +82,8 @@ func TestLaneSchedulerMatchesSequential(t *testing.T) {
 	if ratio := st.ScorerCallsPerFrame(); ratio >= 1 {
 		t.Errorf("scorer calls/frame = %.3f, want < 1 with 3 lanes", ratio)
 	}
-	if b.Throughput.Frames == 0 || b.Cache.Lookups() == 0 {
-		t.Errorf("throughput/cache accounting empty: %+v %+v", b.Throughput, b.Cache)
+	if b.Throughput.Frames == 0 || b.Throughput.CacheLookups == 0 {
+		t.Errorf("throughput/offset-table accounting empty: %+v", b.Throughput)
 	}
 }
 
@@ -186,25 +187,17 @@ func TestLaneSchedulerPerLanePresets(t *testing.T) {
 	checkLaneBatch(t, bDeg, degraded)
 }
 
-// TestLaneSchedulerIsolatesLanePanic injects a slot-local cache panic (the
-// WrapCache seam): exactly one utterance fails with StageSearch, every other
-// utterance matches sequential, and the scheduler keeps serving afterwards —
+// TestLaneSchedulerIsolatesLanePanic hands one lane a poisoned score row:
+// exactly one utterance fails with StageSearch, every other utterance
+// matches sequential, and the scheduler keeps serving afterwards —
 // DecodePool's fault contract, carried over to lanes.
 func TestLaneSchedulerIsolatesLanePanic(t *testing.T) {
 	f := getFixture(t)
 	want := sequentialResults(t, f)
-	armed := false
-	s, err := NewLaneScheduler(f.tk.AM.G, f.tk.LMGraph.G, f.tk.Scorer, LaneConfig{
+	scorer := &truncatingScorer{BatchScorer: f.tk.Scorer.(acoustic.BatchScorer), at: 40}
+	s, err := NewLaneScheduler(f.tk.AM.G, f.tk.LMGraph.G, scorer, LaneConfig{
 		Lanes:   2,
 		Decoder: decoder.Config{PreemptivePruning: true},
-		WrapCache: func(c decoder.OffsetCache) decoder.OffsetCache {
-			// Arm exactly one slot; the utterance that lands on it dies.
-			if armed {
-				return c
-			}
-			armed = true
-			return &panicOnceCache{inner: c, at: 40}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,25 +233,35 @@ func TestLaneSchedulerIsolatesLanePanic(t *testing.T) {
 	checkLaneBatch(t, again, want)
 }
 
-// panicOnceCache panics on its at'th lookup, once, then behaves. Only the
-// scheduler's runner goroutine touches slot caches, so plain fields suffice.
-type panicOnceCache struct {
-	inner decoder.OffsetCache
-	at    int
-	ops   int
-	fired bool
+// truncatingScorer cuts one lane's score row down to the epsilon slot on its
+// at'th step, once — the length-1 row TestDecodePoolIsolatesPanic feeds the
+// worker pool, so any senone read in that lane's frontier step is out of
+// range. The row belongs to the lane group, so the full one goes back before
+// the next step. Only the scheduler's runner goroutine scores, so plain
+// fields suffice.
+type truncatingScorer struct {
+	acoustic.BatchScorer
+	at, steps int
+	lane      int
+	full      []float32
 }
 
-func (p *panicOnceCache) Get(key uint64) (int32, bool) {
-	p.ops++
-	if p.ops >= p.at && !p.fired {
-		p.fired = true
-		panic("injected lane cache panic")
+func (s *truncatingScorer) ScoreStep(states []acoustic.LaneState, frames, out [][]float32) {
+	if s.full != nil {
+		out[s.lane], s.full = s.full, nil
 	}
-	return p.inner.Get(key)
+	s.BatchScorer.ScoreStep(states, frames, out)
+	if s.steps++; s.steps != s.at {
+		return
+	}
+	for i, f := range frames {
+		if f != nil {
+			s.lane, s.full = i, out[i]
+			out[i] = out[i][:1]
+			return
+		}
+	}
 }
-func (p *panicOnceCache) Put(key uint64, idx int32) { p.inner.Put(key, idx) }
-func (p *panicOnceCache) Reset()                    { p.inner.Reset() }
 
 // TestLaneSchedulerClose: closing fails in-flight work with
 // ErrLaneSchedulerClosed, releases every slot, and rejects new submissions.

@@ -1,3 +1,18 @@
+// Package pool provides the two concurrent decoding engines over one pair of
+// AM/LM graphs. A DecodePool fans a batch of pre-scored utterances out to
+// worker goroutines, one whole utterance per worker; a LaneScheduler advances
+// several utterances in frame-synchronous lockstep through one batched scorer
+// call per step, with utterances joining and leaving mid-flight. Every worker
+// and every lane slot owns a private on-the-fly decoder, and with it a
+// private offset table that stays warm across the utterances it decodes; the
+// graphs are the only state the decoders share, and they are read-only.
+//
+// Both engines isolate faults per utterance (a panic becomes a typed
+// DecodeError, cancellation returns partial results) and both are
+// deterministic: each utterance is searched by exactly one decoder, and
+// offset-table contents never decide a result, so any worker count, lane
+// width or interleaving produces results byte-identical to sequential
+// decoding. That determinism is asserted by this package's tests.
 package pool
 
 import (
@@ -18,116 +33,64 @@ import (
 // defaults for every field.
 type Config struct {
 	// Workers is the number of decoding goroutines; each owns one
-	// on-the-fly decoder and one TieredCache. Defaults to GOMAXPROCS.
+	// on-the-fly decoder. Defaults to GOMAXPROCS.
 	Workers int
-	// L1Entries is each worker's direct-mapped cache size in entries
-	// (rounded up to a power of two). Default 512.
-	L1Entries int
-	// L2Entries bounds the shared LRU across all workers. Default 1<<16 —
-	// the bounded replacement for the seed decoder's unbounded memo map.
-	L2Entries int
-	// L2Shards is the shared LRU's lock-striping factor (rounded up to a
-	// power of two). Default 16.
-	L2Shards int
-	// Tenants sizes the per-tenant L2 partitions DecodeBiasContext routes
-	// tenant traffic through (see TenantCaches). The zero value selects the
-	// defaults; tenantless pools never allocate a partition.
-	Tenants TenantPartitionConfig
-	// Decoder configures each worker's beam search. Its OffsetCache field
-	// is overwritten with the pool's tiered cache; leave it nil.
+	// Decoder configures each worker's beam search.
 	Decoder decoder.Config
 	// Telemetry, when non-nil, publishes pool observability — worker
-	// utilization, batch throughput and fault classes, the two-layer cache
-	// counters (live per-shard L2 callbacks, per-batch L1 deltas) — and
-	// threads its shared decoder instrument set into every worker. nil (the
-	// default) disables all telemetry work; results are identical either
-	// way. Build one with NewTelemetry.
+	// utilization, batch throughput and fault classes — and threads its
+	// shared decoder instrument set into every worker. nil (the default)
+	// disables all telemetry work; results are identical either way. Build
+	// one with NewTelemetry.
 	Telemetry *Telemetry
-	// WrapCache, when non-nil, wraps each worker's tiered cache before it
-	// is handed to the decoder. This is the fault-injection seam
-	// internal/faultinject uses to simulate cache-layer failures (panics,
-	// dropped writes, slow lookups); production pools leave it nil. Cache
-	// contents never change results, so a lossy wrapper costs only probes.
-	WrapCache func(decoder.OffsetCache) decoder.OffsetCache
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.L1Entries <= 0 {
-		c.L1Entries = 512
-	}
-	if c.L2Entries <= 0 {
-		c.L2Entries = 1 << 16
-	}
-	if c.L2Shards <= 0 {
-		c.L2Shards = 16
-	}
-	c.Tenants = c.Tenants.withDefaults()
 	return c
 }
 
-// worker is one decoding lane: a private decoder over a private L1 cache.
-type worker struct {
-	dec   *decoder.OnTheFly
-	cache *TieredCache
-}
-
 // DecodePool fans batches of scored utterances out to a fixed set of
-// workers that share one bounded offset-lookup cache. Construction is
-// cheap relative to the graphs (the workers borrow the caller's AM/LM), so
-// a pool can be long-lived and reused across batches — the shared cache
-// stays warm, which is exactly the locality the paper's Offset Lookup
-// Table exploits across utterances.
+// workers. Construction is cheap relative to the graphs (the workers borrow
+// the caller's AM/LM), so a pool can be long-lived and reused across
+// batches — each worker's offset table stays warm, which is exactly the
+// locality the paper's Offset Lookup Table exploits across utterances.
 //
 // Decode calls may overlap: each call checks workers out of a free list,
 // so concurrent batches split the pool between them instead of corrupting
 // worker state (a serving frontend issues one small batch per request).
 // Results are deterministic and identical to sequential decoding for any
 // worker count and any interleaving — each utterance is decoded whole by
-// one worker, and the shared cache never changes results.
+// one worker, and offset-table contents never change results.
 type DecodePool struct {
 	cfg     Config
-	shared  *ShardedLRU
-	tenants *TenantCaches
-	workers []worker
+	workers []*decoder.OnTheFly
 	// idle is the worker free list: it holds the index of every worker not
 	// currently checked out by a Decode call.
 	idle chan int
-
-	// telMu serializes the telemetry L1 snapshot across overlapping batches;
-	// lastL1 is the cumulative per-worker advance already published.
-	telMu  sync.Mutex
-	lastL1 CacheStats
 }
 
 // New builds a pool of cfg.Workers decoders over the AM and LM graphs (the
 // same pair NewOnTheFly takes; the LM must be input-sorted).
 func New(amGraph, lmGraph *wfst.WFST, cfg Config) (*DecodePool, error) {
 	cfg = cfg.withDefaults()
-	shared := NewShardedLRU(cfg.L2Entries, cfg.L2Shards)
-	p := &DecodePool{cfg: cfg, shared: shared, tenants: NewTenantCaches(cfg.Tenants), workers: make([]worker, cfg.Workers)}
+	p := &DecodePool{cfg: cfg, workers: make([]*decoder.OnTheFly, cfg.Workers)}
+	dcfg := cfg.Decoder
+	dcfg.Telemetry = cfg.Telemetry.decoderTelemetry()
 	for i := range p.workers {
-		tc := NewTieredCache(cfg.L1Entries, shared)
-		dcfg := cfg.Decoder
-		dcfg.OffsetCache = tc
-		dcfg.Telemetry = cfg.Telemetry.decoderTelemetry()
-		if cfg.WrapCache != nil {
-			dcfg.OffsetCache = cfg.WrapCache(tc)
-		}
 		d, err := decoder.NewOnTheFly(amGraph, lmGraph, dcfg)
 		if err != nil {
 			return nil, fmt.Errorf("pool: worker %d: %w", i, err)
 		}
-		p.workers[i] = worker{dec: d, cache: tc}
+		p.workers[i] = d
 	}
 	p.idle = make(chan int, cfg.Workers)
 	for i := range p.workers {
 		p.idle <- i
 	}
 	cfg.Telemetry.observePool(p)
-	cfg.Telemetry.observeTenants(p.tenants, "pool")
 	return p, nil
 }
 
@@ -166,13 +129,15 @@ type Batch struct {
 	// with the scores passed to Decode.
 	Results []*decoder.Result
 	// Throughput aggregates the batch: utterances/sec, frames/sec,
-	// aggregate RTF and cache hit rate over the batch's wall time.
+	// aggregate RTF and offset-table hit rate over the batch's wall time.
 	Throughput metrics.Throughput
 	// Decoder sums the per-utterance search statistics.
 	Decoder decoder.Stats
-	// Cache snapshots the two-layer cache counters, cumulative over the
-	// pool's lifetime (long-lived pools keep their cache warm).
-	Cache CacheStats
+	// Cache is always zero. It outlived the shared cache it reported only
+	// because bench/layers.go:237, its one reader, may not change in the
+	// same PR as this package; the hit ratio lives in Decoder.MemoHits /
+	// Decoder.MemoMisses.
+	Cache struct{ L2Hits, L2Misses int64 }
 	// Errors is index-aligned with Results: Errors[i] is non-nil when
 	// utterance i failed (worker panic) or was cut short / skipped by
 	// cancellation. Results[i] then holds whatever partial result exists,
@@ -233,13 +198,11 @@ func (p *DecodePool) DecodePresetContext(ctx context.Context, scores [][][]float
 
 // DecodeBiasContext is DecodePresetContext with a tenant assignment: when
 // tb is non-nil, every worker this batch checks out decodes under the
-// tenant's bias machine (nil tb.Machine decodes two-layer) and routes its
-// shared-layer cache traffic through the tenant's private partition, so a
-// hot tenant's churn cannot evict other tenants' entries. Like the preset,
-// the assignment is installed only while the batch holds each worker
-// exclusively and applies to this batch alone. A nil tb is byte-identical
-// to DecodePresetContext — the tenantless invariant the bias differential
-// tests pin down at the decoder layer and tenant_test.go pins here.
+// tenant's bias machine. Like the preset, the assignment is installed only
+// while the batch holds each worker exclusively and applies to this batch
+// alone. A nil tb is byte-identical to DecodePresetContext — the tenantless
+// invariant the bias differential tests pin down at the decoder layer and
+// tenant_test.go pins here.
 func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32, preset *decoder.SearchPreset, tb *TenantBias) (*Batch, error) {
 	start := time.Now()
 	// Exact (mcache-flushing) sampling: a warm batch allocates so little
@@ -276,32 +239,25 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			w := p.workers[id]
+			dec := p.workers[id]
 			// The caller holds the worker exclusively until it is returned
 			// to the free list, so installing the batch's operating point
 			// here cannot race with another batch.
 			if preset != nil {
-				w.dec.SetSearchPreset(*preset)
+				dec.SetSearchPreset(*preset)
 			} else {
-				w.dec.ClearSearchPreset()
+				dec.ClearSearchPreset()
 			}
-			// Tenant assignment rides the same exclusivity: bias machine on
-			// the decoder, tenant partition as the cache's L2. Both install
-			// branches run every batch so a worker never carries a previous
-			// batch's tenant state.
+			// The bias machine rides the same exclusivity. Both branches
+			// run every batch so a worker never carries a previous batch's
+			// machine.
 			var biasErr error
 			if tb != nil {
-				if biasErr = w.dec.SetBias(tb.Machine); biasErr != nil {
-					w.dec.ClearBias()
-				}
-				if l2 := p.tenants.Partition(tb.Tenant); l2 != nil {
-					w.cache.SetShared(l2)
-				} else {
-					w.cache.SetShared(p.shared)
+				if biasErr = dec.SetBias(tb.Machine); biasErr != nil {
+					dec.ClearBias()
 				}
 			} else {
-				w.dec.ClearBias()
-				w.cache.SetShared(p.shared)
+				dec.ClearBias()
 			}
 			for i := range jobs {
 				if err := ctx.Err(); err != nil {
@@ -317,7 +273,7 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 					continue
 				}
 				workersBusy.Inc()
-				results[i], errs[i] = decodeOne(ctx, w.dec, i, scores[i])
+				results[i], errs[i] = decodeOne(ctx, dec, i, scores[i])
 				workersBusy.Dec()
 			}
 			p.idle <- id
@@ -365,28 +321,14 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 			b.Search.Panics++
 		}
 	}
-	b.Cache = p.CacheStats()
-	if tel := p.cfg.Telemetry; tel != nil {
-		var l1 CacheStats
-		for i := range p.workers {
-			l1.Add(p.workers[i].cache.Stats())
-		}
-		// The snapshot/advance pair is serialized across overlapping
-		// batches, so each L1 increment is published exactly once even
-		// when several batches finish together.
-		p.telMu.Lock()
-		delta := CacheStats{L1Hits: l1.L1Hits - p.lastL1.L1Hits, L1Misses: l1.L1Misses - p.lastL1.L1Misses}
-		p.lastL1 = l1
-		p.telMu.Unlock()
-		tel.recordBatch(len(scores), time.Since(start),
-			searchDelta{panics: b.Search.Panics, canceled: b.Search.Canceled}, delta)
-	}
+	p.cfg.Telemetry.recordBatch(len(scores), time.Since(start),
+		searchDelta{panics: b.Search.Panics, canceled: b.Search.Canceled})
 	b.Throughput = metrics.Throughput{
 		Utterances:   len(scores),
 		Frames:       b.Decoder.Frames,
 		Wall:         time.Since(start),
-		CacheHits:    b.Cache.L1Hits + b.Cache.L2Hits,
-		CacheLookups: b.Cache.Lookups(),
+		CacheHits:    b.Decoder.MemoHits,
+		CacheLookups: b.Decoder.MemoHits + b.Decoder.MemoMisses,
 		AllocBytes:   int64(alloc.Bytes),
 		AllocObjects: int64(alloc.Objects),
 		GCCycles:     int64(alloc.GCs),
@@ -395,10 +337,10 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 }
 
 // decodeOne runs one utterance with panic isolation: a panic anywhere in
-// the search (decoder, cache wrapper, corrupted input) becomes a typed
-// DecodeError instead of tearing down the batch. The worker's decoder holds
-// no cross-utterance mutable state beyond the offset cache, whose contents
-// never affect results, so the worker safely continues with the next job.
+// the search (decoder, corrupted input) becomes a typed DecodeError instead
+// of tearing down the batch. The worker's decoder holds no cross-utterance
+// mutable state beyond the offset table, whose contents never affect
+// results, so the worker safely continues with the next job.
 //
 // SetPanicOnFault extends the isolation to memory faults: a decode walking
 // a memory-mapped v3 bundle whose backing file was truncated or whose
@@ -421,32 +363,4 @@ func decodeOne(ctx context.Context, dec *decoder.OnTheFly, i int, scores [][]flo
 		return r, &DecodeError{Utterance: i, Stage: StageCanceled, Cause: err}
 	}
 	return r, nil
-}
-
-// CacheStats merges the shared LRU's counters, every resident tenant
-// partition's counters, and every worker's L1 counters. Safe to call at any
-// time; a snapshot taken while batches are in flight includes their work so
-// far.
-func (p *DecodePool) CacheStats() CacheStats {
-	st := p.shared.Stats()
-	st.Add(p.tenants.Stats())
-	for i := range p.workers {
-		st.Add(p.workers[i].cache.Stats())
-	}
-	return st
-}
-
-// TenantCaches exposes the pool's tenant partition set — per-tenant cache
-// statistics for /metrics and the fairness tests.
-func (p *DecodePool) TenantCaches() *TenantCaches { return p.tenants }
-
-// ResetCache empties both layers — the shared LRU (tenant partitions
-// included) and every worker's L1 — for cold-cache measurements. Call
-// between Decode calls.
-func (p *DecodePool) ResetCache() {
-	p.shared.Reset()
-	p.tenants.Reset()
-	for i := range p.workers {
-		p.workers[i].cache.Reset()
-	}
 }

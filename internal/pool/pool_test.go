@@ -62,17 +62,14 @@ func TestDecodePoolMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{
-				Workers:   workers,
-				L1Entries: 64,  // small enough to exercise L1 conflict misses
-				L2Entries: 256, // small enough to exercise LRU eviction
-				L2Shards:  4,
-				Decoder:   decoder.Config{PreemptivePruning: true},
+				Workers: workers,
+				Decoder: decoder.Config{PreemptivePruning: true},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Two rounds: cold cache and warm (possibly evicting) cache
-			// must both match the sequential transcripts.
+			// Two rounds: cold and warm offset tables must both match the
+			// sequential transcripts.
 			for round := 0; round < 2; round++ {
 				batch, err := p.Decode(f.scores)
 				if err != nil {
@@ -96,10 +93,11 @@ func TestDecodePoolMatchesSequential(t *testing.T) {
 
 // TestDecodePoolThroughputAndCache sanity-checks the batch aggregates: all
 // frames accounted for, wall time positive, and a warm second batch hitting
-// the cache harder than the cold first one.
+// the offset table harder than the cold first one. One worker, so the second
+// batch provably runs on the table the first one warmed.
 func TestDecodePoolThroughputAndCache(t *testing.T) {
 	f := getFixture(t)
-	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{Workers: 4})
+	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,27 +118,24 @@ func TestDecodePoolThroughputAndCache(t *testing.T) {
 	if cold.Throughput.Wall <= 0 || cold.Throughput.UtterancesPerSec() <= 0 {
 		t.Errorf("non-positive wall/rate: %+v", cold.Throughput)
 	}
-	if cold.Cache.Lookups() == 0 {
-		t.Fatal("no cache lookups recorded; memo path not exercised")
+	if cold.Throughput.CacheLookups == 0 {
+		t.Fatal("no offset-table lookups recorded; memo path not exercised")
+	}
+	if got, want := cold.Throughput.CacheLookups, cold.Decoder.MemoHits+cold.Decoder.MemoMisses; got != want {
+		t.Errorf("throughput lookups %d, decoder stats say %d", got, want)
 	}
 	warm, err := p.Decode(f.scores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Counters are cumulative; the second batch's incremental hit rate must
-	// beat the cold batch's (every offset seen in batch 1 is resident).
-	inc := warm.Cache
-	incHits := (inc.L1Hits + inc.L2Hits) - (cold.Cache.L1Hits + cold.Cache.L2Hits)
-	incLookups := inc.Lookups() - cold.Cache.Lookups()
-	if incLookups <= 0 {
-		t.Fatal("warm batch recorded no lookups")
-	}
-	if float64(incHits)/float64(incLookups) <= cold.Cache.HitRate() {
+	// Per-batch counters: the second batch's hit rate must beat the cold
+	// batch's (the table persists across the worker's utterances).
+	if warm.Throughput.CacheHitRate() <= cold.Throughput.CacheHitRate() {
 		t.Errorf("warm hit rate %.3f not above cold %.3f",
-			float64(incHits)/float64(incLookups), cold.Cache.HitRate())
+			warm.Throughput.CacheHitRate(), cold.Throughput.CacheHitRate())
 	}
-	if p.Workers() != 4 {
-		t.Errorf("Workers() = %d, want 4", p.Workers())
+	if p.Workers() != 1 {
+		t.Errorf("Workers() = %d, want 1", p.Workers())
 	}
 }
 
@@ -239,159 +234,5 @@ func TestDecodePoolPreset(t *testing.T) {
 		if fmt.Sprint(full2.Results[i].Words) != fmt.Sprint(full1.Results[i].Words) {
 			t.Errorf("utt %d: full-quality decode changed after a preset batch", i)
 		}
-	}
-}
-
-// TestShardedLRUEviction checks bounded capacity, LRU order, and counters
-// on a single shard (capacity 4, 1 shard → strict global LRU).
-func TestShardedLRUEviction(t *testing.T) {
-	c := NewShardedLRU(4, 1)
-	if c.Capacity() != 4 {
-		t.Fatalf("capacity %d, want 4", c.Capacity())
-	}
-	for i := uint64(0); i < 4; i++ {
-		c.Put(i, int32(i))
-	}
-	if c.Len() != 4 {
-		t.Fatalf("len %d, want 4", c.Len())
-	}
-	// Touch key 0 so key 1 is now LRU; insert key 4 → evicts 1.
-	if v, ok := c.Get(0); !ok || v != 0 {
-		t.Fatalf("get 0 = %d,%v", v, ok)
-	}
-	c.Put(4, 40)
-	if _, ok := c.Get(1); ok {
-		t.Error("key 1 should have been evicted")
-	}
-	if v, ok := c.Get(0); !ok || v != 0 {
-		t.Errorf("key 0 lost: %d,%v", v, ok)
-	}
-	if v, ok := c.Get(4); !ok || v != 40 {
-		t.Errorf("key 4 lost: %d,%v", v, ok)
-	}
-	if c.Len() != 4 {
-		t.Errorf("len %d after eviction, want 4", c.Len())
-	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Errorf("evictions %d, want 1", st.Evictions)
-	}
-	if st.L2Hits == 0 || st.L2Misses == 0 {
-		t.Errorf("counters not moving: %+v", st)
-	}
-	// Updating a resident key must not grow the cache or evict.
-	c.Put(0, 99)
-	if v, _ := c.Get(0); v != 99 {
-		t.Errorf("update lost: %d", v)
-	}
-	if c.Len() != 4 || c.Stats().Evictions != 1 {
-		t.Errorf("update disturbed residency: len %d evict %d", c.Len(), c.Stats().Evictions)
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Errorf("len %d after reset", c.Len())
-	}
-}
-
-// TestTieredCachePromotion checks the L1/L2 interplay: write-through,
-// L2-hit promotion into L1, and Reset clearing only the private layer.
-func TestTieredCachePromotion(t *testing.T) {
-	shared := NewShardedLRU(64, 2)
-	a := NewTieredCache(8, shared)
-	b := NewTieredCache(8, shared)
-	a.Put(7, 70)
-	// b has never seen key 7: first Get must come from the shared layer...
-	if v, ok := b.Get(7); !ok || v != 70 {
-		t.Fatalf("b.Get(7) = %d,%v; want shared hit", v, ok)
-	}
-	// ...and be promoted, so the second Get is an L1 hit.
-	before := b.Stats().L1Hits
-	if v, ok := b.Get(7); !ok || v != 70 {
-		t.Fatalf("b.Get(7) second = %d,%v", v, ok)
-	}
-	if b.Stats().L1Hits != before+1 {
-		t.Errorf("promotion missed: L1 hits %d, want %d", b.Stats().L1Hits, before+1)
-	}
-	// Reset drops a's L1 but the shared entry survives.
-	a.Reset()
-	if v, ok := a.Get(7); !ok || v != 70 {
-		t.Errorf("a.Get(7) after Reset = %d,%v; want shared hit", v, ok)
-	}
-	// L1-only mode (nil shared) still behaves as a bounded cache.
-	solo := NewTieredCache(4, nil)
-	solo.Put(1, 10)
-	if v, ok := solo.Get(1); !ok || v != 10 {
-		t.Errorf("solo.Get(1) = %d,%v", v, ok)
-	}
-	if _, ok := solo.Get(2); ok {
-		t.Error("solo.Get(2) hit on empty slot")
-	}
-}
-
-// TestShardedLRUConcurrent hammers one shared cache from many goroutines
-// with overlapping key ranges; run under -race this is the pool's memory
-// safety proof. Values are derived from keys so any torn or misfiled entry
-// is detected, not just data races.
-func TestShardedLRUConcurrent(t *testing.T) {
-	c := NewShardedLRU(1<<10, 8)
-	const goroutines = 16
-	const opsPerG = 20_000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := uint64(g)*2654435761 + 1
-			for i := 0; i < opsPerG; i++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				// Use high bits: an LCG's low bits cycle with tiny periods.
-				key := (rng >> 20) % 4096 // 4x capacity → constant eviction pressure
-				if (rng>>40)&1 == 0 {
-					c.Put(key, int32(key*3))
-				} else if v, ok := c.Get(key); ok && v != int32(key*3) {
-					panic(fmt.Sprintf("key %d returned %d, want %d", key, v, int32(key*3)))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if c.Len() > c.Capacity() {
-		t.Fatalf("cache over capacity: %d > %d", c.Len(), c.Capacity())
-	}
-	st := c.Stats()
-	if st.L2Hits == 0 || st.L2Misses == 0 || st.Evictions == 0 {
-		t.Errorf("hammer did not exercise all paths: %+v", st)
-	}
-}
-
-// TestTieredCacheHammer drives several workers' tiered caches against one
-// shared LRU concurrently — the exact sharing shape DecodePool sets up —
-// so -race covers the promotion and write-through paths too.
-func TestTieredCacheHammer(t *testing.T) {
-	shared := NewShardedLRU(512, 4)
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tc := NewTieredCache(32, shared) // private to this goroutine
-			rng := uint64(w)*40503 + 7
-			for i := 0; i < 10_000; i++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				key := (rng >> 20) % 2048
-				if v, ok := tc.Get(key); ok {
-					if v != int32(key+1) {
-						panic(fmt.Sprintf("key %d returned %d", key, v))
-					}
-				} else {
-					tc.Put(key, int32(key+1))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if shared.Len() > shared.Capacity() {
-		t.Fatalf("shared cache over capacity: %d > %d", shared.Len(), shared.Capacity())
 	}
 }

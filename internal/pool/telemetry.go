@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/decoder"
@@ -9,17 +8,11 @@ import (
 )
 
 // Telemetry is the pool's instrument set: worker utilization, batch
-// throughput, per-utterance fault classes, and the two-layer offset cache.
-// The embedded decoder set is shared by every worker, so search-work
-// counters aggregate across the whole pool. A nil *Telemetry disables all
-// of it — the pool then does no telemetry work at all.
-//
-// Cache visibility is split by layer to match the cache's locking story:
-// the shared L2's per-shard hit/miss/eviction counters already live behind
-// shard mutexes, so they are exported as scrape-time callbacks and are
-// live even mid-batch; the per-worker L1 counters are lock-free worker
-// fields, so their advance is published once per batch, after the workers
-// have quiesced.
+// throughput and per-utterance fault classes. The embedded decoder set is
+// shared by every worker, so search-work counters — the offset table's
+// unfold_decoder_memo_{hits,misses}_total among them — aggregate across the
+// whole pool. A nil *Telemetry disables all of it — the pool then does no
+// telemetry work at all.
 type Telemetry struct {
 	// Decoder is the shared per-worker decoder instrument set.
 	Decoder *decoder.Telemetry
@@ -38,10 +31,6 @@ type Telemetry struct {
 	// WorkersTotal is the pool size. Utilization = busy/total.
 	WorkersBusy  *telemetry.Gauge
 	WorkersTotal *telemetry.Gauge
-	// L1Hits and L1Misses accumulate the per-worker direct-mapped cache
-	// counters, published at batch boundaries.
-	L1Hits   *telemetry.Counter
-	L1Misses *telemetry.Counter
 
 	// Lane-scheduler instruments (see lanes.go): utterances occupying lane
 	// slots right now, and the lifetime join/drain churn of the continuous
@@ -49,8 +38,6 @@ type Telemetry struct {
 	LaneActive *telemetry.Gauge
 	LaneJoins  *telemetry.Counter
 	LaneDrains *telemetry.Counter
-
-	reg *telemetry.Registry
 }
 
 // NewTelemetry registers the pool instrument family (and a shared decoder
@@ -66,12 +53,9 @@ func NewTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) *Telemetry 
 		BatchSeconds: reg.Histogram("unfold_pool_batch_seconds", "Wall time per batch decode.", telemetry.ExpBuckets(0.001, 4, 10)),
 		WorkersBusy:  reg.Gauge("unfold_pool_workers_busy", "Workers decoding an utterance right now."),
 		WorkersTotal: reg.Gauge("unfold_pool_workers", "Pool worker count."),
-		L1Hits:       reg.Counter("unfold_cache_l1_hits_total", "Per-worker direct-mapped cache hits."),
-		L1Misses:     reg.Counter("unfold_cache_l1_misses_total", "Per-worker cache misses that fell through to L2."),
 		LaneActive:   reg.Gauge("unfold_lane_active", "Utterances occupying lane slots right now."),
 		LaneJoins:    reg.Counter("unfold_lane_joins_total", "Utterances admitted into a lane slot."),
 		LaneDrains:   reg.Counter("unfold_lane_drains_total", "Utterances that left a lane slot (finished, failed, or canceled)."),
-		reg:          reg,
 	}
 }
 
@@ -84,63 +68,17 @@ func (t *Telemetry) decoderTelemetry() *decoder.Telemetry {
 	return t.Decoder
 }
 
-// observePool wires pool-shaped callbacks: the worker-count gauge and the
-// shared LRU's per-shard counters, each exported as a scrape-time callback
-// under a shard label (the counters live behind the shard mutex, so the
-// scrape is race-free and live even while a batch is in flight).
+// observePool publishes the worker-count gauge.
 func (t *Telemetry) observePool(p *DecodePool) {
 	if t == nil {
 		return
 	}
 	t.WorkersTotal.Set(float64(len(p.workers)))
-	c := p.shared
-	t.reg.GaugeFunc("unfold_cache_l2_entries", "Resident entries in the shared LRU.",
-		func() float64 { return float64(c.Len()) })
-	t.reg.GaugeFunc("unfold_cache_l2_capacity", "Capacity of the shared LRU.",
-		func() float64 { return float64(c.Capacity()) })
-	for i := 0; i < c.NumShards(); i++ {
-		shard := i
-		label := telemetry.L("shard", strconv.Itoa(shard))
-		t.reg.CounterFunc("unfold_cache_l2_shard_hits_total", "Shared-LRU hits by shard.",
-			func() float64 { h, _, _ := c.ShardStats(shard); return float64(h) }, label)
-		t.reg.CounterFunc("unfold_cache_l2_shard_misses_total", "Shared-LRU misses by shard.",
-			func() float64 { _, m, _ := c.ShardStats(shard); return float64(m) }, label)
-		t.reg.CounterFunc("unfold_cache_l2_shard_evictions_total", "Shared-LRU evictions by shard.",
-			func() float64 { _, _, e := c.ShardStats(shard); return float64(e) }, label)
-	}
 }
 
-// observeTenants wires tenant-partition visibility under a sched label
-// ("pool" or "lanes", since a server may run both over one registry):
-// resident partition count, tenant-level LRU drops, and — registered
-// lazily as each tenant's partition is created, so cardinality is bounded
-// by MaxTenants — the per-tenant L2 hit/miss/eviction counters behind the
-// partition-fairness story. A dropped tenant's series freezes at its last
-// values; re-creation re-binds the callbacks to the fresh partition.
-func (t *Telemetry) observeTenants(tc *TenantCaches, sched string) {
-	if t == nil {
-		return
-	}
-	sl := telemetry.L("sched", sched)
-	t.reg.GaugeFunc("unfold_bias_tenant_partitions", "Resident per-tenant L2 cache partitions.",
-		func() float64 { return float64(tc.Tenants()) }, sl)
-	t.reg.CounterFunc("unfold_bias_tenant_partitions_dropped_total", "Tenant partitions evicted by the tenant-level LRU.",
-		func() float64 { return float64(tc.Dropped()) }, sl)
-	tc.Observe(func(tenant string, lru *ShardedLRU) {
-		tl := telemetry.L("tenant", tenant)
-		t.reg.CounterFunc("unfold_bias_l2_tenant_hits_total", "Tenant-partition offset-cache hits.",
-			func() float64 { return float64(lru.Stats().L2Hits) }, sl, tl)
-		t.reg.CounterFunc("unfold_bias_l2_tenant_misses_total", "Tenant-partition offset-cache misses.",
-			func() float64 { return float64(lru.Stats().L2Misses) }, sl, tl)
-		t.reg.CounterFunc("unfold_bias_l2_tenant_evictions_total", "Tenant-partition offset-cache evictions.",
-			func() float64 { return float64(lru.Stats().Evictions) }, sl, tl)
-	})
-}
-
-// recordBatch publishes one completed batch: counts, wall time, fault
-// classes, and the L1 cache advance since the previous batch (delta
-// computed by the caller, which owns the cumulative snapshot).
-func (t *Telemetry) recordBatch(utterances int, wall time.Duration, search searchDelta, l1 CacheStats) {
+// recordBatch publishes one completed batch: counts, wall time and fault
+// classes.
+func (t *Telemetry) recordBatch(utterances int, wall time.Duration, search searchDelta) {
 	if t == nil {
 		return
 	}
@@ -149,8 +87,6 @@ func (t *Telemetry) recordBatch(utterances int, wall time.Duration, search searc
 	t.BatchSeconds.Observe(wall.Seconds())
 	t.Panics.Add(search.panics)
 	t.Canceled.Add(search.canceled)
-	t.L1Hits.Add(l1.L1Hits)
-	t.L1Misses.Add(l1.L1Misses)
 }
 
 // searchDelta carries the per-batch fault counts into recordBatch.

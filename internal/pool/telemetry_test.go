@@ -10,13 +10,13 @@ import (
 
 // TestPoolTelemetry runs two instrumented batches and checks the pool
 // instrument family end to end: batch/utterance counters, worker gauges,
-// the per-batch L1 deltas, the live per-shard L2 callbacks, and the shared
-// decoder counters aggregated across workers.
+// and the shared decoder counters — the offset table's hit/miss pair among
+// them — aggregated across workers.
 func TestPoolTelemetry(t *testing.T) {
 	f := getFixture(t)
 	reg := telemetry.NewRegistry()
 	tel := NewTelemetry(reg, telemetry.NewTracer(16))
-	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{Workers: 3, L2Shards: 4, Telemetry: tel})
+	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{Workers: 3, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,28 +55,13 @@ func TestPoolTelemetry(t *testing.T) {
 		t.Errorf("decoder decodes = %d, want %d", got, 2*len(f.scores))
 	}
 
-	// The L1 delta publication must reproduce the pool's cumulative view.
-	cache := p.CacheStats()
-	if got := tel.L1Hits.Value(); got != cache.L1Hits {
-		t.Errorf("L1 hit counter = %d, want %d", got, cache.L1Hits)
+	// The offset table is counted by the decoder's own memo pair, which the
+	// batch throughput is fed from.
+	if got, want := tel.Decoder.MemoHits.Value(), b1.Throughput.CacheHits+b2.Throughput.CacheHits; got != want {
+		t.Errorf("memo hit counter = %d, want %d", got, want)
 	}
-	if got := tel.L1Misses.Value(); got != cache.L1Misses {
-		t.Errorf("L1 miss counter = %d, want %d", got, cache.L1Misses)
-	}
-
-	// Per-shard L2 callbacks: the exposition's shard series must sum to the
-	// shared LRU's aggregate counters, live.
-	var shardHits, shardMisses, shardEvictions int64
-	for i := 0; i < p.shared.NumShards(); i++ {
-		h, m, e := p.shared.ShardStats(i)
-		shardHits += h
-		shardMisses += m
-		shardEvictions += e
-	}
-	l2 := p.shared.Stats()
-	if shardHits != l2.L2Hits || shardMisses != l2.L2Misses || shardEvictions != l2.Evictions {
-		t.Errorf("per-shard sums (%d/%d/%d) disagree with aggregate (%d/%d/%d)",
-			shardHits, shardMisses, shardEvictions, l2.L2Hits, l2.L2Misses, l2.Evictions)
+	if got, want := tel.Decoder.MemoHits.Value()+tel.Decoder.MemoMisses.Value(), b1.Throughput.CacheLookups+b2.Throughput.CacheLookups; got != want || got == 0 {
+		t.Errorf("memo lookups = %d, want %d (nonzero)", got, want)
 	}
 
 	var sb strings.Builder
@@ -84,9 +69,7 @@ func TestPoolTelemetry(t *testing.T) {
 	for _, name := range []string{
 		"unfold_pool_batches_total 2",
 		"unfold_pool_workers 3",
-		`unfold_cache_l2_shard_hits_total{shard="0"}`,
-		`unfold_cache_l2_shard_evictions_total{shard="3"}`,
-		"unfold_cache_l2_entries",
+		"unfold_decoder_memo_hits_total",
 		"unfold_decoder_frames_total",
 	} {
 		if !strings.Contains(sb.String(), name) {
@@ -157,7 +140,7 @@ func TestPoolTelemetryNil(t *testing.T) {
 
 	var nilTel *Telemetry
 	nilTel.observePool(plain)
-	nilTel.recordBatch(1, 0, searchDelta{}, CacheStats{})
+	nilTel.recordBatch(1, 0, searchDelta{})
 	if nilTel.decoderTelemetry() != nil {
 		t.Fatal("nil pool telemetry must thread a nil decoder telemetry")
 	}

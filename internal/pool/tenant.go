@@ -1,211 +1,14 @@
 package pool
 
-import (
-	"container/list"
-	"sync"
+import "repro/internal/bias"
 
-	"repro/internal/bias"
-)
-
-// TenantBias is a decode's tenant assignment: which tenant the work runs on
-// behalf of, and (optionally) the bias machine compiled from that tenant's
-// phrase list. A nil *TenantBias is the tenantless path — plain two-layer
-// search over the shared offset cache, byte-identical to a pool that has
-// never seen a tenant.
+// TenantBias is a decode's tenant assignment: the bias machine compiled
+// from that tenant's phrase list. A nil *TenantBias is the tenantless path —
+// plain two-layer search, byte-identical to a pool that has never seen a
+// tenant.
 type TenantBias struct {
-	// Tenant routes the decode's shared-layer (L2) offset-cache traffic
-	// into the tenant's private partition, so its churn cannot evict other
-	// tenants' entries. Empty routes to the shared partition-free L2 — the
-	// exact path tenantless traffic always took.
-	Tenant string
-	// Machine, when non-nil, is installed on every worker or lane slot the
-	// decode uses (decoder.SetBias), turning the search into the three-way
-	// AM ∘ LM ∘ Bias composition. nil decodes two-layer under the tenant's
-	// cache partition only.
+	// Machine is installed on every worker or lane slot the decode uses
+	// (decoder.SetBias), turning the search into the three-way
+	// AM ∘ LM ∘ Bias composition. nil decodes two-layer.
 	Machine *bias.Machine
-}
-
-// TenantPartitionConfig sizes the per-tenant L2 partitions. The zero value
-// selects serving-friendly defaults for every field.
-type TenantPartitionConfig struct {
-	// Entries is each tenant partition's LRU capacity — the per-tenant
-	// floor: a cold tenant keeps at least this many of its own entries
-	// resident no matter how hard any other tenant churns. Default 2048.
-	Entries int
-	// Shards is each partition's lock-striping factor. Tenant partitions
-	// see one tenant's traffic at a time, so they need far less striping
-	// than the pool-wide LRU. Default 4.
-	Shards int
-	// MaxTenants caps how many tenant partitions stay resident; the least
-	// recently used partition (tenant, not entry) is dropped beyond that.
-	// Default 64.
-	MaxTenants int
-}
-
-func (c TenantPartitionConfig) withDefaults() TenantPartitionConfig {
-	if c.Entries <= 0 {
-		c.Entries = 2048
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 64
-	}
-	return c
-}
-
-// tenantPart is one resident tenant partition.
-type tenantPart struct {
-	tenant string
-	lru    *ShardedLRU
-}
-
-// TenantCaches partitions the pool's shared offset cache by tenant: each
-// named tenant gets a private ShardedLRU of Entries capacity, so eviction
-// pressure in a partition comes only from that tenant's own traffic — a
-// Zipf-hot tenant churning millions of keys cannot push a cold tenant's
-// entries out (tenant_test.go pins the fairness bound down).
-//
-// Offset-cache entries are a pure function of the LM graph — the same key
-// maps to the same arc offset for every tenant — so partitioning never
-// changes decode results; it is purely a capacity-fairness mechanism, and
-// wrong routing costs at most a redundant binary search. That is also why
-// the per-worker L1 stays shared across tenants: a promoted entry remains
-// valid no matter which tenant's partition it came from.
-//
-// The set of resident partitions is itself an LRU capped at MaxTenants, so
-// unbounded tenant cardinality cannot grow memory without limit; dropping a
-// partition costs the dropped tenant a cold start, never correctness.
-type TenantCaches struct {
-	cfg TenantPartitionConfig
-
-	mu      sync.Mutex
-	parts   map[string]*list.Element // tenant → element whose Value is *tenantPart
-	order   *list.List               // front = most recently used tenant
-	dropped uint64
-
-	// onCreate, when non-nil, runs after a new partition is created (outside
-	// the lock) — the telemetry hook that registers the tenant's per-partition
-	// counter callbacks. Set via Observe before traffic starts.
-	onCreate func(tenant string, lru *ShardedLRU)
-}
-
-// NewTenantCaches builds an empty partition set.
-func NewTenantCaches(cfg TenantPartitionConfig) *TenantCaches {
-	return &TenantCaches{
-		cfg:   cfg.withDefaults(),
-		parts: make(map[string]*list.Element),
-		order: list.New(),
-	}
-}
-
-// Observe installs the partition-creation hook (telemetry registration).
-// Call before decode traffic; replaces any previous hook.
-func (t *TenantCaches) Observe(fn func(tenant string, lru *ShardedLRU)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.onCreate = fn
-	t.mu.Unlock()
-}
-
-// Partition returns tenant's private L2, creating it on first use and
-// dropping the least recently used partition when the resident set exceeds
-// MaxTenants. The empty tenant returns nil: tenantless traffic belongs on
-// the pool's shared LRU, not in a partition.
-func (t *TenantCaches) Partition(tenant string) *ShardedLRU {
-	if t == nil || tenant == "" {
-		return nil
-	}
-	t.mu.Lock()
-	if e, ok := t.parts[tenant]; ok {
-		t.order.MoveToFront(e)
-		lru := e.Value.(*tenantPart).lru
-		t.mu.Unlock()
-		return lru
-	}
-	p := &tenantPart{tenant: tenant, lru: NewShardedLRU(t.cfg.Entries, t.cfg.Shards)}
-	t.parts[tenant] = t.order.PushFront(p)
-	for t.order.Len() > t.cfg.MaxTenants {
-		back := t.order.Back()
-		delete(t.parts, back.Value.(*tenantPart).tenant)
-		t.order.Remove(back)
-		t.dropped++
-	}
-	hook := t.onCreate
-	t.mu.Unlock()
-	if hook != nil {
-		hook(tenant, p.lru)
-	}
-	return p.lru
-}
-
-// Tenants reports the resident partition count.
-func (t *TenantCaches) Tenants() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.order.Len()
-}
-
-// Dropped reports how many partitions the tenant-level LRU has evicted.
-func (t *TenantCaches) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// TenantStats snapshots every resident partition's L2 counters, keyed by
-// tenant — the per-tenant hit/miss/eviction visibility the fairness test
-// and /metrics build on. Dropped partitions take their history with them.
-func (t *TenantCaches) TenantStats() map[string]CacheStats {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	parts := make([]*tenantPart, 0, t.order.Len())
-	for e := t.order.Front(); e != nil; e = e.Next() {
-		parts = append(parts, e.Value.(*tenantPart))
-	}
-	t.mu.Unlock()
-	out := make(map[string]CacheStats, len(parts))
-	for _, p := range parts {
-		out[p.tenant] = p.lru.Stats()
-	}
-	return out
-}
-
-// Reset empties every resident partition's entries (hit/miss counters keep
-// accumulating, as in ShardedLRU.Reset), keeping the partitions themselves
-// resident — the tenant-side leg of a pool-wide cold start.
-func (t *TenantCaches) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	parts := make([]*tenantPart, 0, t.order.Len())
-	for e := t.order.Front(); e != nil; e = e.Next() {
-		parts = append(parts, e.Value.(*tenantPart))
-	}
-	t.mu.Unlock()
-	for _, p := range parts {
-		p.lru.Reset()
-	}
-}
-
-// Stats aggregates all resident partitions — the tenant-side contribution
-// to a pool's CacheStats.
-func (t *TenantCaches) Stats() CacheStats {
-	var agg CacheStats
-	for _, st := range t.TenantStats() {
-		agg.Add(st)
-	}
-	return agg
 }

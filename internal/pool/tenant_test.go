@@ -3,7 +3,6 @@ package pool
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"testing"
 
@@ -40,154 +39,12 @@ func tenantMachine(t testing.TB, f *poolFixture, utt int, bonus float32) *bias.M
 }
 
 // ---------------------------------------------------------------------------
-// Tenant-fairness: the partition floor.
-
-// TestTenantPartitionFairness is the eviction-fairness contract: a Zipf-hot
-// tenant churning a key space far beyond its partition cannot push a cold
-// tenant's hit rate below the partition floor. The cold tenant's working
-// set fits its partition, so its floor is a 100% hit rate — which the
-// partitioned run must hold even while the hot tenant misses and evicts
-// millions of times. The same traffic through one shared (unpartitioned)
-// LRU of equal total capacity collapses the cold tenant's hit rate, which
-// is exactly the failure mode the partitions exist to rule out.
-func TestTenantPartitionFairness(t *testing.T) {
-	const (
-		partEntries = 512
-		coldSet     = 256  // cold tenant's whole working set; fits its partition
-		rounds      = 50   // alternating hot-churn / cold-probe rounds
-		hotPerRound = 2000 // distinct-heavy Zipf draws per round
-	)
-	tc := NewTenantCaches(TenantPartitionConfig{Entries: partEntries, Shards: 4, MaxTenants: 8})
-	hot := tc.Partition("hot")
-	cold := tc.Partition("cold")
-	// Shared contrast cache: same total capacity as both partitions combined.
-	shared := NewShardedLRU(2*partEntries, 4)
-
-	// Prime the cold tenant's working set everywhere.
-	for k := uint64(0); k < coldSet; k++ {
-		cold.Put(k, int32(k))
-		shared.Put(k, int32(k))
-	}
-
-	// Exponent near 1 keeps the Zipf head hot while drawing a long distinct
-	// tail each round — the tail is what overflows the hot partition and,
-	// in the unpartitioned contrast, evicts the cold tenant's entries.
-	rng := rand.New(rand.NewSource(7))
-	zipf := rand.NewZipf(rng, 1.01, 1, 1<<20)
-	var coldHits, coldProbes, sharedColdHits int
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < hotPerRound; i++ {
-			// Keys offset out of the cold range; a decoder Put follows every
-			// miss, exactly as the offset cache is used in stepFrame.
-			k := coldSet + zipf.Uint64()
-			if _, ok := hot.Get(k); !ok {
-				hot.Put(k, int32(k))
-			}
-			if _, ok := shared.Get(k); !ok {
-				shared.Put(k, int32(k))
-			}
-		}
-		for k := uint64(0); k < coldSet; k++ {
-			coldProbes++
-			if _, ok := cold.Get(k); ok {
-				coldHits++
-			} else {
-				cold.Put(k, int32(k))
-			}
-			if _, ok := shared.Get(k); ok {
-				sharedColdHits++
-			} else {
-				shared.Put(k, int32(k))
-			}
-		}
-	}
-
-	coldRate := float64(coldHits) / float64(coldProbes)
-	sharedRate := float64(sharedColdHits) / float64(coldProbes)
-	if coldRate < 1 {
-		t.Errorf("partitioned cold tenant hit rate %.4f, want 1.0 (floor: working set fits the partition)", coldRate)
-	}
-	// The contrast must show real pressure: without partitions the hot
-	// tenant's churn evicts the cold tenant's entries between its probes.
-	if sharedRate > 0.5 {
-		t.Errorf("shared-LRU contrast too healthy (cold hit rate %.4f) — hot churn is not exerting pressure, the fairness assertion above is vacuous", sharedRate)
-	}
-
-	// Per-tenant counters: the partition layer must expose exactly the
-	// traffic each tenant generated.
-	st := tc.TenantStats()
-	cs, ok := st["cold"]
-	if !ok {
-		t.Fatal("no counters for tenant \"cold\"")
-	}
-	hs, ok := st["hot"]
-	if !ok {
-		t.Fatal("no counters for tenant \"hot\"")
-	}
-	if got, want := cs.L2Hits, int64(coldHits); got != want {
-		t.Errorf("cold tenant L2Hits = %d, want %d", got, want)
-	}
-	if got, want := cs.L2Hits+cs.L2Misses, int64(coldProbes); got != want {
-		t.Errorf("cold tenant lookups = %d, want %d", got, want)
-	}
-	if cs.Evictions != 0 {
-		t.Errorf("cold tenant partition evicted %d entries; a fitting working set must never evict", cs.Evictions)
-	}
-	if hs.Evictions == 0 || hs.L2Misses == 0 {
-		t.Errorf("hot tenant saw no pressure (evictions=%d misses=%d); Zipf churn should overflow its partition", hs.Evictions, hs.L2Misses)
-	}
-	// Aggregate view used by pool CacheStats.
-	agg := tc.Stats()
-	if got, want := agg.L2Hits, cs.L2Hits+hs.L2Hits; got != want {
-		t.Errorf("aggregate L2Hits = %d, want %d", got, want)
-	}
-}
-
-// TestTenantCachesDropAndRecreate pins the tenant-level LRU: beyond
-// MaxTenants resident partitions the least recently used tenant is dropped,
-// recently touched tenants survive, and a dropped tenant comes back cold.
-func TestTenantCachesDropAndRecreate(t *testing.T) {
-	tc := NewTenantCaches(TenantPartitionConfig{Entries: 64, Shards: 1, MaxTenants: 3})
-	a := tc.Partition("a")
-	a.Put(1, 1)
-	tc.Partition("b")
-	tc.Partition("c")
-	tc.Partition("a") // touch a: now LRU order (a, c, b)
-	tc.Partition("d") // drops b
-	if got := tc.Tenants(); got != 3 {
-		t.Fatalf("resident tenants = %d, want 3", got)
-	}
-	if got := tc.Dropped(); got != 1 {
-		t.Fatalf("dropped = %d, want 1", got)
-	}
-	st := tc.TenantStats()
-	if _, ok := st["b"]; ok {
-		t.Error("tenant b should have been dropped (LRU)")
-	}
-	if _, ok := st["a"]; !ok {
-		t.Error("tenant a was touched and must survive")
-	}
-	if v, ok := tc.Partition("a").Get(1); !ok || v != 1 {
-		t.Error("surviving tenant a lost its entries")
-	}
-	tc.Partition("b") // recreate: drops c (a and d are newer)
-	if got := tc.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
-	if _, ok := tc.Partition("b").Get(1); ok {
-		t.Error("recreated tenant b must come back cold")
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Pool and lane integration: the tenant assignment changes search results
-// exactly when a machine is installed, and never via the cache partition.
+// exactly when a machine is installed.
 
 // TestPoolDecodeBiasNilAndTenantOnlyIdentical: a nil TenantBias and a
-// tenant-only assignment (partitioned cache, no machine) both produce
-// results byte-identical to the plain preset path — cache routing must
-// never leak into search output — while the tenant-only run leaves its
-// traffic in the tenant's partition counters.
+// machine-less assignment both produce results byte-identical to the plain
+// preset path.
 func TestPoolDecodeBiasNilAndTenantOnlyIdentical(t *testing.T) {
 	f := getFixture(t)
 	mk := func() *DecodePool {
@@ -209,7 +66,7 @@ func TestPoolDecodeBiasNilAndTenantOnlyIdentical(t *testing.T) {
 		t.Fatalf("nil tb: err=%v failed=%d", err, bNil.Failed())
 	}
 	pTen := mk()
-	bTen, err := pTen.DecodeBiasContext(ctx, f.scores, nil, &TenantBias{Tenant: "acme"})
+	bTen, err := pTen.DecodeBiasContext(ctx, f.scores, nil, &TenantBias{})
 	if err != nil || bTen.Failed() != 0 {
 		t.Fatalf("tenant-only: err=%v failed=%d", err, bTen.Failed())
 	}
@@ -221,18 +78,6 @@ func TestPoolDecodeBiasNilAndTenantOnlyIdentical(t *testing.T) {
 					tag, i, got.Words, got.Cost, got.ReachedFinal, w.Words, w.Cost, w.ReachedFinal)
 			}
 		}
-	}
-	if pNil.TenantCaches().Tenants() != 0 {
-		t.Error("nil-tb decode created a tenant partition")
-	}
-	st := pTen.TenantCaches().TenantStats()
-	if s, ok := st["acme"]; !ok || s.L2Hits+s.L2Misses == 0 {
-		t.Errorf("tenant-only decode left no traffic in the acme partition: %+v", st)
-	}
-	// All the tenant run's L2 traffic went to the partition, none to the
-	// shared LRU (its lookups must be zero).
-	if ss := pTen.shared.Stats(); ss.Lookups() != 0 {
-		t.Errorf("tenant decode leaked %d lookups to the shared L2", ss.Lookups())
 	}
 }
 
@@ -265,7 +110,7 @@ func TestPoolDecodeBiasMatchesSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.DecodeBiasContext(context.Background(), f.scores, nil, &TenantBias{Tenant: "acme", Machine: m})
+	b, err := p.DecodeBiasContext(context.Background(), f.scores, nil, &TenantBias{Machine: m})
 	if err != nil || b.Failed() != 0 {
 		t.Fatalf("biased batch: err=%v failed=%d", err, b.Failed())
 	}
@@ -338,7 +183,7 @@ func TestLaneBiasInterleavedTenants(t *testing.T) {
 		go func(j job) {
 			var tb *TenantBias
 			if j.tenant != "" {
-				tb = &TenantBias{Tenant: j.tenant, Machine: machines[j.tenant]}
+				tb = &TenantBias{Machine: machines[j.tenant]}
 			}
 			b, err := s.DecodeBiasContext(context.Background(), [][][]float32{f.tk.Test[j.utt].Frames}, nil, tb)
 			if err != nil || b.Failed() != 0 {
@@ -360,12 +205,6 @@ func TestLaneBiasInterleavedTenants(t *testing.T) {
 	}
 	if !s.Quiesced() {
 		t.Error("scheduler did not quiesce after interleaved tenant traffic")
-	}
-	st := s.TenantCaches().TenantStats()
-	for _, tenant := range []string{"t0", "t1"} {
-		if s, ok := st[tenant]; !ok || s.L2Hits+s.L2Misses == 0 {
-			t.Errorf("tenant %q left no partition traffic: %+v", tenant, st)
-		}
 	}
 }
 
@@ -391,7 +230,7 @@ func TestOpenLaneBiasStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	h, err := s.OpenLaneBias(context.Background(), nil, &TenantBias{Tenant: "acme", Machine: m})
+	h, err := s.OpenLaneBias(context.Background(), nil, &TenantBias{Machine: m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,12 @@ const DefaultBiasBonus = 4.0
 // biasRequest is the optional bias block on /v1/recognize and the first
 // /v1/stream line: a tenant identity plus that tenant's phrase list. The
 // phrases compile (through the model's cached compiler) into a bias
-// machine, and the whole decode runs as AM ∘ LM ∘ Bias with the tenant's
-// offset-cache traffic partitioned away from other tenants. An omitted
-// block decodes exactly as before the bias feature existed.
+// machine, and the whole decode runs as AM ∘ LM ∘ Bias. An omitted block,
+// or one with no phrases, decodes exactly as before the bias feature
+// existed.
 type biasRequest struct {
-	// Tenant keys the compiled-machine cache and the offset-cache
-	// partition. Empty is allowed (the machine still applies) but forfeits
-	// both kinds of tenant isolation.
+	// Tenant keys the compiled-machine cache and its per-tenant counters.
+	// Empty is allowed (the machine still applies).
 	Tenant string `json:"tenant,omitempty"`
 	// Phrases are surface-form word sequences to boost ("play back",
 	// "acme support line"). Words outside the model's lexicon are skipped.
@@ -54,15 +53,8 @@ func newWordLookup(words []string) bias.Lookup {
 // compile-cache counters are published. A compile failure is a client
 // error (bad phrase list), reported as a 400 by the caller.
 func (s *Server) tenantBias(m *model, b *biasRequest) (*pool.TenantBias, error) {
-	if b == nil {
+	if b == nil || len(b.Phrases) == 0 {
 		return nil, nil
-	}
-	if b.Tenant == "" && len(b.Phrases) == 0 {
-		return nil, nil
-	}
-	if len(b.Phrases) == 0 {
-		// Tenant-only: partitioned cache, two-layer search.
-		return &pool.TenantBias{Tenant: b.Tenant}, nil
 	}
 	bonus := b.Bonus
 	if bonus == 0 {
@@ -74,7 +66,7 @@ func (s *Server) tenantBias(m *model, b *biasRequest) (*pool.TenantBias, error) 
 	}
 	s.biasCompiles.Inc()
 	s.observeBiasTenant(m, b.Tenant)
-	return &pool.TenantBias{Tenant: b.Tenant, Machine: machine}, nil
+	return &pool.TenantBias{Machine: machine}, nil
 }
 
 // observeBiasCompiler publishes a model's compiled-machine cache counters

@@ -54,9 +54,8 @@ func refPhrases(sys *unfold.System, utt int) []string {
 
 // TestRecognizeBiasIdentity checks the no-bias contract at the HTTP
 // boundary: an omitted bias block, an empty one, and a tenant-only one all
-// produce responses identical to each other (the tenant-only run decodes
-// through its own cache partition, which must not change a single word or
-// cost — offsets are a pure function of the LM graph).
+// produce responses identical to each other (a block without phrases is
+// exactly the nil path).
 func TestRecognizeBiasIdentity(t *testing.T) {
 	for _, lanes := range []int{0, 2} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
@@ -149,19 +148,13 @@ func TestRecognizeBiasMatchesSoloOracle(t *testing.T) {
 			if v := metricValue(out, `unfold_bias_compile_cache_hits_total{model="default"}`); v != 1 {
 				t.Errorf("compile cache hits = %g, want 1", v)
 			}
-			if !strings.Contains(out, `unfold_bias_tenant_compile_hits_total`) ||
-				!strings.Contains(out, `tenant="acme"`) {
-				t.Errorf("per-tenant compile series missing from /metrics:\n%s", grepLines(out, "unfold_bias"))
-			}
-			// The tenant's offset-cache partition must carry the decode
-			// traffic on whichever backend served it.
-			sched := "pool"
-			if lanes > 0 {
-				sched = "lanes"
-			}
-			if !strings.Contains(out, fmt.Sprintf(`unfold_bias_l2_tenant_hits_total{sched=%q,tenant="acme"}`, sched)) &&
-				!strings.Contains(out, fmt.Sprintf(`unfold_bias_l2_tenant_hits_total{tenant="acme",sched=%q}`, sched)) {
-				t.Errorf("tenant partition series missing for sched=%s:\n%s", sched, grepLines(out, "unfold_bias_l2"))
+			// The per-tenant series carry the same miss-then-hit on whichever
+			// backend served it.
+			for _, kind := range []string{"hits", "misses"} {
+				series := fmt.Sprintf(`unfold_bias_tenant_compile_%s_total{model="default",tenant="acme"}`, kind)
+				if v := metricValue(out, series); v != 1 {
+					t.Errorf("%s = %g, want 1:\n%s", series, v, grepLines(out, "unfold_bias_tenant"))
+				}
 			}
 		})
 	}
@@ -206,8 +199,7 @@ func TestRecognizeBadBias(t *testing.T) {
 
 // TestStreamBias drives a chunked NDJSON stream whose first line carries
 // the bias block, on both the solo and the lane backends, and checks the
-// final transcript against the solo biased oracle. On the solo path it also
-// checks the stream decoder read offsets through the tenant's partition.
+// final transcript against the solo biased oracle.
 func TestStreamBias(t *testing.T) {
 	for _, lanes := range []int{0, 2} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
@@ -249,19 +241,6 @@ func TestStreamBias(t *testing.T) {
 			if fmt.Sprint(last.Words) != fmt.Sprint(want.Words) || last.Cost != float64(want.Cost) {
 				t.Errorf("biased stream diverged from the solo oracle: got %v cost %g, want %v cost %g",
 					last.Words, last.Cost, want.Words, float64(want.Cost))
-			}
-
-			m, release, ok := s.resolveModel(httptest.NewRecorder(), DefaultModel)
-			if !ok {
-				t.Fatal("model not servable after stream")
-			}
-			defer release()
-			if lanes == 0 {
-				if got := m.streamTenants.Tenants(); got != 1 {
-					t.Errorf("solo stream tenant partitions = %d, want 1", got)
-				}
-			} else if got := m.lanes.TenantCaches().Tenants(); got != 1 {
-				t.Errorf("lane tenant partitions = %d, want 1", got)
 			}
 		})
 	}

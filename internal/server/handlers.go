@@ -34,8 +34,7 @@ type recognizeRequest struct {
 	Timeout    string             `json:"timeout,omitempty"`
 	Model      string             `json:"model,omitempty"`
 	// Bias, when present, decodes the batch as AM ∘ LM ∘ Bias with the
-	// tenant's compiled phrase machine and a tenant-partitioned offset
-	// cache. See docs/BIASING.md.
+	// tenant's compiled phrase machine. See docs/BIASING.md.
 	Bias *biasRequest `json:"bias,omitempty"`
 }
 
@@ -276,7 +275,7 @@ type streamChunk struct {
 	Model  string      `json:"model,omitempty"`
 	// Bias on the first line biases the whole stream (like Model, later
 	// lines ignore it): the utterance decodes as AM ∘ LM ∘ Bias over the
-	// tenant's compiled phrase machine and partitioned offset cache.
+	// tenant's compiled phrase machine.
 	Bias *biasRequest `json:"bias,omitempty"`
 }
 
@@ -408,8 +407,7 @@ type streamEngine interface {
 	abort()
 }
 
-// soloStreamEngine is the classic per-connection path: a private decoder
-// over the model's shared stream cache.
+// soloStreamEngine is the classic per-connection path: a private decoder.
 type soloStreamEngine struct {
 	m      *model
 	stream *decoder.Stream
@@ -470,10 +468,10 @@ func (e *laneStreamEngine) abort()                           { e.h.Close() }
 // deadline) aborts it and counts toward unfold_server_streams_aborted_total.
 //
 // On the classic path each stream gets a private decoder — construction
-// borrows the shared graphs, so it is cheap — but all streams share one
-// bounded offset cache, so concurrent connections warm each other's offset
-// lookups. With Config.Lanes the stream occupies a lane of the model's
-// scheduler instead, advancing in lockstep with the other decodes.
+// borrows the shared graphs, so it is cheap, and its offset table is
+// allocated by the first cross-word fetch. With Config.Lanes the stream
+// occupies a lane of the model's scheduler instead, advancing in lockstep
+// with the other decodes.
 //
 // Frames are scored chunk-by-chunk. Frame-stateless scorers (the GMM
 // default) produce transcripts identical to batch /v1/recognize. The
@@ -604,15 +602,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		eng = &laneStreamEngine{h: h}
 	} else {
 		dcfg := s.cfg.Decoder
-		dcfg.OffsetCache = m.streamCache
-		if tb != nil {
-			// A tenant-scoped stream reads offsets through its own partition,
-			// mirroring the pool/lane isolation: a hot tenant's churn cannot
-			// evict the tenantless (or another tenant's) working set.
-			if l2 := m.streamTenants.Partition(tb.Tenant); l2 != nil {
-				dcfg.OffsetCache = l2
-			}
-		}
 		dcfg.Telemetry = s.ptel.Decoder
 		ws, window := m.scorer().(acoustic.WindowScorer)
 		if dcfg.Lookahead > 0 && !window {
@@ -628,7 +617,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if preset != nil {
 			dec.SetSearchPreset(*preset)
 		}
-		if tb != nil && tb.Machine != nil {
+		if tb != nil {
 			if err := dec.SetBias(tb.Machine); err != nil {
 				// The machine compiled but cannot compose with this model's
 				// graphs (state-count guardrails): still a client problem.

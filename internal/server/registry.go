@@ -35,9 +35,9 @@ const (
 )
 
 // model is one servable entry: a task-built System or a bundle-loaded
-// Recognizer, plus the per-model serving machinery (decode pool, stream
-// offset cache). Everything except the lifecycle fields is
-// immutable once the model reaches the ready state.
+// Recognizer, plus the per-model serving machinery (decode pool, bias
+// compiler). Everything except the lifecycle fields is immutable once the
+// model reaches the ready state.
 type model struct {
 	name string
 	task string
@@ -45,17 +45,11 @@ type model struct {
 	sys *unfold.System     // task path; nil for bundle loads
 	rec *unfold.Recognizer // bundle path; nil for task loads
 
-	pool        *pool.DecodePool
-	streamCache *pool.ShardedLRU
+	pool *pool.DecodePool
 	// biasComp compiles per-tenant phrase lists into bias machines over
 	// this model's lexicon, with the tenant-keyed LRU in front so a stable
 	// phrase list compiles once per profile edit, not once per request.
 	biasComp *bias.Compiler
-	// streamTenants partitions the solo/pipe stream paths' offset-cache
-	// traffic per tenant, mirroring what the pool and lane scheduler do
-	// internally for their own caches. Tenantless streams keep using
-	// streamCache.
-	streamTenants *pool.TenantCaches
 	// lanes, when non-nil (Config.Lanes > 0), is the frame-synchronous
 	// lane scheduler the decode routes use instead of the pool and the
 	// per-connection stream decoders (the handlers route exclusively

@@ -7,19 +7,17 @@
 //
 // The decode paths reuse the repo's serving machinery wholesale: batch
 // recognition fans out through a pool.DecodePool; streaming recognition
-// runs a decoder.Stream per connection, with all stream decoders sharing
-// one bounded ShardedLRU offset cache so word recurrence across
-// connections keeps the cache warm (the paper's Offset Lookup Table
-// locality, at the fleet level). With Config.Lanes set, both decode
-// routes instead attach to a per-model pool.LaneScheduler: concurrent
-// utterances advance in frame-synchronous lockstep through one batched
-// scorer call per step (continuous batching — requests join and leave
-// the running group mid-flight), with identical transcripts and the
+// runs a decoder.Stream on a per-connection decoder. With Config.Lanes
+// set, both decode routes instead attach to a per-model
+// pool.LaneScheduler: concurrent utterances advance in frame-synchronous
+// lockstep through one batched scorer call per step (continuous batching
+// — requests join and leave the running group mid-flight), with
+// identical transcripts and the
 // unfold_lane_{active,joins_total,drains_total} instruments tracking the
 // churn. Telemetry is threaded through every path via the nil-safe
 // seams, so everything /metrics shows during a live decode — frontier
-// sizes, back-off walks, cache hits — is the decoder's own accounting,
-// not server-side estimation.
+// sizes, back-off walks, offset-table hits — is the decoder's own
+// accounting, not server-side estimation.
 package server
 
 import (
@@ -57,12 +55,9 @@ type Config struct {
 	// for a free slot. 0 (the default) keeps the classic paths.
 	Lanes int
 	// Decoder configures the beam search for both the pool workers and the
-	// per-connection stream decoders. OffsetCache and Telemetry are
-	// overwritten by the server's own wiring; leave them nil.
+	// per-connection stream decoders. Telemetry is overwritten by the
+	// server's own wiring; leave it nil.
 	Decoder decoder.Config
-	// StreamCacheEntries bounds the offset cache shared by all stream
-	// decoders. Default 1<<16.
-	StreamCacheEntries int
 	// SpanCapacity is the size of the /debug/spans ring. Default 128.
 	SpanCapacity int
 	// DisablePprof removes the net/http/pprof handlers (for deployments
@@ -106,9 +101,6 @@ type StreamConfig struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.StreamCacheEntries <= 0 {
-		c.StreamCacheEntries = 1 << 16
-	}
 	if c.SpanCapacity <= 0 {
 		c.SpanCapacity = 128
 	}
@@ -260,7 +252,7 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
 // Load installs a recognizer system as the default model: it builds the
-// model's batch DecodePool and stream cache, then marks the server ready.
+// model's batch DecodePool, then marks the server ready.
 // Loading under an existing name hot-swaps: new requests resolve the new
 // generation immediately, the old one drains and closes in the background.
 func (s *Server) Load(sys *unfold.System) error {
@@ -312,17 +304,15 @@ func (s *Server) buildSystemModel(name string, sys *unfold.System) (*model, erro
 	comp := bias.NewCompiler(newWordLookup(sys.Task.Lex.Words), bias.CompilerConfig{})
 	s.observeBiasCompiler(name, comp)
 	return &model{
-		name:          name,
-		task:          sys.Task.Spec.Name,
-		sys:           sys,
-		pool:          p,
-		lanes:         lanes,
-		streamCache:   pool.NewShardedLRU(s.cfg.StreamCacheEntries, 16),
-		biasComp:      comp,
-		streamTenants: pool.NewTenantCaches(pool.TenantPartitionConfig{}),
-		resident:      fp.AMBytes + fp.LMBytes,
-		loadSeconds:   loadSecondsSince(start),
-		rebuild:       func() (*model, error) { return s.buildSystemModel(name, sys) },
+		name:        name,
+		task:        sys.Task.Spec.Name,
+		sys:         sys,
+		pool:        p,
+		lanes:       lanes,
+		biasComp:    comp,
+		resident:    fp.AMBytes + fp.LMBytes,
+		loadSeconds: loadSecondsSince(start),
+		rebuild:     func() (*model, error) { return s.buildSystemModel(name, sys) },
 	}, nil
 }
 
@@ -388,19 +378,17 @@ func (s *Server) buildBundleModel(name, path string, verify bool) (*model, error
 	comp := bias.NewCompiler(newWordLookup(rec.Lex.Words), bias.CompilerConfig{})
 	s.observeBiasCompiler(name, comp)
 	return &model{
-		name:          name,
-		task:          rec.TaskName,
-		rec:           rec,
-		pool:          p,
-		lanes:         lanes,
-		streamCache:   pool.NewShardedLRU(s.cfg.StreamCacheEntries, 16),
-		biasComp:      comp,
-		streamTenants: pool.NewTenantCaches(pool.TenantPartitionConfig{}),
-		resident:      rec.ResidentBytes(),
-		loadSeconds:   loadSecondsSince(start),
-		srcPath:       path,
-		srcVerify:     verify,
-		rebuild:       func() (*model, error) { return s.buildBundleModel(name, path, verify) },
+		name:        name,
+		task:        rec.TaskName,
+		rec:         rec,
+		pool:        p,
+		lanes:       lanes,
+		biasComp:    comp,
+		resident:    rec.ResidentBytes(),
+		loadSeconds: loadSecondsSince(start),
+		srcPath:     path,
+		srcVerify:   verify,
+		rebuild:     func() (*model, error) { return s.buildBundleModel(name, path, verify) },
 	}, nil
 }
 

@@ -359,17 +359,22 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// Registration appends to a family's series under the lock, so the
+	// series lists are snapshotted here; rendering runs outside it because
+	// function-backed series call into their owners.
 	fams := make([]*family, len(names))
+	lists := make([][]*series, len(names))
 	for i, name := range names {
 		fams[i] = r.fams[name]
+		lists[i] = append([]*series(nil), fams[i].series...)
 	}
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for _, f := range fams {
+	for i, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.series {
+		for _, s := range lists[i] {
 			writeSeries(&b, f, s)
 		}
 	}

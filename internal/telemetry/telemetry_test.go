@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +152,10 @@ func TestConcurrentInstruments(t *testing.T) {
 					if got := r.Counter("c", "help"); got != c {
 						panic("registration raced to a distinct counter")
 					}
+					// A series first registered mid-scrape (the server's
+					// per-outcome latency histograms appear this way) must
+					// not race the exposition's walk of its family.
+					r.Counter("lazy", "help", L("series", strconv.Itoa(w*iters+i))).Inc()
 				}
 			}
 		}(w)

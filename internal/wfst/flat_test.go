@@ -166,8 +166,7 @@ func TestFlatRejectsCorruptTables(t *testing.T) {
 }
 
 // indexFixture is a graph wide enough to span several bitset words, with
-// input-epsilon arcs on a minority of states (every 7th) and its largest
-// label on an output.
+// input-epsilon arcs on a minority of states (every 7th).
 func indexFixture(t *testing.T) *WFST {
 	t.Helper()
 	const n = 300
@@ -187,26 +186,21 @@ func indexFixture(t *testing.T) *WFST {
 
 // checkIndex asserts the once-per-graph index against the arc table it was
 // derived from: bit s of EpsInStates is set iff Arcs(s) holds an arc with
-// In == Epsilon, and MaxLabel is the largest label on any arc.
+// In == Epsilon.
 func checkIndex(t *testing.T, f *WFST) {
 	t.Helper()
 	bits := f.EpsInStates()
 	if want := (f.NumStates() + 63) / 64; len(bits) != want {
 		t.Fatalf("bitset has %d words, want %d for %d states", len(bits), want, f.NumStates())
 	}
-	var maxLabel int32
 	for s := 0; s < f.NumStates(); s++ {
 		has := false
 		for _, a := range f.Arcs(StateID(s)) {
 			has = has || a.In == Epsilon
-			maxLabel = max(maxLabel, a.In, a.Out)
 		}
 		if got := bits[s>>6]>>(s&63)&1 != 0; got != has {
 			t.Fatalf("state %d: bit %v, arcs say %v", s, got, has)
 		}
-	}
-	if got := f.MaxLabel(); got != maxLabel {
-		t.Fatalf("MaxLabel %d, arcs say %d", got, maxLabel)
 	}
 }
 
@@ -249,22 +243,17 @@ func TestIndexConcurrentFirstUse(t *testing.T) {
 	for _, graph := range []*WFST{f, g} {
 		const workers = 8
 		got := make([][]uint64, workers)
-		labels := make([]int32, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				if w%2 == 0 {
-					labels[w], got[w] = graph.MaxLabel(), graph.EpsInStates()
-				} else {
-					got[w], labels[w] = graph.EpsInStates(), graph.MaxLabel()
-				}
+				got[w] = graph.EpsInStates()
 			}(w)
 		}
 		wg.Wait()
 		for w := 1; w < workers; w++ {
-			if &got[w][0] != &got[0][0] || labels[w] != labels[0] {
+			if &got[w][0] != &got[0][0] {
 				t.Fatalf("worker %d saw a different index than worker 0", w)
 			}
 		}

@@ -57,26 +57,24 @@ type WFST struct {
 	// idx is heap state derived from the arc table on first use (buildIndex):
 	// it belongs to the graph, so every decoder over it shares one copy.
 	idx struct {
-		once     sync.Once
-		epsIn    []uint64
-		maxLabel int32
+		once  sync.Once
+		epsIn []uint64
 	}
 }
 
-// buildIndex is the one O(arcs) pass behind EpsInStates and MaxLabel. It only
-// reads the arc table, so it is safe over a read-only mapped graph, and
-// SortByInput (which permutes arcs within a state) leaves it valid.
+// buildIndex is the one O(arcs) pass behind EpsInStates. It only reads the
+// arc table, so it is safe over a read-only mapped graph, and SortByInput
+// (which permutes arcs within a state) leaves it valid.
 func (f *WFST) buildIndex() {
-	epsIn, maxLabel := make([]uint64, (f.NumStates()+63)/64), Epsilon
+	epsIn := make([]uint64, (f.NumStates()+63)/64)
 	for s := 0; s < f.NumStates(); s++ {
 		for _, a := range f.Arcs(StateID(s)) {
 			if a.In == Epsilon {
 				epsIn[s>>6] |= 1 << (s & 63)
 			}
-			maxLabel = max(maxLabel, a.In, a.Out)
 		}
 	}
-	f.idx.epsIn, f.idx.maxLabel = epsIn, maxLabel
+	f.idx.epsIn = epsIn
 }
 
 // EpsInStates returns the bitset of states that have an input-epsilon arc:
@@ -85,13 +83,6 @@ func (f *WFST) buildIndex() {
 func (f *WFST) EpsInStates() []uint64 {
 	f.idx.once.Do(f.buildIndex)
 	return f.idx.epsIn
-}
-
-// MaxLabel returns the largest input or output label on any arc (Epsilon for
-// an arcless transducer), from the same once-per-graph pass as EpsInStates.
-func (f *WFST) MaxLabel() int32 {
-	f.idx.once.Do(f.buildIndex)
-	return f.idx.maxLabel
 }
 
 // Start returns the initial state, or NoState for an empty transducer.

@@ -388,6 +388,11 @@ func validateBundle(meta bundleMeta, r *Recognizer) error {
 
 // Recognize scores and decodes one utterance. Frames are validated against
 // the bundle's feature dimension; a mismatch returns a *DimensionError.
+//
+// A Recognizer decodes on one shared decoder whose offset table is not
+// synchronized: make one Recognize/RecognizeContext call at a time per
+// Recognizer. A DecodePool over AMGraph and LMGraph is the concurrent entry
+// point (the server builds one per loaded model).
 func (r *Recognizer) Recognize(frames [][]float32) ([]int32, error) {
 	return r.RecognizeContext(context.Background(), frames)
 }

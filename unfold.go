@@ -37,16 +37,16 @@ type Utterance = task.Utterance
 type DecoderConfig = decoder.Config
 
 // DecodePool is the concurrent batch-decoding engine: N workers, each with
-// a private on-the-fly decoder, sharing one bounded sharded offset-lookup
-// cache. Build one with System.NewDecodePool; see docs/DECODING.md.
+// a private on-the-fly decoder and its own offset table. Build one with
+// System.NewDecodePool; see docs/DECODING.md.
 type DecodePool = pool.DecodePool
 
-// PoolConfig sizes a DecodePool (worker count, L1/L2 cache geometry, and
-// the per-worker decoder configuration).
+// PoolConfig sizes a DecodePool (worker count, the per-worker decoder
+// configuration, optional telemetry).
 type PoolConfig = pool.Config
 
 // DecodeBatch is the result of one DecodePool.Decode call: per-utterance
-// results plus throughput, search and cache aggregates.
+// results plus throughput and search aggregates.
 type DecodeBatch = pool.Batch
 
 // LaneScheduler is the frame-synchronous batched decoding engine: up to N
@@ -62,7 +62,7 @@ type LaneScheduler = pool.LaneScheduler
 type LaneConfig = pool.LaneConfig
 
 // Throughput reports batch decode rates (utterances/sec, frames/sec,
-// aggregate real-time factor, cache hit rate).
+// aggregate real-time factor, offset-table hit rate).
 type Throughput = metrics.Throughput
 
 // Predefined tasks mirroring the paper's evaluation set. The scale factor
@@ -131,6 +131,10 @@ func (s *System) Words(ids []int32) []string {
 // validated against the acoustic model's feature dimension up front; a
 // mismatch returns a *DimensionError instead of garbage scores or a panic
 // deep in the scorer.
+//
+// A System decodes on one shared decoder whose offset table is not
+// synchronized: make one Recognize/RecognizeContext/RecognizeTimed call at a
+// time per System. NewDecodePool is the concurrent entry point.
 func (s *System) Recognize(frames [][]float32) ([]int32, error) {
 	return s.RecognizeContext(context.Background(), frames)
 }
@@ -157,7 +161,7 @@ func (s *System) NewDecoder(cfg DecoderConfig) (*decoder.OnTheFly, error) {
 
 // NewDecodePool builds a concurrent batch-decoding engine over this
 // system's graphs. The pool is long-lived: reusing it across batches keeps
-// the shared offset cache warm. Transcripts are identical to sequential
+// each worker's offset table warm. Transcripts are identical to sequential
 // decoding for any worker count.
 func (s *System) NewDecodePool(cfg PoolConfig) (*DecodePool, error) {
 	return pool.New(s.Task.AM.G, s.Task.LMGraph.G, cfg)
