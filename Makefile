@@ -151,12 +151,16 @@ bench-report:
 # ScoreUtterance kernel against the scalar test oracle (median of 5) and
 # fails below 1.3x for the DNN, 0.95x for RNN and GMM; TestSearchKernelRatio
 # times the tokenStore search against the map oracle on a 12 000-word
-# fixture at beam 85 (median of 5) and fails below 3.6x.
+# fixture at beam 85 (median of 5) and fails below 5.5x. Last, the bench
+# harness checks itself: `go run ./bench -smoke` runs every workload on the
+# 40-word fixture in under 10 s, its on-the-fly == fully-composed transcript
+# gate included.
 bench-check:
 	@mkdir -p build
 	go run ./cmd/unfold-bench -out build/unfold-bench-check.json -check BENCH_PR3.json
 	go test -run TestScoreKernelRatio -count=1 -v ./internal/acoustic
 	go test -run TestSearchKernelRatio -count=1 -v ./internal/decoder
+	go run ./bench -smoke
 
 # On-disk format compatibility gate (docs/MODEL_STORE.md): the checked-in
 # golden v2 bundle must load, convert to a v3 flat bundle via wfst-tool,

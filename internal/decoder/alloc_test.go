@@ -24,7 +24,7 @@ func decodeInPlace(d *OnTheFly, scores [][]float32, sc *scratch) {
 	sc.lat.reset()
 	st := Stats{}
 	cur, next := sc.cur, sc.next
-	cur.reset()
+	cur.reset(0)
 	cur.relax(d.startKey(), semiring.One, -1)
 	d.epsClosure(cur, &sc.lat, &st, semiring.Zero, -1, sc)
 	for f := range scores {
@@ -107,7 +107,7 @@ func TestAllocsEpsClosure(t *testing.T) {
 	st := Stats{}
 	seed := func() {
 		sc.lat.reset()
-		sc.cur.reset()
+		sc.cur.reset(0)
 		sc.cur.relax(otfKey(d.am.Start(), d.lm.Start()), semiring.One, -1)
 	}
 	seed()

@@ -295,7 +295,7 @@ func (p *Pipeline) decode(ctx context.Context, frames [][]float32) (*Result, err
 	st := Stats{Frames: len(frames)}
 
 	cur, next, snap := sc.cur, sc.next, sc.snap
-	cur.reset()
+	cur.reset(0)
 	cur.relax(d.startKey(), semiring.One, -1)
 	d.epsClosure(cur, lat, &st, semiring.Zero, -1, sc)
 	d.hook(-1, cur)

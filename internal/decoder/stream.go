@@ -63,7 +63,7 @@ func (s *Stream) reset(d *OnTheFly) {
 	s.start = tel.now()
 	s.span = tel.startSpan("stream")
 	s.sc.lat.reset()
-	s.cur.reset()
+	s.cur.reset(0)
 	s.cur.relax(d.startKey(), semiring.One, -1)
 	d.epsClosure(s.cur, &s.sc.lat, &s.st, semiring.Zero, -1, s.sc)
 	d.hook(-1, s.cur)

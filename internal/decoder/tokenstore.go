@@ -22,13 +22,19 @@ import (
 // insertion order), so iteration is deterministic without any sorting — the
 // determinism contract documented in docs/ARCHITECTURE.md.
 //
+// The table is a prefix of its backing array, sized by reset to the frame it
+// is about to hold; table size never decides insertion order. beamPrune
+// leaves ctrl zero-length: a pruned store is iterate-only, and a relax on it
+// panics on the first probe, until reset or copyFrom restores a table.
+//
 // A tokenStore is not safe for concurrent use; each decode owns its stores
 // via the scratch pool (see scratch), and each pool worker therefore works
 // on a private set.
 type tokenStore struct {
-	ctrl []int32 // probe table: entry index + 1, 0 = empty; len is a power of two
+	ctrl []int32 // probe table: entry index + 1, 0 = empty; len is a power of two, or 0 once pruned
 	keys []uint64
 	toks []token
+	best semiring.Weight // minimum cost over toks, maintained by relax
 }
 
 // fibMul is the 64-bit Fibonacci-hashing multiplier (2^64 / golden ratio);
@@ -40,22 +46,38 @@ const fibMul = 0x9E3779B97F4A7C15
 const minTableSize = 256
 
 func newTokenStore() *tokenStore {
-	return &tokenStore{ctrl: make([]int32, minTableSize)}
+	return &tokenStore{ctrl: make([]int32, minTableSize), best: semiring.Zero}
 }
 
 // len reports the number of live tokens.
 func (s *tokenStore) len() int { return len(s.keys) }
 
-// reset empties the store for reuse, retaining all capacity.
-func (s *tokenStore) reset() {
-	clear(s.ctrl)
+// reset empties the store for reuse, retaining all capacity. The probe table
+// becomes the smallest power-of-two prefix of the backing array with four
+// slots per expected entry, so a frame clears and probes a table of its own
+// size rather than of the utterance's high-water mark; the array is replaced
+// only when it is too short for that. An expectation that falls short costs
+// a grow, never a result.
+func (s *tokenStore) reset(expect int) {
+	size := minTableSize
+	for size < 4*expect {
+		size *= 2
+	}
+	s.setTable(size)
 	s.keys = s.keys[:0]
 	s.toks = s.toks[:0]
+	s.best = semiring.Zero
 }
 
-// slotFor returns the home probe slot for key in the current table.
-func (s *tokenStore) slotFor(key uint64) uint32 {
-	return uint32((key*fibMul)>>32) & uint32(len(s.ctrl)-1)
+// setTable makes ctrl an empty probe table of size slots: a prefix of the
+// backing array when it is long enough, a new array otherwise.
+func (s *tokenStore) setTable(size int) {
+	if size > cap(s.ctrl) {
+		s.ctrl = make([]int32, size)
+		return
+	}
+	s.ctrl = s.ctrl[:size]
+	clear(s.ctrl)
 }
 
 // relax performs the tropical-semiring token update on the store: insert the
@@ -76,11 +98,17 @@ func (s *tokenStore) relax(key uint64, cost semiring.Weight, lat int32) (idx int
 			s.keys = append(s.keys, key)
 			s.toks = append(s.toks, token{cost, lat})
 			s.ctrl[slot] = idx + 1
+			if cost < s.best {
+				s.best = cost
+			}
 			return idx, true, true
 		}
 		if s.keys[e-1] == key {
 			if cost < s.toks[e-1].cost {
 				s.toks[e-1] = token{cost, lat}
+				if cost < s.best {
+					s.best = cost
+				}
 				return e - 1, false, true
 			}
 			return e - 1, false, false
@@ -89,14 +117,15 @@ func (s *tokenStore) relax(key uint64, cost semiring.Weight, lat int32) (idx int
 	}
 }
 
-// grow doubles the probe table and reindexes every live entry.
+// grow doubles the probe table, within the backing array while it has room,
+// and reindexes every live entry.
 func (s *tokenStore) grow() {
-	s.ctrl = make([]int32, 2*len(s.ctrl))
+	s.setTable(2 * len(s.ctrl))
 	s.reindex()
 }
 
 // reindex rebuilds the probe table (which must be zeroed) from the entry
-// arrays — used after growth and after pruning compactions.
+// arrays after growth.
 func (s *tokenStore) reindex() {
 	mask := uint32(len(s.ctrl) - 1)
 	for i, key := range s.keys {
@@ -114,10 +143,8 @@ func (s *tokenStore) reindex() {
 func (s *tokenStore) copyFrom(o *tokenStore) {
 	s.keys = append(s.keys[:0], o.keys...)
 	s.toks = append(s.toks[:0], o.toks...)
-	if len(s.ctrl) != len(o.ctrl) {
-		s.ctrl = make([]int32, len(o.ctrl))
-	}
-	copy(s.ctrl, o.ctrl)
+	s.ctrl = append(s.ctrl[:0], o.ctrl...)
+	s.best = o.best
 }
 
 // pruneEnt is one histogram-pruning selection record: cost-ordered with the
@@ -190,16 +217,18 @@ func selectSmallest(ents []pruneEnt, k int) {
 
 // scratch is the per-decode working set: the three frontier stores (current,
 // next, rescue snapshot), the reusable lattice arena, the epsilon-closure
-// worklist, and the histogram-pruning selection buffers. Decodes borrow one from
-// scratchPool and return it, so the whole set is recycled across utterances;
-// a Stream owns one for its lifetime. Nothing in a scratch escapes into a
-// Result (backtraces copy), which is what makes the recycling safe.
+// worklist, and the histogram cap's bucket ids and selection buffer. Decodes
+// borrow one from scratchPool and return it, so the whole set is recycled
+// across utterances; a Stream owns one for its lifetime. Nothing in a scratch
+// escapes into a Result (backtraces copy), which is what makes the recycling
+// safe.
 type scratch struct {
 	cur, next, snap *tokenStore
 	lat             lattice
 	queue           []int32
 	prune           []pruneEnt
-	dead            []bool
+	bucket          []uint16
+	touched         int32 // sink of gather's arc loads
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -214,74 +243,82 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
+// capBuckets is the resolution of the MaxActive cap's cost histogram: the
+// beam is cut into this many equal cost ranges, and only the one range that
+// holds the cut is ordered entry by entry.
+const capBuckets = 1024
+
 // beamPrune removes tokens worse than best+beam from s, then applies the
 // MaxActive histogram cap, compacting survivors in insertion order. It
 // mirrors the retained map beamPrune exactly: the same survivor set, the
 // same (cost, key) tiebreak for the histogram cap, the same returned
-// threshold and cut count — only the storage differs.
+// threshold and cut count. The minimum is the one relax tracked, and each
+// compaction copies every entry down unconditionally and advances on the
+// keep predicate, so neither takes a data-dependent branch. The probe table
+// is not rebuilt: s is iterate-only until its next reset or copyFrom.
 func (sc *scratch) beamPrune(s *tokenStore, beam semiring.Weight, maxActive int) (semiring.Weight, int64) {
+	s.ctrl = s.ctrl[:0]
 	if len(s.keys) == 0 {
 		return semiring.Zero, 0
 	}
-	best := semiring.Zero
-	for i := range s.toks {
-		if s.toks[i].cost < best {
-			best = s.toks[i].cost
-		}
-	}
-	thr := best + beam
-	var cut int64
+	thr := s.best + beam
+	keys, toks := s.keys, s.toks
 	n := 0
-	for i := range s.keys {
+	for i, t := range toks {
+		keys[n], toks[n] = keys[i], t
 		// Keep unless strictly worse than the threshold — the exact map
 		// predicate (`cost > thr` deletes), preserving non-finite parity.
-		if s.toks[i].cost > thr {
-			cut++
-			continue
+		if !(t.cost > thr) {
+			n++
 		}
-		s.keys[n] = s.keys[i]
-		s.toks[n] = s.toks[i]
-		n++
 	}
-	changed := n != len(s.keys)
-	s.keys = s.keys[:n]
-	s.toks = s.toks[:n]
+	cut := int64(len(keys) - n)
 
 	if maxActive > 0 && n > maxActive {
-		ents := sc.prune[:0]
-		for i := range s.keys {
-			ents = append(ents, pruneEnt{s.toks[i].cost, s.keys[i], int32(i)})
-		}
-		selectSmallest(ents, maxActive)
-		if cap(sc.dead) < n {
-			sc.dead = make([]bool, n)
-		} else {
-			sc.dead = sc.dead[:n]
-			clear(sc.dead)
-		}
-		for _, e := range ents[maxActive:] {
-			sc.dead[e.i] = true
-			cut++
-		}
-		thr = ents[maxActive-1].c
-		m := 0
-		for i := range s.keys {
-			if sc.dead[i] {
-				continue
+		// A bucket id is monotone in cost, so every entry of a lower bucket
+		// is strictly cheaper than every entry of a higher one and the
+		// (cost, key) order only has to be resolved inside the bucket the
+		// cap lands in. NaN, an infinite best and a zero beam all fall into
+		// the last bucket, an infinite beam into the first: one bucket, and
+		// the selection sees every entry as it would without the histogram.
+		var hist [capBuckets]int32
+		ids := slices.Grow(sc.bucket[:0], n)[:n]
+		scale := capBuckets / beam
+		for i, t := range toks[:n] {
+			b := capBuckets - 1
+			if x := (t.cost - s.best) * scale; x < capBuckets-1 {
+				b = int(x)
 			}
-			s.keys[m] = s.keys[i]
-			s.toks[m] = s.toks[i]
-			m++
+			ids[i] = uint16(b)
+			hist[b]++
 		}
-		s.keys = s.keys[:m]
-		s.toks = s.toks[:m]
-		sc.prune = ents[:0]
-		changed = true
+		star, k := 0, maxActive // the cap keeps the k smallest of bucket star
+		for k > int(hist[star]) {
+			k -= int(hist[star])
+			star++
+		}
+		ents := sc.prune[:0]
+		for i, b := range ids {
+			if int(b) == star {
+				ents = append(ents, pruneEnt{toks[i].cost, keys[i], int32(i)})
+			}
+		}
+		selectSmallest(ents, k)
+		thr = ents[k-1].c
+		for _, e := range ents[k:] {
+			ids[e.i] = capBuckets // above every bucket: cut
+		}
+		m := 0
+		for i, b := range ids {
+			keys[m], toks[m] = keys[i], toks[i]
+			if int(b) <= star {
+				m++
+			}
+		}
+		cut += int64(n - m)
+		n = m
+		sc.prune, sc.bucket = ents[:0], ids
 	}
-
-	if changed {
-		clear(s.ctrl)
-		s.reindex()
-	}
+	s.keys, s.toks = keys[:n], toks[:n]
 	return thr, cut
 }

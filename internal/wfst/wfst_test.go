@@ -96,6 +96,14 @@ func TestBuilderAndAccessors(t *testing.T) {
 	if len(g.Arcs(0)) != 3 {
 		t.Errorf("state 0 fan-out = %d, want 3", len(g.Arcs(0)))
 	}
+	// ArcRange + ArcSpan is Arcs in two steps, down to the backing array.
+	for s := StateID(0); int(s) < g.NumStates(); s++ {
+		lo, hi := g.ArcRange(s)
+		span, arcs := g.ArcSpan(lo, hi), g.Arcs(s)
+		if lo != g.ArcIndexBase(s) || len(span) != len(arcs) || (len(arcs) > 0 && &span[0] != &arcs[0]) {
+			t.Errorf("state %d: ArcSpan(ArcRange) = [%d,%d) (%d arcs), want the %d arcs at %d", s, lo, hi, len(span), len(arcs), g.ArcIndexBase(s))
+		}
+	}
 }
 
 func TestSortAndFindArc(t *testing.T) {
