@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/acoustic"
 	"repro/internal/faultinject"
 )
 
@@ -187,24 +188,56 @@ func TestDimensionErrors(t *testing.T) {
 	}
 }
 
+// countingScorer counts ScoreUtterance calls on the scorer it wraps.
+type countingScorer struct {
+	acoustic.Scorer
+	calls int
+}
+
+func (c *countingScorer) ScoreUtterance(frames [][]float32) [][]float32 {
+	c.calls++
+	return c.Scorer.ScoreUtterance(frames)
+}
+
 // TestRecognizeContextCanceled: a dead context surfaces promptly through
-// both the single-utterance and batch public paths.
+// the single-utterance and batch public paths, and before the scorer runs —
+// scoring is nearly all of a DNN request, so a request whose context is
+// already done must not pay for it. A live context scores once; a dead one
+// returns ctx.Err() with no words and never reaches the scorer, on System
+// (single and batch) and on Recognizer.
 func TestRecognizeContextCanceled(t *testing.T) {
 	fx := getBundle(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	u := fx.sys.TestSet()[0]
-	if _, err := fx.sys.RecognizeContext(ctx, u.Frames); !errors.Is(err, context.Canceled) {
-		t.Errorf("RecognizeContext: %v, want context.Canceled", err)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	sys, tk := *fx.sys, *fx.sys.Task
+	sc := &countingScorer{Scorer: tk.Scorer}
+	tk.Scorer, sys.Task = sc, &tk
+	if _, err := sys.RecognizeContext(context.Background(), u.Frames); err != nil || sc.calls != 1 {
+		t.Fatalf("live context: err %v, %d scorer calls, want nil and 1", err, sc.calls)
 	}
-	if _, _, err := fx.sys.RecognizeBatchContext(ctx, [][][]float32{u.Frames}, 1); !errors.Is(err, context.Canceled) {
+	sc.calls = 0
+	if words, err := sys.RecognizeContext(dead, u.Frames); !errors.Is(err, context.Canceled) || words != nil {
+		t.Errorf("RecognizeContext: words %v, err %v, want nil and context.Canceled", words, err)
+	}
+	if _, _, err := sys.RecognizeBatchContext(dead, [][][]float32{u.Frames, u.Frames}, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("RecognizeBatchContext: %v, want context.Canceled", err)
 	}
+	if sc.calls != 0 {
+		t.Errorf("System scored %d utterances for dead requests, want 0", sc.calls)
+	}
+
 	rec, err := LoadRecognizer(fx.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.RecognizeContext(ctx, u.Frames); !errors.Is(err, context.Canceled) {
-		t.Errorf("Recognizer.RecognizeContext: %v, want context.Canceled", err)
+	rsc := &countingScorer{Scorer: rec.Scorer}
+	rec.Scorer = rsc
+	if words, err := rec.RecognizeContext(dead, u.Frames); !errors.Is(err, context.Canceled) || words != nil {
+		t.Errorf("Recognizer.RecognizeContext: words %v, err %v, want nil and context.Canceled", words, err)
+	}
+	if rsc.calls != 0 {
+		t.Errorf("Recognizer scored %d utterances for a dead request, want 0", rsc.calls)
 	}
 }

@@ -14,7 +14,8 @@ package acoustic
 // frames alone. The loop interchange preserves the per-(lane,row) dot
 // products exactly — same operands, same order — so batching changes memory
 // traffic and instruction-level parallelism (dot4 runs four lanes'
-// accumulator chains in parallel registers), never the per-lane arithmetic.
+// accumulator chains in parallel registers; the DNN's AVX2 tile runs sixteen
+// as SIMD lanes), never the per-lane arithmetic.
 // TestScoreStepMatchesUtterance locks this down for all three scorers.
 
 // LaneState holds one lane's recurrent scorer state (and any per-lane
@@ -41,9 +42,11 @@ type BatchScorer interface {
 	// which must have length ScoreDim. states, frames and out are
 	// index-aligned and must all have the same length.
 	//
-	// ScoreStep allocates nothing and touches only the per-lane states and
-	// out rows, so it may run concurrently with ScoreUtterance calls on the
-	// same scorer (model weights are read-only after construction).
+	// ScoreStep allocates nothing once warm (a DNN lane state grows its tile
+	// scratch the first time it leads a group) and touches only the per-lane
+	// states and out rows, so it may run concurrently with ScoreUtterance
+	// calls on the same scorer (model weights are read-only after
+	// construction).
 	ScoreStep(states []LaneState, frames [][]float32, out [][]float32)
 }
 
@@ -162,11 +165,17 @@ func sqDist4(mu, a, b, c, d []float32) (s0, s1, s2, s3 float64) {
 // checks; groups wider than this re-read the weight rows once per chunk.
 const laneChunk = 32
 
+// tileLanes is the frame count of the SIMD tile (tile_amd64.go): 16 float32
+// lanes, two YMM registers.
+const tileLanes = 16
+
 // dnnLaneState carries one lane's hidden-stack scratch. The DNN has no
 // cross-frame state, but the hidden activations feed the perturbation term
-// within a frame, so each lane needs its own buffers.
+// within a frame, so each lane needs its own buffers. tile is the tile
+// path's scratch for the lanes this one leads, allocated on first use.
 type dnnLaneState struct {
 	h, h2 []float32
+	tile  []float32
 }
 
 func (l *dnnLaneState) Reset() {}
@@ -181,39 +190,50 @@ func (d *DNNScorer) NewLaneState() LaneState {
 
 // ScoreStep implements BatchScorer. Active lanes are compacted, then each
 // layer runs row-outer / lane-inner: one pass over w1 (then wh, then the
-// template + projection rows) serves every active lane, with four lanes'
-// dot products interleaved per row (dot4) so four independent accumulator
-// chains hide the floating-point add latency a solo matvec is bound by —
-// dense matrix work instead of N vector passes. Per lane the operations and
-// their order match ScoreUtterance exactly.
+// template + projection rows) serves every active lane — dense matrix work
+// instead of N vector passes. Per lane the operations and their order match
+// ScoreUtterance exactly.
 func (d *DNNScorer) ScoreStep(states []LaneState, frames [][]float32, out [][]float32) {
-	var xs, hs, h2s, outs [laneChunk][]float32
+	var sts [laneChunk]*dnnLaneState
+	var xs, outs [laneChunk][]float32
 	for base := 0; base < len(frames); base += laneChunk {
-		end := base + laneChunk
-		if end > len(frames) {
-			end = len(frames)
-		}
+		end := min(base+laneChunk, len(frames))
 		n := 0
 		for lane := base; lane < end; lane++ {
 			x := frames[lane]
 			if x == nil {
 				continue
 			}
-			st := states[lane].(*dnnLaneState)
-			xs[n], hs[n], h2s[n], outs[n] = x, st.h, st.h2, out[lane]
+			sts[n], xs[n], outs[n] = states[lane].(*dnnLaneState), x, out[lane]
 			n++
 		}
 		if n > 0 {
-			d.stepLanes(xs[:n], hs[:n], h2s[:n], outs[:n])
+			d.stepLanes(sts[:n], xs[:n], outs[:n])
 		}
 	}
 }
 
-// stepLanes scores one frame for n compacted lanes. hs/h2s are the lanes'
-// scratch buffers; the layer swap happens on the local slice headers (the
-// DNN keeps no state across frames, so which buffer ends up as h in the
-// lane state does not matter).
-func (d *DNNScorer) stepLanes(xs, hs, h2s, outs [][]float32) {
+// stepLanes scores one frame for n compacted lanes: the DNN's one forward
+// pass, reached from ScoreStep and (through it) ScoreWindow and
+// ScoreUtterance. With AVX2 the lanes go through the SIMD tile, tileLanes at
+// a time, a short group zero-padded. Everywhere else four lanes' dot
+// products are interleaved per row (dot4), so four independent accumulator
+// chains hide the floating-point add latency a solo matvec is bound by. The
+// layer swap happens on local slice headers (the DNN keeps no state across
+// frames, so which buffer ends up as h in the lane state does not matter).
+func (d *DNNScorer) stepLanes(sts []*dnnLaneState, xs, outs [][]float32) {
+	if haveAVX2 {
+		for k := 0; k < len(xs); k += tileLanes {
+			end := min(k+tileLanes, len(xs))
+			d.stepTile(sts[k], xs[k:end], outs[k:end])
+		}
+		return
+	}
+	var hbuf, h2buf [laneChunk][]float32
+	for k, st := range sts {
+		hbuf[k], h2buf[k] = st.h, st.h2
+	}
+	hs, h2s := hbuf[:len(sts)], h2buf[:len(sts)]
 	dim := d.m.Dim
 	for i := 0; i < d.hidden; i++ {
 		rowDotLanes(d.w1[i*dim:(i+1)*dim], xs, hs, i)

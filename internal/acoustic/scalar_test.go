@@ -143,25 +143,39 @@ func diffRows(got, want [][]float32) string {
 
 // TestScoreKernelRatio holds the blocked kernel's gain where CI can see it:
 // ScoreUtterance against the scalar oracle on the same utterance in the same
-// run, median of 5 rounds each. The DNN floor is well under the measured
-// ratio (2.1x) so a busy host does not trip it; RNN (sequential recurrence)
-// and GMM (log/exp-bound) must simply not lose.
+// run, median of 5 rounds each. The DNN is timed on both kernel paths, each
+// floor well under the measured ratio (AVX2 tile ~17x, generic dot4 2.1x) so
+// a busy host does not trip it; RNN (sequential recurrence) and GMM
+// (log/exp-bound) must simply not lose.
 func TestScoreKernelRatio(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("timing gate: skipped under -short and -race")
 	}
-	floor := map[string]float64{"GMM": 0.95, "DNN": 1.3, "RNN": 0.95}
 	// The bench/ harness's big-dnn shape: 120 senones, dim 16, hidden 256,
 	// 3 layers, one 224-frame utterance.
 	m := newModel(t, 30, 120, 16)
 	utt := randUtt(rand.New(rand.NewSource(33)), 224, m.Dim)
-	for _, sc := range []Scorer{
-		NewGMMScorer(m),
-		NewDNNScorer(m, rand.New(rand.NewSource(31)), 0, 0),
-		NewRNNScorer(m, rand.New(rand.NewSource(32)), 0),
-	} {
+	newDNN := func() Scorer { return NewDNNScorer(m, rand.New(rand.NewSource(31)), 0, 0) }
+	cases := []struct {
+		name  string
+		sc    Scorer
+		floor float64
+		tile  bool // score with the AVX2 tile on; only the DNN consults it
+	}{
+		{"GMM", NewGMMScorer(m), 0.95, false},
+		{"DNN, generic dot4", newDNN(), 1.3, false},
+		{"DNN, AVX2 tile", newDNN(), 4.0, true},
+		{"RNN", NewRNNScorer(m, rand.New(rand.NewSource(32)), 0), 0.95, false},
+	}
+	for _, c := range cases {
+		if c.tile && !cpuAVX2 {
+			t.Logf("%s: no AVX2 on this CPU, not run", c.name)
+			continue
+		}
+		useTile(t, c.tile)
+		sc := c.sc
 		if d := diffRows(sc.ScoreUtterance(utt), scalarScore(t, sc, utt)); d != "" {
-			t.Fatalf("%s: %s", sc.Name(), d)
+			t.Fatalf("%s: %s", c.name, d)
 		}
 		// The two sides take turns round by round, so a busy stretch of the
 		// host lands on both.
@@ -184,10 +198,10 @@ func TestScoreKernelRatio(t *testing.T) {
 		}
 		scalar, blocked := median(scalars), median(blockeds)
 		ratio := float64(scalar) / float64(blocked)
-		t.Logf("%s: scalar %v/frame, blocked %v/frame, %.2fx", sc.Name(), scalar, blocked, ratio)
-		if ratio < floor[sc.Name()] {
+		t.Logf("%s: scalar %v/frame, blocked %v/frame, %.2fx", c.name, scalar, blocked, ratio)
+		if ratio < c.floor {
 			t.Errorf("%s: blocked ScoreUtterance is %.2fx the scalar oracle, want >= %.2fx",
-				sc.Name(), ratio, floor[sc.Name()])
+				c.name, ratio, c.floor)
 		}
 	}
 }

@@ -30,9 +30,11 @@ const unusedScore = float32(-1e30)
 
 // scoreBlock is how many consecutive frames ScoreUtterance hands the window
 // kernel per pass: every weight row is read once per block and applied to
-// all its frames, four at a time (dot4). Wide enough to amortize the weight
-// traffic, narrow enough that a block's activations stay cache-resident.
-const scoreBlock = 16
+// all its frames — for the DNN with AVX2 as the lanes of one SIMD tile, so a
+// block is exactly one tile; otherwise four at a time (dot4, sqDist4). Wide
+// enough to amortize the weight traffic, narrow enough that a block's
+// activations stay cache-resident.
+const scoreBlock = tileLanes
 
 // scoreBlocked is ScoreUtterance for every scorer: the window kernel driven
 // to completion. One slab holds the whole score matrix; the frames walk

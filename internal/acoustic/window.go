@@ -11,8 +11,9 @@ package acoustic
 // frames of one utterance take the place of lanes. For the stateless
 // scorers (GMM, DNN) consecutive frames are fully independent, so a window
 // IS a lane batch — ScoreWindow feeds the window's frames through ScoreStep
-// against per-frame scratch states and inherits its dot4 kernels and its
-// bitwise-equality proof for free. The RNN's recurrence is sequential
+// against per-frame scratch states and inherits its kernels (sqDist4; the
+// DNN's AVX2 tile, or dot4 without it) and its bitwise-equality proof for
+// free. The RNN's recurrence is sequential
 // across frames, but its input-side work is not: the wx·x rows and the
 // template tw·x rows depend only on the frame's features, so ScoreWindow
 // precomputes both across the whole window with rowDotLanes/dot4, then runs
@@ -86,9 +87,10 @@ func (g *GMMScorer) ScoreWindow(state LaneState, frames, out [][]float32) {
 // ---------------------------------------------------------------------------
 // DNN
 
-// dnnWindowState holds one hidden-stack scratch pair per window frame; the
-// DNN keeps no state across frames, but each frame's hidden activations feed
-// its own perturbation term, so the "lanes" need separate buffers.
+// dnnWindowState holds one lane state per window frame; the DNN keeps no
+// state across frames, but each frame's hidden activations feed its own
+// perturbation term, so the "lanes" need separate buffers (on the tile path
+// each group of 16 shares the tile its first state carries).
 type dnnWindowState struct {
 	states []LaneState
 }
@@ -106,9 +108,10 @@ func (d *DNNScorer) NewWindowState(width int) LaneState {
 
 // ScoreWindow implements WindowScorer: frames are independent, so the window
 // runs as a lane batch through ScoreStep — every weight row of w1/wh and
-// every template/projection row streams through the cache once per window,
-// with four frames' dot products interleaved per row (dot4). Per frame the
-// arithmetic is exactly a solo matvec pass's.
+// every template/projection row streams through the cache once per window
+// and meets the frames as the lanes of a SIMD tile (or, without AVX2, four
+// at a time through dot4). Per frame the arithmetic is exactly a solo matvec
+// pass's.
 func (d *DNNScorer) ScoreWindow(state LaneState, frames, out [][]float32) {
 	ws := state.(*dnnWindowState)
 	d.ScoreStep(ws.states[:len(frames)], frames, out)

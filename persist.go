@@ -406,6 +406,9 @@ func (r *Recognizer) RecognizeContext(ctx context.Context, frames [][]float32) (
 	if err := validateFrames(frames, r.Senones.Dim); err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // scoring is most of a request; a dead one skips it
+	}
 	res, err := r.dec.DecodeContext(ctx, r.Scorer.ScoreUtterance(frames))
 	return res.Words, err
 }

@@ -140,13 +140,17 @@ func (s *System) Recognize(frames [][]float32) ([]int32, error) {
 }
 
 // RecognizeContext is Recognize with deadline/cancellation semantics: the
-// context is checked once per frame during the search, and on cancellation
-// the best partial hypothesis is returned together with ctx.Err().
+// context is checked before scoring and once per frame during the search,
+// and on cancellation the best partial hypothesis (none, before the first
+// frame) is returned together with ctx.Err().
 func (s *System) RecognizeContext(ctx context.Context, frames [][]float32) ([]int32, error) {
 	if len(frames) == 0 {
 		return nil, nil
 	}
 	if err := validateFrames(frames, s.Task.Senones.Dim); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	scores := s.Task.Scorer.ScoreUtterance(frames)
@@ -171,8 +175,13 @@ func (s *System) NewDecodePool(cfg PoolConfig) (*DecodePool, error) {
 // system's graphs and acoustic scorer. Where a DecodePool parallelizes
 // pre-scored utterances across workers, the lane scheduler takes raw
 // feature frames and batches the SCORING: concurrent utterances share one
-// dense scorer call per frame step, which is where DNN/RNN scoring wins
-// (see BENCH_PR8.json). The lane states are the scheduler's own, so the
+// dense scorer call per frame step. Since ScoreUtterance runs the same
+// kernel over 16-frame blocks of one utterance, lanes buy ≈ 1× over the
+// whole-utterance path for the DNN and ~1.2× for the RNN (its recurrence
+// only batches across utterances); what they keep is live input, where a
+// stream arrives a few frames at a time and concurrent connections are the
+// only frames there are to batch (docs/BENCHMARKS.md, "Batched lanes"). The
+// lane states are the scheduler's own, so the
 // system's scorer stays usable by concurrent ScoreUtterance callers;
 // Recognize itself is single-caller because it shares one decoder.
 func (s *System) NewLaneScheduler(cfg LaneConfig) (*LaneScheduler, error) {
