@@ -124,13 +124,16 @@ cover:
 			if (pct < 75) { print "FAIL: coverage below floor"; exit 1 } }' || exit 1; \
 	done
 
-# The repo's one assembly file is the DNN tile kernel
+# The repo's one assembly file holds the DNN and GMM tile kernels
 # (internal/acoustic/tile_amd64.s). Three things keep it honest: the generic
-# body every other GOARCH runs must keep compiling (arm64 cross-build and
-# vet, no network needed); asmdecl (in go vet) checks the .s frame layout
-# against the Go declarations, which only happens when vetting for amd64;
-# and the package's tests run under the race build, where the compiler's
-# code around the kernels differs.
+# bodies every other GOARCH runs must keep compiling (arm64 cross-build and
+# vet, no network needed); asmdecl (in go vet) checks every TEXT symbol's
+# frame layout against its Go declaration, which only happens when vetting
+# for amd64; and the package's tests run under the race build, where the
+# compiler's code around the kernels differs. The race build skips
+# TestLogSumExpExhaustive (every float32 in [-16, -0] through the
+# log-sum-exp table, ~20 s on two cores): `make test` runs it, being neither
+# -short nor -race, and the nightly workflow runs it as its own step.
 asm-check:
 	GOOS=linux GOARCH=arm64 go build ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/acoustic
@@ -163,7 +166,8 @@ bench-report:
 # ratios, not absolutes: TestScoreKernelRatio times the blocked
 # ScoreUtterance kernel against the scalar test oracle (median of 5) and
 # fails below 4.0x for the DNN on the AVX2 tile (1.3x on the generic path; the
-# test logs which ran), 0.95x for RNN and GMM; TestSearchKernelRatio
+# test logs which ran), 2.8x / 1.5x for the GMM on the same two paths, 0.95x
+# for the RNN; TestSearchKernelRatio
 # times the tokenStore search against the map oracle on a 12 000-word
 # fixture at beam 85 (median of 5) and fails below 5.5x. Last, the bench
 # harness checks itself: `go run ./bench -smoke` runs every workload on the

@@ -13,9 +13,9 @@ package acoustic
 // float32-identical to the rows ScoreUtterance produces for that lane's
 // frames alone. The loop interchange preserves the per-(lane,row) dot
 // products exactly — same operands, same order — so batching changes memory
-// traffic and instruction-level parallelism (dot4 runs four lanes'
-// accumulator chains in parallel registers; the DNN's AVX2 tile runs sixteen
-// as SIMD lanes), never the per-lane arithmetic.
+// traffic and instruction-level parallelism (dot4 and sqDist4 run four
+// lanes' accumulator chains in parallel registers; the DNN's and the GMM's
+// AVX2 tiles run sixteen as SIMD lanes), never the per-lane arithmetic.
 // TestScoreStepMatchesUtterance locks this down for all three scorers.
 
 // LaneState holds one lane's recurrent scorer state (and any per-lane
@@ -33,8 +33,8 @@ type BatchScorer interface {
 	// ScoreDim is the per-frame score-row length (NumSenones+1; index 0 is
 	// the unused -1e30 slot). Callers size the out rows with it.
 	ScoreDim() int
-	// NewLaneState allocates one lane's state. Stateless scorers (GMM)
-	// return a shared no-op; recurrent scorers return private buffers.
+	// NewLaneState allocates one lane's state: the recurrent scorer's
+	// hidden state, the stateless scorers' per-lane scratch.
 	NewLaneState() LaneState
 	// ScoreStep scores one frame per lane: frames[i] is lane i's next
 	// feature vector, or nil for an idle lane (skipped entirely — its state
@@ -42,8 +42,8 @@ type BatchScorer interface {
 	// which must have length ScoreDim. states, frames and out are
 	// index-aligned and must all have the same length.
 	//
-	// ScoreStep allocates nothing once warm (a DNN lane state grows its tile
-	// scratch the first time it leads a group) and touches only the per-lane
+	// ScoreStep allocates nothing once warm (a GMM or DNN lane state grows
+	// its scratch the first time it needs it) and touches only the per-lane
 	// states and out rows, so it may run concurrently with ScoreUtterance
 	// calls on the same scorer (model weights are read-only after
 	// construction).
@@ -53,46 +53,64 @@ type BatchScorer interface {
 // ---------------------------------------------------------------------------
 // GMM
 
-// gmmLaneState is the shared no-op state: the GMM has no temporal state and
-// needs no per-lane scratch.
-type gmmLaneState struct{}
+// gmmLaneState is one lane's scratch: the GMM has no temporal state, but the
+// tile path transposes each group's frames into tile, which lives in the
+// state of the lane that leads the group (allocated the first time it
+// leads) — per lane, because one scorer's lanes are driven from many
+// goroutines.
+type gmmLaneState struct {
+	tile []float32
+}
 
-func (gmmLaneState) Reset() {}
-
-var sharedGMMLane gmmLaneState
+func (*gmmLaneState) Reset() {}
 
 // ScoreDim implements BatchScorer.
 func (g *GMMScorer) ScoreDim() int { return g.m.NumSenones + 1 }
 
 // NewLaneState implements BatchScorer.
-func (g *GMMScorer) NewLaneState() LaneState { return sharedGMMLane }
+func (g *GMMScorer) NewLaneState() LaneState { return &gmmLaneState{} }
 
 // ScoreStep implements BatchScorer: active lanes are compacted, then the
 // mixture runs senone-outer / lane-inner, so each senone's two
 // component-mean rows are loaded once and scored against every active lane's
-// frame, four lanes' squared distances interleaved per row (sqDist4).
+// frame — sixteen lanes per row pair on the AVX2 tile, otherwise four lanes'
+// squared distances interleaved per row (sqDist4).
 func (g *GMMScorer) ScoreStep(states []LaneState, frames [][]float32, out [][]float32) {
 	var xs, outs [laneChunk][]float32
 	for base := 0; base < len(frames); base += laneChunk {
 		end := min(base+laneChunk, len(frames))
+		var lead *gmmLaneState
 		n := 0
 		for lane := base; lane < end; lane++ {
 			if x := frames[lane]; x != nil {
+				if n == 0 {
+					lead = states[lane].(*gmmLaneState)
+				}
 				xs[n], outs[n] = x, out[lane]
 				n++
 			}
 		}
 		if n > 0 {
-			g.stepLanes(xs[:n], outs[:n])
+			g.stepLanes(lead, xs[:n], outs[:n])
 		}
 	}
 }
 
-// stepLanes scores one frame for n compacted lanes.
-func (g *GMMScorer) stepLanes(xs, outs [][]float32) {
+// stepLanes scores one frame for n compacted lanes: the GMM's one forward
+// pass, reached from ScoreStep, from ScoreWindow and through it from
+// ScoreUtterance. With AVX2 the distances go through the SIMD tile,
+// tileLanes at a time, against scratch in the leading lane's state.
+func (g *GMMScorer) stepLanes(lead *gmmLaneState, xs, outs [][]float32) {
 	dim := g.m.Dim
 	for _, o := range outs {
 		o[0] = unusedScore
+	}
+	if haveAVX2 {
+		for k := 0; k < len(xs); k += tileLanes {
+			end := min(k+tileLanes, len(xs))
+			g.stepTile(lead, xs[k:end], outs[k:end])
+		}
+		return
 	}
 	var lo, hi [4]float64
 	for s := 1; s <= g.m.NumSenones; s++ {
@@ -169,10 +187,11 @@ const laneChunk = 32
 // lanes, two YMM registers.
 const tileLanes = 16
 
-// dnnLaneState carries one lane's hidden-stack scratch. The DNN has no
-// cross-frame state, but the hidden activations feed the perturbation term
-// within a frame, so each lane needs its own buffers. tile is the tile
-// path's scratch for the lanes this one leads, allocated on first use.
+// dnnLaneState carries one lane's hidden-stack scratch, each part allocated
+// on first use by the kernel path that needs it. The DNN has no cross-frame
+// state, but the hidden activations feed the perturbation term within a
+// frame, so on the generic path each lane needs its own h and h2. tile is
+// the tile path's scratch for the lanes this one leads.
 type dnnLaneState struct {
 	h, h2 []float32
 	tile  []float32
@@ -184,9 +203,7 @@ func (l *dnnLaneState) Reset() {}
 func (d *DNNScorer) ScoreDim() int { return d.m.NumSenones + 1 }
 
 // NewLaneState implements BatchScorer.
-func (d *DNNScorer) NewLaneState() LaneState {
-	return &dnnLaneState{h: make([]float32, d.hidden), h2: make([]float32, d.hidden)}
-}
+func (d *DNNScorer) NewLaneState() LaneState { return &dnnLaneState{} }
 
 // ScoreStep implements BatchScorer. Active lanes are compacted, then each
 // layer runs row-outer / lane-inner: one pass over w1 (then wh, then the
@@ -231,6 +248,9 @@ func (d *DNNScorer) stepLanes(sts []*dnnLaneState, xs, outs [][]float32) {
 	}
 	var hbuf, h2buf [laneChunk][]float32
 	for k, st := range sts {
+		if st.h == nil {
+			st.h, st.h2 = make([]float32, d.hidden), make([]float32, d.hidden)
+		}
 		hbuf[k], h2buf[k] = st.h, st.h2
 	}
 	hs, h2s := hbuf[:len(sts)], h2buf[:len(sts)]

@@ -9,7 +9,6 @@ package acoustic
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -97,12 +96,4 @@ func (m *SenoneModel) Synthesize(rng *rand.Rand, senones []int32, opts Synthesis
 		}
 	}
 	return frames, align
-}
-
-// logSumExp2 returns log(exp(a)+exp(b)) stably.
-func logSumExp2(a, b float32) float32 {
-	if a < b {
-		a, b = b, a
-	}
-	return a + float32(math.Log1p(math.Exp(float64(b-a))))
 }

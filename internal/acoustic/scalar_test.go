@@ -38,7 +38,7 @@ func (g *GMMScorer) scalarScore(frames [][]float32) [][]float32 {
 			c := g.comps[s]
 			l1 := logGauss(x, c[:g.m.Dim], g.m.Sigma) + g.lw
 			l2 := logGauss(x, c[g.m.Dim:], g.m.Sigma) + g.lw
-			row[s] = logSumExp2(l1, l2)
+			row[s] = logSumExp2Ref(l1, l2)
 		}
 		out[f] = row
 	}
@@ -143,10 +143,12 @@ func diffRows(got, want [][]float32) string {
 
 // TestScoreKernelRatio holds the blocked kernel's gain where CI can see it:
 // ScoreUtterance against the scalar oracle on the same utterance in the same
-// run, median of 5 rounds each. The DNN is timed on both kernel paths, each
-// floor well under the measured ratio (AVX2 tile ~17x, generic dot4 2.1x) so
-// a busy host does not trip it; RNN (sequential recurrence) and GMM
-// (log/exp-bound) must simply not lose.
+// run, median of 5 rounds each. The DNN and the GMM are timed on both kernel
+// paths, each floor at roughly half the measured ratio (DNN: AVX2 tile ~17x,
+// generic dot4 2.1x; GMM: AVX2 tile ~5.7x, generic sqDist4 ~3.1x — the table
+// log-sum-exp carries the generic path, the oracle keeps Log1p(Exp)) so a
+// busy host does not trip it; the RNN (sequential recurrence) must simply
+// not lose.
 func TestScoreKernelRatio(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("timing gate: skipped under -short and -race")
@@ -160,9 +162,10 @@ func TestScoreKernelRatio(t *testing.T) {
 		name  string
 		sc    Scorer
 		floor float64
-		tile  bool // score with the AVX2 tile on; only the DNN consults it
+		tile  bool // score with the AVX2 tile on; the RNN does not consult it
 	}{
-		{"GMM", NewGMMScorer(m), 0.95, false},
+		{"GMM, generic sqDist4", NewGMMScorer(m), 1.5, false},
+		{"GMM, AVX2 tile", NewGMMScorer(m), 2.8, true},
 		{"DNN, generic dot4", newDNN(), 1.3, false},
 		{"DNN, AVX2 tile", newDNN(), 4.0, true},
 		{"RNN", NewRNNScorer(m, rand.New(rand.NewSource(32)), 0), 0.95, false},

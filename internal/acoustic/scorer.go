@@ -30,10 +30,11 @@ const unusedScore = float32(-1e30)
 
 // scoreBlock is how many consecutive frames ScoreUtterance hands the window
 // kernel per pass: every weight row is read once per block and applied to
-// all its frames — for the DNN with AVX2 as the lanes of one SIMD tile, so a
-// block is exactly one tile; otherwise four at a time (dot4, sqDist4). Wide
-// enough to amortize the weight traffic, narrow enough that a block's
-// activations stay cache-resident.
+// all its frames — for the DNN and the GMM with AVX2 as the lanes of one
+// SIMD tile, so a block is exactly one tile; otherwise (the RNN, and every
+// CPU without AVX2) four at a time (dot4, sqDist4). Wide enough to amortize
+// the weight traffic, narrow enough that a block's activations stay
+// cache-resident.
 const scoreBlock = tileLanes
 
 // scoreBlocked is ScoreUtterance for every scorer: the window kernel driven
@@ -64,9 +65,10 @@ func scoreBlocked(sc WindowScorer, states *sync.Pool, frames [][]float32) [][]fl
 // ---------------------------------------------------------------------------
 // GMM scorer
 
-// GMMScorer models each senone as a two-component diagonal-covariance
-// mixture straddling the senone template (the classic Kaldi GMM decoder's
-// acoustic model, at miniature scale).
+// GMMScorer models each senone as a two-component mixture straddling the
+// senone template, every component isotropic with the model's one shared
+// variance σ² (the classic Kaldi GMM decoder's acoustic model, at miniature
+// scale and without per-dimension covariances).
 type GMMScorer struct {
 	m      *SenoneModel
 	comps  [][]float32 // per senone: two mixture means, concatenated

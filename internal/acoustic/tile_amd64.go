@@ -1,6 +1,7 @@
 package acoustic
 
-// The DNN forward pass on a 16-frame tile, for amd64 CPUs with AVX2.
+// The DNN and GMM forward passes on a 16-frame tile, for amd64 CPUs with
+// AVX2.
 //
 // dot4 (batch.go) interleaves four frames' scalar dot products; the tile
 // makes the frames SIMD lanes instead. A block's features are transposed
@@ -13,7 +14,8 @@ package acoustic
 // is one frame's whole dot product, accumulated from zero in j order with a
 // separate multiply and add, which is dot's arithmetic operation for
 // operation. Splitting one dot product's j range over lanes would add its
-// terms in a different order and round differently.
+// terms in a different order and round differently. The GMM's squared
+// distances ride the same tile (sqDist2x16): a lane is one frame's sqDist.
 
 //go:noescape
 func rows4x16(w *float32, n int, x, dst *float32)
@@ -24,11 +26,14 @@ func rows1x16(w *float32, n int, x, dst *float32)
 //go:noescape
 func reluTile(v *float32, n int)
 
+//go:noescape
+func sqDist2x16(mu *float32, n int, x *float32, dst *float64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// haveAVX2 routes DNNScorer.stepLanes to the tile. Read once here; the
-// tests flip it to run both kernel paths on one machine.
+// haveAVX2 routes the DNN's and the GMM's stepLanes to the tile. Read once
+// here; the tests flip it to run both kernel paths on one machine.
 var haveAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -64,6 +69,18 @@ func denseTile(w []float32, n int, x, dst []float32) {
 	}
 }
 
+// transposeTile lays up to 16 frames out frame-minor, xT[j*16+lane], lanes
+// past len(xs) zeroed.
+func transposeTile(xT []float32, xs [][]float32) {
+	for j := 0; j < len(xT)/tileLanes; j++ {
+		col := xT[j*tileLanes : (j+1)*tileLanes]
+		for k, x := range xs {
+			col[k] = x[j]
+		}
+		clear(col[len(xs):])
+	}
+}
+
 // stepTile scores one frame for up to 16 compacted lanes through the tile
 // kernels. The x, h and h2 tiles live in the leading lane's state (grown
 // the first time it leads); lanes past len(xs) are zero-padded and their
@@ -76,13 +93,7 @@ func (d *DNNScorer) stepTile(st *dnnLaneState, xs, outs [][]float32) {
 	xT := st.tile[:tileLanes*dim]
 	hT := st.tile[tileLanes*dim:][:tileLanes*hid]
 	h2T := st.tile[tileLanes*(dim+hid):]
-	for j := 0; j < dim; j++ {
-		col := xT[j*tileLanes : (j+1)*tileLanes]
-		for k, x := range xs {
-			col[k] = x[j]
-		}
-		clear(col[len(xs):])
-	}
+	transposeTile(xT, xs)
 
 	denseTile(d.w1, dim, xT, hT)
 	reluTile(&hT[0], len(hT))
@@ -107,6 +118,26 @@ func (d *DNNScorer) stepTile(st *dnnLaneState, xs, outs [][]float32) {
 			for k, o := range outs {
 				o[s+i] = (tb + ts[i*tileLanes+k]) + d.perturb*ps[i*tileLanes+k]
 			}
+		}
+	}
+}
+
+// stepTile scores one frame for up to 16 compacted lanes: both component
+// distances of a senone for all lanes in one sqDist2x16, then the scalar
+// mixture per lane. The x tile lives in the leading lane's state; lanes past
+// len(xs) are zero-padded and never reach mixture.
+func (g *GMMScorer) stepTile(st *gmmLaneState, xs, outs [][]float32) {
+	dim := g.m.Dim
+	if st.tile == nil {
+		st.tile = make([]float32, tileLanes*dim)
+	}
+	transposeTile(st.tile, xs)
+	var sq [2 * tileLanes]float64
+	for s := 1; s <= g.m.NumSenones; s++ {
+		c := g.comps[s][:2*dim]
+		sqDist2x16(&c[0], dim, &st.tile[0], &sq[0])
+		for k, o := range outs {
+			o[s] = g.mixture(sq[k], sq[tileLanes+k])
 		}
 	}
 }

@@ -1,10 +1,11 @@
 #include "textflag.h"
 
-// The DNN tile kernels (see tile_amd64.go). A tile is 16 frames in
-// frame-minor layout, x[j*16+lane], so one weight w[i][j] broadcast against
-// the two YMM halves of x[j] advances all 16 frames' dot products by one
-// term. Every lane performs exactly dot's operations in dot's order: start
-// from +0, j ascending, one rounded multiply then one rounded add (no FMA).
+// The tile kernels (see tile_amd64.go). A tile is 16 frames in
+// frame-minor layout, x[j*16+lane], so one weight w[i][j] (or one GMM mean
+// mu[j]) broadcast against the two YMM halves of x[j] advances all 16
+// frames' sums by one term. In the DNN's row kernels every lane performs
+// exactly dot's operations in dot's order: start from +0, j ascending, one
+// rounded multiply then one rounded add (no FMA).
 
 // func rows4x16(w *float32, n int, x, dst *float32)
 //
@@ -93,6 +94,72 @@ loop1:
 
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// SQROW advances one mean row's four accumulators by term j = AX: x is in
+// Y8/Y9, Y10–Y15 are scratch.
+#define SQROW(mu, a0, a1, a2, a3) \
+	VBROADCASTSS (mu)(AX*4), Y10 \
+	VSUBPS Y10, Y8, Y11          \
+	VSUBPS Y10, Y9, Y12          \
+	VCVTPS2PD X11, Y13           \
+	VEXTRACTF128 $1, Y11, X11    \
+	VCVTPS2PD X11, Y14           \
+	VCVTPS2PD X12, Y15           \
+	VEXTRACTF128 $1, Y12, X12    \
+	VCVTPS2PD X12, Y12           \
+	VMULPD Y13, Y13, Y13         \
+	VMULPD Y14, Y14, Y14         \
+	VMULPD Y15, Y15, Y15         \
+	VMULPD Y12, Y12, Y12         \
+	VADDPD Y13, a0, a0           \
+	VADDPD Y14, a1, a1           \
+	VADDPD Y15, a2, a2           \
+	VADDPD Y12, a3, a3
+
+// func sqDist2x16(mu *float32, n int, x *float32, dst *float64)
+//
+// The GMM's distances: dst[r*16+lane] = Σ_j (x[j*16+lane] − mu[r*n+j])² for
+// the two component-mean rows r of one senone. Every lane performs exactly
+// sqDist's operations in sqDist's order: the difference x − mu rounded to
+// float32, widened to float64 (the four 128-bit quarters of the 16 lanes
+// become four YMM of doubles), squared, and added to an accumulator started
+// from +0, j ascending, no FMA. Eight add chains (2 rows × 4 quarters).
+TEXT ·sqDist2x16(SB), NOSPLIT, $0-32
+	MOVQ mu+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ x+16(FP), DX
+	MOVQ dst+24(FP), DI
+	LEAQ (SI)(CX*4), R8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ AX, AX
+
+sqloop:
+	VMOVUPS (DX), Y8
+	VMOVUPS 32(DX), Y9
+	SQROW(SI, Y0, Y1, Y2, Y3)
+	SQROW(R8, Y4, Y5, Y6, Y7)
+	ADDQ $64, DX
+	INCQ AX
+	CMPQ AX, CX
+	JLT sqloop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
 	VZEROUPPER
 	RET
 

@@ -11,9 +11,10 @@ package acoustic
 // frames of one utterance take the place of lanes. For the stateless
 // scorers (GMM, DNN) consecutive frames are fully independent, so a window
 // IS a lane batch — ScoreWindow feeds the window's frames through ScoreStep
-// against per-frame scratch states and inherits its kernels (sqDist4; the
-// DNN's AVX2 tile, or dot4 without it) and its bitwise-equality proof for
-// free. The RNN's recurrence is sequential
+// against per-frame scratch states (the GMM, which has none, straight into
+// ScoreStep's stepLanes) and inherits its kernels (the AVX2 tile, or
+// sqDist4/dot4 without it) and its bitwise-equality proof for free. The
+// RNN's recurrence is sequential
 // across frames, but its input-side work is not: the wx·x rows and the
 // template tw·x rows depend only on the frame's features, so ScoreWindow
 // precomputes both across the whole window with rowDotLanes/dot4, then runs
@@ -58,30 +59,16 @@ type WindowScorer interface {
 // ---------------------------------------------------------------------------
 // GMM
 
-// gmmWindowState satisfies NewWindowState for the stateless GMM: ScoreStep
-// wants an index-aligned states slice, so the window state is just width
-// copies of the shared no-op lane state.
-type gmmWindowState struct {
-	states []LaneState
-}
-
-func (*gmmWindowState) Reset() {}
-
-// NewWindowState implements WindowScorer.
-func (g *GMMScorer) NewWindowState(width int) LaneState {
-	ws := &gmmWindowState{states: make([]LaneState, width)}
-	for i := range ws.states {
-		ws.states[i] = sharedGMMLane
-	}
-	return ws
-}
+// NewWindowState implements WindowScorer: the stateless GMM needs only the
+// tile scratch a lane state carries, whatever the width.
+func (g *GMMScorer) NewWindowState(width int) LaneState { return g.NewLaneState() }
 
 // ScoreWindow implements WindowScorer: the GMM has no cross-frame state, so
-// the window's frames are scored as a lane batch through ScoreStep —
-// senone-outer, frame-inner, each component-mean row read once per window.
+// the window's frames are a compacted lane batch as they stand and go
+// straight to stepLanes — senone-outer, frame-inner, each component-mean
+// row read once per window.
 func (g *GMMScorer) ScoreWindow(state LaneState, frames, out [][]float32) {
-	ws := state.(*gmmWindowState)
-	g.ScoreStep(ws.states[:len(frames)], frames, out)
+	g.stepLanes(state.(*gmmLaneState), frames, out)
 }
 
 // ---------------------------------------------------------------------------
