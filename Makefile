@@ -1,14 +1,13 @@
 # Developer entry points. Everything is stdlib-only Go; no tools beyond
 # the toolchain are required.
 
-.PHONY: all build test vet lint asm-check loc race race-soak lanes-soak pipeline-soak bias-soak fuzz-smoke cover check bench bench-report bench-check experiments loadgen-smoke format-compat chaos chaos-smoke
+.PHONY: all build test vet lint asm-check loc race race-soak lanes-soak bias-soak fuzz-smoke cover check bench bench-check experiments loadgen-smoke format-compat chaos chaos-smoke
 
 # Soak durations and fuzz budget. The defaults are the pre-release deep
 # pass; the nightly workflow overrides them (RACE_SOAK=60s ... FUZZTIME=5m)
 # and `make race` runs the same tests at their 2s in-test defaults.
 RACE_SOAK ?= 20s
 LANES_SOAK ?= 20s
-PIPELINE_SOAK ?= 20s
 BIAS_SOAK ?= 20s
 FUZZTIME ?= 10s
 
@@ -69,15 +68,6 @@ race-soak:
 lanes-soak:
 	go test -race -run TestSoakLaneChurn -count=1 -v ./internal/pool/ -lanes-soak $(LANES_SOAK)
 
-# Score-ahead pipeline endurance pass: $(PIPELINE_SOAK) of randomized
-# batch/stream/cancel/abort churn through pipelined decoders at random
-# lookahead depths under the race detector, every completed decode checked
-# byte-for-byte against its synchronous solo reference (docs/DECODING.md
-# §2c). `make race` runs the same test at its 2s default; run the deep pass
-# for changes touching the pipeline, window scorers or stream plumbing.
-pipeline-soak:
-	go test -race -run TestSoakPipelineChurn -count=1 -v ./internal/decoder/ -pipeline-soak $(PIPELINE_SOAK)
-
 # Tenant-churn bias endurance pass: $(BIAS_SOAK) of many-tenant biased
 # batch + stream load through the lane scheduler under the race detector,
 # with lane slots changing bias machines mid-flight, every completed decode
@@ -89,11 +79,13 @@ bias-soak:
 
 # Randomized corruption passes over the model-bundle loaders — the v2
 # directory format and the v3 flat container (docs/ROBUSTNESS.md,
-# docs/MODEL_STORE.md). Catches loader panics long fuzz runs would.
+# docs/MODEL_STORE.md). Catches loader panics long fuzz runs would. The
+# lane scheduler's random join/cancel schedules against solo decodes and
+# the bias compiler ride along.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLoadBundle$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzLoadBundleV3$$' -fuzztime $(FUZZTIME) .
-	go test -run '^$$' -fuzz '^FuzzPipelineLookahead$$' -fuzztime $(FUZZTIME) ./internal/decoder/
+	go test -run '^$$' -fuzz '^FuzzLaneSchedule$$' -fuzztime $(FUZZTIME) ./internal/pool/
 	go test -run '^$$' -fuzz '^FuzzBiasCompiler$$' -fuzztime $(FUZZTIME) ./internal/bias/
 
 # Coverage floors: the decoder package (Viterbi hot path — token store,
@@ -149,33 +141,20 @@ check: lint asm-check race cover fuzz-smoke
 bench:
 	go test -bench=. -benchmem ./...
 
-# Re-measures the decode hot path (tokenstore vs map-reference frontier,
-# streaming, worker pool, batched lanes, score-ahead pipeline) and rewrites
-# BENCH_PR3.json plus the lane-width sweep in BENCH_PR8.json and the
-# lookahead sweep in BENCH_PR9.json; the history lives in docs/BENCHMARKS.md.
-bench-report:
-	go test -run '^$$' -bench 'FrontierDecode|StreamPush|ParallelDecode' -benchmem .
-	go run ./cmd/unfold-bench -out BENCH_PR3.json
-	go run ./cmd/unfold-bench -lanes -out BENCH_PR8.json
-	go run ./cmd/unfold-bench -pipeline -out BENCH_PR9.json
-
-# Benchmark-regression smoke: re-measures the hot path and fails if any
-# row's allocs/frame exceeds the committed BENCH_PR3.json baseline.
-# Allocation counts (unlike wall-clock) are stable across machines, so this
-# is safe to run on shared CI runners. The two timing gates are same-run
-# ratios, not absolutes: TestScoreKernelRatio times the blocked
-# ScoreUtterance kernel against the scalar test oracle (median of 5) and
-# fails below 4.0x for the DNN on the AVX2 tile (1.3x on the generic path; the
-# test logs which ran), 2.8x / 1.5x for the GMM on the same two paths, 0.95x
-# for the RNN; TestSearchKernelRatio
-# times the tokenStore search against the map oracle on a 12 000-word
-# fixture at beam 85 (median of 5) and fails below 5.5x. Last, the bench
-# harness checks itself: `go run ./bench -smoke` runs every workload on the
-# 40-word fixture in under 10 s, its on-the-fly == fully-composed transcript
-# gate included.
+# Benchmark-regression smoke. The allocs/frame gates are ordinary tests
+# (internal/decoder/alloc_test.go, TestAllocsPoolDecode in internal/pool),
+# so `make test` and `make check` already hold them. The two timing gates
+# are same-run ratios, not absolutes, so they are safe on shared CI
+# runners: TestScoreKernelRatio times the blocked ScoreUtterance kernel
+# against the scalar test oracle (median of 5) and fails below 4.0x for the
+# DNN on the AVX2 tile (1.3x on the generic path; the test logs which ran),
+# 2.8x / 1.5x for the GMM on the same two paths, 0.95x for the RNN;
+# TestSearchKernelRatio times the tokenStore search against the map oracle
+# on a 12 000-word fixture at beam 85 (median of 5) and fails below 5.5x.
+# Last, the bench harness checks itself: `go run ./bench -smoke` runs every
+# workload on the 40-word fixture in under 10 s, its on-the-fly ==
+# fully-composed transcript gate included.
 bench-check:
-	@mkdir -p build
-	go run ./cmd/unfold-bench -out build/unfold-bench-check.json -check BENCH_PR3.json
 	go test -run TestScoreKernelRatio -count=1 -v ./internal/acoustic
 	go test -run TestSearchKernelRatio -count=1 -v ./internal/decoder
 	go run ./bench -smoke

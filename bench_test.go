@@ -325,8 +325,8 @@ func BenchmarkParallelDecode(b *testing.B) {
 // tokenStore (Decode) and over the retained per-frame map frontier
 // (DecodeReference). The two produce byte-identical results — the
 // differential suite proves it — so every difference in ns/frame and
-// allocs/frame is attributable to frontier storage. cmd/unfold-bench runs
-// the same comparison and records it in BENCH_PR3.json.
+// allocs/frame is attributable to frontier storage; TestSearchKernelRatio
+// holds the speed half as a same-run ratio.
 func BenchmarkFrontierDecode(b *testing.B) {
 	f := getBenchFixture(b)
 	frames := benchFrames(f)

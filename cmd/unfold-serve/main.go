@@ -106,7 +106,6 @@ func main() {
 	workers := flag.Int("workers", 0, "batch decode workers (0 = GOMAXPROCS)")
 	lanes := flag.Int("lanes", 0, "frame-synchronous decode lanes per model: concurrent utterances share one batched scorer call per frame (0 = classic per-worker paths)")
 	rescue := flag.Int("rescue", 2, "search-failure rescue widenings per frame")
-	lookahead := flag.Int("lookahead", 0, "score-ahead pipeline depth in frames: acoustic scoring runs up to this many frames ahead of the search, whole windows per scorer call (0 = synchronous; results identical either way)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	noPprof := flag.Bool("no-pprof", false, "disable the /debug/pprof endpoints")
 	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent batch decodes (0 = pool workers)")
@@ -140,7 +139,7 @@ func main() {
 	srv := server.New(server.Config{
 		Workers:      *workers,
 		Lanes:        *lanes,
-		Decoder:      decoder.Config{PreemptivePruning: true, RescueWidenings: *rescue, Lookahead: *lookahead},
+		Decoder:      decoder.Config{PreemptivePruning: true, RescueWidenings: *rescue},
 		DisablePprof: *noPprof,
 		ModelBudget:  *modelBudget,
 		Admission: server.AdmissionConfig{

@@ -42,7 +42,7 @@ const scoreBlock = tileLanes
 // through ScoreWindow in scoreBlock-wide blocks against a window state
 // borrowed from the scorer's pool, so a call allocates the result and
 // nothing else, whatever the frame count.
-func scoreBlocked(sc WindowScorer, states *sync.Pool, frames [][]float32) [][]float32 {
+func scoreBlocked(sc windowScorer, states *sync.Pool, frames [][]float32) [][]float32 {
 	dim := sc.ScoreDim()
 	out := make([][]float32, len(frames))
 	slab := make([]float32, len(frames)*dim)

@@ -104,7 +104,7 @@ func nonFiniteUtt(rng *rand.Rand, n, dim int) [][]float32 {
 // checkNonFiniteParity scores a non-finite utterance of each edge length
 // through ScoreUtterance and through ScoreWindow at widths 1, 8, 16 and 32,
 // and compares with the scalar oracle by bit pattern.
-func checkNonFiniteParity(t *testing.T, label string, sc WindowScorer, dim int) {
+func checkNonFiniteParity(t *testing.T, label string, sc windowScorer, dim int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 15, 16, 17, 33} {

@@ -1,11 +1,9 @@
 package acoustic
 
-// Window scoring: the dense half of the decoder's score-ahead pipeline
-// (see internal/decoder/pipeline.go). Where ScoreStep advances N different
-// utterances by one frame, ScoreWindow advances ONE utterance by up to
-// `width` consecutive frames in a single call, so the pipeline's producer
-// stage scores a whole lookahead window per scorer invocation instead of a
-// frame at a time.
+// Window scoring: ScoreUtterance's 16-frame block kernel. Where ScoreStep
+// advances N different utterances by one frame, ScoreWindow advances ONE
+// utterance by up to `width` consecutive frames in a single call, so every
+// weight row is read once per block of frames instead of once per frame.
 //
 // The batching trick is the same loop interchange as batch.go, rotated 90°:
 // frames of one utterance take the place of lanes. For the stateless
@@ -29,12 +27,12 @@ package acoustic
 // down for all three scorers.
 //
 // ScoreUtterance is this kernel driven to completion: scoreBlocked
-// (scorer.go) walks the utterance through ScoreWindow in scoreBlock-wide
-// windows against a pooled window state.
+// (scorer.go), its only caller, walks the utterance through ScoreWindow in
+// scoreBlock-wide windows against a pooled window state.
 
-// WindowScorer is a BatchScorer that can additionally score a window of
+// windowScorer is a BatchScorer that can additionally score a window of
 // consecutive frames of one utterance in a single call.
-type WindowScorer interface {
+type windowScorer interface {
 	BatchScorer
 	// NewWindowState allocates the state for scoring one utterance through
 	// windows of at most width frames: the recurrent state (RNN) plus all
@@ -51,19 +49,19 @@ type WindowScorer interface {
 	// Like ScoreStep, ScoreWindow touches only the state and the out rows,
 	// so it may run concurrently with ScoreUtterance/ScoreStep calls on the
 	// same scorer (model weights are read-only after construction). This is
-	// what lets the pipeline's producer goroutine score ahead while other
-	// decoders share the scorer.
+	// what keeps ScoreUtterance safe for concurrent use: each call scores its
+	// blocks against a window state of its own.
 	ScoreWindow(state LaneState, frames, out [][]float32)
 }
 
 // ---------------------------------------------------------------------------
 // GMM
 
-// NewWindowState implements WindowScorer: the stateless GMM needs only the
+// NewWindowState implements windowScorer: the stateless GMM needs only the
 // tile scratch a lane state carries, whatever the width.
 func (g *GMMScorer) NewWindowState(width int) LaneState { return g.NewLaneState() }
 
-// ScoreWindow implements WindowScorer: the GMM has no cross-frame state, so
+// ScoreWindow implements windowScorer: the GMM has no cross-frame state, so
 // the window's frames are a compacted lane batch as they stand and go
 // straight to stepLanes — senone-outer, frame-inner, each component-mean
 // row read once per window.
@@ -84,7 +82,7 @@ type dnnWindowState struct {
 
 func (*dnnWindowState) Reset() {}
 
-// NewWindowState implements WindowScorer.
+// NewWindowState implements windowScorer.
 func (d *DNNScorer) NewWindowState(width int) LaneState {
 	ws := &dnnWindowState{states: make([]LaneState, width)}
 	for i := range ws.states {
@@ -93,7 +91,7 @@ func (d *DNNScorer) NewWindowState(width int) LaneState {
 	return ws
 }
 
-// ScoreWindow implements WindowScorer: frames are independent, so the window
+// ScoreWindow implements windowScorer: frames are independent, so the window
 // runs as a lane batch through ScoreStep — every weight row of w1/wh and
 // every template/projection row streams through the cache once per window
 // and meets the frames as the lanes of a SIMD tile (or, without AVX2, four
@@ -120,7 +118,7 @@ type rnnWindowState struct {
 	txRows [][]float32
 }
 
-// NewWindowState implements WindowScorer.
+// NewWindowState implements windowScorer.
 func (r *RNNScorer) NewWindowState(width int) LaneState {
 	dim := r.m.NumSenones + 1
 	ws := &rnnWindowState{
@@ -142,7 +140,7 @@ func (r *RNNScorer) NewWindowState(width int) LaneState {
 	return ws
 }
 
-// ScoreWindow implements WindowScorer. Phase one batches everything that
+// ScoreWindow implements windowScorer. Phase one batches everything that
 // does not depend on the recurrence: each wx row and each template row is
 // dotted against all window frames with rowDotLanes (four frames' chains
 // interleaved per row — the dot4 ILP batch.go documents). Phase two is the

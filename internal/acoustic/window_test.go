@@ -8,21 +8,21 @@ import (
 
 // windowScorers asserts every repo scorer supports window scoring and
 // returns them typed.
-func windowScorers(t *testing.T) (*SenoneModel, []WindowScorer) {
+func windowScorers(t *testing.T) (*SenoneModel, []windowScorer) {
 	t.Helper()
 	m, batch := batchScorers(t)
-	ws := make([]WindowScorer, len(batch))
+	ws := make([]windowScorer, len(batch))
 	for i, sc := range batch {
-		w, ok := sc.(WindowScorer)
+		w, ok := sc.(windowScorer)
 		if !ok {
-			t.Fatalf("%s does not implement WindowScorer", sc.Name())
+			t.Fatalf("%s does not implement windowScorer", sc.Name())
 		}
 		ws[i] = w
 	}
 	return m, ws
 }
 
-// TestScoreWindowMatchesUtterance is the score-ahead determinism contract:
+// TestScoreWindowMatchesUtterance is the block kernel's determinism contract:
 // for every scorer kind and a sweep of window widths — including widths that
 // split the utterance unevenly and a width larger than the utterance — the
 // rows produced by consecutive ScoreWindow calls are float32-bitwise-
@@ -37,7 +37,7 @@ func TestScoreWindowMatchesUtterance(t *testing.T) {
 	}
 }
 
-func testScoreWindowMatches(t *testing.T, scorers []WindowScorer, utt [][]float32) {
+func testScoreWindowMatches(t *testing.T, scorers []windowScorer, utt [][]float32) {
 	for _, sc := range scorers {
 		want := scalarScore(t, sc, utt)
 		if d := diffRows(sc.ScoreUtterance(utt), want); d != "" {
@@ -111,8 +111,8 @@ func TestWindowStateReset(t *testing.T) {
 	}
 }
 
-// TestScoreWindowAllocs: window scoring must not allocate — it runs on the
-// pipeline's producer goroutine inside the 0-allocs/frame contract.
+// TestScoreWindowAllocs: window scoring must not allocate — it is every
+// ScoreUtterance block, inside the one-slab-per-utterance allocation contract.
 func TestScoreWindowAllocs(t *testing.T) {
 	m, scorers := windowScorers(t)
 	rng := rand.New(rand.NewSource(22))

@@ -148,7 +148,6 @@ func TestAllocsDecodePerFrame(t *testing.T) {
 // "0 allocs per frame": the whole continuous-batching cycle (slot recycling,
 // stream reset, scorer-state reset, feature queueing) is on the measured
 // path, so a per-join allocation fails the gate just like a per-frame one.
-// unfold-bench's lanes row re-measures the same loop for `-check`.
 func TestAllocsLaneStep(t *testing.T) {
 	f := getFixture(t, 42)
 	const width = 4

@@ -81,7 +81,7 @@ func (d *OnTheFly) unpack(key uint64) (am, lm, bs wfst.StateID) {
 }
 
 // startKey is the composed start state all decode paths (batch, stream,
-// pipeline) seed their first frontier with.
+// lanes) seed their first frontier with.
 func (d *OnTheFly) startKey() uint64 {
 	if d.bias == nil {
 		return otfKey(d.am.Start(), d.lm.Start())

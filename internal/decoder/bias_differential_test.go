@@ -14,11 +14,11 @@ import (
 // machine at all — same hypotheses, same cost bits, same lattices, same
 // search statistics, same per-frame frontier contents in the same order —
 // across the seeded task×config matrix and every decode path (solo batch,
-// stream, lanes, pipeline lookahead). The empty machine runs the REAL
-// three-way composition code (26/26/12 keys, Advance on every emitted word,
-// bias final weights), so any drift the bias seam introduces in packing,
-// pruning order or weight arithmetic shows up here as a frame-level diff
-// against both the nil decoder and the retained two-layer reference.
+// stream, lanes). The empty machine runs the REAL three-way composition
+// code (26/26/12 keys, Advance on every emitted word, bias final weights),
+// so any drift the bias seam introduces in packing, pruning order or weight
+// arithmetic shows up here as a frame-level diff against both the nil
+// decoder and the retained two-layer reference.
 
 // numLookup resolves phrase words written as decimal word IDs ("3 17"),
 // letting decoder-level tests build machines without a written lexicon.
@@ -286,57 +286,10 @@ func TestDifferentialNilVsEmptyBiasLanes(t *testing.T) {
 	}
 }
 
-// TestDifferentialNilVsEmptyBiasPipeline runs empty-bias decoders behind the
-// score-ahead pipeline at several lookahead depths against synchronous
-// nil-bias decodes, frontiers included.
-func TestDifferentialNilVsEmptyBiasPipeline(t *testing.T) {
-	f := getFixture(t, 42)
-	for _, tc := range diffConfigs {
-		for _, k := range []int{4, 16} {
-			t.Run(fmt.Sprintf("%s/k%d", tc.name, k), func(t *testing.T) {
-				cfg := tc.cfg
-				cfg.Lookahead = k
-				dEmpty, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := dEmpty.SetBias(emptyBiasMachine(t)); err != nil {
-					t.Fatal(err)
-				}
-				p, err := NewPipeline(dEmpty, f.tk.Scorer)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer p.Close()
-				dNil, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, tc.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, u := range f.tk.Test {
-					in := f.scores[i]
-					frames := u.Frames
-					if tc.cfg.RescueWidenings > 0 && len(in) > 2 {
-						in = poisonFrame(in, len(in)/2)
-						// The pipeline scores features itself, so poison the
-						// sync path only when both see the same rows.
-						continue
-					}
-					emptySnaps := captureNormFrames(dEmpty)
-					nilSnaps := captureNormFrames(dNil)
-					rEmpty := p.Decode(frames)
-					rNil := dNil.Decode(in)
-					compareResults(t, fmt.Sprintf("utt %d pipeline", i), rEmpty, rNil)
-					compareNormSnaps(t, *emptySnaps, *nilSnaps)
-				}
-			})
-		}
-	}
-}
-
 // TestBiasedDecodeAgreesAcrossPaths locks the biased (non-empty machine)
 // decode itself: the same utterance with the same installed machine must
-// produce byte-identical results through solo batch, stream, lane and
-// pipelined decodes — biasing changes WHAT wins, never path determinism.
+// produce byte-identical results through solo batch, stream and lane
+// decodes — biasing changes WHAT wins, never path determinism.
 func TestBiasedDecodeAgreesAcrossPaths(t *testing.T) {
 	f := getFixture(t, 42)
 	// Bias toward the reference words of utterance 0 so the machine
@@ -356,9 +309,8 @@ func TestBiasedDecodeAgreesAcrossPaths(t *testing.T) {
 		t.Fatalf("phrase %q did not compile", phrase)
 	}
 
-	mk := func(lookahead int) *OnTheFly {
-		cfg := Config{PreemptivePruning: true, Lookahead: lookahead}
-		d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, cfg)
+	mk := func() *OnTheFly {
+		d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,9 +320,9 @@ func TestBiasedDecodeAgreesAcrossPaths(t *testing.T) {
 		return d
 	}
 
-	want := mk(0).Decode(f.scores[0])
+	want := mk().Decode(f.scores[0])
 
-	s := mk(0).NewStream()
+	s := mk().NewStream()
 	for _, frame := range f.scores[0] {
 		if err := s.Push(frame); err != nil {
 			t.Fatal(err)
@@ -382,7 +334,7 @@ func TestBiasedDecodeAgreesAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := g.Join(mk(0))
+	l, err := g.Join(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +342,4 @@ func TestBiasedDecodeAgreesAcrossPaths(t *testing.T) {
 	for g.Step() > 0 {
 	}
 	compareResults(t, "biased lane vs solo", l.Finish(), want)
-
-	p, err := NewPipeline(mk(8), f.tk.Scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	compareResults(t, "biased pipeline vs solo", p.Decode(f.tk.Test[0].Frames), want)
 }

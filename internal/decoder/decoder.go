@@ -76,18 +76,6 @@ type Config struct {
 	// never changes search behaviour; it only observes Stats the search
 	// already counts.
 	Telemetry *Telemetry
-	// Lookahead is the score-ahead pipeline depth in frames, consumed by
-	// NewPipeline (and by lane groups built over it): acoustic scoring runs
-	// up to Lookahead frames ahead of the Viterbi search over a bounded
-	// ring of preallocated score rows, and each scorer call covers a whole
-	// lookahead window instead of a single frame. 0, the default, is the
-	// synchronous path — scoring and search in lockstep, byte-identical to
-	// the pre-pipeline decoder. Lookahead > 0 requires a scorer that
-	// implements acoustic.WindowScorer; results are byte-identical to the
-	// synchronous path at any depth (the differential oracle in
-	// pipeline_test.go locks this down). The decoder core ignores this
-	// field — it decodes whatever score rows it is handed.
-	Lookahead int
 	// RescueWidenings enables search-failure rescue on the on-the-fly
 	// decoder: when a frame empties the active-token set mid-utterance, the
 	// frame is retried from a pre-pruning snapshot with the beam and

@@ -42,17 +42,6 @@ type LaneGroup struct {
 	rows   [][]float32
 	states []acoustic.LaneState
 
-	// Score-ahead mode (NewLaneGroupLookahead with lookahead > 0): each
-	// slot's state is a window state and each lane carries a private ring
-	// of lookahead score rows; Step refills an empty ring with ONE
-	// ScoreWindow call covering up to lookahead queued frames, so the
-	// per-frame batched scorer call becomes a per-window call
-	// (ScorerCallsPerFrame approaches 1/lookahead). Lookahead 0 is the
-	// PR-8 frame-synchronous path, unchanged.
-	lookahead    int
-	wscorer      acoustic.WindowScorer
-	wfbuf, wobuf [][]float32 // per-call window gather scratch
-
 	stats LaneStats
 }
 
@@ -92,31 +81,12 @@ type Lane struct {
 	head    int         // next pending index to step
 	active  bool
 	err     error // recovered panic from this lane's frontier step
-
-	// Score-ahead state (lookahead mode only): ring holds rows scored
-	// ahead of the search for this lane; scored is the pending index up to
-	// which frames have been handed to the scorer (invariant:
-	// scored == head + rCount).
-	ring   [][]float32
-	rHead  int
-	rCount int
-	scored int
 }
 
 // NewLaneGroup builds a group of width slots over a batch-capable scorer.
 // All repo scorers (GMM/DNN/RNN) implement acoustic.BatchScorer; the error
 // covers external Scorer implementations that do not.
 func NewLaneGroup(scorer acoustic.Scorer, width int) (*LaneGroup, error) {
-	return NewLaneGroupLookahead(scorer, width, 0)
-}
-
-// NewLaneGroupLookahead builds a lane group with a score-ahead stage:
-// lookahead > 0 makes each Step refill a lane's empty row ring with one
-// window-batched scorer call over up to lookahead queued frames, instead of
-// scoring one frame per lane per step. Results are byte-identical to
-// lookahead 0 (and to solo decodes) at any depth. Requires the scorer to
-// implement acoustic.WindowScorer when lookahead > 0.
-func NewLaneGroupLookahead(scorer acoustic.Scorer, width, lookahead int) (*LaneGroup, error) {
 	bs, ok := scorer.(acoustic.BatchScorer)
 	if !ok {
 		return nil, fmt.Errorf("decoder: scorer %s does not support batched lane scoring", scorer.Name())
@@ -124,39 +94,18 @@ func NewLaneGroupLookahead(scorer acoustic.Scorer, width, lookahead int) (*LaneG
 	if width < 1 {
 		return nil, fmt.Errorf("decoder: lane group width must be >= 1, got %d", width)
 	}
-	if lookahead < 0 {
-		return nil, fmt.Errorf("decoder: negative lane lookahead %d", lookahead)
-	}
 	g := &LaneGroup{
-		scorer:    bs,
-		lanes:     make([]Lane, width),
-		free:      make([]int, 0, width),
-		feats:     make([][]float32, width),
-		rows:      make([][]float32, width),
-		states:    make([]acoustic.LaneState, width),
-		lookahead: lookahead,
-	}
-	if lookahead > 0 {
-		ws, ok := scorer.(acoustic.WindowScorer)
-		if !ok {
-			return nil, fmt.Errorf("decoder: scorer %s does not support window scoring (lookahead %d)", scorer.Name(), lookahead)
-		}
-		g.wscorer = ws
-		g.wfbuf = make([][]float32, lookahead)
-		g.wobuf = make([][]float32, lookahead)
+		scorer: bs,
+		lanes:  make([]Lane, width),
+		free:   make([]int, 0, width),
+		feats:  make([][]float32, width),
+		rows:   make([][]float32, width),
+		states: make([]acoustic.LaneState, width),
 	}
 	for i := range g.lanes {
 		g.lanes[i] = Lane{g: g, idx: i}
 		g.rows[i] = make([]float32, bs.ScoreDim())
-		if lookahead > 0 {
-			g.states[i] = g.wscorer.NewWindowState(lookahead)
-			g.lanes[i].ring = make([][]float32, lookahead)
-			for j := range g.lanes[i].ring {
-				g.lanes[i].ring[j] = make([]float32, bs.ScoreDim())
-			}
-		} else {
-			g.states[i] = bs.NewLaneState()
-		}
+		g.states[i] = bs.NewLaneState()
 		g.free = append(g.free, i)
 	}
 	return g, nil
@@ -189,7 +138,6 @@ func (g *LaneGroup) Join(d *OnTheFly) (*Lane, error) {
 	l.err = nil
 	l.head = 0
 	l.pending = l.pending[:0]
-	l.scored, l.rHead, l.rCount = 0, 0, 0
 	if l.s == nil {
 		l.s = d.NewStream()
 	} else {
@@ -206,9 +154,6 @@ func (g *LaneGroup) Join(d *OnTheFly) (*Lane, error) {
 // is idle or drained). Lanes whose search has died drop their remaining
 // queue — a dead stream's Push is a no-op, so the result cannot change.
 func (g *LaneGroup) Step() int {
-	if g.lookahead > 0 {
-		return g.stepLookahead()
-	}
 	any := false
 	for i := range g.lanes {
 		l := &g.lanes[i]
@@ -248,61 +193,6 @@ func (g *LaneGroup) Step() int {
 	return advanced
 }
 
-// stepLookahead advances every active lane by one frame in score-ahead
-// mode. A lane whose ring is empty first refills it with ONE ScoreWindow
-// call covering up to lookahead queued frames — that is the whole
-// amortization: with depth k the batched per-frame call of the synchronous
-// group becomes one call per k frames. Each lane then consumes one ring row
-// through its frontier step, keeping the lanes frame-synchronous with each
-// other. A ScoreWindow panic propagates to the caller like a ScoreStep
-// panic does (the pool's scheduler contains it and fails the group's active
-// lanes); a panic in a lane's own frontier step is contained per-lane by
-// Lane.step as usual.
-func (g *LaneGroup) stepLookahead() int {
-	advanced := 0
-	for i := range g.lanes {
-		l := &g.lanes[i]
-		if !l.active || l.head >= len(l.pending) {
-			continue
-		}
-		if l.s.dead || l.err != nil {
-			l.pending = l.pending[:0]
-			l.head, l.scored, l.rHead, l.rCount = 0, 0, 0, 0
-			continue
-		}
-		if l.rCount == 0 {
-			w := len(l.pending) - l.scored
-			if w > g.lookahead {
-				w = g.lookahead
-			}
-			for j := 0; j < w; j++ {
-				g.wfbuf[j] = l.pending[l.scored+j]
-				g.wobuf[j] = l.ring[j]
-			}
-			g.stats.ScorerCalls++
-			g.wscorer.ScoreWindow(g.states[i], g.wfbuf[:w], g.wobuf[:w])
-			l.scored += w
-			l.rCount = w
-			l.rHead = 0
-		}
-		row := l.ring[l.rHead]
-		l.rHead++
-		l.rCount--
-		l.head++
-		if l.head == len(l.pending) {
-			l.pending = l.pending[:0]
-			l.head, l.scored, l.rHead, l.rCount = 0, 0, 0, 0
-		}
-		l.step(row)
-		advanced++
-	}
-	if advanced > 0 {
-		g.stats.Frames += int64(advanced)
-		g.stats.Steps++
-	}
-	return advanced
-}
-
 // step pushes one score row through the lane's stream with panic isolation:
 // a panic in this lane's frontier step (an out-of-range read on a poisoned
 // row) marks the lane failed without disturbing the other lanes, mirroring
@@ -328,13 +218,10 @@ func (l *Lane) Pending() int { return len(l.pending) - l.head }
 
 // DropPending discards the queued-but-unstepped frames — the cancellation
 // path: the utterance ends at the frames already consumed, and Finish then
-// returns that partial result without stepping further. In score-ahead mode
-// rows already scored but not yet searched are discarded with them (the
-// search never saw those frames, so the result is exactly the decode of the
-// consumed prefix).
+// returns that partial result without stepping further.
 func (l *Lane) DropPending() {
 	l.pending = l.pending[:0]
-	l.head, l.scored, l.rHead, l.rCount = 0, 0, 0, 0
+	l.head = 0
 }
 
 // Frames reports how many frames this lane's search has consumed.
@@ -377,7 +264,7 @@ func (l *Lane) release() {
 	}
 	l.active = false
 	l.pending = l.pending[:0]
-	l.head, l.scored, l.rHead, l.rCount = 0, 0, 0, 0
+	l.head = 0
 	l.g.free = append(l.g.free, l.idx)
 	l.g.stats.Drains++
 }

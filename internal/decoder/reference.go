@@ -11,8 +11,9 @@ import (
 // oracle for the zero-allocation hot path — DecodeReference must produce
 // byte-identical hypotheses, costs, lattices and (Search-view) Stats to
 // Decode, which the differential harness in differential_test.go asserts
-// over randomized tasks, and cmd/unfold-bench uses it as the "before"
-// implementation when measuring the allocation win. It allocates exactly
+// over randomized tasks, and TestSearchKernelRatio and
+// BenchmarkFrontierDecode use it as the "before" implementation when
+// measuring the speed and allocation win. It allocates exactly
 // the way the seed decoder did: fresh maps, key slices and closure queues
 // every frame.
 

@@ -48,16 +48,6 @@ type Telemetry struct {
 	SearchFailures   *telemetry.Counter
 	LatticeEntries   *telemetry.Counter
 
-	// Score-ahead pipeline instruments (pipeline.go). PipelineRingDepth is
-	// the most recently sampled lookahead-ring occupancy (scored rows not
-	// yet searched); PipelineStalls counts search steps that found the ring
-	// empty and had to wait for the scorer; PipelineScoreLead is the
-	// distribution of how many frames ahead scoring was each time the
-	// search consumed a row.
-	PipelineRingDepth *telemetry.Gauge
-	PipelineStalls    *telemetry.Counter
-	PipelineScoreLead *telemetry.Histogram
-
 	// Tracer, when non-nil, records one span per decode or stream with the
 	// headline counters as attributes.
 	Tracer *telemetry.Tracer
@@ -90,30 +80,8 @@ func NewTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) *Telemetry 
 		SearchFailures:   reg.Counter("unfold_decoder_search_failures_total", "Frames whose active set emptied for good."),
 		LatticeEntries:   reg.Counter("unfold_decoder_lattice_entries_total", "Word-lattice records written."),
 
-		PipelineRingDepth: reg.Gauge("unfold_pipeline_ring_depth", "Scored frames waiting in the lookahead ring (last sample)."),
-		PipelineStalls:    reg.Counter("unfold_pipeline_stalls_total", "Search steps that waited on an empty lookahead ring."),
-		PipelineScoreLead: reg.Histogram("unfold_pipeline_score_lead_frames", "Frames of scoring lead when the search consumed a row.", telemetry.ExpBuckets(1, 2, 8)),
-
 		Tracer: tracer,
 	}
-}
-
-// observeScoreLead records the scoring lead (ring occupancy) seen as the
-// search consumed one row.
-func (t *Telemetry) observeScoreLead(lead int) {
-	if t == nil {
-		return
-	}
-	t.PipelineRingDepth.Set(float64(lead))
-	t.PipelineScoreLead.Observe(float64(lead))
-}
-
-// countStall records one search step that found the lookahead ring empty.
-func (t *Telemetry) countStall() {
-	if t == nil {
-		return
-	}
-	t.PipelineStalls.Inc()
 }
 
 // observeFrontier records one frame's post-closure active-token count.

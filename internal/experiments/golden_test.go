@@ -185,69 +185,6 @@ func TestGoldenDecodesLanes(t *testing.T) {
 	}
 }
 
-// decodeGoldenPipelined decodes the task's test set through a score-ahead
-// Pipeline at the given lookahead depth.
-func decodeGoldenPipelined(t *testing.T, tk *task.Task, cfg decoder.Config, lookahead int) []goldenUtt {
-	t.Helper()
-	cfg.Lookahead = lookahead
-	d, err := decoder.NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := decoder.NewPipeline(d, tk.Scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	var out []goldenUtt
-	for _, u := range tk.Test {
-		r := p.Decode(u.Frames)
-		out = append(out, goldenUtt{
-			Words:        r.Words,
-			WordEnds:     r.WordEnds,
-			Cost:         float64(r.Cost),
-			ReachedFinal: r.ReachedFinal,
-		})
-	}
-	return out
-}
-
-// TestGoldenDecodesPipelined replays the four evaluation tasks through the
-// asynchronous score-ahead pipeline and holds the results to the *solo*
-// fixtures — like the lane replay, no pipeline testdata exists on purpose.
-// Scoring ahead of the search must be invisible in the output at every
-// lookahead depth: same words, same end frames, same costs, under both
-// pinned search configurations.
-func TestGoldenDecodesPipelined(t *testing.T) {
-	if *updateGolden {
-		t.Skip("pipelined decodes assert against the solo fixtures; nothing to update")
-	}
-	for _, spec := range task.AllSpecs(goldenScale) {
-		spec.TestUtterances = goldenUtterances
-		tk, err := task.Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, gc := range goldenConfigs {
-			path := goldenPath(spec.Name, gc.name)
-			for _, k := range []int{4, 16} {
-				t.Run(fmt.Sprintf("%s/%s/k%d", spec.Name, gc.name, k), func(t *testing.T) {
-					got := decodeGoldenPipelined(t, tk, gc.cfg, k)
-					data, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing fixture (run `go test ./internal/experiments -run Golden -update`): %v", err)
-					}
-					var want goldenFile
-					if err := json.Unmarshal(data, &want); err != nil {
-						t.Fatal(err)
-					}
-					compareGolden(t, got, want.Utterances)
-				})
-			}
-		}
-	}
-}
-
 func compareGolden(t *testing.T, got, want []goldenUtt) {
 	t.Helper()
 	if len(got) != len(want) {

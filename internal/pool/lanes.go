@@ -105,11 +105,7 @@ type LaneScheduler struct {
 // concurrent ScoreUtterance callers while the scheduler is live.
 func NewLaneScheduler(amGraph, lmGraph *wfst.WFST, scorer acoustic.Scorer, cfg LaneConfig) (*LaneScheduler, error) {
 	cfg = cfg.withDefaults()
-	// cfg.Decoder.Lookahead > 0 puts the group in score-ahead mode: each
-	// lane keeps a ring of that many pre-scored frames and one window-sized
-	// scorer call refills it, amortizing scorer dispatch across frames on
-	// top of the cross-lane batching. Results are byte-identical either way.
-	group, err := decoder.NewLaneGroupLookahead(scorer, cfg.Lanes, cfg.Decoder.Lookahead)
+	group, err := decoder.NewLaneGroup(scorer, cfg.Lanes)
 	if err != nil {
 		return nil, err
 	}

@@ -236,3 +236,45 @@ func TestDecodePoolPreset(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsPoolDecode is the worker pool's allocation gate: a warm
+// 4-worker pool decoding a 16-utterance batch pays a fixed bill per
+// utterance (result and error slots, Result construction, the backtrace)
+// and nothing per frame. Measured: 151 objects per batch, 9.4 per
+// utterance, and 179 with every utterance doubled in length (longer
+// backtraces). Both limits carry 1.25x headroom over those counts.
+func TestAllocsPoolDecode(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const (
+		headroom   = 1.25
+		perUttBase = 151.0 / 16
+	)
+	f := getFixture(t)
+	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{Workers: 4, Decoder: decoder.Config{PreemptivePruning: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := append(append([][][]float32(nil), f.scores...), f.scores...)
+	long := make([][][]float32, len(batch))
+	for i, sc := range batch {
+		long[i] = append(append([][]float32(nil), sc...), sc...)
+	}
+	perBatch := func(b [][][]float32) float64 {
+		if _, err := p.Decode(b); err != nil { // warm every worker's scratch and offset table
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() { p.Decode(b) })
+	}
+	short, doubled := perBatch(batch), perBatch(long)
+	perUtt := short / float64(len(batch))
+	t.Logf("%d-utterance batch: %.0f objects (%.1f per utterance); doubled frames: %.0f", len(batch), short, perUtt, doubled)
+	if perUtt > headroom*perUttBase {
+		t.Errorf("pool decode allocates %.1f objects per utterance, want <= %.1f", perUtt, headroom*perUttBase)
+	}
+	if doubled > headroom*short {
+		t.Errorf("doubling every utterance's frames grew the batch bill from %.0f to %.0f objects, want <= %.0f",
+			short, doubled, headroom*short)
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/acoustic"
 	"repro/internal/decoder"
 	"repro/internal/pool"
 )
@@ -430,26 +429,6 @@ func (e *soloStreamEngine) partial() []int32                 { return e.stream.P
 func (e *soloStreamEngine) finish() (*decoder.Result, error) { return e.stream.Finish(), nil }
 func (e *soloStreamEngine) abort()                           {}
 
-// pipeStreamEngine is the score-ahead solo path (Config.Decoder.Lookahead >
-// 0 with a window-capable scorer): a private Pipeline scores up to k frames
-// ahead of this connection's search, whole windows per scorer call — window
-// state is private per pipeline, so concurrent streams batch their own dense
-// work independently. Results are byte-identical to the solo engine at
-// lookahead 0.
-type pipeStreamEngine struct {
-	p *decoder.Pipeline
-	s *decoder.PipeStream
-}
-
-func (e *pipeStreamEngine) push(frames [][]float32) error { return e.s.Push(frames) }
-func (e *pipeStreamEngine) partial() []int32              { return e.s.Partial() }
-func (e *pipeStreamEngine) finish() (*decoder.Result, error) {
-	res, err := e.s.Finish()
-	e.p.Close()
-	return res, err
-}
-func (e *pipeStreamEngine) abort() { e.p.Close() }
-
 // laneStreamEngine rides one lane of the model's scheduler: every push
 // joins the frame-synchronous lockstep group, so this stream's dense
 // scoring shares matrix work with every other in-flight utterance.
@@ -603,12 +582,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	} else {
 		dcfg := s.cfg.Decoder
 		dcfg.Telemetry = s.ptel.Decoder
-		ws, window := m.scorer().(acoustic.WindowScorer)
-		if dcfg.Lookahead > 0 && !window {
-			// Window-incapable scorer: fall back to the synchronous engine
-			// rather than failing the connection.
-			dcfg.Lookahead = 0
-		}
 		dec, err := decoder.NewOnTheFly(m.amGraph(), m.lmGraph(), dcfg)
 		if err != nil {
 			s.fail(w, http.StatusInternalServerError, "internal", err.Error())
@@ -626,16 +599,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if dcfg.Lookahead > 0 {
-			p, err := decoder.NewPipeline(dec, ws)
-			if err != nil {
-				s.fail(w, http.StatusInternalServerError, "internal", err.Error())
-				return
-			}
-			eng = &pipeStreamEngine{p: p, s: p.NewStream()}
-		} else {
-			eng = &soloStreamEngine{m: m, stream: dec.NewStream()}
-		}
+		eng = &soloStreamEngine{m: m, stream: dec.NewStream()}
 	}
 	// Runs on every exit path; a lane is released even when the client
 	// vanishes mid-utterance. No-op after a completed finish.
