@@ -272,6 +272,162 @@ func TestDifferentialLanesVsSolo(t *testing.T) {
 	}
 }
 
+// comparePipelineResults asserts two results are byte-identical under the
+// deterministic search view.
+func comparePipelineResults(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got == nil {
+		t.Fatalf("%s: no pipelined result", label)
+	}
+	if got.Cost != want.Cost {
+		t.Errorf("%s cost: pipelined %v, sync %v", label, got.Cost, want.Cost)
+	}
+	if got.ReachedFinal != want.ReachedFinal {
+		t.Errorf("%s finality: pipelined %v, sync %v", label, got.ReachedFinal, want.ReachedFinal)
+	}
+	if !equalInt32s(got.Words, want.Words) {
+		t.Errorf("%s words: pipelined %v, sync %v", label, got.Words, want.Words)
+	}
+	if !equalInt32s(got.WordEnds, want.WordEnds) {
+		t.Errorf("%s word ends: pipelined %v, sync %v", label, got.WordEnds, want.WordEnds)
+	}
+	if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+		t.Errorf("%s stats: pipelined %+v, sync %+v", label, gs, ws)
+	}
+}
+
+// TestDifferentialPipelinedVsSynchronous is the chunked-vs-whole oracle for
+// the solo stream path (the server's soloStreamEngine): features scored in
+// k-frame windows, each window its own ScoreUtterance call (a partial block
+// of the blocked kernel when k < 16), and the rows searched as they arrive
+// must match the synchronous path — score everything with ScoreUtterance,
+// then Decode — byte-for-byte: hypotheses, word end frames, cost bits,
+// finality, search statistics, and the entire per-frame token frontier
+// captured through the frameHook seam. Streams have no rescue snapshots, so
+// the rescue case (a poisoned frame) decodes the windowed rows with Decode.
+func TestDifferentialPipelinedVsSynchronous(t *testing.T) {
+	seeds := []int64{221, 222, 223}
+	windows := []int{1, 3, 8}
+	total := 0
+	for _, seed := range seeds {
+		tk, err := task.Build(task.Spec{
+			Name:           fmt.Sprintf("pipe-diff-%d", seed),
+			Vocab:          24,
+			Phones:         10,
+			TrainSentences: 160,
+			TestUtterances: 1,
+			LMMinCount:     2,
+			Seed:           seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := tk.Test[0].Frames
+		for _, tc := range diffConfigs {
+			for _, k := range windows {
+				total++
+				t.Run(fmt.Sprintf("seed%d/%s/k%d", seed, tc.name, k), func(t *testing.T) {
+					in := frames
+					if tc.cfg.RescueWidenings > 0 && len(in) > 2 {
+						// Poison one FEATURE frame: the scorer turns it into an
+						// all-NaN score row on both paths.
+						in = poisonFrame(in, len(in)/2)
+					}
+					dSync, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dPipe, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					syncSnaps := captureFrames(dSync)
+					pipeSnaps := captureFrames(dPipe)
+
+					want := dSync.Decode(tk.Scorer.ScoreUtterance(in))
+					var rows [][]float32
+					for i := 0; i < len(in); i += k {
+						rows = append(rows, tk.Scorer.ScoreUtterance(in[i:min(i+k, len(in))])...)
+					}
+					var got *Result
+					if tc.cfg.RescueWidenings > 0 {
+						got = dPipe.Decode(rows)
+					} else {
+						s := dPipe.NewStream()
+						for _, row := range rows {
+							if err := s.Push(row); err != nil {
+								t.Fatal(err)
+							}
+						}
+						got = s.Finish()
+					}
+
+					comparePipelineResults(t, "decode", got, want)
+					compareSnaps(t, *pipeSnaps, *syncSnaps)
+				})
+			}
+		}
+	}
+	if total < 50 {
+		t.Fatalf("pipeline differential sweep shrank to %d cases; keep it at 50+", total)
+	}
+}
+
+// TestDifferentialPipelineScorers runs the chunked-vs-whole oracle over the
+// dense scorers on the path that carries scorer state across chunks: a lane
+// fed k-frame windows, each drained before the next is pushed (the server's
+// laneStreamEngine), must match a solo decode of the whole utterance. The
+// RNN case is the sharp one: its recurrence must carry across window
+// boundaries bitwise, including a window larger than the whole utterance.
+func TestDifferentialPipelineScorers(t *testing.T) {
+	for _, kind := range []task.ScorerKind{task.ScorerDNN, task.ScorerRNN} {
+		tk, err := task.Build(task.Spec{
+			Name:           fmt.Sprintf("pipe-%s", kind),
+			Vocab:          24,
+			Phones:         10,
+			TrainSentences: 160,
+			TestUtterances: 2,
+			LMMinCount:     2,
+			Seed:           227,
+			Scorer:         kind,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 4, 1000} {
+			for _, cfg := range []Config{{}, {PreemptivePruning: true}} {
+				t.Run(fmt.Sprintf("%s/k%d/preemptive=%v", kind, k, cfg.PreemptivePruning), func(t *testing.T) {
+					g, err := NewLaneGroup(tk.Scorer, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, u := range tk.Test {
+						dSync, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dLane, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						l, err := g.Join(dLane)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j := 0; j < len(u.Frames); j += k {
+							l.Push(u.Frames[j:min(j+k, len(u.Frames))])
+							for l.Pending() > 0 && g.Step() > 0 {
+							}
+						}
+						want := dSync.Decode(tk.Scorer.ScoreUtterance(u.Frames))
+						comparePipelineResults(t, fmt.Sprintf("utt %d", i), l.Finish(), want)
+					}
+				})
+			}
+		}
+	}
+}
+
 func compareSnaps(t *testing.T, got, want []frameSnap) {
 	t.Helper()
 	if len(got) != len(want) {
