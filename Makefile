@@ -80,13 +80,15 @@ bias-soak:
 # Randomized corruption passes over the model-bundle loaders — the v2
 # directory format and the v3 flat container (docs/ROBUSTNESS.md,
 # docs/MODEL_STORE.md). Catches loader panics long fuzz runs would. The
-# lane scheduler's random join/cancel schedules against solo decodes and
-# the bias compiler ride along.
+# lane scheduler's random join/cancel schedules against solo decodes, the
+# bias compiler, and the server's feature reader against encoding/json on
+# arbitrary request bodies ride along.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLoadBundle$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzLoadBundleV3$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzLaneSchedule$$' -fuzztime $(FUZZTIME) ./internal/pool/
 	go test -run '^$$' -fuzz '^FuzzBiasCompiler$$' -fuzztime $(FUZZTIME) ./internal/bias/
+	go test -run '^$$' -fuzz '^FuzzFeatureBody$$' -fuzztime $(FUZZTIME) ./internal/server/
 
 # Coverage floors: the decoder package (Viterbi hot path — token store,
 # pruning, rescue, streaming) and the bias compiler (per-tenant machines on

@@ -36,7 +36,7 @@ type AdmissionConfig struct {
 	// Retry-After header and retry_after_seconds body field). Default 1s.
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds request bodies; larger requests fail with 413.
-	// Default 64 MiB.
+	// On /v1/stream it bounds each NDJSON line instead. Default 64 MiB.
 	MaxBodyBytes int64
 	// DegradeLow and DegradeHigh are the queue-depth watermarks of the
 	// pressure controller. At or below DegradeLow requests decode at full

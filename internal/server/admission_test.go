@@ -185,6 +185,13 @@ func TestRecognizeErrorTable(t *testing.T) {
 		{"empty_utterance", http.MethodPost, "", `{"utterances":[{"frames":[]}]}`, http.StatusBadRequest, "empty_utterance"},
 		{"bad_dims", http.MethodPost, "", `{"utterances":[{"frames":[[1,2]]}]}`, http.StatusBadRequest, "bad_dims"},
 		{"bad_timeout", http.MethodPost, "", `{"utterances":[{"frames":[[` + strings.Repeat("1,", 15) + `1]]}],"timeout":"soon"}`, http.StatusBadRequest, "bad_timeout"},
+		// Bodies the feature reader hands to encoding/json keep its answers.
+		{"null_frames", http.MethodPost, "", `{"utterances":[{"frames":null}]}`, http.StatusBadRequest, "empty_utterance"},
+		{"float32_overflow", http.MethodPost, "", `{"utterances":[{"frames":[[1e39]]}]}`, http.StatusBadRequest, "bad_json"},
+		{"leading_zero", http.MethodPost, "", `{"utterances":[{"frames":[[01]]}]}`, http.StatusBadRequest, "bad_json"},
+		// Decoded, so validation reaches the frames' dimension.
+		{"key_case", http.MethodPost, "", `{"Utterances":[{"Frames":[[1,2]]}]}`, http.StatusBadRequest, "bad_dims"},
+		{"trailing_bytes", http.MethodPost, "", `{"utterances":[{"frames":[[1,2]]}]} trailing {garbage`, http.StatusBadRequest, "bad_dims"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,6 +223,72 @@ func TestRecognizeErrorTable(t *testing.T) {
 	// so none of the rejects above consumed a slot or queued.
 	if d := s.admit.depth(); d != 0 {
 		t.Errorf("queue depth after rejects = %d, want 0", d)
+	}
+}
+
+// TestStreamLineCap checks /v1/stream's per-line byte cap
+// (Admission.MaxBodyBytes, counted per NDJSON value): a first line over it
+// answers 413 body_too_large; a later one, on the fast path or after a line
+// that fell back to encoding/json, ends the stream with a final
+// body_too_large record, counted under errors_total. A chunk object split
+// across lines is one value and decodes as one.
+func TestStreamLineCap(t *testing.T) {
+	const limit = 2048
+	s := newLoadedServer(t, Config{Workers: 1, Admission: AdmissionConfig{MaxBodyBytes: limit}})
+	defer s.Close()
+	u := getSystem(t).TestSet()[0]
+	line := func(frames [][]float32) string {
+		b, _ := json.Marshal(streamChunk{Frames: frames})
+		return string(b) + "\n"
+	}
+	big := line(u.Frames[:20])
+	if len(big) <= limit {
+		t.Fatalf("over-cap line is only %d bytes", len(big))
+	}
+	small := line(u.Frames[:2])
+	upper := strings.Replace(small, `"frames"`, `"Frames"`, 1)
+	// One chunk object broken over lines inside its frames array.
+	split := strings.Replace(line(u.Frames[2:4]), "],[", "],\n[", 1)
+	if strings.Count(split, "\n") != 2 {
+		t.Fatalf("chunk %q was not split", split)
+	}
+
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/stream", strings.NewReader(body)))
+		return rec
+	}
+	final := func(rec *httptest.ResponseRecorder) streamUpdate {
+		t.Helper()
+		lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+		var up streamUpdate
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &up); err != nil || !up.Final {
+			t.Fatalf("last line %q is not a final record (%v)", lines[len(lines)-1], err)
+		}
+		return up
+	}
+
+	before := errorCounter(s, "body_too_large")
+	rec := post(big + small)
+	var e errorBody
+	if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Reason != "body_too_large" {
+		t.Errorf("over-cap first line: %d %s, want 413 body_too_large", rec.Code, rec.Body.String())
+	}
+	for _, lead := range []string{small, upper} {
+		rec = post(lead + big + small)
+		if up := final(rec); rec.Code != http.StatusOK || up.Reason != "body_too_large" || up.Error == "" {
+			t.Errorf("over-cap later line after %q: final %+v, want reason body_too_large", lead[:12], up)
+		}
+	}
+	if got := errorCounter(s, "body_too_large"); got != before+3 {
+		t.Errorf("errors_total{reason=body_too_large} = %d, want %d", got, before+3)
+	}
+
+	// Lines under the cap, however many, and a split object: a clean final
+	// over every frame.
+	rec = post(small + split + strings.Repeat(small, 4))
+	if up := final(rec); up.Error != "" || up.Frames != 12 {
+		t.Errorf("split chunk stream: final %+v, want 12 frames and no error", up)
 	}
 }
 

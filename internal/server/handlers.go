@@ -124,7 +124,10 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Admission.MaxBodyBytes)
 	var req recognizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	in := newFeatureReader(r.Body, s.cfg.Admission.MaxBodyBytes)
+	err := in.recognize(&req)
+	in.release()
+	if err != nil {
 		outcome = "invalid"
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -278,6 +281,11 @@ type streamChunk struct {
 	Bias *biasRequest `json:"bias,omitempty"`
 }
 
+// lineTooLarge is the message for a stream line over the byte cap.
+func lineTooLarge(err *http.MaxBytesError) string {
+	return fmt.Sprintf("stream line exceeds %d bytes", err.Limit)
+}
+
 // streamUpdate is the NDJSON reply line emitted after each chunk (and, with
 // Final set, after the stream ends).
 type streamUpdate struct {
@@ -292,8 +300,9 @@ type streamUpdate struct {
 	Degraded       int     `json:"degraded,omitempty"`
 	Error          string  `json:"error,omitempty"`
 	// Reason is the machine-matchable token on mid-stream error records
-	// ("stall", "bad_dims", "deadline", "search"), mirroring errorBody's
-	// Reason for errors that happen after the 200 header is committed.
+	// ("stall", "bad_dims", "body_too_large", "deadline", "search"),
+	// mirroring errorBody's Reason for errors that happen after the 200
+	// header is committed.
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -520,9 +529,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if watchdog > 0 {
 		rc.SetReadDeadline(time.Now().Add(watchdog))
 	}
-	in := json.NewDecoder(r.Body)
+	// Each line may take up to MaxBodyBytes, the /v1/recognize body cap;
+	// the reader counts every line from the end of the one before.
+	in := newFeatureReader(r.Body, s.cfg.Admission.MaxBodyBytes)
+	defer in.release()
 	var first streamChunk
-	firstErr := in.Decode(&first)
+	firstErr := in.chunk(&first)
 	if firstErr != nil && !errors.Is(firstErr, io.EOF) {
 		if errors.Is(firstErr, os.ErrDeadlineExceeded) {
 			outcome = "stalled"
@@ -531,6 +543,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		outcome = "invalid"
+		var tooBig *http.MaxBytesError
+		if errors.As(firstErr, &tooBig) {
+			s.fail(w, http.StatusRequestEntityTooLarge, "body_too_large", lineTooLarge(tooBig))
+			return
+		}
 		s.fail(w, http.StatusBadRequest, "bad_json", "bad NDJSON first line: "+firstErr.Error())
 		return
 	}
@@ -630,7 +647,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// The peeked first line is the first chunk; later iterations read from
 	// the wire (a clean EOF on the peek skips straight to finalization —
-	// json.Decoder keeps returning io.EOF).
+	// the reader keeps returning io.EOF).
 	chunk, haveChunk := first, firstErr == nil
 	for {
 		if cerr := ctx.Err(); cerr != nil {
@@ -649,10 +666,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if watchdog > 0 {
 				rc.SetReadDeadline(time.Now().Add(watchdog))
 			}
-			chunk = streamChunk{}
-			if err := in.Decode(&chunk); err != nil {
+			if err := in.chunk(&chunk); err != nil {
 				if errors.Is(err, io.EOF) {
 					break // client finished sending; finalize below
+				}
+				var tooBig *http.MaxBytesError
+				if errors.As(err, &tooBig) {
+					outcome = "invalid"
+					s.countError("body_too_large")
+					sn.final(streamUpdate{Final: true, Reason: "body_too_large", Error: lineTooLarge(tooBig)})
+					return
 				}
 				if errors.Is(err, os.ErrDeadlineExceeded) {
 					// The frame clock stalled: the client holds the

@@ -551,8 +551,14 @@ type errorBody struct {
 // fail rejects a request with a structured error and counts it under
 // unfold_server_errors_total{reason}.
 func (s *Server) fail(w http.ResponseWriter, code int, reason, msg string) {
-	s.reg.Counter("unfold_server_errors_total", "Requests rejected, by reason.", telemetry.L("reason", reason)).Inc()
+	s.countError(reason)
 	writeJSON(w, code, errorBody{Error: msg, Reason: reason})
+}
+
+// countError counts a rejected request (or a stream ended by its client's
+// input) under unfold_server_errors_total.
+func (s *Server) countError(reason string) {
+	s.reg.Counter("unfold_server_errors_total", "Requests rejected, by reason.", telemetry.L("reason", reason)).Inc()
 }
 
 // failRetry is fail for retryable conditions (503 not-ready/draining, 507
@@ -566,7 +572,7 @@ func (s *Server) failRetry(w http.ResponseWriter, code int, reason, msg string) 
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	s.reg.Counter("unfold_server_errors_total", "Requests rejected, by reason.", telemetry.L("reason", reason)).Inc()
+	s.countError(reason)
 	writeJSON(w, code, errorBody{Error: msg, Reason: reason, RetryAfterSeconds: retry.Seconds()})
 }
 
