@@ -126,8 +126,10 @@ cover:
 # for amd64; and the package's tests run under the race build, where the
 # compiler's code around the kernels differs. The race build skips
 # TestLogSumExpExhaustive (every float32 in [-16, -0] through the
-# log-sum-exp table, ~20 s on two cores): `make test` runs it, being neither
-# -short nor -race, and the nightly workflow runs it as its own step.
+# log-sum-exp table, ~20 s on two cores) and its tile arm
+# TestLogSumExpExhaustiveTile (the same arguments through the AVX2 lanes,
+# ~11 s): `make test` runs both, being neither -short nor -race, and the
+# nightly workflow runs them as its own job.
 asm-check:
 	GOOS=linux GOARCH=arm64 go build ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/acoustic
@@ -150,7 +152,7 @@ bench:
 # runners: TestScoreKernelRatio times the blocked ScoreUtterance kernel
 # against the scalar test oracle (median of 5) and fails below 4.0x for the
 # DNN on the AVX2 tile (1.3x on the generic path; the test logs which ran),
-# 2.8x / 1.5x for the GMM on the same two paths, 0.95x for the RNN;
+# 5.0x / 1.5x for the GMM on the same two paths, 0.95x for the RNN;
 # TestSearchKernelRatio times the tokenStore search against the map oracle
 # on a 12 000-word fixture at beam 85 (median of 5) and fails below 5.5x.
 # Last, the bench harness checks itself: `go run ./bench -smoke` runs every

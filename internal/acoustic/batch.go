@@ -54,12 +54,14 @@ type BatchScorer interface {
 // GMM
 
 // gmmLaneState is one lane's scratch: the GMM has no temporal state, but the
-// tile path transposes each group's frames into tile, which lives in the
-// state of the lane that leads the group (allocated the first time it
+// tile path transposes each group's frames into tile (followed by a scratch
+// score row for padding lanes) and collects fallback flags in fb, both in
+// the state of the lane that leads the group (allocated the first time it
 // leads) — per lane, because one scorer's lanes are driven from many
 // goroutines.
 type gmmLaneState struct {
 	tile []float32
+	fb   []uint16
 }
 
 func (*gmmLaneState) Reset() {}
@@ -98,7 +100,7 @@ func (g *GMMScorer) ScoreStep(states []LaneState, frames [][]float32, out [][]fl
 
 // stepLanes scores one frame for n compacted lanes: the GMM's one forward
 // pass, reached from ScoreStep, from ScoreWindow and through it from
-// ScoreUtterance. With AVX2 the distances go through the SIMD tile,
+// ScoreUtterance. With AVX2 the whole mixture goes through the SIMD tile,
 // tileLanes at a time, against scratch in the leading lane's state.
 func (g *GMMScorer) stepLanes(lead *gmmLaneState, xs, outs [][]float32) {
 	dim := g.m.Dim

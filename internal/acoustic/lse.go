@@ -22,6 +22,11 @@ import "math"
 // is s·(1−s)·poly(s) with s the logistic function, so in the tail all the
 // coefficients shrink like eᵈ together and the truncation error (~2⁻⁵⁴·eᵈ)
 // stays relative to the value, which is what the 2⁻⁴⁴ test needs.
+//
+// With AVX2 the GMM evaluates this same table four lanes at a time (LSE4 in
+// tile_amd64.s), operation for operation, so softplusTable and the tile
+// decide the same arguments with the same values; TestLogSumExpExhaustiveTile
+// checks that on every float32 in range too.
 
 const (
 	lseRange     = 16 // the table covers −16 < d ≤ 0

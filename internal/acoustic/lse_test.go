@@ -20,10 +20,20 @@ const (
 	bits16      = 0xc1800000
 )
 
-// sweepSoftplus compares the table with the reference on the bit patterns
-// lo, lo+stride, ... ≤ hi, split over the CPUs, and returns how many fell
-// back and how many disagreed (the first disagreement is reported).
-func sweepSoftplus(t *testing.T, lo, hi, stride uint32) (fallbacks, mismatches int64) {
+// softplusEval evaluates a softplus path on a chunk: got[i] and ok[i] are
+// what it answers for ds[i], as softplusTable's two results.
+type softplusEval func(ds, got []float32, ok []bool)
+
+// sweepChunk is how many arguments a sweep worker evaluates per call.
+const sweepChunk = 4096
+
+// sweepSoftplus compares a softplus path (nil: softplusTable) with the
+// reference on the bit patterns lo, lo+stride, ... ≤ hi, split over the
+// CPUs, and returns how many fell back and how many disagreed (the first
+// disagreement is reported). Where another path decides as softplusTable
+// does, with the same value, the reference is not consulted:
+// TestLogSumExpExhaustive compares those with it.
+func sweepSoftplus(t *testing.T, eval softplusEval, lo, hi, stride uint32) (fallbacks, mismatches int64) {
 	t.Helper()
 	workers := uint32(runtime.GOMAXPROCS(0))
 	steps := (hi-lo)/stride + 1
@@ -36,19 +46,35 @@ func sweepSoftplus(t *testing.T, lo, hi, stride uint32) (fallbacks, mismatches i
 		go func() {
 			defer wg.Done()
 			var nfb, nbad int64
-			for k := first; k < last; k++ {
-				d := math.Float32frombits(lo + k*stride)
-				got, ok := softplusTable(d)
-				if !ok {
-					nfb++
-					continue
+			ds := make([]float32, sweepChunk)
+			got := make([]float32, sweepChunk)
+			ok := make([]bool, sweepChunk)
+			for k := first; k < last; k += sweepChunk {
+				n := min(last-k, sweepChunk)
+				for i := range n {
+					ds[i] = math.Float32frombits(lo + (k+i)*stride)
 				}
-				if want := softplusRef(d); math.Float32bits(got) != math.Float32bits(want) {
-					if nbad == 0 {
-						t.Errorf("d = %g (%#08x): table %#08x, reference %#08x",
-							d, math.Float32bits(d), math.Float32bits(got), math.Float32bits(want))
+				if eval != nil {
+					eval(ds[:n], got[:n], ok[:n])
+				}
+				for i, d := range ds[:n] {
+					sp, spOK := softplusTable(d)
+					if eval == nil {
+						got[i], ok[i] = sp, spOK
+					} else if ok[i] && spOK && math.Float32bits(sp) == math.Float32bits(got[i]) {
+						continue
 					}
-					nbad++
+					if !ok[i] {
+						nfb++
+						continue
+					}
+					if want := softplusRef(d); math.Float32bits(got[i]) != math.Float32bits(want) {
+						if nbad == 0 {
+							t.Errorf("d = %g (%#08x): table %#08x, reference %#08x",
+								d, math.Float32bits(d), math.Float32bits(got[i]), math.Float32bits(want))
+						}
+						nbad++
+					}
 				}
 			}
 			fb.Add(nfb)
@@ -66,10 +92,16 @@ func sweepSoftplus(t *testing.T, lo, hi, stride uint32) (fallbacks, mismatches i
 // always right, so a slack set too wide or a broken range test would cost
 // only speed and no equality test would notice.
 func TestLogSumExpExhaustive(t *testing.T) {
+	checkLogSumExpExhaustive(t, nil)
+}
+
+// checkLogSumExpExhaustive is TestLogSumExpExhaustive for a softplus path
+// (nil: softplusTable).
+func checkLogSumExpExhaustive(t *testing.T, eval softplusEval) {
 	if testing.Short() || raceDetector {
 		t.Skip("a billion evaluations: skipped under -short and -race")
 	}
-	fallbacks, mismatches := sweepSoftplus(t, negZeroBits, bits16, 1)
+	fallbacks, mismatches := sweepSoftplus(t, eval, negZeroBits, bits16, 1)
 	total := int64(bits16 - negZeroBits + 1)
 	t.Logf("%d arguments, %d fallbacks (1 in %d), %d mismatches",
 		total, fallbacks, total/max(fallbacks, 1), mismatches)
@@ -90,22 +122,38 @@ func TestLogSumExpExhaustive(t *testing.T) {
 // edge — and logSumExp2 itself on operands the subtraction turns into
 // something else.
 func TestLogSumExpEdges(t *testing.T) {
-	fallbacks, _ := sweepSoftplus(t, negZeroBits, bits16, 37)
+	checkLogSumExpEdges(t, nil, func(a, b float32) (float32, bool) { return logSumExp2(a, b), true })
+}
+
+// checkLogSumExpEdges is TestLogSumExpEdges for a softplus path (nil:
+// softplusTable) and the logSumExp2 built on it: lse answers a pair, or
+// reports that it leaves the pair to logSumExp2Ref.
+func checkLogSumExpEdges(t *testing.T, eval softplusEval, lse func(a, b float32) (float32, bool)) {
+	fallbacks, _ := sweepSoftplus(t, eval, negZeroBits, bits16, 37)
 	if steps := int64((bits16-negZeroBits)/37 + 1); fallbacks > steps/100000 {
 		t.Errorf("%d fallbacks in %d strided arguments inside the table, want fewer than 1 in 10^5", fallbacks, steps)
 	}
-	sweepSoftplus(t, bits16+1, math.MaxUint32, 37) // below −16, −Inf, negative NaNs: all fallbacks
+	sweepSoftplus(t, eval, bits16+1, math.MaxUint32, 37) // below −16, −Inf, negative NaNs: all fallbacks
 
+	one := func(d float32) (float32, bool) {
+		if eval == nil {
+			return softplusTable(d)
+		}
+		var got [1]float32
+		var ok [1]bool
+		eval([]float32{d}, got[:], ok[:])
+		return got[0], ok[0]
+	}
 	check := func(d float32) {
 		t.Helper()
-		if got, ok := softplusTable(d); ok && math.Float32bits(got) != math.Float32bits(softplusRef(d)) {
+		if got, ok := one(d); ok && math.Float32bits(got) != math.Float32bits(softplusRef(d)) {
 			t.Errorf("d = %g (%#08x): table %#08x, reference %#08x",
 				d, math.Float32bits(d), math.Float32bits(got), math.Float32bits(softplusRef(d)))
 		}
 	}
 	mustFallBack := func(d float32) {
 		t.Helper()
-		if _, ok := softplusTable(d); ok {
+		if _, ok := one(d); ok {
 			t.Errorf("d = %g (%#08x) is outside the table but did not fall back", d, math.Float32bits(d))
 		}
 	}
@@ -132,8 +180,8 @@ func TestLogSumExpEdges(t *testing.T) {
 		math.MaxFloat32, -math.MaxFloat32, inf, -inf, nanP, nanN}
 	for _, a := range operands {
 		for _, b := range operands {
-			got, want := logSumExp2(a, b), logSumExp2Ref(a, b)
-			if math.Float32bits(got) != math.Float32bits(want) {
+			got, ok := lse(a, b)
+			if want := logSumExp2Ref(a, b); ok && math.Float32bits(got) != math.Float32bits(want) {
 				t.Errorf("logSumExp2(%g, %g) = %#08x (%g), reference %#08x (%g)",
 					a, b, math.Float32bits(got), got, math.Float32bits(want), want)
 			}

@@ -145,10 +145,10 @@ func diffRows(got, want [][]float32) string {
 // ScoreUtterance against the scalar oracle on the same utterance in the same
 // run, median of 5 rounds each. The DNN and the GMM are timed on both kernel
 // paths, each floor at roughly half the measured ratio (DNN: AVX2 tile ~17x,
-// generic dot4 2.1x; GMM: AVX2 tile ~5.7x, generic sqDist4 ~3.1x — the table
-// log-sum-exp carries the generic path, the oracle keeps Log1p(Exp)) so a
-// busy host does not trip it; the RNN (sequential recurrence) must simply
-// not lose.
+// generic dot4 2.1x; GMM: AVX2 tile ~10.7x with the whole mixture on the
+// tile, generic sqDist4 ~3.1x — the table log-sum-exp carries the generic
+// path, the oracle keeps Log1p(Exp)) so a busy host does not trip it; the
+// RNN (sequential recurrence) must simply not lose.
 func TestScoreKernelRatio(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("timing gate: skipped under -short and -race")
@@ -165,7 +165,7 @@ func TestScoreKernelRatio(t *testing.T) {
 		tile  bool // score with the AVX2 tile on; the RNN does not consult it
 	}{
 		{"GMM, generic sqDist4", NewGMMScorer(m), 1.5, false},
-		{"GMM, AVX2 tile", NewGMMScorer(m), 2.8, true},
+		{"GMM, AVX2 tile", NewGMMScorer(m), 5.0, true},
 		{"DNN, generic dot4", newDNN(), 1.3, false},
 		{"DNN, AVX2 tile", newDNN(), 4.0, true},
 		{"RNN", NewRNNScorer(m, rand.New(rand.NewSource(32)), 0), 0.95, false},

@@ -72,6 +72,7 @@ func scoreBlocked(sc windowScorer, states *sync.Pool, frames [][]float32) [][]fl
 type GMMScorer struct {
 	m      *SenoneModel
 	comps  [][]float32 // per senone: two mixture means, concatenated
+	means  []float32   // the comps rows back to back, senone 0 zeroed
 	lw     float32     // log mixture weight (uniform: log 0.5)
 	offset float32     // mixture mean offset relative to sigma
 	// Per-component log-density constants, fixed by the model: the variance
@@ -90,8 +91,9 @@ func NewGMMScorer(m *SenoneModel) *GMMScorer {
 		variance: v, norm: 0.5 * float64(m.Dim) * math.Log(2*math.Pi*v),
 	}
 	g.comps = make([][]float32, m.NumSenones+1)
+	g.means = make([]float32, (m.NumSenones+1)*2*m.Dim)
 	for s := 1; s <= m.NumSenones; s++ {
-		c := make([]float32, 2*m.Dim)
+		c := g.means[s*2*m.Dim : (s+1)*2*m.Dim : (s+1)*2*m.Dim]
 		for d := 0; d < m.Dim; d++ {
 			c[d] = m.Means[s][d] - g.offset
 			c[m.Dim+d] = m.Means[s][d] + g.offset

@@ -1,5 +1,7 @@
 package acoustic
 
+import "math/bits"
+
 // The DNN and GMM forward passes on a 16-frame tile, for amd64 CPUs with
 // AVX2.
 //
@@ -14,8 +16,9 @@ package acoustic
 // is one frame's whole dot product, accumulated from zero in j order with a
 // separate multiply and add, which is dot's arithmetic operation for
 // operation. Splitting one dot product's j range over lanes would add its
-// terms in a different order and round differently. The GMM's squared
-// distances ride the same tile (sqDist2x16): a lane is one frame's sqDist.
+// terms in a different order and round differently. The GMM rides the same
+// tile whole (gmmTile): a lane is one frame's sqDist, then mixture's
+// log-densities and logSumExp2's table, four float64 lanes at a time.
 
 //go:noescape
 func rows4x16(w *float32, n int, x, dst *float32)
@@ -27,7 +30,13 @@ func rows1x16(w *float32, n int, x, dst *float32)
 func reluTile(v *float32, n int)
 
 //go:noescape
-func sqDist2x16(mu *float32, n int, x *float32, dst *float64)
+func gmmTile(mu *float32, dim, senones int, x *float32, rows *[tileLanes]*float32, fb *uint16, variance, norm float64, lw float32)
+
+// lseTile runs the tile's log-sum-exp alone, for the tests that hold it to
+// lse.go's proofs.
+//
+//go:noescape
+func lseTile(a, b, dst *float32, fb *uint8, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -122,22 +131,34 @@ func (d *DNNScorer) stepTile(st *dnnLaneState, xs, outs [][]float32) {
 	}
 }
 
-// stepTile scores one frame for up to 16 compacted lanes: both component
-// distances of a senone for all lanes in one sqDist2x16, then the scalar
-// mixture per lane. The x tile lives in the leading lane's state; lanes past
-// len(xs) are zero-padded and never reach mixture.
+// stepTile scores one frame for up to 16 compacted lanes: one gmmTile call
+// runs every senone's distances, log-densities and table log-sum-exp for
+// all lanes, writing straight into the out rows (padding lanes into a
+// scratch row), and the few lanes it flags take the scalar mixture, whose
+// logSumExp2 falls back to the reference expression. The x tile, the flags
+// and the scratch row live in the leading lane's state.
 func (g *GMMScorer) stepTile(st *gmmLaneState, xs, outs [][]float32) {
-	dim := g.m.Dim
+	dim, ns := g.m.Dim, g.m.NumSenones
 	if st.tile == nil {
-		st.tile = make([]float32, tileLanes*dim)
+		st.tile = make([]float32, tileLanes*dim+ns+1)
+		st.fb = make([]uint16, ns)
 	}
-	transposeTile(st.tile, xs)
-	var sq [2 * tileLanes]float64
-	for s := 1; s <= g.m.NumSenones; s++ {
-		c := g.comps[s][:2*dim]
-		sqDist2x16(&c[0], dim, &st.tile[0], &sq[0])
-		for k, o := range outs {
-			o[s] = g.mixture(sq[k], sq[tileLanes+k])
+	xT, pad := st.tile[:tileLanes*dim], st.tile[tileLanes*dim:]
+	transposeTile(xT, xs)
+	var rows [tileLanes]*float32
+	for k := range rows {
+		rows[k] = &pad[0]
+	}
+	for k, o := range outs {
+		rows[k] = &o[:ns+1][0]
+	}
+	gmmTile(&g.means[2*dim], dim, ns, &xT[0], &rows, &st.fb[0], g.variance, g.norm, g.lw)
+	live := uint16(1)<<len(xs) - 1
+	for i, fb := range st.fb {
+		for fb &= live; fb != 0; fb &= fb - 1 {
+			k := bits.TrailingZeros16(fb)
+			c := g.comps[i+1]
+			outs[k][i+1] = g.mixture(sqDist(c[:dim], xs[k]), sqDist(c[dim:], xs[k]))
 		}
 	}
 }

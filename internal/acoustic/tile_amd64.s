@@ -98,17 +98,20 @@ loop1:
 	RET
 
 // SQROW advances one mean row's four accumulators by term j = AX: x is in
-// Y8/Y9, Y10–Y15 are scratch.
-#define SQROW(mu, a0, a1, a2, a3) \
+// Y8/Y9, Y10–Y15 are scratch. The float32 differences are widened from a
+// stack slot: VCVTPS2PD with a memory source needs no shuffle-port uop,
+// where widening the upper halves in registers takes a VEXTRACTF128 and a
+// lane-crossing convert each (the kernel measured ~10 % faster this way).
+#define SQROW(mu, slot, a0, a1, a2, a3) \
 	VBROADCASTSS (mu)(AX*4), Y10 \
 	VSUBPS Y10, Y8, Y11          \
 	VSUBPS Y10, Y9, Y12          \
-	VCVTPS2PD X11, Y13           \
-	VEXTRACTF128 $1, Y11, X11    \
-	VCVTPS2PD X11, Y14           \
-	VCVTPS2PD X12, Y15           \
-	VEXTRACTF128 $1, Y12, X12    \
-	VCVTPS2PD X12, Y12           \
+	VMOVUPS Y11, (slot)(SP)      \
+	VMOVUPS Y12, (slot+32)(SP)   \
+	VCVTPS2PD (slot)(SP), Y13    \
+	VCVTPS2PD (slot+16)(SP), Y14 \
+	VCVTPS2PD (slot+32)(SP), Y15 \
+	VCVTPS2PD (slot+48)(SP), Y12 \
 	VMULPD Y13, Y13, Y13         \
 	VMULPD Y14, Y14, Y14         \
 	VMULPD Y15, Y15, Y15         \
@@ -118,19 +121,118 @@ loop1:
 	VADDPD Y15, a2, a2           \
 	VADDPD Y12, a3, a3
 
-// func sqDist2x16(mu *float32, n int, x *float32, dst *float64)
+// LOGDENS turns one accumulator of four squared distances into float32
+// log-densities in place, mixture's float32(-0.5·sq/σ² − norm) + lw: Y8
+// holds −0.5, Y9 σ², Y10 norm and X11 lw, each broadcast.
+#define LOGDENS(r, xr) \
+	VMULPD Y8, r, r    \
+	VDIVPD Y9, r, r    \
+	VSUBPD Y10, r, r   \
+	VCVTPD2PSY r, xr   \
+	VADDPS X11, xr, xr
+
+// GATHER loads coefficient k of the table rows whose indices ×7 are in X15
+// into dst; Y14 is the all-lanes mask the gather consumes.
+#define GATHER(k, dst) \
+	VPCMPEQD Y14, Y14, Y14 \
+	VGATHERDPD Y14, (k*8)(R9)(X15*8), dst
+
+// LSE4 is logSumExp2 on four lanes, a in A and b in B, with R9 = &lseCoef:
+// it leaves a' + softplusTable(b' − a') in A and in X8 the lanes whose
+// answer that is (all ones), zero where softplusTable would report false
+// (d outside (−16, 0], NaN included, or an undecided rounding test) and the
+// caller must take logSumExp2Ref. Every step is lse.go's operation in
+// lse.go's order, in float64 for the polynomial, no FMA: the swap
+// `if a < b` (MINPS returns its first source only if it is the smaller,
+// MAXPS only if it is the larger, otherwise the second — so a NaN or a pair
+// of zeros stays where the unswapped `if` leaves it), d = b − a, the range
+// test, i = int(−32·d) (in float32, where the product is as exact as in
+// float64; out-of-range lanes get i = 0 so the gathers stay inside the
+// table), t = x + (i+½)/32, Estrin from the inside out, e = y·2⁻⁴⁴, and the
+// float32 roundings of y − e and y + e compared. Y8–Y15 are scratch.
+#define LSE4(A, B) \
+	VMINPS B, A, X10               \
+	VMAXPS A, B, A                 \
+	VSUBPS A, X10, B               \
+	VCMPPS $0x1e, lseMinus16<>(SB), B, X8 \
+	VXORPS X9, X9, X9              \
+	VCMPPS $0x12, X9, B, X9        \
+	VANDPS X9, X8, X8              \
+	VCVTPS2PD B, Y9                \
+	VMULPS lseMinus32<>(SB), B, X10 \
+	VCVTTPS2DQ X10, X10            \
+	VPAND X8, X10, X10             \
+	VPSLLD $3, X10, X15            \
+	VPSUBD X10, X15, X15           \
+	VCVTDQ2PD X10, Y11             \
+	VADDPD lseHalf<>(SB), Y11, Y11 \
+	VMULPD lseInv32<>(SB), Y11, Y11 \
+	VADDPD Y11, Y9, Y9             \
+	VMULPD Y9, Y9, Y10             \
+	GATHER(4, Y11)                 \
+	GATHER(5, Y12)                 \
+	VMULPD Y12, Y9, Y12            \
+	VADDPD Y12, Y11, Y11           \
+	GATHER(6, Y12)                 \
+	VMULPD Y12, Y10, Y12           \
+	VADDPD Y12, Y11, Y11           \
+	VMULPD Y11, Y10, Y11           \
+	GATHER(2, Y12)                 \
+	GATHER(3, Y13)                 \
+	VMULPD Y13, Y9, Y13            \
+	VADDPD Y13, Y12, Y12           \
+	VADDPD Y11, Y12, Y11           \
+	VMULPD Y11, Y10, Y11           \
+	GATHER(0, Y12)                 \
+	GATHER(1, Y13)                 \
+	VMULPD Y13, Y9, Y13            \
+	VADDPD Y13, Y12, Y12           \
+	VADDPD Y11, Y12, Y12           \
+	VMULPD lseSlack<>(SB), Y12, Y13 \
+	VSUBPD Y13, Y12, Y9            \
+	VADDPD Y13, Y12, Y10           \
+	VCVTPD2PSY Y9, X9              \
+	VCVTPD2PSY Y10, X10            \
+	VCMPPS $0, X10, X9, X10        \
+	VANDPS X10, X8, X8             \
+	VADDPS X9, A, A
+
+// STORE4 writes lane q*4+l of A to rows[q*4+l] + R11 for l < 4 and ORs the
+// quarter's fallback lanes (the zero lanes of X8) into R10 at bit 4q.
+#define STORE4(q, A) \
+	MOVQ ((q*4+0)*8)(R13), DI    \
+	VMOVSS A, (DI)(R11*1)        \
+	MOVQ ((q*4+1)*8)(R13), DI    \
+	VEXTRACTPS $1, A, (DI)(R11*1) \
+	MOVQ ((q*4+2)*8)(R13), DI    \
+	VEXTRACTPS $2, A, (DI)(R11*1) \
+	MOVQ ((q*4+3)*8)(R13), DI    \
+	VEXTRACTPS $3, A, (DI)(R11*1) \
+	VMOVMSKPS X8, DI             \
+	XORQ $15, DI                 \
+	SHLQ $(4*q), DI              \
+	ORQ DI, R10
+
+// func gmmTile(mu *float32, dim, senones int, x *float32, rows *[16]*float32, fb *uint16, variance, norm float64, lw float32)
 //
-// The GMM's distances: dst[r*16+lane] = Σ_j (x[j*16+lane] − mu[r*n+j])² for
-// the two component-mean rows r of one senone. Every lane performs exactly
-// sqDist's operations in sqDist's order: the difference x − mu rounded to
-// float32, widened to float64 (the four 128-bit quarters of the 16 lanes
-// become four YMM of doubles), squared, and added to an accumulator started
-// from +0, j ascending, no FMA. Eight add chains (2 rows × 4 quarters).
-TEXT ·sqDist2x16(SB), NOSPLIT, $0-32
+// The GMM's whole pass for one 16-frame tile: for each of the senones whose
+// two component-mean rows follow each other from mu, every lane's squared
+// distances (SQROW: sqDist's operations in sqDist's order, eight add
+// chains), the two log-densities (LOGDENS) and their log-sum-exp (LSE4),
+// written to rows[lane][s] for s = 1, 2, ... The lanes LSE4 leaves to the
+// reference are flagged in fb[s-1], bit lane; their rows hold garbage until
+// the caller overwrites them.
+TEXT ·gmmTile(SB), NOSPLIT, $128-68
 	MOVQ mu+0(FP), SI
-	MOVQ n+8(FP), CX
-	MOVQ x+16(FP), DX
-	MOVQ dst+24(FP), DI
+	MOVQ dim+8(FP), CX
+	MOVQ senones+16(FP), BX
+	MOVQ rows+32(FP), R13
+	MOVQ fb+40(FP), R14
+	LEAQ ·lseCoef(SB), R9
+	MOVQ $4, R11
+
+senone:
+	MOVQ x+24(FP), DX
 	LEAQ (SI)(CX*4), R8
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -142,26 +244,113 @@ TEXT ·sqDist2x16(SB), NOSPLIT, $0-32
 	VXORPD Y7, Y7, Y7
 	XORQ AX, AX
 
-sqloop:
+dist:
 	VMOVUPS (DX), Y8
 	VMOVUPS 32(DX), Y9
-	SQROW(SI, Y0, Y1, Y2, Y3)
-	SQROW(R8, Y4, Y5, Y6, Y7)
+	SQROW(SI, 0, Y0, Y1, Y2, Y3)
+	SQROW(R8, 64, Y4, Y5, Y6, Y7)
 	ADDQ $64, DX
 	INCQ AX
 	CMPQ AX, CX
-	JLT sqloop
+	JLT dist
 
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
+	VBROADCASTSD lseNegHalf<>(SB), Y8
+	VBROADCASTSD variance+48(FP), Y9
+	VBROADCASTSD norm+56(FP), Y10
+	VBROADCASTSS lw+64(FP), X11
+	LOGDENS(Y0, X0)
+	LOGDENS(Y1, X1)
+	LOGDENS(Y2, X2)
+	LOGDENS(Y3, X3)
+	LOGDENS(Y4, X4)
+	LOGDENS(Y5, X5)
+	LOGDENS(Y6, X6)
+	LOGDENS(Y7, X7)
+
+	XORQ R10, R10
+	LSE4(X0, X4)
+	STORE4(0, X0)
+	LSE4(X1, X5)
+	STORE4(1, X1)
+	LSE4(X2, X6)
+	STORE4(2, X2)
+	LSE4(X3, X7)
+	STORE4(3, X3)
+	MOVW R10, (R14)
+
+	ADDQ $2, R14
+	ADDQ $4, R11
+	LEAQ (SI)(CX*8), SI
+	DECQ BX
+	JNZ senone
+
 	VZEROUPPER
 	RET
+
+// func lseTile(a, b, dst *float32, fb *uint8, n int)
+//
+// LSE4 alone, for the tests: dst[i] = logSumExp2(a[i], b[i]) through the
+// same instructions gmmTile runs, four lanes at a time (n a positive
+// multiple of 4), and fb[i/4] the quad's fallback lanes as gmmTile flags
+// them. A flagged lane's dst is garbage.
+TEXT ·lseTile(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DX
+	MOVQ dst+16(FP), DI
+	MOVQ fb+24(FP), R14
+	MOVQ n+32(FP), CX
+	LEAQ ·lseCoef(SB), R9
+
+quad:
+	VMOVUPS (SI), X0
+	VMOVUPS (DX), X4
+	LSE4(X0, X4)
+	VMOVUPS X0, (DI)
+	VMOVMSKPS X8, AX
+	XORQ $15, AX
+	MOVB AX, (R14)
+	ADDQ $16, SI
+	ADDQ $16, DX
+	ADDQ $16, DI
+	INCQ R14
+	SUBQ $4, CX
+	JGT quad
+
+	VZEROUPPER
+	RET
+
+DATA lseNegHalf<>+0(SB)/8, $-0.5
+GLOBL lseNegHalf<>(SB), RODATA|NOPTR, $8
+
+DATA lseMinus16<>+0(SB)/4, $0xc1800000
+DATA lseMinus16<>+4(SB)/4, $0xc1800000
+DATA lseMinus16<>+8(SB)/4, $0xc1800000
+DATA lseMinus16<>+12(SB)/4, $0xc1800000
+GLOBL lseMinus16<>(SB), RODATA|NOPTR, $16
+
+DATA lseMinus32<>+0(SB)/4, $0xc2000000
+DATA lseMinus32<>+4(SB)/4, $0xc2000000
+DATA lseMinus32<>+8(SB)/4, $0xc2000000
+DATA lseMinus32<>+12(SB)/4, $0xc2000000
+GLOBL lseMinus32<>(SB), RODATA|NOPTR, $16
+
+DATA lseHalf<>+0(SB)/8, $0.5
+DATA lseHalf<>+8(SB)/8, $0.5
+DATA lseHalf<>+16(SB)/8, $0.5
+DATA lseHalf<>+24(SB)/8, $0.5
+GLOBL lseHalf<>(SB), RODATA|NOPTR, $32
+
+DATA lseInv32<>+0(SB)/8, $0.03125
+DATA lseInv32<>+8(SB)/8, $0.03125
+DATA lseInv32<>+16(SB)/8, $0.03125
+DATA lseInv32<>+24(SB)/8, $0.03125
+GLOBL lseInv32<>(SB), RODATA|NOPTR, $32
+
+DATA lseSlack<>+0(SB)/8, $0x3d30000000000000
+DATA lseSlack<>+8(SB)/8, $0x3d30000000000000
+DATA lseSlack<>+16(SB)/8, $0x3d30000000000000
+DATA lseSlack<>+24(SB)/8, $0x3d30000000000000
+GLOBL lseSlack<>(SB), RODATA|NOPTR, $32
 
 // func reluTile(v *float32, n int)
 //

@@ -63,8 +63,11 @@ func diffBits(got, want [][]float32) string {
 	return ""
 }
 
-// nonFiniteSpecials are the feature values diffRows' != cannot judge, one
-// special frame per kind (feature index → value; indices stay below 12):
+// nonFiniteSpecials are the feature values diffRows' != cannot judge, plus
+// a finite frame far from every mean, whose GMM log-sum-exp argument lies
+// below the table's range so the tile hands the lane to the scalar
+// mixture; one special frame per kind (feature index → value; indices stay
+// below 12):
 // nonFiniteUtt plants them by position in the utterance modulo the list, the
 // frames in between stay ordinary. A frame carries one NaN payload: which of
 // two different NaNs an add returns depends on the operand order the
@@ -88,6 +91,7 @@ var nonFiniteSpecials = func() []map[int]float32 {
 		{6: denormal},
 		{8: math.MaxFloat32, 10: math.MaxFloat32}, // sums overflow
 		{0: nanA, 3: inf, 6: negZero},
+		{1: 60, 9: 60}, // finite, but far enough from every mean that the GMM's table falls back
 	}
 }()
 
