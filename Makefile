@@ -1,7 +1,7 @@
 # Developer entry points. Everything is stdlib-only Go; no tools beyond
 # the toolchain are required.
 
-.PHONY: all build test vet lint asm-check loc race race-soak lanes-soak bias-soak fuzz-smoke cover check bench bench-check experiments loadgen-smoke format-compat chaos chaos-smoke
+.PHONY: all build test vet lint asm-check float-exhaustive loc race race-soak lanes-soak bias-soak fuzz-smoke cover check bench bench-check experiments loadgen-smoke format-compat chaos chaos-smoke
 
 # Soak durations and fuzz budget. The defaults are the pre-release deep
 # pass; the nightly workflow overrides them (RACE_SOAK=60s ... FUZZTIME=5m)
@@ -135,6 +135,14 @@ asm-check:
 	GOOS=linux GOARCH=arm64 go vet ./internal/acoustic
 	GOARCH=amd64 go vet ./internal/acoustic
 	go test -race ./internal/acoustic
+
+# Every finite float32 through the request-body reader's number scanner
+# (internal/server/features.go), written as json.Marshal writes it and as
+# strconv's shortest 'e' form: each must come back bit for bit. Minutes of
+# CPU split across GOMAXPROCS goroutines, so `make test` skips it (it needs
+# -float-exhaustive) and the nightly workflow runs it as its own job.
+float-exhaustive:
+	go test -run '^TestScanNumberExhaustive$$' -count=1 -v -timeout 60m ./internal/server -float-exhaustive
 
 # The pre-merge gate: lint (gofmt + vet), the assembly checks, the full
 # suite under the race detector (which includes the differential and

@@ -18,20 +18,8 @@ import (
 // and the map reference must agree on words, word ends, cost, every search
 // counter and every per-frame frontier in iteration order.
 func TestCappedSearchMatchesReference(t *testing.T) {
-	tk, err := task.Build(task.Spec{
-		Name:           "search-capped",
-		Vocab:          3000,
-		Phones:         40,
-		TrainSentences: 12000,
-		TestUtterances: 2,
-		LMMinCount:     2,
-		NoiseStd:       2.1,
-		Seed:           20170817,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Beam: 85, MaxActive: 600, PreemptivePruning: true}
+	tk := cappedTask(t)
+	cfg := cappedConfig
 	// One decoder per side: the offset memo persists across decodes, and a
 	// shared one would hand the second side the first side's fills.
 	store, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
@@ -65,6 +53,30 @@ func TestCappedSearchMatchesReference(t *testing.T) {
 	if capped*20 < seen {
 		t.Fatalf("fixture left the regime: cap pending on %d of %d frontiers, want >= 5%%", capped, seen)
 	}
+}
+
+// cappedConfig is the search_wide beam with MaxActive lowered until the cap
+// fires on cappedTask.
+var cappedConfig = Config{Beam: 85, MaxActive: 600, PreemptivePruning: true}
+
+// cappedTask builds the 3 000-word fixture of TestCappedSearchMatchesReference
+// and TestSearchDigest.
+func cappedTask(t *testing.T) *task.Task {
+	t.Helper()
+	tk, err := task.Build(task.Spec{
+		Name:           "search-capped",
+		Vocab:          3000,
+		Phones:         40,
+		TrainSentences: 12000,
+		TestUtterances: 2,
+		LMMinCount:     2,
+		NoiseStd:       2.1,
+		Seed:           20170817,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tk
 }
 
 // TestSearchKernelRatio is the search-side sibling of the acoustic package's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -15,8 +16,10 @@ import (
 //
 // encoding/json stays the definition of the wire format. The fast path takes
 // only the shape clients send: the exact lower-case keys, each at most once,
-// and frames as arrays of arrays of strict JSON numbers, each converted by
-// strconv.ParseFloat(s, 32) as encoding/json converts a float32. The other
+// and frames as arrays of arrays of strict JSON numbers. scanNumber checks
+// and converts each number in one pass, to the bits strconv.ParseFloat(s, 32)
+// gives, as encoding/json converts a float32: one exact float64 operation
+// when the decimal is short, strconv itself otherwise. The other
 // fields are skipped as raw bytes and handed to json.Unmarshal one at a time.
 // At the first byte the fast path does not expect (another key case, an
 // escape, a duplicate, null, a number float32 cannot hold, bad syntax, the
@@ -76,7 +79,8 @@ func (b *valueBudget) Read(p []byte) (int, error) {
 	return 0, b.err
 }
 
-// maxPooledBuf keeps one huge body from pinning its buffer in the pool.
+// maxPooledBuf keeps one huge body from pinning its scratch in the pool: a
+// reader goes back only if each scratch slice is at most this many bytes.
 const maxPooledBuf = 1 << 20
 
 var featureReaders = sync.Pool{New: func() any { return new(featureReader) }}
@@ -97,10 +101,16 @@ func newFeatureReader(body io.Reader, limit int64) *featureReader {
 
 // release returns the scratch to the pool; nothing decoded aliases it.
 func (r *featureReader) release() {
-	if cap(r.buf) <= maxPooledBuf {
+	if r.small() {
 		*r = featureReader{buf: r.buf, vals: r.vals[:0], rowEnd: r.rowEnd[:0], sets: r.sets[:0], utts: r.utts[:0]}
 		featureReaders.Put(r)
 	}
+}
+
+// small reports whether every scratch slice fits in maxPooledBuf bytes.
+func (r *featureReader) small() bool {
+	const word = strconv.IntSize / 8
+	return max(cap(r.buf), 4*cap(r.vals), word*cap(r.rowEnd), 2*word*cap(r.sets), word*cap(r.utts)) <= maxPooledBuf
 }
 
 // recognize reads the next value as a /v1/recognize body.
@@ -313,9 +323,13 @@ func (r *featureReader) key(keys []string) int {
 		return -1
 	}
 	end := bytes.IndexByte(r.buf[r.pos:r.n], '"')
-	for ; end < 0; end = bytes.IndexByte(r.buf[r.pos:r.n], '"') {
+	for off := 0; end < 0; { // no quote in buf[r.pos:][:off]
+		off = r.n - r.pos
 		if !r.more() {
 			return -1
+		}
+		if end = bytes.IndexByte(r.buf[r.pos+off:r.n], '"'); end >= 0 {
+			end += off
 		}
 	}
 	name := r.buf[r.pos : r.pos+end]
@@ -333,67 +347,147 @@ func (r *featureReader) number() bool {
 	if _, ok := r.peek(); !ok {
 		return false
 	}
-	n := 0 // the token's length; more may slide buf under r.pos
-	for {
-		for ; r.pos+n < r.n; n++ {
-			if c := r.buf[r.pos+n]; (c < '0' || c > '9') && c != '-' && c != '.' && c != 'e' && c != 'E' && c != '+' {
+	f, n, st := scanNumber(r.buf[r.pos:r.n])
+	if st == numMore {
+		// The token goes on past the bytes read. Find its end first, resuming
+		// after each read so a long token costs linear time, then scan it
+		// once with the byte that ends it. more may slide buf under r.pos.
+		for n = r.n - r.pos; ; n++ {
+			for r.pos+n == r.n {
+				if !r.more() {
+					return false
+				}
+			}
+			if !numberByte(r.buf[r.pos+n]) {
 				break
 			}
 		}
-		if r.pos+n < r.n {
-			break
-		}
-		if !r.more() {
-			return false
-		}
+		f, n, st = scanNumber(r.buf[r.pos : r.pos+n+1])
 	}
-	tok := r.buf[r.pos : r.pos+n]
-	if !jsonNumber(tok) {
+	if st != numOK {
 		return false
 	}
-	f, err := strconv.ParseFloat(string(tok), 32)
-	if err != nil {
-		return false
-	}
-	r.vals = append(r.vals, float32(f))
+	r.vals = append(r.vals, f)
 	r.pos += n
 	return true
 }
 
-// jsonNumber reports whether b is -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-// (RFC 8259). strconv.ParseFloat also takes "+1", ".5", "1.", "0x1p3", "inf".
-func jsonNumber(b []byte) bool {
-	if len(b) > 0 && b[0] == '-' {
-		b = b[1:]
+// scanNumber's results.
+const (
+	numOK   = iota
+	numBad  // not one strict JSON number float32 holds
+	numMore // b ends inside the token
+)
+
+// pow10 holds the powers of ten that a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// scanNumber converts the number token at the start of b, in one pass, to
+// what strconv.ParseFloat(token, 32) returns, and reports the token's length.
+// The token is the maximal run of [0-9+-.eE]; it must be exactly one
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? (RFC 8259), which
+// ParseFloat alone would not check ("+1", ".5", "1.", "0x1p3", "inf").
+//
+// The walk builds a decimal m×10^exp. With m of at most 15 significant
+// digits and |exp| <= 22, both m and 10^|exp| are exact float64s, so one
+// multiply or divide gives the float64 nearest the decimal (Clinger's fast
+// path); the window also keeps a nonzero result between 1e-22 and 1e37,
+// inside float32's normal range. Rounding that float64 to float32 rounds the
+// decimal itself unless the float64 is a float32 midpoint: every midpoint is
+// a float64, so none lies strictly between the decimal and its nearest
+// float64. Midpoints, longer mantissas and wider exponents go to strconv.
+func scanNumber(b []byte) (float32, int, int) {
+	i, neg := 0, false
+	if i < len(b) && b[i] == '-' {
+		i, neg = 1, true
 	}
-	n := digits(b)
-	if n == 0 || b[0] == '0' && n > 1 {
-		return false
-	}
-	if b = b[n:]; len(b) > 0 && b[0] == '.' {
-		if n = digits(b[1:]); n == 0 {
-			return false
+	var m uint64
+	nd, exp := 0, 0 // significant digits; the exponent of m's last digit
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else {
+		start := i
+		if i, m, nd = mantissa(b, i, m, nd); i == start {
+			return notNumber(b, i)
 		}
-		b = b[1+n:]
 	}
-	if len(b) > 0 && (b[0] == 'e' || b[0] == 'E') {
-		if b = b[1:]; len(b) > 0 && (b[0] == '+' || b[0] == '-') {
-			b = b[1:]
+	if i < len(b) && b[i] == '.' {
+		start := i + 1
+		if i, m, nd = mantissa(b, start, m, nd); i == start {
+			return notNumber(b, i)
 		}
-		if n = digits(b); n == 0 {
-			return false
-		}
-		b = b[n:]
+		exp = start - i
 	}
-	return len(b) == 0
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || eneg) {
+			i++
+		}
+		start, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 1e4 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == start {
+			return notNumber(b, i)
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	if i == len(b) || numberByte(b[i]) {
+		return notNumber(b, i)
+	}
+	if nd <= 15 && -22 <= exp && exp <= 22 {
+		f := float64(m)
+		if exp >= 0 {
+			f *= pow10[exp]
+		} else {
+			f /= pow10[-exp]
+		}
+		if neg {
+			f = -f
+		}
+		if math.Float64bits(f)&(1<<29-1) != 1<<28 {
+			return float32(f), i, numOK
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[:i]), 32)
+	if err != nil {
+		return 0, 0, numBad
+	}
+	return float32(f), i, numOK
 }
 
-func digits(b []byte) int {
-	n := 0
-	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
-		n++
+// mantissa appends the digits at b[i:] to m and counts the significant ones
+// (all but leading zeros) in nd, keeping m's first 19.
+func mantissa(b []byte, i int, m uint64, nd int) (int, uint64, int) {
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		if nd != 0 || b[i] != '0' {
+			if nd < 19 { // m stays below 10^19 < 2^64
+				m = m*10 + uint64(b[i]-'0')
+			}
+			nd++
+		}
 	}
-	return n
+	return i, m, nd
+}
+
+// notNumber is scanNumber's result when the walk stops at b[i]: numMore if
+// b ended there, so the token may go on, else numBad.
+func notNumber(b []byte, i int) (float32, int, int) {
+	if i == len(b) {
+		return 0, 0, numMore
+	}
+	return 0, 0, numBad
+}
+
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
 // skipRaw records key k's value up to the enclosing object's next ',' or

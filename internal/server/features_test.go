@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 )
 
 // featureBody is a bench-shaped /v1/recognize body: one utterance of
@@ -98,6 +100,10 @@ func FuzzFeatureBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// The number scanner's edges (number_test.go), one body each.
+	for _, s := range scanEdges {
+		f.Add([]byte(`{"frames":[[` + s + `]]}`))
+	}
 	f.Add(featureBody(12, 16, 1))
 	f.Add(append(append(featureBody(3, 16, 2), '\n'), featureBody(2, 16, 3)...))
 
@@ -164,5 +170,103 @@ func TestAllocsFeatureParse(t *testing.T) {
 	}
 	if doubled > short+2 {
 		t.Errorf("doubling the frames grew the parse bill from %.0f to %.0f objects, want <= %.0f", short, doubled, short+2)
+	}
+}
+
+// TestFeatureReaderSmall: a body under maxPooledBuf bytes of one-number rows
+// keeps buf within the cap but grows vals and rowEnd past it, and such a
+// reader must not go back to the pool.
+func TestFeatureReaderSmall(t *testing.T) {
+	parse := func(body string) *featureReader {
+		in := newFeatureReader(strings.NewReader(body), 1<<30)
+		var c streamChunk
+		if err := in.chunk(&c); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	if in := parse(string(featureBody(228, 16, 1))); !in.small() {
+		t.Errorf("a 228-frame body's reader is not small: buf %d, vals %d, rowEnd %d", cap(in.buf), cap(in.vals), cap(in.rowEnd))
+	}
+	in := parse(`{"frames":[` + strings.Repeat("[0],", 200_000) + "[0]]}")
+	if cap(in.buf) > maxPooledBuf || 8*cap(in.rowEnd) <= maxPooledBuf {
+		t.Fatalf("fixture: buf %d bytes, rowEnd %d entries; want buf within %d bytes and rowEnd past it", cap(in.buf), cap(in.rowEnd), maxPooledBuf)
+	}
+	if in.small() {
+		t.Errorf("reader with %d rowEnd and %d vals entries is small", cap(in.rowEnd), cap(in.vals))
+	}
+}
+
+// TestFeatureReaderOneByteReads: a body that arrives one byte per Read cuts
+// every number token short, so each goes through number's resume path. The
+// results must still be encoding/json's, and every body here that
+// encoding/json accepts must stay on the fast path.
+func TestFeatureReaderOneByteReads(t *testing.T) {
+	bodies := []string{string(featureBody(12, 16, 1))}
+	for _, s := range scanEdges {
+		bodies = append(bodies, `{"utterances":[{"frames":[[`+s+`],[2,`+s+`]]}]}`)
+	}
+	for _, body := range bodies {
+		var want, got recognizeRequest
+		werr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+		in := newFeatureReader(iotest.OneByteReader(strings.NewReader(body)), 1<<30)
+		gerr := in.recognize(&got)
+		fast := in.dec == nil
+		in.release()
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || werr == nil && !sameRecognize(&got, &want) {
+			t.Errorf("%q one byte per Read: %+v, %v; json.Decoder %+v, %v", body, got, gerr, want, werr)
+		}
+		if fast != (werr == nil) {
+			t.Errorf("%q one byte per Read: fast path %v, want %v", body, fast, werr == nil)
+		}
+	}
+}
+
+// TestFeatureReaderLongTokens: a number or a key that arrives one byte per
+// Read costs time linear in its length, and decodes as encoding/json does.
+// Searching the token again from its start after every read would cost
+// about L²/2 byte steps, minutes for one token near MaxBodyBytes: ~70 s here
+// for the 256 KiB numbers, and ~50 s for the 2 MiB key, whose search runs
+// at memchr speed.
+func TestFeatureReaderLongTokens(t *testing.T) {
+	const L = 1 << 18
+	for _, body := range []string{
+		`{"frames":[[0.` + strings.Repeat("0", L) + `1,-` + strings.Repeat("7", L) + `e-262143]]}`,
+		`{"` + strings.Repeat("a", 8*L) + `":1,"frames":[[1]]}`,
+	} {
+		start := time.Now()
+		in := newFeatureReader(iotest.OneByteReader(strings.NewReader(body)), 1<<30)
+		var got, want streamChunk
+		err := in.chunk(&got)
+		in.release()
+		d := time.Since(start)
+		wantErr := json.Unmarshal([]byte(body), &want)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !sameChunk(&got, &want) {
+			t.Errorf("%.20q…: got %v, %v; encoding/json %v, %v", body, got.Frames, err, want.Frames, wantErr)
+		}
+		t.Logf("%.12q…: %v for %d bytes, one per Read", body, d, len(body))
+		if d > 10*time.Second {
+			t.Errorf("%.12q…: %v for %d bytes read one at a time, want linear time (< 10s)", body, d, len(body))
+		}
+	}
+}
+
+// BenchmarkFeatureParse times the reader on a bench-shaped body (228 frames
+// of 16 features, ~40 KB), the request-body parse of serve_mixed's server
+// profile. Compare two builds with -cpu 1, alternating their binaries.
+func BenchmarkFeatureParse(b *testing.B) {
+	body := featureBody(228, 16, 1)
+	src := bytes.NewReader(body)
+	var req recognizeRequest
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reset(body)
+		in := newFeatureReader(src, 1<<20)
+		if err := in.recognize(&req); err != nil {
+			b.Fatal(err)
+		}
+		in.release()
 	}
 }
