@@ -1,13 +1,12 @@
 # Developer entry points. Everything is stdlib-only Go; no tools beyond
 # the toolchain are required.
 
-.PHONY: all build test vet lint asm-check float-exhaustive loc race race-soak lanes-soak bias-soak fuzz-smoke cover check bench bench-check experiments loadgen-smoke format-compat chaos chaos-smoke
+.PHONY: all build test vet lint asm-check float-exhaustive loc race race-soak bias-soak fuzz-smoke cover check bench bench-check experiments loadgen-smoke format-compat chaos chaos-smoke
 
 # Soak durations and fuzz budget. The defaults are the pre-release deep
 # pass; the nightly workflow overrides them (RACE_SOAK=60s ... FUZZTIME=5m)
 # and `make race` runs the same tests at their 2s in-test defaults.
 RACE_SOAK ?= 20s
-LANES_SOAK ?= 20s
 BIAS_SOAK ?= 20s
 FUZZTIME ?= 10s
 
@@ -43,8 +42,9 @@ loc:
 		printf '%-50s %6d non-test %6d test\n' "$$set" $$src $$tst; \
 	done
 
-# race-checks the whole module, in particular the concurrent DecodePool
-# and LaneScheduler. Run this before sending any change that touches
+# race-checks the whole module, in particular the concurrent DecodePool,
+# the server's handlers and the scorers' pooled window states shared by
+# concurrent streams. Run this before sending any change that touches
 # concurrent code.
 race:
 	go test -race ./...
@@ -59,19 +59,11 @@ race:
 race-soak:
 	go test -race -run TestSoakMixedLoadWithDrain -count=1 -v ./internal/server/ -soak $(RACE_SOAK)
 
-# Lane scheduler endurance pass: $(LANES_SOAK) of mixed batch + stream
-# churn through a narrow lane group under the race detector, with every
-# completed decode checked against its solo reference. `make race` runs the
-# same test at its 2s default; this target is the deep pass for changes
-# touching the lane group, the batched scorers or the scheduler
-# (docs/DECODING.md).
-lanes-soak:
-	go test -race -run TestSoakLaneChurn -count=1 -v ./internal/pool/ -lanes-soak $(LANES_SOAK)
-
 # Tenant-churn bias endurance pass: $(BIAS_SOAK) of many-tenant biased
-# batch + stream load through the lane scheduler under the race detector,
-# with lane slots changing bias machines mid-flight, every completed decode
-# checked against its biased solo reference (docs/BIASING.md). `make race`
+# batch load through a decode pool plus per-tenant chunked streams under
+# the race detector, with workers changing bias machines mid-flight, every
+# completed decode checked against its biased solo reference
+# (docs/BIASING.md). `make race`
 # runs the same test at its 2s default; run the deep pass for changes
 # touching internal/bias or the bias plumbing.
 bias-soak:
@@ -80,13 +72,14 @@ bias-soak:
 # Randomized corruption passes over the model-bundle loaders — the v2
 # directory format and the v3 flat container (docs/ROBUSTNESS.md,
 # docs/MODEL_STORE.md). Catches loader panics long fuzz runs would. The
-# lane scheduler's random join/cancel schedules against solo decodes, the
-# bias compiler, and the server's feature reader against encoding/json on
-# arbitrary request bodies ride along.
+# live stream path (random chunk partitions through the chunk scorer, per
+# scorer kind) against whole-utterance decodes, the bias compiler, and the
+# server's feature reader against encoding/json on arbitrary request
+# bodies ride along.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLoadBundle$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzLoadBundleV3$$' -fuzztime $(FUZZTIME) .
-	go test -run '^$$' -fuzz '^FuzzLaneSchedule$$' -fuzztime $(FUZZTIME) ./internal/pool/
+	go test -run '^$$' -fuzz '^FuzzStreamChunks$$' -fuzztime $(FUZZTIME) ./internal/decoder/
 	go test -run '^$$' -fuzz '^FuzzBiasCompiler$$' -fuzztime $(FUZZTIME) ./internal/bias/
 	go test -run '^$$' -fuzz '^FuzzFeatureBody$$' -fuzztime $(FUZZTIME) ./internal/server/
 

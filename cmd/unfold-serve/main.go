@@ -104,7 +104,6 @@ func main() {
 	verifyBundles := flag.Bool("verify-bundles", false, "verify per-section checksums when loading bundles")
 	modelBudget := flag.Int64("model-budget", 0, "cap on summed resident model bytes (0 = unlimited)")
 	workers := flag.Int("workers", 0, "batch decode workers (0 = GOMAXPROCS)")
-	lanes := flag.Int("lanes", 0, "frame-synchronous decode lanes per model: concurrent utterances share one batched scorer call per frame (0 = classic per-worker paths)")
 	rescue := flag.Int("rescue", 2, "search-failure rescue widenings per frame")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	noPprof := flag.Bool("no-pprof", false, "disable the /debug/pprof endpoints")
@@ -138,7 +137,6 @@ func main() {
 
 	srv := server.New(server.Config{
 		Workers:      *workers,
-		Lanes:        *lanes,
 		Decoder:      decoder.Config{PreemptivePruning: true, RescueWidenings: *rescue},
 		DisablePprof: *noPprof,
 		ModelBudget:  *modelBudget,

@@ -98,60 +98,6 @@ func ExampleDecodePool() {
 	// offset table was used: true
 }
 
-// Frame-synchronous batched decoding: a LaneScheduler advances concurrent
-// utterances in lockstep, scoring all of them with one batched scorer call
-// per frame step. It takes raw feature frames (scoring happens inside the
-// lane group) and its transcripts are byte-identical to solo decoding.
-func ExampleLaneScheduler() {
-	sys, err := unfold.NewSystem(task.Spec{
-		Name:           "example-lanes",
-		Vocab:          25,
-		Phones:         10,
-		TrainSentences: 150,
-		TestUtterances: 4,
-		Seed:           9,
-	})
-	if err != nil {
-		panic(err)
-	}
-	s, err := sys.NewLaneScheduler(unfold.LaneConfig{Lanes: 2})
-	if err != nil {
-		panic(err)
-	}
-	defer s.Close()
-	// Four utterances churn through two lanes: as one drains, the next
-	// joins the running group mid-flight (continuous batching).
-	frames := make([][][]float32, len(sys.TestSet()))
-	for i, u := range sys.TestSet() {
-		frames[i] = u.Frames
-	}
-	batch, err := s.Decode(frames)
-	if err != nil {
-		panic(err)
-	}
-	// Lockstep batching is invisible in the output: every transcript
-	// matches the solo decoder exactly.
-	dec, err := sys.NewDecoder(unfold.DecoderConfig{})
-	if err != nil {
-		panic(err)
-	}
-	same := true
-	for i, r := range batch.Results {
-		seq := dec.Decode(sys.Task.Scorer.ScoreUtterance(frames[i]))
-		if fmt.Sprint(seq.Words) != fmt.Sprint(r.Words) {
-			same = false
-		}
-	}
-	st := s.Stats()
-	fmt.Println("decoded", len(batch.Results), "utterances on 2 lanes")
-	fmt.Println("matches solo:", same)
-	fmt.Println("shared scorer calls:", st.ScorerCallsPerFrame() < 1)
-	// Output:
-	// decoded 4 utterances on 2 lanes
-	// matches solo: true
-	// shared scorer calls: true
-}
-
 // Custom decoder configuration: tighter beam, preemptive pruning.
 func ExampleSystem_NewDecoder() {
 	sys, err := unfold.NewSystem(task.Spec{

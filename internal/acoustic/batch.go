@@ -1,64 +1,23 @@
 package acoustic
 
-// Batched frame-synchronous scoring: the dense half of the lane-group
-// decoder (see internal/decoder/lane.go). Where ScoreUtterance scores one
-// utterance front to back, ScoreStep advances N utterances by ONE frame in
-// a single call, looping weight-row-outer / lane-inner so every weight row
-// (GMM component means, DNN/RNN matrices, template rows) is read once per
-// step and applied to all active lanes — dense matrix work instead of N
-// independent vector passes.
-//
-// The contract that makes lanes safe to ship is bitwise equality: for every
-// lane, the sequence of rows produced by repeated ScoreStep calls is
-// float32-identical to the rows ScoreUtterance produces for that lane's
-// frames alone. The loop interchange preserves the per-(lane,row) dot
-// products exactly — same operands, same order — so batching changes memory
-// traffic and instruction-level parallelism (dot4 and sqDist4 run four
-// lanes' accumulator chains in parallel registers; the DNN's and the GMM's
-// AVX2 tiles run sixteen as SIMD lanes), never the per-lane arithmetic.
-// TestScoreStepMatchesUtterance locks this down for all three scorers.
-
-// LaneState holds one lane's recurrent scorer state (and any per-lane
-// scratch). A state belongs to exactly one lane slot; Reset reinitializes it
-// when a new utterance joins the slot. States are confined to the goroutine
-// driving ScoreStep, so none of this needs locking.
-type LaneState interface {
-	Reset()
-}
-
-// BatchScorer is a Scorer that can additionally advance many utterances in
-// lockstep, one frame per call.
-type BatchScorer interface {
-	Scorer
-	// ScoreDim is the per-frame score-row length (NumSenones+1; index 0 is
-	// the unused -1e30 slot). Callers size the out rows with it.
-	ScoreDim() int
-	// NewLaneState allocates one lane's state: the recurrent scorer's
-	// hidden state, the stateless scorers' per-lane scratch.
-	NewLaneState() LaneState
-	// ScoreStep scores one frame per lane: frames[i] is lane i's next
-	// feature vector, or nil for an idle lane (skipped entirely — its state
-	// does not advance). The scores for lane i are written into out[i],
-	// which must have length ScoreDim. states, frames and out are
-	// index-aligned and must all have the same length.
-	//
-	// ScoreStep allocates nothing once warm (a GMM or DNN lane state grows
-	// its scratch the first time it needs it) and touches only the per-lane
-	// states and out rows, so it may run concurrently with ScoreUtterance
-	// calls on the same scorer (model weights are read-only after
-	// construction).
-	ScoreStep(states []LaneState, frames [][]float32, out [][]float32)
-}
+// The per-frame forward passes the window kernel (window.go) runs, written
+// for several frames at once: loops run weight-row-outer / frame-inner, so
+// every weight row (GMM component means, DNN matrices, template rows) is
+// read once per window and applied to all its frames. The frames of a
+// window take the place of SIMD lanes: dot4 and sqDist4 run four frames'
+// accumulator chains in parallel registers, and the DNN's and the GMM's
+// AVX2 tiles (tile_amd64.go) run sixteen. The loop interchange preserves the
+// per-(frame, row) arithmetic exactly — same operands, same order — so it
+// changes memory traffic and instruction-level parallelism, never a score.
 
 // ---------------------------------------------------------------------------
 // GMM
 
-// gmmLaneState is one lane's scratch: the GMM has no temporal state, but the
-// tile path transposes each group's frames into tile (followed by a scratch
-// score row for padding lanes) and collects fallback flags in fb, both in
-// the state of the lane that leads the group (allocated the first time it
-// leads) — per lane, because one scorer's lanes are driven from many
-// goroutines.
+// gmmLaneState is the GMM's window state: it has no temporal state, but the
+// tile path transposes each group of frames into tile (followed by a scratch
+// score row for padding lanes) and collects fallback flags in fb (allocated
+// the first time the tile runs) — per state, because one scorer is driven
+// from many goroutines.
 type gmmLaneState struct {
 	tile []float32
 	fb   []uint16
@@ -66,42 +25,13 @@ type gmmLaneState struct {
 
 func (*gmmLaneState) Reset() {}
 
-// ScoreDim implements BatchScorer.
+// ScoreDim is the per-frame score-row length (NumSenones+1; index 0 is
+// the unused -1e30 slot).
 func (g *GMMScorer) ScoreDim() int { return g.m.NumSenones + 1 }
 
-// NewLaneState implements BatchScorer.
-func (g *GMMScorer) NewLaneState() LaneState { return &gmmLaneState{} }
-
-// ScoreStep implements BatchScorer: active lanes are compacted, then the
-// mixture runs senone-outer / lane-inner, so each senone's two
-// component-mean rows are loaded once and scored against every active lane's
-// frame — sixteen lanes per row pair on the AVX2 tile, otherwise four lanes'
-// squared distances interleaved per row (sqDist4).
-func (g *GMMScorer) ScoreStep(states []LaneState, frames [][]float32, out [][]float32) {
-	var xs, outs [laneChunk][]float32
-	for base := 0; base < len(frames); base += laneChunk {
-		end := min(base+laneChunk, len(frames))
-		var lead *gmmLaneState
-		n := 0
-		for lane := base; lane < end; lane++ {
-			if x := frames[lane]; x != nil {
-				if n == 0 {
-					lead = states[lane].(*gmmLaneState)
-				}
-				xs[n], outs[n] = x, out[lane]
-				n++
-			}
-		}
-		if n > 0 {
-			g.stepLanes(lead, xs[:n], outs[:n])
-		}
-	}
-}
-
-// stepLanes scores one frame for n compacted lanes: the GMM's one forward
-// pass, reached from ScoreStep, from ScoreWindow and through it from
-// ScoreUtterance. With AVX2 the whole mixture goes through the SIMD tile,
-// tileLanes at a time, against scratch in the leading lane's state.
+// stepLanes scores each frame of xs into the matching outs row: the GMM's
+// one forward pass, reached from scoreWindow. With AVX2 the whole mixture goes through
+// the SIMD tile, tileLanes at a time, against scratch in lead.
 func (g *GMMScorer) stepLanes(lead *gmmLaneState, xs, outs [][]float32) {
 	dim := g.m.Dim
 	for _, o := range outs {
@@ -179,67 +109,35 @@ func sqDist4(mu, a, b, c, d []float32) (s0, s1, s2, s3 float64) {
 // ---------------------------------------------------------------------------
 // DNN
 
-// laneChunk bounds how many active lanes one dense pass gathers. Active
-// lanes are compacted into stack arrays of this size, so the hot row loops
-// run over dense slices with no per-(row,lane) interface dispatch or nil
-// checks; groups wider than this re-read the weight rows once per chunk.
+// laneChunk bounds how many frames one generic DNN pass gathers on the
+// stack; wider windows run in chunks of this size.
 const laneChunk = 32
 
 // tileLanes is the frame count of the SIMD tile (tile_amd64.go): 16 float32
 // lanes, two YMM registers.
 const tileLanes = 16
 
-// dnnLaneState carries one lane's hidden-stack scratch, each part allocated
-// on first use by the kernel path that needs it. The DNN has no cross-frame
-// state, but the hidden activations feed the perturbation term within a
-// frame, so on the generic path each lane needs its own h and h2. tile is
-// the tile path's scratch for the lanes this one leads.
+// dnnLaneState carries one frame's hidden-stack scratch, each part
+// allocated on first use by the kernel path that needs it. The DNN has no
+// cross-frame state, but the hidden activations feed the perturbation term
+// within a frame, so on the generic path each frame needs its own h and h2.
+// tile is the tile path's scratch for the group of frames this one leads.
 type dnnLaneState struct {
 	h, h2 []float32
 	tile  []float32
 }
 
-func (l *dnnLaneState) Reset() {}
-
-// ScoreDim implements BatchScorer.
+// ScoreDim is the per-frame score-row length (NumSenones+1).
 func (d *DNNScorer) ScoreDim() int { return d.m.NumSenones + 1 }
 
-// NewLaneState implements BatchScorer.
-func (d *DNNScorer) NewLaneState() LaneState { return &dnnLaneState{} }
-
-// ScoreStep implements BatchScorer. Active lanes are compacted, then each
-// layer runs row-outer / lane-inner: one pass over w1 (then wh, then the
-// template + projection rows) serves every active lane — dense matrix work
-// instead of N vector passes. Per lane the operations and their order match
-// ScoreUtterance exactly.
-func (d *DNNScorer) ScoreStep(states []LaneState, frames [][]float32, out [][]float32) {
-	var sts [laneChunk]*dnnLaneState
-	var xs, outs [laneChunk][]float32
-	for base := 0; base < len(frames); base += laneChunk {
-		end := min(base+laneChunk, len(frames))
-		n := 0
-		for lane := base; lane < end; lane++ {
-			x := frames[lane]
-			if x == nil {
-				continue
-			}
-			sts[n], xs[n], outs[n] = states[lane].(*dnnLaneState), x, out[lane]
-			n++
-		}
-		if n > 0 {
-			d.stepLanes(sts[:n], xs[:n], outs[:n])
-		}
-	}
-}
-
-// stepLanes scores one frame for n compacted lanes: the DNN's one forward
-// pass, reached from ScoreStep and (through it) ScoreWindow and
-// ScoreUtterance. With AVX2 the lanes go through the SIMD tile, tileLanes at
-// a time, a short group zero-padded. Everywhere else four lanes' dot
-// products are interleaved per row (dot4), so four independent accumulator
-// chains hide the floating-point add latency a solo matvec is bound by. The
-// layer swap happens on local slice headers (the DNN keeps no state across
-// frames, so which buffer ends up as h in the lane state does not matter).
+// stepLanes scores up to laneChunk frames: the DNN's one forward pass,
+// reached from scoreWindow. With AVX2 the frames go through the SIMD tile,
+// tileLanes at a time, a short group zero-padded. Everywhere else four
+// frames' dot products are interleaved per row (dot4), so four independent
+// accumulator chains hide the floating-point add latency a solo matvec is
+// bound by. The layer swap happens on local slice headers (the DNN keeps no
+// state across frames, so which buffer ends up as h in the state does not
+// matter).
 func (d *DNNScorer) stepLanes(sts []*dnnLaneState, xs, outs [][]float32) {
 	if haveAVX2 {
 		for k := 0; k < len(xs); k += tileLanes {
@@ -301,9 +199,8 @@ func (d *DNNScorer) stepLanes(sts []*dnnLaneState, xs, outs [][]float32) {
 // the same element order as dot, so the results are bitwise-identical to
 // four scalar dot calls — but the four independent add chains fill the FPU
 // pipeline where a single chain stalls on floating-point add latency, and
-// the weight row streams through the cache once instead of four times. This
-// is where the lane group's dense-scoring speedup comes from: a solo matvec
-// is latency-bound, the batched version is throughput-bound.
+// the weight row streams through the cache once instead of four times: a
+// solo matvec is latency-bound, the batched version is throughput-bound.
 func dot4(w, a, b, c, d []float32) (s0, s1, s2, s3 float32) {
 	a = a[:len(w)]
 	b = b[:len(w)]
@@ -318,8 +215,8 @@ func dot4(w, a, b, c, d []float32) (s0, s1, s2, s3 float32) {
 	return
 }
 
-// rowDotLanes writes dst[k][i] = dot(w, src[k]) for every compacted lane,
-// four lanes at a time, falling back to scalar dot for the remainder.
+// rowDotLanes writes dst[k][i] = dot(w, src[k]) for every frame k, four
+// frames at a time, falling back to scalar dot for the remainder.
 func rowDotLanes(w []float32, src, dst [][]float32, i int) {
 	k := 0
 	for ; k+4 <= len(src); k += 4 {
@@ -334,126 +231,5 @@ func rowDotLanes(w []float32, src, dst [][]float32, i int) {
 // ---------------------------------------------------------------------------
 // RNN
 
-// rnnLaneState is one lane's Elman recurrence state plus the exponential
-// score smoother — the per-utterance locals of a frame-at-a-time pass, lifted
-// into a slot so the recurrence survives across ScoreStep calls.
-type rnnLaneState struct {
-	h, hNew []float32
-	smooth  []float32
-	first   bool
-}
-
-func (l *rnnLaneState) Reset() {
-	clear(l.h)
-	l.first = true
-}
-
-// ScoreDim implements BatchScorer.
+// ScoreDim is the per-frame score-row length (NumSenones+1).
 func (r *RNNScorer) ScoreDim() int { return r.m.NumSenones + 1 }
-
-// NewLaneState implements BatchScorer.
-func (r *RNNScorer) NewLaneState() LaneState {
-	return &rnnLaneState{
-		h:      make([]float32, r.hidden),
-		hNew:   make([]float32, r.hidden),
-		smooth: make([]float32, r.m.NumSenones+1),
-		first:  true,
-	}
-}
-
-// ScoreStep implements BatchScorer: active lanes are compacted, then the
-// recurrence and the output layer run row-outer / lane-inner over wx, wr,
-// the template rows and proj, four lanes' dot products interleaved per row
-// (dot4). Per lane and per element the operand order matches ScoreUtterance
-// (each hNew[i] is the wx-row dot completed first, then the wr-row dot
-// added), so the smoothed rows are bitwise-identical to a solo pass over
-// the same frames.
-func (r *RNNScorer) ScoreStep(states []LaneState, frames [][]float32, out [][]float32) {
-	var sts [laneChunk]*rnnLaneState
-	var xs, outs [laneChunk][]float32
-	for base := 0; base < len(frames); base += laneChunk {
-		end := base + laneChunk
-		if end > len(frames) {
-			end = len(frames)
-		}
-		n := 0
-		for lane := base; lane < end; lane++ {
-			x := frames[lane]
-			if x == nil {
-				continue
-			}
-			sts[n], xs[n], outs[n] = states[lane].(*rnnLaneState), x, out[lane]
-			n++
-		}
-		if n > 0 {
-			r.stepLanes(sts[:n], xs[:n], outs[:n])
-		}
-	}
-}
-
-// stepLanes advances the recurrence one frame for n compacted lanes.
-func (r *RNNScorer) stepLanes(sts []*rnnLaneState, xs, outs [][]float32) {
-	dim := r.m.Dim
-	var hs, hNews [laneChunk][]float32
-	for k, st := range sts {
-		hs[k], hNews[k] = st.h, st.hNew
-	}
-	var as, bs [4]float32
-	for i := 0; i < r.hidden; i++ {
-		wx := r.wx[i*dim : (i+1)*dim]
-		wr := r.wr[i*r.hidden : (i+1)*r.hidden]
-		k := 0
-		for ; k+4 <= len(sts); k += 4 {
-			as[0], as[1], as[2], as[3] = dot4(wx, xs[k], xs[k+1], xs[k+2], xs[k+3])
-			bs[0], bs[1], bs[2], bs[3] = dot4(wr, hs[k], hs[k+1], hs[k+2], hs[k+3])
-			hNews[k][i] = as[0] + bs[0]
-			hNews[k+1][i] = as[1] + bs[1]
-			hNews[k+2][i] = as[2] + bs[2]
-			hNews[k+3][i] = as[3] + bs[3]
-		}
-		for ; k < len(sts); k++ {
-			hNews[k][i] = dot(wx, xs[k]) + dot(wr, hs[k])
-		}
-	}
-	for k, st := range sts {
-		tanhInPlace(st.hNew)
-		st.h, st.hNew = st.hNew, st.h
-		hs[k] = st.h
-		outs[k][0] = unusedScore
-	}
-	for s := 1; s <= r.m.NumSenones; s++ {
-		tw := r.tmpl.tmplW[s]
-		tb := r.tmpl.tmplB[s]
-		pr := r.proj[s*r.hidden : (s+1)*r.hidden]
-		k := 0
-		for ; k+4 <= len(sts); k += 4 {
-			as[0], as[1], as[2], as[3] = dot4(tw, xs[k], xs[k+1], xs[k+2], xs[k+3])
-			bs[0], bs[1], bs[2], bs[3] = dot4(pr, hs[k], hs[k+1], hs[k+2], hs[k+3])
-			for j := 0; j < 4; j++ {
-				st := sts[k+j]
-				raw := (tb + as[j]) + 0.02*bs[j]
-				if st.first {
-					st.smooth[s] = raw
-				} else {
-					st.smooth[s] = (1-r.alpha)*st.smooth[s] + r.alpha*raw
-				}
-				outs[k+j][s] = st.smooth[s]
-			}
-		}
-		for ; k < len(sts); k++ {
-			st := sts[k]
-			t := tb + dot(tw, xs[k])
-			p := dot(pr, hs[k])
-			raw := t + 0.02*p
-			if st.first {
-				st.smooth[s] = raw
-			} else {
-				st.smooth[s] = (1-r.alpha)*st.smooth[s] + r.alpha*raw
-			}
-			outs[k][s] = st.smooth[s]
-		}
-	}
-	for _, st := range sts {
-		st.first = false
-	}
-}

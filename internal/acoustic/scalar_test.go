@@ -11,7 +11,7 @@ import (
 
 // The scalar oracle: frame-at-a-time scoring, one matvec per layer per frame
 // and one row allocated per frame. It defines the arithmetic every batched
-// path (ScoreUtterance, ScoreStep, ScoreWindow) must reproduce float32-bit
+// path (ScoreUtterance, scoreWindow, Utterance.Score) must reproduce float32-bit
 // for bit, and it is the baseline TestScoreKernelRatio times the blocked
 // kernel against.
 
@@ -107,6 +107,14 @@ func matVec(dst, m, x []float32) {
 	rows := len(dst)
 	for i := 0; i < rows; i++ {
 		dst[i] = dot(m[i*n:(i+1)*n], x)
+	}
+}
+
+func addMatVec(dst, m, x []float32) {
+	n := len(x)
+	rows := len(dst)
+	for i := 0; i < rows; i++ {
+		dst[i] += dot(m[i*n:(i+1)*n], x)
 	}
 }
 

@@ -39,27 +39,78 @@ const scoreBlock = tileLanes
 
 // scoreBlocked is ScoreUtterance for every scorer: the window kernel driven
 // to completion. One slab holds the whole score matrix; the frames walk
-// through ScoreWindow in scoreBlock-wide blocks against a window state
+// through scoreWindow in scoreBlock-wide blocks against a window state
 // borrowed from the scorer's pool, so a call allocates the result and
 // nothing else, whatever the frame count.
-func scoreBlocked(sc windowScorer, states *sync.Pool, frames [][]float32) [][]float32 {
-	dim := sc.ScoreDim()
-	out := make([][]float32, len(frames))
-	slab := make([]float32, len(frames)*dim)
-	for f := range out {
-		out[f] = slab[f*dim : (f+1)*dim : (f+1)*dim]
-	}
-	st, _ := states.Get().(LaneState)
-	if st == nil {
-		st = sc.NewWindowState(scoreBlock)
-	}
-	st.Reset()
-	for base := 0; base < len(frames); base += scoreBlock {
-		end := min(base+scoreBlock, len(frames))
-		sc.ScoreWindow(st, frames[base:end], out[base:end])
-	}
-	states.Put(st)
+func scoreBlocked(sc windowScorer, frames [][]float32) [][]float32 {
+	out := newRows(len(frames), sc.ScoreDim())
+	st := borrowWindow(sc)
+	scoreWindows(sc, st, frames, out)
+	sc.windowPool().Put(st)
 	return out
+}
+
+// newRows returns n score rows of width dim carved from one slab.
+func newRows(n, dim int) [][]float32 {
+	rows := make([][]float32, n)
+	slab := make([]float32, n*dim)
+	for f := range rows {
+		rows[f] = slab[f*dim : (f+1)*dim : (f+1)*dim]
+	}
+	return rows
+}
+
+// Utterance scores one utterance that arrives in chunks — a live stream's
+// pushes — carrying the scorer's state from each chunk to the next, so the
+// rows of all chunks together are bitwise-identical to ScoreUtterance over
+// the whole utterance: the RNN's recurrence and score smoothing continue
+// across chunk boundaries instead of restarting at each one. It holds one
+// window state from the scorer's pool for its life and walks every chunk
+// through the same scoreBlock-wide windows ScoreUtterance does.
+//
+// A Scorer that is not one of this package's (a test or fault-injection
+// wrapper) scores each chunk with its own ScoreUtterance call.
+//
+// An Utterance is for one goroutine. Close returns the window state to the
+// pool; the Utterance must not be used afterwards.
+type Utterance struct {
+	sc   Scorer
+	ws   windowScorer // nil when sc is not a window scorer
+	st   windowState
+	rows [][]float32
+}
+
+// NewUtterance starts a chunked utterance on sc.
+func NewUtterance(sc Scorer) *Utterance {
+	u := &Utterance{sc: sc}
+	if ws, ok := sc.(windowScorer); ok {
+		u.ws, u.st = ws, borrowWindow(ws)
+	}
+	return u
+}
+
+// Score scores the utterance's next chunk of frames and returns one row per
+// frame. The rows are reused by the next Score call: a caller that keeps
+// them past it must copy them.
+func (u *Utterance) Score(frames [][]float32) [][]float32 {
+	if u.ws == nil {
+		return u.sc.ScoreUtterance(frames)
+	}
+	if len(frames) > len(u.rows) {
+		u.rows = newRows(len(frames), u.ws.ScoreDim())
+	}
+	out := u.rows[:len(frames)]
+	scoreWindows(u.ws, u.st, frames, out)
+	return out
+}
+
+// Close returns the utterance's window state to the scorer's pool. It is
+// idempotent.
+func (u *Utterance) Close() {
+	if u.st != nil {
+		u.ws.windowPool().Put(u.st)
+		u.st = nil
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -114,7 +165,7 @@ func (g *GMMScorer) FLOPsPerFrame() float64 {
 // ScoreUtterance evaluates the two-component mixture for every senone on
 // every frame (Scorer interface).
 func (g *GMMScorer) ScoreUtterance(frames [][]float32) [][]float32 {
-	return scoreBlocked(g, &g.windows, frames)
+	return scoreBlocked(g, frames)
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +245,7 @@ func (d *DNNScorer) FLOPsPerFrame() float64 {
 // ScoreUtterance runs the hidden stack and template output layer over the
 // utterance (Scorer interface).
 func (d *DNNScorer) ScoreUtterance(frames [][]float32) [][]float32 {
-	return scoreBlocked(d, &d.windows, frames)
+	return scoreBlocked(d, frames)
 }
 
 // ---------------------------------------------------------------------------
@@ -246,19 +297,11 @@ func (r *RNNScorer) FLOPsPerFrame() float64 {
 // ScoreUtterance runs the Elman recurrence with score smoothing over the
 // utterance (Scorer interface).
 func (r *RNNScorer) ScoreUtterance(frames [][]float32) [][]float32 {
-	return scoreBlocked(r, &r.windows, frames)
+	return scoreBlocked(r, frames)
 }
 
 // ---------------------------------------------------------------------------
 // Helpers
-
-func addMatVec(dst, m, x []float32) {
-	n := len(x)
-	rows := len(dst)
-	for i := 0; i < rows; i++ {
-		dst[i] += dot(m[i*n:(i+1)*n], x)
-	}
-}
 
 func dot(a, b []float32) float32 {
 	var s float32

@@ -132,7 +132,7 @@ loop1:
 	VADDPS X11, xr, xr
 
 // GATHER loads coefficient k of the table rows whose indices ×7 are in X15
-// into dst; Y14 is the all-lanes mask the gather consumes.
+// into dst; Y14 is the mask of all lanes the gather consumes.
 #define GATHER(k, dst) \
 	VPCMPEQD Y14, Y14, Y14 \
 	VGATHERDPD Y14, (k*8)(R9)(X15*8), dst

@@ -33,14 +33,12 @@ func TestGenericKernelPath(t *testing.T) {
 		t.Skip("the generic path is the only one on this CPU; the tests above ran it")
 	}
 	useTile(t, false)
-	t.Run("ScoreStepMatchesUtterance", TestScoreStepMatchesUtterance)
-	t.Run("LaneStateReset", TestLaneStateReset)
-	t.Run("ScoreStepAllocs", TestScoreStepAllocs)
 	t.Run("ScoreWindowMatchesUtterance", TestScoreWindowMatchesUtterance)
 	t.Run("WindowStateReset", TestWindowStateReset)
 	t.Run("ScoreWindowAllocs", TestScoreWindowAllocs)
 	t.Run("ScoreUtteranceAllocs", TestScoreUtteranceAllocs)
 	t.Run("ScoreUtteranceConcurrent", TestScoreUtteranceConcurrent)
+	t.Run("UtteranceMatchesWhole", TestUtteranceMatchesWhole)
 }
 
 // diffBits is diffRows by bit pattern: NaN payloads and the sign of zero
@@ -106,7 +104,7 @@ func nonFiniteUtt(rng *rand.Rand, n, dim int) [][]float32 {
 }
 
 // checkNonFiniteParity scores a non-finite utterance of each edge length
-// through ScoreUtterance and through ScoreWindow at widths 1, 8, 16 and 32,
+// through ScoreUtterance and through scoreWindow at widths 1, 8, 16 and 32,
 // and compares with the scalar oracle by bit pattern.
 func checkNonFiniteParity(t *testing.T, label string, sc windowScorer, dim int) {
 	t.Helper()
@@ -118,17 +116,17 @@ func checkNonFiniteParity(t *testing.T, label string, sc windowScorer, dim int) 
 			t.Fatalf("%s, %d frames, ScoreUtterance: %s", label, n, diff)
 		}
 		for _, width := range []int{1, 8, 16, 32} {
-			st := sc.NewWindowState(width)
+			st := sc.newWindowState(width)
 			out := make([][]float32, n)
 			for f := range out {
 				out[f] = make([]float32, sc.ScoreDim())
 			}
 			for base := 0; base < n; base += width {
 				end := min(base+width, n)
-				sc.ScoreWindow(st, utt[base:end], out[base:end])
+				sc.scoreWindow(st, utt[base:end], out[base:end])
 			}
 			if diff := diffBits(out, want); diff != "" {
-				t.Fatalf("%s, %d frames, ScoreWindow width %d: %s", label, n, width, diff)
+				t.Fatalf("%s, %d frames, scoreWindow width %d: %s", label, n, width, diff)
 			}
 		}
 	}
@@ -137,7 +135,7 @@ func checkNonFiniteParity(t *testing.T, label string, sc windowScorer, dim int) 
 // TestDNNTileNonFiniteParity feeds the DNN what diffRows' != cannot judge —
 // NaNs of either sign, ±Inf, -0, a denormal, MaxFloat32 — at the tile's
 // edges (1, 15, 16, 17, 33 frames; a hidden width and a senone count that
-// are not multiples of 4; ScoreWindow widths 1, 8, 16, 32) and compares with
+// are not multiples of 4; scoreWindow widths 1, 8, 16, 32) and compares with
 // the scalar oracle by bit pattern on both kernel paths.
 func TestDNNTileNonFiniteParity(t *testing.T) {
 	const dim = 12

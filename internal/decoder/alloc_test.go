@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/acoustic"
 	"repro/internal/bias"
 	"repro/internal/semiring"
 	"repro/internal/wfst"
@@ -142,51 +143,37 @@ func TestAllocsDecodePerFrame(t *testing.T) {
 	}
 }
 
-// TestAllocsLaneStep gates the batched lane path end to end: a warm
-// join/push/step-to-drain/leave cycle over a full lane group — batched
-// scoring included — must allocate NOTHING. This is strictly stronger than
-// "0 allocs per frame": the whole continuous-batching cycle (slot recycling,
-// stream reset, scorer-state reset, feature queueing) is on the measured
-// path, so a per-join allocation fails the gate just like a per-frame one.
-func TestAllocsLaneStep(t *testing.T) {
+// TestAllocsStreamChunk gates the live stream's steady state end to end: a
+// warm cycle of chunked scoring through one acoustic.Utterance plus a Push
+// per row — the server's /v1/stream loop, 4-frame chunks — must allocate
+// NOTHING. The stream is re-armed in place each cycle, so the lattice never
+// outgrows its warm size, and the Utterance's rows and window state are
+// reused from chunk to chunk; a per-chunk or per-frame allocation fails the
+// gate.
+func TestAllocsStreamChunk(t *testing.T) {
 	f := getFixture(t, 42)
-	const width = 4
-	g, err := NewLaneGroup(f.tk.Scorer, width)
+	d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decs := make([]*OnTheFly, width)
-	for i := range decs {
-		if decs[i], err = NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lanes := make([]*Lane, width)
-	frames := 0
+	frames := f.tk.Test[0].Frames
+	s := d.NewStream()
+	u := acoustic.NewUtterance(f.tk.Scorer)
+	defer u.Close()
 	run := func() {
-		for i := 0; i < width; i++ {
-			l, err := g.Join(decs[i])
-			if err != nil {
-				t.Fatal(err)
+		s.reset(d)
+		for i := 0; i < len(frames); i += 4 {
+			for _, row := range u.Score(frames[i:min(i+4, len(frames))]) {
+				_ = s.Push(row)
 			}
-			l.Push(f.tk.Test[i].Frames)
-			lanes[i] = l
-		}
-		for g.Step() > 0 {
-		}
-		for _, l := range lanes {
-			l.Leave() // Leave, not Finish: Result construction is off the steady path
 		}
 	}
-	run() // warm every buffer, stream scratch and scorer lane state
-	for i := 0; i < width; i++ {
-		frames += len(f.tk.Test[i].Frames)
-	}
+	run() // warm every buffer, the stream scratch and the window state
 
 	allocs := testing.AllocsPerRun(10, run)
 	if allocs > 0 {
-		t.Errorf("steady-state lane cycle allocates %.1f objects per %d-frame group cycle, want 0",
-			allocs, frames)
+		t.Errorf("steady-state chunked stream allocates %.1f objects per %d-frame utterance, want 0",
+			allocs, len(frames))
 	}
 }
 

@@ -29,8 +29,8 @@ const (
 // (and newly created or reset Streams) search the AM ∘ LM ∘ Bias
 // composition, crediting the machine's bonuses on cross-word arcs. Like
 // SetSearchPreset, it must not be called while a decode is in flight on
-// this decoder — the pool and lane scheduler install it only while they
-// hold the worker or slot exclusively. Passing nil is ClearBias.
+// this decoder — the pool installs it only while it holds the worker
+// exclusively. Passing nil is ClearBias.
 //
 // The 26/26/12 composed key bounds the graphs: AM and LM must each have
 // fewer than 2^26 states and the machine at most 2^12 (bias.MaxStates
@@ -80,8 +80,8 @@ func (d *OnTheFly) unpack(key uint64) (am, lm, bs wfst.StateID) {
 		wfst.StateID(key & biasStateMask)
 }
 
-// startKey is the composed start state all decode paths (batch, stream,
-// lanes) seed their first frontier with.
+// startKey is the composed start state all decode paths (batch, stream)
+// seed their first frontier with.
 func (d *OnTheFly) startKey() uint64 {
 	if d.bias == nil {
 		return otfKey(d.am.Start(), d.lm.Start())

@@ -14,7 +14,7 @@ import (
 // machine at all — same hypotheses, same cost bits, same lattices, same
 // search statistics, same per-frame frontier contents in the same order —
 // across the seeded task×config matrix and every decode path (solo batch,
-// stream, lanes). The empty machine runs the REAL three-way composition
+// stream, interleaved chunked streams). The empty machine runs the REAL three-way composition
 // code (26/26/12 keys, Advance on every emitted word, bias final weights),
 // so any drift the bias seam introduces in packing, pruning order or weight
 // arithmetic shows up here as a frame-level diff against both the nil
@@ -214,9 +214,10 @@ func TestDifferentialNilVsEmptyBiasStream(t *testing.T) {
 	}
 }
 
-// TestDifferentialNilVsEmptyBiasLanes drives empty-bias decoders through a
-// batched lane group (slot recycling included: utterances outnumber lanes)
-// against solo nil-bias decodes.
+// TestDifferentialNilVsEmptyBiasLanes drives empty-bias decoders through
+// two interleaved chunked streams (decodeInterleaved; utterances outnumber
+// streams, so a slot opens a new stream mid-flight) against solo nil-bias
+// decodes.
 func TestDifferentialNilVsEmptyBiasLanes(t *testing.T) {
 	tk, err := task.Build(task.Spec{
 		Name:           "bias-lane-diff",
@@ -230,9 +231,13 @@ func TestDifferentialNilVsEmptyBiasLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	utts := make([][][]float32, len(tk.Test))
+	for i, u := range tk.Test {
+		utts[i] = u.Frames
+	}
 	for _, tc := range diffConfigs {
 		if tc.cfg.RescueWidenings > 0 {
-			continue // lanes ride the stream path, which has no rescue snapshots
+			continue // streams have no rescue snapshots
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			solo := make([]*Result, len(tk.Test))
@@ -244,43 +249,21 @@ func TestDifferentialNilVsEmptyBiasLanes(t *testing.T) {
 				solo[i] = d.Decode(tk.Scorer.ScoreUtterance(u.Frames))
 			}
 
-			g, err := NewLaneGroup(tk.Scorer, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			laneRes := make([]*Result, len(tk.Test))
-			lanes := map[*Lane]int{}
-			next := 0
-			for next < len(tk.Test) || len(lanes) > 0 {
-				for next < len(tk.Test) && g.Active() < g.Width() {
-					d, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := d.SetBias(emptyBiasMachine(t)); err != nil {
-						t.Fatal(err)
-					}
-					l, err := g.Join(d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					l.Push(tk.Test[next].Frames)
-					lanes[l] = next
-					next++
+			got := decodeInterleaved(t, tk.Scorer, utts, 2, func(int) *OnTheFly {
+				d, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				g.Step()
-				for l, utt := range lanes {
-					if l.Pending() == 0 {
-						laneRes[utt] = l.Finish()
-						delete(lanes, l)
-					}
+				if err := d.SetBias(emptyBiasMachine(t)); err != nil {
+					t.Fatal(err)
 				}
-			}
+				return d
+			})
 			for i := range tk.Test {
-				if laneRes[i] == nil {
-					t.Fatalf("utt %d: no lane result", i)
+				if got[i] == nil {
+					t.Fatalf("utt %d: no stream result", i)
 				}
-				compareResults(t, fmt.Sprintf("utt %d lanes", i), laneRes[i], solo[i])
+				compareResults(t, fmt.Sprintf("utt %d interleaved", i), got[i], solo[i])
 			}
 		})
 	}
@@ -288,8 +271,8 @@ func TestDifferentialNilVsEmptyBiasLanes(t *testing.T) {
 
 // TestBiasedDecodeAgreesAcrossPaths locks the biased (non-empty machine)
 // decode itself: the same utterance with the same installed machine must
-// produce byte-identical results through solo batch, stream and lane
-// decodes — biasing changes WHAT wins, never path determinism.
+// produce byte-identical results through solo batch, stream and chunked
+// stream decodes — biasing changes WHAT wins, never path determinism.
 func TestBiasedDecodeAgreesAcrossPaths(t *testing.T) {
 	f := getFixture(t, 42)
 	// Bias toward the reference words of utterance 0 so the machine
@@ -330,16 +313,6 @@ func TestBiasedDecodeAgreesAcrossPaths(t *testing.T) {
 	}
 	compareResults(t, "biased stream vs solo", s.Finish(), want)
 
-	g, err := NewLaneGroup(f.tk.Scorer, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := g.Join(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Push(f.tk.Test[0].Frames)
-	for g.Step() > 0 {
-	}
-	compareResults(t, "biased lane vs solo", l.Finish(), want)
+	compareResults(t, "biased chunked stream vs solo",
+		decodeChunked(t, mk(), f.tk.Scorer, f.tk.Test[0].Frames, 3), want)
 }

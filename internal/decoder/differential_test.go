@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/acoustic"
 	"repro/internal/task"
 )
 
@@ -157,15 +158,79 @@ func TestDifferentialStreamVsReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialLanesVsSolo is the lane-vs-solo oracle: across seeded
-// tasks, every non-rescue search configuration, and several lane widths,
-// utterances decoded through a batched lane group (features scored by the
-// lockstep ScoreStep, frontiers stepped per lane) must match solo decodes
-// byte-for-byte — hypotheses, word end frames, cost bits, finality, search
-// statistics including lattice-entry counts, and the entire per-frame token
-// frontier (keys, costs, lattice indices, iteration order) captured through
-// the frameHook seam. Utterances outnumber lanes, so slot recycling and
-// mid-flight admission are on the oracle's path, not just first joins.
+// decodeChunked is the server's /v1/stream loop on one decoder: the
+// features scored k frames at a time through one acoustic.Utterance (the
+// scorer's state carried across chunks), each chunk's rows pushed into a
+// Stream.
+func decodeChunked(t testing.TB, d *OnTheFly, sc acoustic.Scorer, frames [][]float32, k int) *Result {
+	t.Helper()
+	s := d.NewStream()
+	u := acoustic.NewUtterance(sc)
+	defer u.Close()
+	for i := 0; i < len(frames); i += k {
+		for _, row := range u.Score(frames[i:min(i+k, len(frames))]) {
+			if err := s.Push(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return s.Finish()
+}
+
+// decodeInterleaved decodes utts through width streams that take turns, the
+// server's concurrent /v1/stream connections serialised: each round pushes
+// one chunk into every open stream (slot j's chunks are j+1 frames, so the
+// streams' chunk edges differ), and a finished stream's slot takes the next
+// utterance at once. Each stream scores through its own acoustic.Utterance
+// on the shared scorer; newDec returns utterance i's decoder.
+func decodeInterleaved(t testing.TB, sc acoustic.Scorer, utts [][][]float32, width int, newDec func(i int) *OnTheFly) []*Result {
+	t.Helper()
+	type open struct {
+		utt, pos int
+		s        *Stream
+		u        *acoustic.Utterance
+	}
+	res := make([]*Result, len(utts))
+	slots := make([]*open, width)
+	next := 0
+	for active := true; active; {
+		active = false
+		for j := range slots {
+			if slots[j] == nil && next < len(utts) {
+				slots[j] = &open{utt: next, s: newDec(next).NewStream(), u: acoustic.NewUtterance(sc)}
+				next++
+			}
+			o := slots[j]
+			if o == nil {
+				continue
+			}
+			active = true
+			frames := utts[o.utt]
+			end := min(o.pos+j+1, len(frames))
+			for _, row := range o.u.Score(frames[o.pos:end]) {
+				if err := o.s.Push(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if o.pos = end; o.pos == len(frames) {
+				res[o.utt] = o.s.Finish()
+				o.u.Close()
+				slots[j] = nil
+			}
+		}
+	}
+	return res
+}
+
+// TestDifferentialLanesVsSolo is the interleaved-vs-solo oracle: across
+// seeded tasks, every non-rescue search configuration, and 1, 2 or 4
+// interleaved streams (decodeInterleaved: chunked scoring through one
+// Utterance per stream, frontiers stepped per stream), utterances must match
+// solo decodes byte-for-byte — hypotheses, word end frames, cost bits,
+// finality, search statistics including lattice-entry counts, and the
+// entire per-frame token frontier (keys, costs, lattice indices, iteration
+// order) captured through the frameHook seam. Utterances outnumber streams,
+// so a slot opens a new stream while the others are mid-utterance.
 func TestDifferentialLanesVsSolo(t *testing.T) {
 	seeds := []int64{211, 212}
 	widths := []int{1, 2, 4}
@@ -183,9 +248,13 @@ func TestDifferentialLanesVsSolo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		utts := make([][][]float32, len(tk.Test))
+		for i, u := range tk.Test {
+			utts[i] = u.Frames
+		}
 		for _, tc := range diffConfigs {
 			if tc.cfg.RescueWidenings > 0 {
-				continue // lanes ride the stream path, which has no rescue snapshots
+				continue // streams have no rescue snapshots
 			}
 			for _, width := range widths {
 				total++
@@ -206,60 +275,38 @@ func TestDifferentialLanesVsSolo(t *testing.T) {
 						solo[i] = soloRun{res: d.Decode(tk.Scorer.ScoreUtterance(u.Frames)), snaps: snaps}
 					}
 
-					// Lane run: continuous admission through one group; each
-					// utterance gets its own fresh decoder (same memo story as
-					// the baseline) with its own frontier capture.
-					g, err := NewLaneGroup(tk.Scorer, width)
-					if err != nil {
-						t.Fatal(err)
-					}
+					// Interleaved run: each utterance gets its own fresh
+					// decoder (same memo story as the baseline) with its own
+					// frontier capture.
 					laneSnaps := make([]*[]frameSnap, len(tk.Test))
-					laneRes := make([]*Result, len(tk.Test))
-					lanes := map[*Lane]int{}
-					next := 0
-					for next < len(tk.Test) || len(lanes) > 0 {
-						for next < len(tk.Test) && g.Active() < g.Width() {
-							d, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							laneSnaps[next] = captureFrames(d)
-							l, err := g.Join(d)
-							if err != nil {
-								t.Fatal(err)
-							}
-							l.Push(tk.Test[next].Frames)
-							lanes[l] = next
-							next++
+					laneRes := decodeInterleaved(t, tk.Scorer, utts, width, func(i int) *OnTheFly {
+						d, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
+						if err != nil {
+							t.Fatal(err)
 						}
-						g.Step()
-						for l, utt := range lanes {
-							if l.Pending() == 0 {
-								laneRes[utt] = l.Finish()
-								delete(lanes, l)
-							}
-						}
-					}
+						laneSnaps[i] = captureFrames(d)
+						return d
+					})
 
 					for i := range tk.Test {
 						got, want := laneRes[i], solo[i].res
 						if got == nil {
-							t.Fatalf("utt %d: no lane result", i)
+							t.Fatalf("utt %d: no stream result", i)
 						}
 						if got.Cost != want.Cost {
-							t.Errorf("utt %d cost: lane %v, solo %v", i, got.Cost, want.Cost)
+							t.Errorf("utt %d cost: stream %v, solo %v", i, got.Cost, want.Cost)
 						}
 						if got.ReachedFinal != want.ReachedFinal {
-							t.Errorf("utt %d finality: lane %v, solo %v", i, got.ReachedFinal, want.ReachedFinal)
+							t.Errorf("utt %d finality: stream %v, solo %v", i, got.ReachedFinal, want.ReachedFinal)
 						}
 						if !equalInt32s(got.Words, want.Words) {
-							t.Errorf("utt %d words: lane %v, solo %v", i, got.Words, want.Words)
+							t.Errorf("utt %d words: stream %v, solo %v", i, got.Words, want.Words)
 						}
 						if !equalInt32s(got.WordEnds, want.WordEnds) {
-							t.Errorf("utt %d word ends: lane %v, solo %v", i, got.WordEnds, want.WordEnds)
+							t.Errorf("utt %d word ends: stream %v, solo %v", i, got.WordEnds, want.WordEnds)
 						}
 						if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
-							t.Errorf("utt %d stats: lane %+v, solo %+v", i, gs, ws)
+							t.Errorf("utt %d stats: stream %+v, solo %+v", i, gs, ws)
 						}
 						compareSnaps(t, *laneSnaps[i], *solo[i].snaps)
 					}
@@ -268,7 +315,7 @@ func TestDifferentialLanesVsSolo(t *testing.T) {
 		}
 	}
 	if total < 30 {
-		t.Fatalf("lane differential sweep shrank to %d cases; keep it at 30+", total)
+		t.Fatalf("interleaved differential sweep shrank to %d cases; keep it at 30+", total)
 	}
 }
 
@@ -297,9 +344,10 @@ func comparePipelineResults(t *testing.T, label string, got, want *Result) {
 }
 
 // TestDifferentialPipelinedVsSynchronous is the chunked-vs-whole oracle for
-// the solo stream path (the server's soloStreamEngine): features scored in
-// k-frame windows, each window its own ScoreUtterance call (a partial block
-// of the blocked kernel when k < 16), and the rows searched as they arrive
+// the stream path with chunks scored alone (what acoustic.Utterance does for
+// a scorer that is not a window scorer): features scored in k-frame windows,
+// each window its own ScoreUtterance call (a partial block of the blocked
+// kernel when k < 16), and the rows searched as they arrive
 // must match the synchronous path — score everything with ScoreUtterance,
 // then Decode — byte-for-byte: hypotheses, word end frames, cost bits,
 // finality, search statistics, and the entire per-frame token frontier
@@ -374,11 +422,12 @@ func TestDifferentialPipelinedVsSynchronous(t *testing.T) {
 }
 
 // TestDifferentialPipelineScorers runs the chunked-vs-whole oracle over the
-// dense scorers on the path that carries scorer state across chunks: a lane
-// fed k-frame windows, each drained before the next is pushed (the server's
-// laneStreamEngine), must match a solo decode of the whole utterance. The
-// RNN case is the sharp one: its recurrence must carry across window
-// boundaries bitwise, including a window larger than the whole utterance.
+// dense scorers on the path that carries scorer state across chunks: a
+// Stream fed k-frame chunks scored through one acoustic.Utterance (the
+// server's /v1/stream loop) must match a solo decode of the whole
+// utterance. The RNN case is the sharp one: its recurrence must carry across
+// chunk boundaries bitwise, including a chunk larger than the whole
+// utterance.
 func TestDifferentialPipelineScorers(t *testing.T) {
 	for _, kind := range []task.ScorerKind{task.ScorerDNN, task.ScorerRNN} {
 		tk, err := task.Build(task.Spec{
@@ -397,30 +446,18 @@ func TestDifferentialPipelineScorers(t *testing.T) {
 		for _, k := range []int{1, 4, 1000} {
 			for _, cfg := range []Config{{}, {PreemptivePruning: true}} {
 				t.Run(fmt.Sprintf("%s/k%d/preemptive=%v", kind, k, cfg.PreemptivePruning), func(t *testing.T) {
-					g, err := NewLaneGroup(tk.Scorer, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
 					for i, u := range tk.Test {
 						dSync, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						dLane, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
+						dStream, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						l, err := g.Join(dLane)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for j := 0; j < len(u.Frames); j += k {
-							l.Push(u.Frames[j:min(j+k, len(u.Frames))])
-							for l.Pending() > 0 && g.Step() > 0 {
-							}
-						}
+						got := decodeChunked(t, dStream, tk.Scorer, u.Frames, k)
 						want := dSync.Decode(tk.Scorer.ScoreUtterance(u.Frames))
-						comparePipelineResults(t, fmt.Sprintf("utt %d", i), l.Finish(), want)
+						comparePipelineResults(t, fmt.Sprintf("utt %d", i), got, want)
 					}
 				})
 			}

@@ -46,11 +46,10 @@ func (d *OnTheFly) NewStream() *Stream {
 	return s
 }
 
-// reset re-arms the stream for a fresh utterance on decoder d, reusing its
-// scratch set (token stores, lattice arena, worklist) in place. This is how
-// a lane slot recycles its stream across utterances without per-join heap
-// work: after reset the stream is indistinguishable from a NewStream on d.
-// The previous utterance must be finished or abandoned first.
+// reset arms the stream for a fresh utterance on decoder d, reusing its
+// scratch set (token stores, lattice arena, worklist) in place: after reset
+// the stream is indistinguishable from a NewStream on d. The previous
+// utterance must be finished or abandoned first.
 func (s *Stream) reset(d *OnTheFly) {
 	tel := d.cfg.Telemetry
 	s.d = d

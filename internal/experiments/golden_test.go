@@ -9,8 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/acoustic"
 	"repro/internal/decoder"
-	"repro/internal/pool"
 	"repro/internal/task"
 )
 
@@ -118,29 +118,34 @@ func TestGoldenDecodes(t *testing.T) {
 	}
 }
 
-// decodeGoldenLanes decodes the task's test set through a lane scheduler
-// narrower than the batch, so utterances join and leave the running group
-// mid-flight — the continuous-batching shape the server uses.
-func decodeGoldenLanes(t *testing.T, tk *task.Task, cfg decoder.Config) []goldenUtt {
+// streamChunks are the push sizes decodeGoldenStreamed cycles through, one
+// per utterance: single frames, a few frames, and pushes past one 16-frame
+// scoring block.
+var streamChunks = []int{1, 3, 8, 25}
+
+// decodeGoldenStreamed decodes the task's test set the way /v1/stream does:
+// each utterance on its own decoder, its features scored chunk by chunk
+// through one acoustic.Utterance and pushed row by row into a Stream.
+func decodeGoldenStreamed(t *testing.T, tk *task.Task, cfg decoder.Config) []goldenUtt {
 	t.Helper()
-	s, err := pool.NewLaneScheduler(tk.AM.G, tk.LMGraph.G, tk.Scorer, pool.LaneConfig{Lanes: 3, Decoder: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	frames := make([][][]float32, len(tk.Test))
-	for i, u := range tk.Test {
-		frames[i] = u.Frames
-	}
-	b, err := s.Decode(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []goldenUtt
-	for i, r := range b.Results {
-		if b.Errors[i] != nil {
-			t.Fatalf("utt %d failed in lanes: %v", i, b.Errors[i])
+	for i, u := range tk.Test {
+		d, err := decoder.NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		s := d.NewStream()
+		scorer := acoustic.NewUtterance(tk.Scorer)
+		k := streamChunks[i%len(streamChunks)]
+		for off := 0; off < len(u.Frames); off += k {
+			for _, row := range scorer.Score(u.Frames[off:min(off+k, len(u.Frames))]) {
+				if err := s.Push(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		scorer.Close()
+		r := s.Finish()
 		out = append(out, goldenUtt{
 			Words:        r.Words,
 			WordEnds:     r.WordEnds,
@@ -151,15 +156,15 @@ func decodeGoldenLanes(t *testing.T, tk *task.Task, cfg decoder.Config) []golden
 	return out
 }
 
-// TestGoldenDecodesLanes replays the same four evaluation tasks through the
-// batched lane group and holds the results to the *solo* fixtures — no lane
-// testdata exists on purpose. Frame-synchronous batching must be invisible
-// in the output: same words, same end frames, same costs, under both pinned
-// search configurations, even though the utterances share scorer calls and
-// churn through a 3-lane group.
-func TestGoldenDecodesLanes(t *testing.T) {
+// TestGoldenDecodesStreamed replays the same four evaluation tasks as
+// chunked streams and holds the results to the *solo* fixtures — no stream
+// testdata exists on purpose. Chunking must be invisible in the output:
+// same words, same end frames, same costs, under both pinned search
+// configurations — for the EESEN task too, whose recurrent scorer carries
+// its state across chunk boundaries.
+func TestGoldenDecodesStreamed(t *testing.T) {
 	if *updateGolden {
-		t.Skip("lane decodes assert against the solo fixtures; nothing to update")
+		t.Skip("streamed decodes assert against the solo fixtures; nothing to update")
 	}
 	for _, spec := range task.AllSpecs(goldenScale) {
 		spec.TestUtterances = goldenUtterances
@@ -170,7 +175,7 @@ func TestGoldenDecodesLanes(t *testing.T) {
 		for _, gc := range goldenConfigs {
 			path := goldenPath(spec.Name, gc.name)
 			t.Run(spec.Name+"/"+gc.name, func(t *testing.T) {
-				got := decodeGoldenLanes(t, tk, gc.cfg)
+				got := decodeGoldenStreamed(t, tk, gc.cfg)
 				data, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatalf("missing fixture (run `go test ./internal/experiments -run Golden -update`): %v", err)

@@ -4,34 +4,40 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/acoustic"
 	"repro/internal/bias"
 	"repro/internal/decoder"
+	"repro/internal/telemetry"
 )
 
 var biasSoak = flag.Duration("bias-soak", 2*time.Second, "wall time for the tenant-churn bias soak (make bias-soak runs 20s)")
 
 // TestSoakBiasTenantChurn is the biased-decoding endurance pass (make
 // bias-soak; a 2s slice of it rides in make race): six client goroutines
-// hammer one lane scheduler with Zipf-distributed tenants — each tenant
-// carrying its own bias machine — mixed with tenantless traffic and
-// mid-flight cancellations, three times as many tenants as lanes so every
-// slot keeps changing machines. Under the race detector this exercises the
-// cross-thread seams the tenant layer added: per-lane SetBias installs
-// racing batch submission, and stats scrapes racing live decodes. The
-// correctness bar never drops: every completed utterance is byte-identical
-// to its tenant's solo biased oracle.
+// hammer one decode pool and a stream of per-tenant decoders with
+// Zipf-distributed tenants — each tenant carrying its own bias machine —
+// mixed with tenantless traffic, canceled batches and abandoned streams,
+// three times as many tenants as workers so every worker keeps changing
+// machines. Under the race detector this exercises the cross-thread seams
+// the tenant layer added: per-worker SetBias installs racing batch
+// submission, one scorer's pooled window states shared by concurrent
+// chunked streams, and metric scrapes racing live decodes. The correctness
+// bar never drops: every completed utterance is byte-identical to its
+// tenant's solo biased oracle.
 func TestSoakBiasTenantChurn(t *testing.T) {
 	f := getFixture(t)
 	const tenants = 12
+	cfg := decoder.Config{PreemptivePruning: true}
 	machines := make([]*bias.Machine, tenants)
 	oracle := make([][]*decoder.Result, tenants+1) // [tenants] = tenantless
-	solo, err := decoder.NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, decoder.Config{PreemptivePruning: true})
+	solo, err := decoder.NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +58,12 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 	solo.ClearBias()
 	oracle[tenants] = decodeAll()
 
-	s, err := NewLaneScheduler(f.tk.AM.G, f.tk.LMGraph.G, f.tk.Scorer, LaneConfig{
-		Lanes:   4,
-		Decoder: decoder.Config{PreemptivePruning: true},
-	})
+	reg := telemetry.NewRegistry()
+	tel := NewTelemetry(reg, nil)
+	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{Workers: 4, Decoder: cfg, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	check := func(tag string, ti, utt int, res *decoder.Result) {
 		w := oracle[ti][utt]
@@ -70,6 +74,20 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 		if fmt.Sprint(res.Words) != fmt.Sprint(w.Words) || res.Cost != w.Cost || res.ReachedFinal != w.ReachedFinal {
 			t.Errorf("%s tenant %d utt %d diverged from its solo biased oracle", tag, ti, utt)
 		}
+	}
+	// openStream is the server's /v1/stream setup: a per-connection decoder
+	// carrying the tenant's machine, and a chunk scorer on the shared scorer.
+	openStream := func(tb *TenantBias) (*decoder.Stream, *acoustic.Utterance) {
+		d, err := decoder.NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb != nil {
+			if err := d.SetBias(tb.Machine); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d.NewStream(), acoustic.NewUtterance(f.tk.Scorer)
 	}
 
 	deadline := time.Now().Add(*biasSoak)
@@ -91,58 +109,45 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 				}
 				switch rng.Intn(4) {
 				case 0: // scrape racing decodes
-					_ = s.Stats()
+					_, _ = reg.WriteTo(io.Discard)
 				case 1: // chunked biased stream
-					h, err := s.OpenLaneBias(context.Background(), nil, tb)
-					if err != nil {
-						t.Errorf("soak stream open: %v", err)
-						return
-					}
+					s, u := openStream(tb)
 					frames := f.tk.Test[utt].Frames
 					chunk := 1 + rng.Intn(8)
 					for off := 0; off < len(frames); off += chunk {
-						end := off + chunk
-						if end > len(frames) {
-							end = len(frames)
+						for _, row := range u.Score(frames[off:min(off+chunk, len(frames))]) {
+							if err := s.Push(row); err != nil {
+								t.Errorf("soak stream push: %v", err)
+								return
+							}
 						}
-						if err := h.Push(frames[off:end]); err != nil {
-							t.Errorf("soak stream push: %v", err)
-							return
-						}
-						_ = h.Partial()
+						_ = s.Partial()
 					}
-					res, err := h.Finish()
-					if err != nil {
-						t.Errorf("soak stream finish: %v", err)
-						return
-					}
-					check("stream", ti, utt, res)
+					u.Close()
+					check("stream", ti, utt, s.Finish())
 					done.Add(1)
-				case 2: // canceled biased stream: liveness only
-					ctx, cancel := context.WithCancel(context.Background())
-					h, err := s.OpenLaneBias(ctx, nil, tb)
-					if err != nil {
-						cancel()
+				case 2: // abandoned stream or canceled batch: liveness only
+					if rng.Intn(2) == 0 {
+						s, u := openStream(tb)
+						for _, row := range u.Score(f.tk.Test[utt].Frames[:1+rng.Intn(5)]) {
+							_ = s.Push(row)
+						}
+						u.Close()
 						continue
 					}
-					_ = h.Push(f.tk.Test[utt].Frames[:1+rng.Intn(5)])
-					if rng.Intn(2) == 0 {
-						cancel()
-						_, _ = h.Finish()
-					} else {
-						h.Close()
-					}
+					ctx, cancel := context.WithCancel(context.Background())
 					cancel()
+					_, _ = p.DecodeBiasContext(ctx, f.scores[utt:utt+1], nil, tb)
 				default: // small biased batch
 					n := 1 + rng.Intn(3)
-					var utts [][][]float32
+					var scores [][][]float32
 					var idx []int
 					for i := 0; i < n; i++ {
 						u := (utt + i) % len(f.tk.Test)
-						utts = append(utts, f.tk.Test[u].Frames)
+						scores = append(scores, f.tk.Scorer.ScoreUtterance(f.tk.Test[u].Frames))
 						idx = append(idx, u)
 					}
-					b, err := s.DecodeBiasContext(context.Background(), utts, nil, tb)
+					b, err := p.DecodeBiasContext(context.Background(), scores, nil, tb)
 					if err != nil || b.Failed() != 0 {
 						t.Errorf("soak batch: err=%v errors=%v", err, b.Errors)
 						return
@@ -159,11 +164,17 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 	if done.Load() == 0 {
 		t.Fatal("soak completed no utterances")
 	}
-	if !s.Quiesced() {
-		t.Error("scheduler leaked a slot or queue entry after tenant churn")
+	if busy := tel.WorkersBusy.Value(); busy != 0 {
+		t.Errorf("pool leaked %v busy workers after tenant churn", busy)
 	}
-	if st := s.Stats(); st.Joins != st.Drains {
-		t.Errorf("slot leak: joins %d != drains %d", st.Joins, st.Drains)
+	// Every worker sheds its last tenant: a tenantless batch after the churn
+	// is the tenantless oracle.
+	b, err := p.DecodeContext(context.Background(), f.scores)
+	if err != nil || b.Failed() != 0 {
+		t.Fatalf("post-soak batch: err=%v failed=%d", err, b.Failed())
+	}
+	for i, r := range b.Results {
+		check("post-soak", tenants, i, r)
 	}
 	t.Logf("bias soak: %d utterances over %d tenants", done.Load(), tenants)
 }

@@ -1,18 +1,16 @@
-// Package pool provides the two concurrent decoding engines over one pair of
-// AM/LM graphs. A DecodePool fans a batch of pre-scored utterances out to
-// worker goroutines, one whole utterance per worker; a LaneScheduler advances
-// several utterances in frame-synchronous lockstep through one batched scorer
-// call per step, with utterances joining and leaving mid-flight. Every worker
-// and every lane slot owns a private on-the-fly decoder, and with it a
-// private offset table that stays warm across the utterances it decodes; the
-// graphs are the only state the decoders share, and they are read-only.
+// Package pool provides the concurrent decoding engine over one pair of
+// AM/LM graphs: a DecodePool fans a batch of pre-scored utterances out to
+// worker goroutines, one whole utterance per worker. Every worker owns a
+// private on-the-fly decoder, and with it a private offset table that stays
+// warm across the utterances it decodes; the graphs are the only state the
+// decoders share, and they are read-only.
 //
-// Both engines isolate faults per utterance (a panic becomes a typed
-// DecodeError, cancellation returns partial results) and both are
-// deterministic: each utterance is searched by exactly one decoder, and
-// offset-table contents never decide a result, so any worker count, lane
-// width or interleaving produces results byte-identical to sequential
-// decoding. That determinism is asserted by this package's tests.
+// The pool isolates faults per utterance (a panic becomes a typed
+// DecodeError, cancellation returns partial results) and is deterministic:
+// each utterance is searched by exactly one decoder, and offset-table
+// contents never decide a result, so any worker count or interleaving
+// produces results byte-identical to sequential decoding. That determinism
+// is asserted by this package's tests.
 package pool
 
 import (

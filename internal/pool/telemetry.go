@@ -31,13 +31,6 @@ type Telemetry struct {
 	// WorkersTotal is the pool size. Utilization = busy/total.
 	WorkersBusy  *telemetry.Gauge
 	WorkersTotal *telemetry.Gauge
-
-	// Lane-scheduler instruments (see lanes.go): utterances occupying lane
-	// slots right now, and the lifetime join/drain churn of the continuous
-	// batcher.
-	LaneActive *telemetry.Gauge
-	LaneJoins  *telemetry.Counter
-	LaneDrains *telemetry.Counter
 }
 
 // NewTelemetry registers the pool instrument family (and a shared decoder
@@ -53,9 +46,6 @@ func NewTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) *Telemetry 
 		BatchSeconds: reg.Histogram("unfold_pool_batch_seconds", "Wall time per batch decode.", telemetry.ExpBuckets(0.001, 4, 10)),
 		WorkersBusy:  reg.Gauge("unfold_pool_workers_busy", "Workers decoding an utterance right now."),
 		WorkersTotal: reg.Gauge("unfold_pool_workers", "Pool worker count."),
-		LaneActive:   reg.Gauge("unfold_lane_active", "Utterances occupying lane slots right now."),
-		LaneJoins:    reg.Counter("unfold_lane_joins_total", "Utterances admitted into a lane slot."),
-		LaneDrains:   reg.Counter("unfold_lane_drains_total", "Utterances that left a lane slot (finished, failed, or canceled)."),
 	}
 }
 

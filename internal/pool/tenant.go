@@ -7,7 +7,7 @@ import "repro/internal/bias"
 // plain two-layer search, byte-identical to a pool that has never seen a
 // tenant.
 type TenantBias struct {
-	// Machine is installed on every worker or lane slot the decode uses
+	// Machine is installed on every worker the decode uses
 	// (decoder.SetBias), turning the search into the three-way
 	// AM ∘ LM ∘ Bias composition. nil decodes two-layer.
 	Machine *bias.Machine

@@ -39,8 +39,8 @@ func tenantMachine(t testing.TB, f *poolFixture, utt int, bonus float32) *bias.M
 }
 
 // ---------------------------------------------------------------------------
-// Pool and lane integration: the tenant assignment changes search results
-// exactly when a machine is installed.
+// Pool integration: the tenant assignment changes search results exactly
+// when a machine is installed.
 
 // TestPoolDecodeBiasNilAndTenantOnlyIdentical: a nil TenantBias and a
 // machine-less assignment both produce results byte-identical to the plain
@@ -130,125 +130,5 @@ func TestPoolDecodeBiasMatchesSolo(t *testing.T) {
 		if fmt.Sprint(r.Words) != fmt.Sprint(w.Words) || r.Cost != w.Cost {
 			t.Errorf("follow-up utt %d still biased: worker kept stale tenant state", i)
 		}
-	}
-}
-
-// TestLaneBiasInterleavedTenants runs two tenants with different bias
-// machines plus tenantless traffic concurrently through one lane scheduler:
-// every utterance must match its own tenant's solo biased oracle — the
-// per-lane assignment cannot bleed across interleaved lanes.
-func TestLaneBiasInterleavedTenants(t *testing.T) {
-	f := getFixture(t)
-	machines := map[string]*bias.Machine{
-		"t0": tenantMachine(t, f, 0, 1.0),
-		"t1": tenantMachine(t, f, 1, 3.0),
-	}
-	oracle := map[string][]*decoder.Result{}
-	solo, err := decoder.NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, decoder.Config{PreemptivePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tenant := range []string{"", "t0", "t1"} {
-		if err := solo.SetBias(machines[tenant]); err != nil { // nil machine for ""
-			t.Fatal(err)
-		}
-		res := make([]*decoder.Result, len(f.tk.Test))
-		for i, u := range f.tk.Test {
-			res[i] = solo.Decode(f.tk.Scorer.ScoreUtterance(u.Frames))
-		}
-		oracle[tenant] = res
-	}
-
-	s, err := NewLaneScheduler(f.tk.AM.G, f.tk.LMGraph.G, f.tk.Scorer, LaneConfig{
-		Lanes:   3,
-		Decoder: decoder.Config{PreemptivePruning: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	type job struct {
-		tenant string
-		utt    int
-	}
-	var jobs []job
-	for utt := range f.tk.Test {
-		for _, tenant := range []string{"", "t0", "t1"} {
-			jobs = append(jobs, job{tenant, utt})
-		}
-	}
-	done := make(chan error, len(jobs))
-	for _, j := range jobs {
-		go func(j job) {
-			var tb *TenantBias
-			if j.tenant != "" {
-				tb = &TenantBias{Machine: machines[j.tenant]}
-			}
-			b, err := s.DecodeBiasContext(context.Background(), [][][]float32{f.tk.Test[j.utt].Frames}, nil, tb)
-			if err != nil || b.Failed() != 0 {
-				done <- fmt.Errorf("tenant %q utt %d: err=%v errors=%v", j.tenant, j.utt, err, b.Errors)
-				return
-			}
-			r, w := b.Results[0], oracle[j.tenant][j.utt]
-			if fmt.Sprint(r.Words) != fmt.Sprint(w.Words) || r.Cost != w.Cost || r.ReachedFinal != w.ReachedFinal {
-				done <- fmt.Errorf("tenant %q utt %d diverged from its solo biased oracle", j.tenant, j.utt)
-				return
-			}
-			done <- nil
-		}(j)
-	}
-	for range jobs {
-		if err := <-done; err != nil {
-			t.Error(err)
-		}
-	}
-	if !s.Quiesced() {
-		t.Error("scheduler did not quiesce after interleaved tenant traffic")
-	}
-}
-
-// TestOpenLaneBiasStream: a streamed biased lane finishes byte-identical to
-// the solo biased decode of the same frames.
-func TestOpenLaneBiasStream(t *testing.T) {
-	f := getFixture(t)
-	m := tenantMachine(t, f, 2, 2.0)
-	solo, err := decoder.NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, decoder.Config{PreemptivePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := solo.SetBias(m); err != nil {
-		t.Fatal(err)
-	}
-	want := solo.Decode(f.scores[2])
-
-	s, err := NewLaneScheduler(f.tk.AM.G, f.tk.LMGraph.G, f.tk.Scorer, LaneConfig{
-		Lanes:   2,
-		Decoder: decoder.Config{PreemptivePruning: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	h, err := s.OpenLaneBias(context.Background(), nil, &TenantBias{Machine: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := f.tk.Test[2].Frames
-	for off := 0; off < len(frames); off += 3 {
-		end := off + 3
-		if end > len(frames) {
-			end = len(frames)
-		}
-		if err := h.Push(frames[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := h.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(res.Words) != fmt.Sprint(want.Words) || res.Cost != want.Cost || res.ReachedFinal != want.ReachedFinal {
-		t.Errorf("streamed biased lane diverged: (%v, %v) want (%v, %v)", res.Words, res.Cost, want.Words, want.Cost)
 	}
 }

@@ -14,8 +14,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/acoustic"
 	"repro/internal/decoder"
-	"repro/internal/pool"
 )
 
 // utteranceRequest is one utterance's feature frames.
@@ -93,10 +93,8 @@ func checkDims(frames [][]float32, dim int) error {
 // waiters, shedding with a structured 429 past that), decodes at the
 // degradation level the current queue depth selects, and frees its slot the
 // moment its deadline fires — an expired request never occupies a worker.
-// On the classic path the request scores its own frames (concurrently with
-// other requests) and the searches fan out across the pool; with
-// Config.Lanes the raw frames go to the model's lane scheduler, which
-// scores them batched across all concurrently decoding utterances.
+// The request scores its own frames (concurrently with other requests) and
+// the searches fan out across the pool.
 func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outcome := "error"
@@ -213,25 +211,13 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 		s.degradedTotal.Inc()
 	}
 
-	var batch *pool.Batch
-	if m.lanes != nil {
-		// Lane path: hand the raw frames to the scheduler — scoring happens
-		// inside the lane group, batched across whatever utterances share
-		// the lockstep group at each frame, including other requests'.
-		frames := make([][][]float32, len(req.Utterances))
-		for i, u := range req.Utterances {
-			frames[i] = u.Frames
-		}
-		batch, _ = m.lanes.DecodeBiasContext(ctx, frames, preset, tb)
-	} else {
-		// Scoring happens under the execution slot — it is real CPU work,
-		// and admitting it unbounded would defeat the gate.
-		scores := make([][][]float32, len(req.Utterances))
-		for i, u := range req.Utterances {
-			scores[i] = m.scorer().ScoreUtterance(u.Frames)
-		}
-		batch, _ = m.pool.DecodeBiasContext(ctx, scores, preset, tb)
+	// Scoring happens under the execution slot — it is real CPU work, and
+	// admitting it unbounded would defeat the gate.
+	scores := make([][][]float32, len(req.Utterances))
+	for i, u := range req.Utterances {
+		scores[i] = m.scorer().ScoreUtterance(u.Frames)
 	}
+	batch, _ := m.pool.DecodeBiasContext(ctx, scores, preset, tb)
 	if cerr := ctx.Err(); cerr != nil {
 		if errors.Is(cerr, context.DeadlineExceeded) {
 			outcome = "deadline"
@@ -403,50 +389,15 @@ func (sn *streamSender) stop() {
 	})
 }
 
-// streamEngine abstracts the two decode backends behind /v1/stream: a
-// private solo decoder (scoring chunk-by-chunk) or a lane in the model's
-// shared lane scheduler (scoring batched across connections). abort
-// releases whatever the engine holds on early exits; it is idempotent and
-// safe after finish.
-type streamEngine interface {
-	push(frames [][]float32) error
-	partial() []int32
-	finish() (*decoder.Result, error)
-	abort()
-}
-
-// soloStreamEngine is the classic per-connection path: a private decoder.
-type soloStreamEngine struct {
-	m      *model
-	stream *decoder.Stream
-}
-
-func (e *soloStreamEngine) push(frames [][]float32) error {
-	// Score the chunk and push the rows one frame at a time, as a live
-	// frontend would (each chunk is scored as its own utterance). A dead
-	// search is not an error — Push no-ops and Finish reports the best
-	// partial with SearchFailures set.
-	for _, row := range e.m.scorer().ScoreUtterance(frames) {
-		if err := e.stream.Push(row); err != nil {
+// pushRows pushes one chunk's score rows into the stream, frame by frame.
+func pushRows(stream *decoder.Stream, rows [][]float32) error {
+	for _, row := range rows {
+		if err := stream.Push(row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-func (e *soloStreamEngine) partial() []int32                 { return e.stream.Partial() }
-func (e *soloStreamEngine) finish() (*decoder.Result, error) { return e.stream.Finish(), nil }
-func (e *soloStreamEngine) abort()                           {}
-
-// laneStreamEngine rides one lane of the model's scheduler: every push
-// joins the frame-synchronous lockstep group, so this stream's dense
-// scoring shares matrix work with every other in-flight utterance.
-type laneStreamEngine struct{ h *pool.LaneHandle }
-
-func (e *laneStreamEngine) push(frames [][]float32) error    { return e.h.Push(frames) }
-func (e *laneStreamEngine) partial() []int32                 { return e.h.Partial() }
-func (e *laneStreamEngine) finish() (*decoder.Result, error) { return e.h.Finish() }
-func (e *laneStreamEngine) abort()                           { e.h.Close() }
 
 // handleStream runs an incremental decode over a chunked NDJSON exchange:
 // each request line carries feature frames, each response line the current
@@ -455,18 +406,13 @@ func (e *laneStreamEngine) abort()                           { e.h.Close() }
 // finalizes the utterance; cancellation (client disconnect, context
 // deadline) aborts it and counts toward unfold_server_streams_aborted_total.
 //
-// On the classic path each stream gets a private decoder — construction
-// borrows the shared graphs, so it is cheap, and its offset table is
-// allocated by the first cross-word fetch. With Config.Lanes the stream
-// occupies a lane of the model's scheduler instead, advancing in lockstep
-// with the other decodes.
-//
-// Frames are scored chunk-by-chunk. Frame-stateless scorers (the GMM
-// default) produce transcripts identical to batch /v1/recognize. The
-// emulated recurrent scorer differs by path: the solo path resets its
-// temporal state at chunk boundaries (the trade-off a real streaming
-// frontend makes), while a lane carries persistent per-utterance scorer
-// state, matching the batch decode exactly.
+// Each stream gets a private decoder — construction borrows the shared
+// graphs, so it is cheap, and its offset table is allocated by the first
+// cross-word fetch — and a private acoustic.Utterance that scores each chunk
+// as it arrives, carrying the scorer's state (the recurrent scorer's hidden
+// state and smoother) from chunk to chunk. A stream's words, word ends and
+// cost are therefore those /v1/recognize returns for the same frames, for
+// every scorer and every chunking.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	outcome := "error"
@@ -572,55 +518,31 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The pressure level at connection time sets this stream's operating
-	// point; the preset is private to the connection either way — installed
-	// on a per-connection decoder, or scoped to this stream's lane.
+	// point, installed on the per-connection decoder.
 	level := s.admit.level()
-	var preset *decoder.SearchPreset
+	dcfg := s.cfg.Decoder
+	dcfg.Telemetry = s.ptel.Decoder
+	dec, err := decoder.NewOnTheFly(m.amGraph(), m.lmGraph(), dcfg)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "internal", err.Error())
+		return
+	}
 	if level > 0 {
-		pr := s.cfg.Decoder.DegradedPreset(level)
-		preset = &pr
+		dec.SetSearchPreset(s.cfg.Decoder.DegradedPreset(level))
 		s.degradedTotal.Inc()
 	}
-	var eng streamEngine
-	if m.lanes != nil {
-		// Blocks until a lane slot frees up (honouring ctx) — streams past
-		// the lane count queue here rather than degrading the lockstep group.
-		h, err := m.lanes.OpenLaneBias(ctx, preset, tb)
-		if err != nil {
-			if ctx.Err() != nil {
-				outcome = "canceled"
-				return
-			}
-			outcome = "unavailable"
-			s.failRetry(w, http.StatusServiceUnavailable, "model_not_ready", err.Error())
+	if tb != nil {
+		if err := dec.SetBias(tb.Machine); err != nil {
+			// The machine compiled but cannot compose with this model's
+			// graphs (state-count guardrails): still a client problem.
+			outcome = "invalid"
+			s.fail(w, http.StatusBadRequest, "bad_bias", badBias(err))
 			return
 		}
-		eng = &laneStreamEngine{h: h}
-	} else {
-		dcfg := s.cfg.Decoder
-		dcfg.Telemetry = s.ptel.Decoder
-		dec, err := decoder.NewOnTheFly(m.amGraph(), m.lmGraph(), dcfg)
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		if preset != nil {
-			dec.SetSearchPreset(*preset)
-		}
-		if tb != nil {
-			if err := dec.SetBias(tb.Machine); err != nil {
-				// The machine compiled but cannot compose with this model's
-				// graphs (state-count guardrails): still a client problem.
-				outcome = "invalid"
-				s.fail(w, http.StatusBadRequest, "bad_bias", badBias(err))
-				return
-			}
-		}
-		eng = &soloStreamEngine{m: m, stream: dec.NewStream()}
 	}
-	// Runs on every exit path; a lane is released even when the client
-	// vanishes mid-utterance. No-op after a completed finish.
-	defer eng.abort()
+	stream := dec.NewStream()
+	scorer := acoustic.NewUtterance(m.scorer())
+	defer scorer.Close()
 
 	s.streamsActive.Add(1)
 	s.streamsGauge.Inc()
@@ -701,12 +623,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			sn.final(streamUpdate{Final: true, Reason: "bad_dims", Error: err.Error()})
 			return
 		}
-		if err := eng.push(chunk.Frames); err != nil {
-			if ctx.Err() != nil {
-				// A lane push interrupted by cancellation: loop back so the
-				// top-of-loop check classifies it (deadline vs disconnect).
-				continue
-			}
+		// Push the chunk's rows one frame at a time, as a live frontend
+		// would. A dead search is not an error — Push no-ops and Finish
+		// reports the best partial with SearchFailures set.
+		if err := pushRows(stream, scorer.Score(chunk.Frames)); err != nil {
 			// A decode failure mid-stream is model-sickness evidence, same
 			// as a whole-batch failure on /v1/recognize.
 			s.models.noteDecodeFailure(m)
@@ -714,24 +634,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		frames += len(chunk.Frames)
-		words := eng.partial()
+		words := stream.Partial()
 		sn.partial(streamUpdate{Words: words, Text: m.words(words), Frames: frames})
 	}
 
-	res, ferr := eng.finish()
-	if ferr != nil {
-		if ctx.Err() != nil {
-			// Cancellation raced the finalization.
-			outcome = "canceled"
-			s.streamsAborted.Inc()
-			return
-		}
-		// A lane fault (recovered frontier or scorer panic): structured
-		// final record, counted against the model like any decode failure.
-		s.models.noteDecodeFailure(m)
-		sn.final(streamUpdate{Final: true, Reason: "search", Error: ferr.Error()})
-		return
-	}
+	res := stream.Finish()
 	s.models.noteDecodeSuccess(m)
 	outcome = "ok"
 	if sn.final(streamUpdate{

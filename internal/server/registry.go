@@ -50,11 +50,6 @@ type model struct {
 	// this model's lexicon, with the tenant-keyed LRU in front so a stable
 	// phrase list compiles once per profile edit, not once per request.
 	biasComp *bias.Compiler
-	// lanes, when non-nil (Config.Lanes > 0), is the frame-synchronous
-	// lane scheduler the decode routes use instead of the pool and the
-	// per-connection stream decoders (the handlers route exclusively
-	// through lanes when it is set).
-	lanes *pool.LaneScheduler
 
 	resident    int64
 	loadSeconds float64
@@ -139,12 +134,6 @@ func (m *model) closeLocked() {
 	m.closed = true
 	if m.state != modelFailed {
 		m.state = "closed"
-	}
-	if m.lanes != nil {
-		// Stops the scheduler's runner goroutine and waits for it; any
-		// straggler lane fails with ErrLaneSchedulerClosed. Safe under
-		// m.mu: the runner never touches the model or the registry.
-		m.lanes.Close()
 	}
 	if m.rec != nil {
 		m.rec.Close()

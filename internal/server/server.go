@@ -7,14 +7,9 @@
 //
 // The decode paths reuse the repo's serving machinery wholesale: batch
 // recognition fans out through a pool.DecodePool; streaming recognition
-// runs a decoder.Stream on a per-connection decoder. With Config.Lanes
-// set, both decode routes instead attach to a per-model
-// pool.LaneScheduler: concurrent utterances advance in frame-synchronous
-// lockstep through one batched scorer call per step (continuous batching
-// — requests join and leave the running group mid-flight), with
-// identical transcripts and the
-// unfold_lane_{active,joins_total,drains_total} instruments tracking the
-// churn. Telemetry is threaded through every path via the nil-safe
+// runs a decoder.Stream on a per-connection decoder, fed by an
+// acoustic.Utterance that carries the scorer's state across chunks, so both
+// routes return the same result for the same frames. Telemetry is threaded through every path via the nil-safe
 // seams, so everything /metrics shows during a live decode — frontier
 // sizes, back-off walks, offset-table hits — is the decoder's own
 // accounting, not server-side estimation.
@@ -45,15 +40,6 @@ type Config struct {
 	// Workers is the DecodePool size for batch /v1/recognize requests
 	// (defaults to GOMAXPROCS, per pool.Config).
 	Workers int
-	// Lanes, when > 0, builds a frame-synchronous lane scheduler per model
-	// and routes /v1/recognize and /v1/stream through it: up to Lanes
-	// utterances advance in lockstep through one batched scorer call per
-	// frame, joining and leaving the group mid-flight (continuous
-	// batching), instead of queueing for whole pool workers. Transcripts
-	// are byte-identical to the worker-pool paths. Size it at or above the
-	// expected decode concurrency — utterances past the lane count queue
-	// for a free slot. 0 (the default) keeps the classic paths.
-	Lanes int
 	// Decoder configures the beam search for both the pool workers and the
 	// per-connection stream decoders. Telemetry is overwritten by the
 	// server's own wiring; leave it nil.
@@ -289,17 +275,6 @@ func (s *Server) buildSystemModel(name string, sys *unfold.System) (*model, erro
 	if err != nil {
 		return nil, err
 	}
-	var lanes *pool.LaneScheduler
-	if s.cfg.Lanes > 0 {
-		lanes, err = pool.NewLaneScheduler(sys.Task.AM.G, sys.Task.LMGraph.G, sys.Task.Scorer, pool.LaneConfig{
-			Lanes:     s.cfg.Lanes,
-			Decoder:   s.cfg.Decoder,
-			Telemetry: s.ptel,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	fp := sys.Footprint()
 	comp := bias.NewCompiler(newWordLookup(sys.Task.Lex.Words), bias.CompilerConfig{})
 	s.observeBiasCompiler(name, comp)
@@ -308,7 +283,6 @@ func (s *Server) buildSystemModel(name string, sys *unfold.System) (*model, erro
 		task:        sys.Task.Spec.Name,
 		sys:         sys,
 		pool:        p,
-		lanes:       lanes,
 		biasComp:    comp,
 		resident:    fp.AMBytes + fp.LMBytes,
 		loadSeconds: loadSecondsSince(start),
@@ -363,18 +337,6 @@ func (s *Server) buildBundleModel(name, path string, verify bool) (*model, error
 		rec.Close()
 		return nil, err
 	}
-	var lanes *pool.LaneScheduler
-	if s.cfg.Lanes > 0 {
-		lanes, err = pool.NewLaneScheduler(rec.AMGraph, rec.LMGraph, rec.Scorer, pool.LaneConfig{
-			Lanes:     s.cfg.Lanes,
-			Decoder:   s.cfg.Decoder,
-			Telemetry: s.ptel,
-		})
-		if err != nil {
-			rec.Close()
-			return nil, err
-		}
-	}
 	comp := bias.NewCompiler(newWordLookup(rec.Lex.Words), bias.CompilerConfig{})
 	s.observeBiasCompiler(name, comp)
 	return &model{
@@ -382,7 +344,6 @@ func (s *Server) buildBundleModel(name, path string, verify bool) (*model, error
 		task:        rec.TaskName,
 		rec:         rec,
 		pool:        p,
-		lanes:       lanes,
 		biasComp:    comp,
 		resident:    rec.ResidentBytes(),
 		loadSeconds: loadSecondsSince(start),

@@ -304,6 +304,90 @@ func metricValue(out, name string) float64 {
 	return -1
 }
 
+// streamFinal posts frames to url's /v1/stream in chunks of k frames, one
+// NDJSON line each, and returns the final update.
+func streamFinal(t *testing.T, url string, frames [][]float32, k int) streamUpdate {
+	t.Helper()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for off := 0; off < len(frames); off += k {
+		enc.Encode(streamChunk{Frames: frames[off:min(off+k, len(frames))]})
+	}
+	resp, err := http.Post(url+"/v1/stream", "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("stream: %d %s", resp.StatusCode, b)
+	}
+	var last streamUpdate
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+	}
+	if !last.Final || last.Error != "" {
+		t.Fatalf("stream did not finish cleanly: %+v", last)
+	}
+	return last
+}
+
+// TestStreamRNNMatchesRecognize holds /v1/stream to /v1/recognize on a
+// model whose scorer is recurrent: streamed in 1-, 4- and 25-frame chunks,
+// every utterance must come back with the batch route's words, frame count
+// and cost bits. The stream scores each chunk as it arrives, so this holds
+// only if the scorer's hidden state and smoother carry across chunk
+// boundaries. (Word ends are not on the wire; the decoder-level
+// TestDifferentialPipelineScorers holds them on the same scoring loop.)
+func TestStreamRNNMatchesRecognize(t *testing.T) {
+	sys, err := unfold.NewSystem(task.Spec{
+		Name:           "server-rnn",
+		Vocab:          30,
+		Phones:         12,
+		TrainSentences: 250,
+		TestUtterances: 3,
+		LMMinCount:     2,
+		Seed:           43,
+		Scorer:         task.ScorerRNN,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1})
+	if err := s.Load(sys); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var req recognizeRequest
+	for _, u := range sys.TestSet() {
+		req.Utterances = append(req.Utterances, utteranceRequest{Frames: u.Frames})
+	}
+	rec := postRecognize(t, s, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("recognize: %d %s", rec.Code, rec.Body.String())
+	}
+	var batch recognizeResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 4, 25} {
+		for i, u := range sys.TestSet() {
+			want := batch.Results[i]
+			got := streamFinal(t, ts.URL, u.Frames, k)
+			if fmt.Sprint(got.Words) != fmt.Sprint(want.Words) || got.Frames != want.Frames || got.Cost != want.Cost {
+				t.Errorf("%d-frame chunks, utt %d: stream %v (%d frames) cost %v, recognize %v (%d frames) cost %v",
+					k, i, got.Words, got.Frames, got.Cost, want.Words, want.Frames, want.Cost)
+			}
+		}
+	}
+}
+
 // TestStreamCancelMidUtterance disconnects a client halfway through an
 // utterance and checks the server aborts the stream: the aborted counter
 // increments and the live gauge returns to zero.

@@ -49,18 +49,6 @@ type PoolConfig = pool.Config
 // results plus throughput and search aggregates.
 type DecodeBatch = pool.Batch
 
-// LaneScheduler is the frame-synchronous batched decoding engine: up to N
-// concurrent utterances advance in lockstep through a shared lane group, so
-// every active lane is scored by ONE batched scorer call per frame step
-// (dense matrix work) while each lane runs its own on-the-fly Viterbi
-// search. Results are byte-identical to solo decoding. Build one with
-// System.NewLaneScheduler; see docs/DECODING.md.
-type LaneScheduler = pool.LaneScheduler
-
-// LaneConfig sizes a LaneScheduler (lane count, per-lane decoder
-// configuration, optional telemetry).
-type LaneConfig = pool.LaneConfig
-
 // Throughput reports batch decode rates (utterances/sec, frames/sec,
 // aggregate real-time factor, offset-table hit rate).
 type Throughput = metrics.Throughput
@@ -169,23 +157,6 @@ func (s *System) NewDecoder(cfg DecoderConfig) (*decoder.OnTheFly, error) {
 // decoding for any worker count.
 func (s *System) NewDecodePool(cfg PoolConfig) (*DecodePool, error) {
 	return pool.New(s.Task.AM.G, s.Task.LMGraph.G, cfg)
-}
-
-// NewLaneScheduler builds a frame-synchronous lane scheduler over this
-// system's graphs and acoustic scorer. Where a DecodePool parallelizes
-// pre-scored utterances across workers, the lane scheduler takes raw
-// feature frames and batches the SCORING: concurrent utterances share one
-// dense scorer call per frame step. Since ScoreUtterance runs the same
-// kernel over 16-frame blocks of one utterance, lanes buy ≈ 1× over the
-// whole-utterance path for the DNN and ~1.2× for the RNN (its recurrence
-// only batches across utterances); what they keep is live input, where a
-// stream arrives a few frames at a time and concurrent connections are the
-// only frames there are to batch (docs/BENCHMARKS.md, "Batched lanes"). The
-// lane states are the scheduler's own, so the
-// system's scorer stays usable by concurrent ScoreUtterance callers;
-// Recognize itself is single-caller because it shares one decoder.
-func (s *System) NewLaneScheduler(cfg LaneConfig) (*LaneScheduler, error) {
-	return pool.NewLaneScheduler(s.Task.AM.G, s.Task.LMGraph.G, s.Task.Scorer, cfg)
 }
 
 // RecognizeBatch scores each utterance's frames and decodes the batch on a
