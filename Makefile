@@ -23,11 +23,17 @@ vet:
 
 # Fast-fail style gate: gofmt on every tracked Go file plus go vet. Runs
 # first in CI so formatting mistakes fail in seconds, not after the race
-# suite.
+# suite. It also refuses runtime.ReadMemStats in Go code outside tests and
+# bench/: the call stops the world, and on a serving path it pauses every
+# request's goroutine (runtime/metrics reads the same counters without a
+# pause).
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
+	@if git grep -n 'runtime.ReadMemStats' -- '*.go' ':!bench' ':!*_test.go'; then \
+		echo "runtime.ReadMemStats stops the world; use runtime/metrics (metrics.ReadAllocCounters)"; exit 1; \
 	fi
 	go vet ./...
 
@@ -112,12 +118,15 @@ cover:
 	done
 
 # The repo's one assembly file holds the DNN and GMM tile kernels
-# (internal/acoustic/tile_amd64.s). Three things keep it honest: the generic
-# bodies every other GOARCH runs must keep compiling (arm64 cross-build and
-# vet, no network needed); asmdecl (in go vet) checks every TEXT symbol's
-# frame layout against its Go declaration, which only happens when vetting
-# for amd64; and the package's tests run under the race build, where the
-# compiler's code around the kernels differs. The race build skips
+# (internal/acoustic/tile_amd64.s): the frame-lane ones (rows4x16, rows1x16,
+# reluTile, gmmTile) and the senone-lane gmmSenones behind ScoreSenones.
+# Three things keep it honest: the generic bodies every other GOARCH runs
+# must keep compiling, tests included, through tile_other.go's stubs (arm64
+# cross-build, vet and test compile, no network needed); asmdecl (in go
+# vet) checks every TEXT symbol's frame layout against its Go declaration,
+# which only happens when vetting for amd64; and the package's tests run
+# under the race build, where the compiler's code around the kernels
+# differs. The race build skips
 # TestLogSumExpExhaustive (every float32 in [-16, -0] through the
 # log-sum-exp table, ~20 s on two cores) and its tile arm
 # TestLogSumExpExhaustiveTile (the same arguments through the AVX2 lanes,
@@ -126,6 +135,7 @@ cover:
 asm-check:
 	GOOS=linux GOARCH=arm64 go build ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/acoustic
+	GOOS=linux GOARCH=arm64 go test -c -o /dev/null ./internal/acoustic
 	GOARCH=amd64 go vet ./internal/acoustic
 	go test -race ./internal/acoustic
 

@@ -18,12 +18,20 @@ package acoustic
 // score row for padding lanes) and collects fallback flags in fb (allocated
 // the first time the tile runs) — per state, because one scorer is driven
 // from many goroutines.
+//
+// Utterance.Row keeps its rows here too, so they come back with the state:
+// block holds the eager rows of chunk frames [lo, hi), lane the row
+// ScoreSenones fills, and reads the utterance's moving need size.
 type gmmLaneState struct {
-	tile []float32
-	fb   []uint16
+	tile   []float32
+	fb     []uint16
+	block  [][]float32
+	lo, hi int
+	lane   []float32
+	reads  int
 }
 
-func (*gmmLaneState) Reset() {}
+func (st *gmmLaneState) Reset() { st.lo, st.hi, st.reads = 0, 0, 0 }
 
 // ScoreDim is the per-frame score-row length (NumSenones+1; index 0 is
 // the unused -1e30 slot).
@@ -59,6 +67,24 @@ func (g *GMMScorer) stepLanes(lead *gmmLaneState, xs, outs [][]float32) {
 		for ; k < len(xs); k++ {
 			outs[k][s] = g.mixture(sqDist(c1, xs[k]), sqDist(c2, xs[k]))
 		}
+	}
+}
+
+// ScoreSenones writes frame x's score for each senone in need into row[s],
+// bit for bit what ScoreUtterance writes there, and leaves every other
+// entry of row as it was: the scoring behind a search that reads a fifth of
+// the senones a frame (Utterance.Row). With AVX2 the senones are the lanes
+// of the tile kernel, sixteen to a call (senoneTile); otherwise each takes
+// the scalar mixture. need holds senone IDs, 1 to NumSenones.
+func (g *GMMScorer) ScoreSenones(x []float32, need []int32, row []float32) {
+	if haveAVX2 {
+		g.senoneTile(x, need, row)
+		return
+	}
+	dim := g.m.Dim
+	for _, s := range need {
+		c := g.comps[s]
+		row[s] = g.mixture(sqDist(c[:dim], x), sqDist(c[dim:], x))
 	}
 }
 

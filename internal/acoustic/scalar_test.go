@@ -157,6 +157,13 @@ func diffRows(got, want [][]float32) string {
 // tile, generic sqDist4 ~3.1x — the table log-sum-exp carries the generic
 // path, the oracle keeps Log1p(Exp)) so a busy host does not trip it; the
 // RNN (sequential recurrence) must simply not lose.
+//
+// Two more rows time the GMM's on-demand scoring (Utterance.Row) against
+// ScoreUtterance on the tile, each frame asking for a fresh random need
+// list: 25 senones, the served beam's share (~2.1x measured, floor 1.3x),
+// and 100, above eagerPercent, where Row must fall back to the eager blocks
+// and lose nothing (1.00-1.10x, floor 0.95x). Both sides run the same
+// kernel there, so these rows take the median of 15 rounds, not 5.
 func TestScoreKernelRatio(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("timing gate: skipped under -short and -race")
@@ -188,26 +195,7 @@ func TestScoreKernelRatio(t *testing.T) {
 		if d := diffRows(sc.ScoreUtterance(utt), scalarScore(t, sc, utt)); d != "" {
 			t.Fatalf("%s: %s", c.name, d)
 		}
-		// The two sides take turns round by round, so a busy stretch of the
-		// host lands on both.
-		const rounds, reps = 5, 4
-		timeIt := func(score func()) time.Duration {
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				score()
-			}
-			return time.Since(start) / time.Duration(reps*len(utt))
-		}
-		var scalars, blockeds [rounds]time.Duration
-		for i := 0; i < rounds; i++ {
-			scalars[i] = timeIt(func() { scalarScore(t, sc, utt) })
-			blockeds[i] = timeIt(func() { sc.ScoreUtterance(utt) })
-		}
-		median := func(d [rounds]time.Duration) time.Duration {
-			sort.Slice(d[:], func(i, j int) bool { return d[i] < d[j] })
-			return d[rounds/2]
-		}
-		scalar, blocked := median(scalars), median(blockeds)
+		scalar, blocked := timePair(5, len(utt), func() { scalarScore(t, sc, utt) }, func() { sc.ScoreUtterance(utt) })
 		ratio := float64(scalar) / float64(blocked)
 		t.Logf("%s: scalar %v/frame, blocked %v/frame, %.2fx", c.name, scalar, blocked, ratio)
 		if ratio < c.floor {
@@ -215,4 +203,64 @@ func TestScoreKernelRatio(t *testing.T) {
 				c.name, ratio, c.floor)
 		}
 	}
+
+	if !cpuAVX2 {
+		t.Log("GMM on demand: no AVX2 on this CPU, not run")
+		return
+	}
+	useTile(t, true)
+	g := NewGMMScorer(m)
+	rng := rand.New(rand.NewSource(34))
+	for _, c := range []struct {
+		need  int
+		floor float64
+	}{{25, 1.3}, {100, 0.95}} {
+		needs := make([][]int32, len(utt))
+		for f := range needs {
+			for _, s := range rng.Perm(m.NumSenones)[:c.need] {
+				needs[f] = append(needs[f], int32(s+1))
+			}
+		}
+		u := NewUtterance(g)
+		onDemand := func() {
+			u.Reset()
+			u.Load(utt)
+			for f := range utt {
+				u.Row(f, func() []int32 { return needs[f] })
+			}
+		}
+		eager, lazy := timePair(15, len(utt), func() { g.ScoreUtterance(utt) }, onDemand)
+		u.Close()
+		ratio := float64(eager) / float64(lazy)
+		t.Logf("GMM on demand, %d of %d senones a frame: eager %v/frame, on demand %v/frame, %.2fx",
+			c.need, m.NumSenones, eager, lazy, ratio)
+		if ratio < c.floor {
+			t.Errorf("GMM on demand, %d senones a frame: %.2fx eager ScoreUtterance, want >= %.2fx",
+				c.need, ratio, c.floor)
+		}
+	}
+}
+
+// timePair times base and fast per frame of an n-frame utterance: the
+// median of rounds rounds of 4 calls each. The two sides take turns round
+// by round, so a busy stretch of the host lands on both.
+func timePair(rounds, n int, base, fast func()) (time.Duration, time.Duration) {
+	const reps = 4
+	timeIt := func(score func()) time.Duration {
+		start := time.Now()
+		for r := 0; r < reps; r++ {
+			score()
+		}
+		return time.Since(start) / time.Duration(reps*n)
+	}
+	bases, fasts := make([]time.Duration, rounds), make([]time.Duration, rounds)
+	for i := 0; i < rounds; i++ {
+		bases[i] = timeIt(base)
+		fasts[i] = timeIt(fast)
+	}
+	median := func(d []time.Duration) time.Duration {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[rounds/2]
+	}
+	return median(bases), median(fasts)
 }

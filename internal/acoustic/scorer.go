@@ -68,6 +68,10 @@ func newRows(n, dim int) [][]float32 {
 // window state from the scorer's pool for its life and walks every chunk
 // through the same scoreBlock-wide windows ScoreUtterance does.
 //
+// A chunk is scored either whole (Score) or row by row as a search reads it
+// (Load, then Row): the second is how a GMM scores only the senones the
+// search asks for.
+//
 // A Scorer that is not one of this package's (a test or fault-injection
 // wrapper) scores each chunk with its own ScoreUtterance call.
 //
@@ -78,6 +82,13 @@ type Utterance struct {
 	ws   windowScorer // nil when sc is not a window scorer
 	st   windowState
 	rows [][]float32
+
+	// The chunk Load handed in, and what Row serves it from: for the GMM
+	// the features (gmm set), for every other scorer the chunk's rows,
+	// scored whole by Load.
+	gmm    *GMMScorer
+	frames [][]float32
+	loaded [][]float32
 }
 
 // NewUtterance starts a chunked utterance on sc.
@@ -86,7 +97,16 @@ func NewUtterance(sc Scorer) *Utterance {
 	if ws, ok := sc.(windowScorer); ok {
 		u.ws, u.st = ws, borrowWindow(ws)
 	}
+	u.gmm, _ = sc.(*GMMScorer)
 	return u
+}
+
+// Reset starts a new utterance on u, as if it were a new Utterance on the
+// same scorer: the recurrent state restarts.
+func (u *Utterance) Reset() {
+	if u.st != nil {
+		u.st.Reset()
+	}
 }
 
 // Score scores the utterance's next chunk of frames and returns one row per
@@ -104,6 +124,73 @@ func (u *Utterance) Score(frames [][]float32) [][]float32 {
 	return out
 }
 
+// Load hands u the utterance's next chunk of frames, to be read through
+// Row. A GMM keeps the features and scores at each Row call; every other
+// scorer scores the chunk whole here, as Score does. The frames must stay
+// unchanged until the next Load.
+func (u *Utterance) Load(frames [][]float32) {
+	if u.gmm != nil {
+		u.frames = frames
+		st := u.st.(*gmmLaneState)
+		st.lo, st.hi = 0, 0
+		return
+	}
+	u.loaded = u.Score(frames)
+}
+
+// eagerPercent is the GMM's break-even between the two ways Row scores a
+// frame, as a share of the model's senones. Row keeps a moving average of
+// how many senones the search reads a frame; while it is below this share
+// a frame is scored senone by senone (ScoreSenones), and once it reaches
+// it the frame is scored whole by the tile, together with the next
+// scoreBlock-1 frames of its chunk, whose rows are then served without
+// asking what they need. Per frame the tile wins from about 40-50 % (a
+// senone-lane pair costs ~1.7 frame-lane pairs, sixteen senones a call),
+// but a block commits sixteen frames: at the served beam the search reads
+// ~45 senones on word-boundary frames and a handful on the frames around
+// them, and a block started there scores mostly what nobody reads. On the
+// 64-utterance big-gmm pool, 60 % leaves 3 % of the served beam's frames
+// to blocks (40 % left 37 %) and 90 % of beam 85's (40 %: 92 %), where
+// every frame the blocks cover also skips the need list, the costlier half
+// of a wide frontier's on-demand frame. TestScoreKernelRatio's wide-need
+// row holds that side of the crossover.
+const eagerPercent = 60
+
+// Row returns row i of the chunk Load handed in, holding the scorer's value
+// for at least every senone need lists: need is called at most once and
+// returns the senones the caller will read from the row (1-based). For the
+// GMM those are all Row scores, unless the search has been reading
+// eagerPercent of the model; other scorers scored the chunk at Load and
+// never call need. Row may be called again for the same i with a longer
+// need (a search retrying a frame with a wider beam). The row is valid
+// until the next Row, Load or Score call.
+func (u *Utterance) Row(i int, need func() []int32) []float32 {
+	if u.gmm == nil {
+		return u.loaded[i]
+	}
+	g, st := u.gmm, u.st.(*gmmLaneState)
+	if i >= st.lo && i < st.hi {
+		return st.block[i-st.lo]
+	}
+	senones := need()
+	st.reads += len(senones) - st.reads/4 // four times the average over ~4 frames
+	if 25*st.reads >= eagerPercent*g.m.NumSenones {
+		end := min(i+scoreBlock, len(u.frames))
+		if st.block == nil {
+			st.block = newRows(scoreBlock, g.ScoreDim())
+		}
+		g.stepLanes(st, u.frames[i:end], st.block[:end-i])
+		st.lo, st.hi = i, end
+		return st.block[0]
+	}
+	if st.lane == nil {
+		st.lane = make([]float32, g.ScoreDim())
+		st.lane[0] = unusedScore
+	}
+	g.ScoreSenones(u.frames[i], senones, st.lane)
+	return st.lane
+}
+
 // Close returns the utterance's window state to the scorer's pool. It is
 // idempotent.
 func (u *Utterance) Close() {
@@ -111,6 +198,7 @@ func (u *Utterance) Close() {
 		u.ws.windowPool().Put(u.st)
 		u.st = nil
 	}
+	u.frames, u.loaded = nil, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ func reluTile(v *float32, n int)
 //go:noescape
 func gmmTile(mu *float32, dim, senones int, x *float32, rows *[tileLanes]*float32, fb *uint16, variance, norm float64, lw float32)
 
+//go:noescape
+func gmmSenones(mu *float32, dim int, idx *[tileLanes]int32, x *float32, rows *[tileLanes]*float32, fb *uint16, variance, norm float64, lw float32)
+
 // lseTile runs the tile's log-sum-exp alone, for the tests that hold it to
 // lse.go's proofs.
 //
@@ -159,6 +162,37 @@ func (g *GMMScorer) stepTile(st *gmmLaneState, xs, outs [][]float32) {
 			k := bits.TrailingZeros16(fb)
 			c := g.comps[i+1]
 			outs[k][i+1] = g.mixture(sqDist(c[:dim], xs[k]), sqDist(c[dim:], xs[k]))
+		}
+	}
+}
+
+// senoneTile is ScoreSenones on the tile: need's senones sixteen at a time
+// as the lanes of one gmmSenones call, each lane writing straight into its
+// row entry. Lanes past the end of need score senone 0's zeroed means into
+// a scratch float, and the few lanes the kernel flags take the scalar
+// mixture, as in stepTile.
+func (g *GMMScorer) senoneTile(x []float32, need []int32, row []float32) {
+	dim := g.m.Dim
+	x = x[:dim]
+	var pad float32
+	for k := 0; k < len(need); k += tileLanes {
+		lanes := need[k:min(k+tileLanes, len(need))]
+		var idx [tileLanes]int32
+		var rows [tileLanes]*float32
+		for l, s := range lanes {
+			_ = g.comps[s] // the kernel's gathers are not bounds-checked
+			idx[l] = s * int32(2*dim)
+			rows[l] = &row[s]
+		}
+		for l := len(lanes); l < tileLanes; l++ {
+			rows[l] = &pad
+		}
+		var fb uint16
+		gmmSenones(&g.means[0], dim, &idx, &x[0], &rows, &fb, g.variance, g.norm, g.lw)
+		for fb &= uint16(1)<<len(lanes) - 1; fb != 0; fb &= fb - 1 {
+			s := lanes[bits.TrailingZeros16(fb)]
+			c := g.comps[s]
+			row[s] = g.mixture(sqDist(c[:dim], x), sqDist(c[dim:], x))
 		}
 	}
 }

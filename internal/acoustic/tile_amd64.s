@@ -97,15 +97,13 @@ loop1:
 	VZEROUPPER
 	RET
 
-// SQROW advances one mean row's four accumulators by term j = AX: x is in
-// Y8/Y9, Y10–Y15 are scratch. The float32 differences are widened from a
+// SQACC squares the sixteen float32 differences in Y11 (lanes 0–7) and Y12
+// (lanes 8–15) in float64 and adds them to one mean row's four
+// accumulators; Y12–Y15 are scratch. The differences are widened from a
 // stack slot: VCVTPS2PD with a memory source needs no shuffle-port uop,
 // where widening the upper halves in registers takes a VEXTRACTF128 and a
 // lane-crossing convert each (the kernel measured ~10 % faster this way).
-#define SQROW(mu, slot, a0, a1, a2, a3) \
-	VBROADCASTSS (mu)(AX*4), Y10 \
-	VSUBPS Y10, Y8, Y11          \
-	VSUBPS Y10, Y9, Y12          \
+#define SQACC(slot, a0, a1, a2, a3) \
 	VMOVUPS Y11, (slot)(SP)      \
 	VMOVUPS Y12, (slot+32)(SP)   \
 	VCVTPS2PD (slot)(SP), Y13    \
@@ -120,6 +118,14 @@ loop1:
 	VADDPD Y14, a1, a1           \
 	VADDPD Y15, a2, a2           \
 	VADDPD Y12, a3, a3
+
+// SQROW advances one mean row's four accumulators by term j = AX: x is in
+// Y8/Y9, Y10–Y15 are scratch.
+#define SQROW(mu, slot, a0, a1, a2, a3) \
+	VBROADCASTSS (mu)(AX*4), Y10 \
+	VSUBPS Y10, Y8, Y11          \
+	VSUBPS Y10, Y9, Y12          \
+	SQACC(slot, a0, a1, a2, a3)
 
 // LOGDENS turns one accumulator of four squared distances into float32
 // log-densities in place, mixture's float32(-0.5·sq/σ² − norm) + lw: Y8
@@ -283,6 +289,88 @@ dist:
 	LEAQ (SI)(CX*8), SI
 	DECQ BX
 	JNZ senone
+
+	VZEROUPPER
+	RET
+
+// GATHER8 loads the eight float32s at base + 4·idx[off/4 + l], l < 8, into
+// dst: one component mean's term j for eight senone lanes. R12 points at
+// the lanes' index vector; Y14 and Y15 are scratch (the gather consumes
+// its mask).
+#define GATHER8(base, off, dst) \
+	VPCMPEQD Y15, Y15, Y15   \
+	VMOVDQU off(R12), Y14    \
+	VGATHERDPS Y15, (base)(Y14*4), dst
+
+// func gmmSenones(mu *float32, dim int, idx *[16]int32, x *float32, rows *[16]*float32, fb *uint16, variance, norm float64, lw float32)
+//
+// gmmTile turned sideways: the sixteen lanes are sixteen senones of one
+// frame, not one senone of sixteen frames. Lane l's two component-mean rows
+// start idx[l] floats past mu. Per term j the frame's x[j] is broadcast and
+// each lane's mean[j] gathered, so x − mean, its float64 square and the
+// running sum are sqDist's operations in sqDist's order, as in gmmTile;
+// LOGDENS, LSE4 and STORE4 then run unchanged, writing lane l to *rows[l].
+// The lanes LSE4 leaves to the reference are flagged in *fb, bit l.
+TEXT ·gmmSenones(SB), NOSPLIT, $128-68
+	MOVQ mu+0(FP), SI
+	MOVQ dim+8(FP), CX
+	MOVQ idx+16(FP), R12
+	MOVQ x+24(FP), DX
+	MOVQ rows+32(FP), R13
+	MOVQ fb+40(FP), R14
+	LEAQ ·lseCoef(SB), R9
+	XORQ R11, R11
+	LEAQ (SI)(CX*4), R8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+term:
+	VBROADCASTSS (DX), Y8
+	GATHER8(SI, 0, Y10)
+	VSUBPS Y10, Y8, Y11
+	GATHER8(SI, 32, Y10)
+	VSUBPS Y10, Y8, Y12
+	SQACC(0, Y0, Y1, Y2, Y3)
+	GATHER8(R8, 0, Y10)
+	VSUBPS Y10, Y8, Y11
+	GATHER8(R8, 32, Y10)
+	VSUBPS Y10, Y8, Y12
+	SQACC(64, Y4, Y5, Y6, Y7)
+	ADDQ $4, SI
+	ADDQ $4, R8
+	ADDQ $4, DX
+	DECQ CX
+	JNZ term
+
+	VBROADCASTSD lseNegHalf<>(SB), Y8
+	VBROADCASTSD variance+48(FP), Y9
+	VBROADCASTSD norm+56(FP), Y10
+	VBROADCASTSS lw+64(FP), X11
+	LOGDENS(Y0, X0)
+	LOGDENS(Y1, X1)
+	LOGDENS(Y2, X2)
+	LOGDENS(Y3, X3)
+	LOGDENS(Y4, X4)
+	LOGDENS(Y5, X5)
+	LOGDENS(Y6, X6)
+	LOGDENS(Y7, X7)
+
+	XORQ R10, R10
+	LSE4(X0, X4)
+	STORE4(0, X0)
+	LSE4(X1, X5)
+	STORE4(1, X1)
+	LSE4(X2, X6)
+	STORE4(2, X2)
+	LSE4(X3, X7)
+	STORE4(3, X3)
+	MOVW R10, (R14)
 
 	VZEROUPPER
 	RET

@@ -39,6 +39,7 @@ func TestGenericKernelPath(t *testing.T) {
 	t.Run("ScoreUtteranceAllocs", TestScoreUtteranceAllocs)
 	t.Run("ScoreUtteranceConcurrent", TestScoreUtteranceConcurrent)
 	t.Run("UtteranceMatchesWhole", TestUtteranceMatchesWhole)
+	t.Run("UtteranceRowMatchesWhole", TestUtteranceRowMatchesWhole)
 }
 
 // diffBits is diffRows by bit pattern: NaN payloads and the sign of zero

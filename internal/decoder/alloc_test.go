@@ -21,6 +21,12 @@ import (
 // one locally-owned scratch set — the steady-state shape of the hot path,
 // with the pool and Result construction factored out.
 func decodeInPlace(d *OnTheFly, scores [][]float32, sc *scratch) {
+	sc.feed.rows = scores
+	feedInPlace(d, &sc.feed, len(scores), sc)
+}
+
+// feedInPlace is decodeInPlace over n frames of a Feeder.
+func feedInPlace(d *OnTheFly, src Feeder, n int, sc *scratch) {
 	cfg := d.cfg
 	sc.lat.reset()
 	st := Stats{}
@@ -28,8 +34,8 @@ func decodeInPlace(d *OnTheFly, scores [][]float32, sc *scratch) {
 	cur.reset(0)
 	cur.relax(d.startKey(), semiring.One, -1)
 	d.epsClosure(cur, &sc.lat, &st, semiring.Zero, -1, sc)
-	for f := range scores {
-		d.stepFrame(cur, next, scores[f], cfg.Beam, cfg.MaxActive, &sc.lat, &st, f, sc)
+	for f := 0; f < n; f++ {
+		d.stepFrame(cur, next, src, f, cfg.Beam, cfg.MaxActive, &sc.lat, &st, f, sc)
 		if next.len() == 0 {
 			return
 		}
@@ -92,6 +98,77 @@ func TestAllocsBiasedStepFrame(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state biased stepFrame loop allocates %.1f objects per utterance, want 0", allocs)
+	}
+}
+
+// TestAllocsOnDemandStep extends the per-frame gate to on-demand scoring:
+// with an acoustic.Utterance feeding the GMM's rows as the search reads
+// them, the warm loop — need collection, per-senone and eager-block
+// scoring, search — allocates nothing.
+func TestAllocsOnDemandStep(t *testing.T) {
+	f := getFixture(t, 42)
+	d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := f.tk.Test[0].Frames
+	u := acoustic.NewUtterance(f.tk.Scorer)
+	defer u.Close()
+	sc := getScratch()
+	defer putScratch(sc)
+	run := func() {
+		u.Reset()
+		u.Load(frames)
+		feedInPlace(d, u, len(frames), sc)
+	}
+	run() // warm buffers, the offset memo and the Utterance's rows
+
+	allocs := testing.AllocsPerRun(10, run)
+	if allocs > 0 {
+		t.Errorf("steady-state on-demand loop allocates %.1f objects per utterance, want 0", allocs)
+	}
+}
+
+// TestAllocsStreamCycle gates the stream lifecycle the server runs per
+// /v1/stream request on a recycled decoder: NewStream, chunks loaded into
+// one acoustic.Utterance and searched with Feed, Finish, Close. Close hands
+// the scratch set back warm, so the cycle allocates a handful of objects
+// (the Stream, the Result and its backtrace, which grows by doubling with
+// the word count) and nothing per frame: at most 8 over 100 frames and
+// over 200.
+func TestAllocsStreamCycle(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	f := getFixture(t, 42)
+	d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := f.tk.Test[0].Frames
+	doubled := append(append([][]float32(nil), frames...), frames...)
+	u := acoustic.NewUtterance(f.tk.Scorer)
+	defer u.Close()
+	cycle := func(frames [][]float32) func() {
+		return func() {
+			s := d.NewStream()
+			u.Reset()
+			for i := 0; i < len(frames); i += 4 {
+				chunk := frames[i:min(i+4, len(frames))]
+				u.Load(chunk)
+				s.Feed(u, len(chunk))
+			}
+			s.Finish()
+			s.Close()
+		}
+	}
+	cycle(doubled)() // warm the scratch set to the longer utterance
+	single := testing.AllocsPerRun(10, cycle(frames))
+	double := testing.AllocsPerRun(10, cycle(doubled))
+	t.Logf("stream cycle: %.0f objects over %d frames, %.0f over %d", single, len(frames), double, len(doubled))
+	if single > 8 || double > 8 {
+		t.Errorf("stream cycle allocates %.0f objects (%d frames) and %.0f (%d frames): want <= 8 each",
+			single, len(frames), double, len(doubled))
 	}
 }
 

@@ -126,26 +126,42 @@ func (d *OnTheFly) Decode(scores [][]float32) *Result {
 // a steady-state decode performs no per-frame heap allocation; the observed
 // allocation and GC activity is reported in Result.Stats.
 func (d *OnTheFly) DecodeContext(ctx context.Context, scores [][]float32) (*Result, error) {
+	return d.decodeWith(ctx, nil, scores, len(scores))
+}
+
+// DecodeFeed is DecodeContext over frames rows that src supplies as the
+// search reaches them (see Feeder): the path that scores only the senones
+// the search reads. Its result is DecodeContext's over the same rows.
+func (d *OnTheFly) DecodeFeed(ctx context.Context, src Feeder, frames int) (*Result, error) {
+	return d.decodeWith(ctx, src, nil, frames)
+}
+
+// decodeWith wraps decode with the allocation-counter sampling and the
+// telemetry, so every return path is covered.
+func (d *OnTheFly) decodeWith(ctx context.Context, src Feeder, rows [][]float32, n int) (*Result, error) {
 	tel := d.cfg.Telemetry
 	start := tel.now()
 	sp := tel.startSpan("decode")
 	a0 := metrics.ReadAllocCounters()
-	res, err := d.decode(ctx, scores)
+	res, err := d.decode(ctx, src, rows, n)
 	res.Stats.recordAlloc(a0)
 	tel.recordDecode(res.Stats, start, sp)
 	return res, err
 }
 
-// decode is the DecodeContext body; DecodeContext wraps it with the
-// allocation-counter sampling so every return path is covered.
-func (d *OnTheFly) decode(ctx context.Context, scores [][]float32) (*Result, error) {
+// decode searches n frames read from src, or from rows when src is nil.
+func (d *OnTheFly) decode(ctx context.Context, src Feeder, rows [][]float32, n int) (*Result, error) {
 	cfg := d.cfg
 	tel := cfg.Telemetry
 	sc := getScratch()
 	defer putScratch(sc)
+	if src == nil {
+		sc.feed.rows = rows
+		src = &sc.feed
+	}
 	lat := &sc.lat
 	lat.reset()
-	st := Stats{Frames: len(scores)}
+	st := Stats{Frames: n}
 
 	cur, next, snap := sc.cur, sc.next, sc.snap
 	cur.reset(0)
@@ -153,7 +169,7 @@ func (d *OnTheFly) decode(ctx context.Context, scores [][]float32) (*Result, err
 	d.epsClosure(cur, lat, &st, semiring.Zero, -1, sc)
 	d.hook(-1, cur)
 
-	for f := range scores {
+	for f := 0; f < n; f++ {
 		if err := ctx.Err(); err != nil {
 			st.Frames = f // frames actually searched
 			return d.finish(cur, lat, st), err
@@ -162,7 +178,7 @@ func (d *OnTheFly) decode(ctx context.Context, scores [][]float32) (*Result, err
 			snap.copyFrom(cur)
 		}
 		beam, maxActive := d.searchParams()
-		d.stepFrame(cur, next, scores[f], beam, maxActive, lat, &st, f, sc)
+		d.stepFrame(cur, next, src, f, beam, maxActive, lat, &st, f, sc)
 		for attempt := 0; next.len() == 0 && attempt < cfg.RescueWidenings; attempt++ {
 			// Bounded escalation: restore the pre-pruning frontier and retry
 			// the frame with double the beam and double the histogram cap.
@@ -172,7 +188,7 @@ func (d *OnTheFly) decode(ctx context.Context, scores [][]float32) (*Result, err
 				maxActive *= 2
 			}
 			cur.copyFrom(snap)
-			d.stepFrame(cur, next, scores[f], beam, maxActive, lat, &st, f, sc)
+			d.stepFrame(cur, next, src, f, beam, maxActive, lat, &st, f, sc)
 		}
 		if next.len() == 0 {
 			st.SearchFailures++
@@ -195,17 +211,21 @@ func (d *OnTheFly) decode(ctx context.Context, scores [][]float32) (*Result, err
 
 // stepFrame advances the search by one frame: beam/histogram pruning of cur
 // (in place), emission of every non-epsilon arc, and the epsilon closure of
-// the resulting frontier, written into next (which is reset first). Tokens
-// are expanded in frontier insertion order, which is deterministic by
-// construction, so the running-best threshold (and hence preemptive-pruning
-// statistics) are reproducible without the sorted key pass the map frontier
-// needed.
-func (d *OnTheFly) stepFrame(cur, next *tokenStore, frame []float32, beam semiring.Weight, maxActive int, lat *lattice, st *Stats, f int, sc *scratch) {
+// the resulting frontier, written into next (which is reset first). The
+// scores are src.Row(row), asked for once cur is pruned, so a feeder that
+// scores on demand sees exactly the senones the emission loop reads
+// (sc.need); f is the frame's index in the utterance. Tokens are expanded
+// in frontier insertion order, which is deterministic by construction, so
+// the running-best threshold (and hence preemptive-pruning statistics) are
+// reproducible without the sorted key pass the map frontier needed.
+func (d *OnTheFly) stepFrame(cur, next *tokenStore, src Feeder, row int, beam semiring.Weight, maxActive int, lat *lattice, st *Stats, f int, sc *scratch) {
 	cfg := d.cfg
 	_, cut := sc.beamPrune(cur, beam, maxActive)
 	st.TokensBeamCut += cut
 	st.TokensExpanded += int64(cur.len())
 	next.reset(nextPerToken * cur.len())
+	sc.needD, sc.needCur = d, cur
+	frame := src.Row(row, sc.need)
 
 	// Preemptive pruning compares against the best hypothesis created
 	// so far in this frame plus the beam. The frame's final threshold

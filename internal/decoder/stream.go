@@ -16,19 +16,19 @@ import (
 // batch Decode call produces exactly the same result.
 //
 // A Stream borrows one scratch set (token stores, lattice arena, closure
-// worklist) from the shared pool at creation and owns it for its lifetime,
-// so a steady-state Push performs no per-frame heap allocation beyond the
-// amortized growth of the word lattice.
+// worklist) from the shared pool at creation and owns it until Close, so a
+// steady-state Push performs no per-frame heap allocation beyond the
+// amortized growth of the word lattice, and the next stream gets the set
+// warm.
 type Stream struct {
-	d       *OnTheFly
-	sc      *scratch
-	sampler *metrics.AllocSampler
-	cur     *tokenStore
-	next    *tokenStore
-	st      Stats
-	a0      metrics.AllocCounters
-	dead    bool
-	frozen  *tokenStore // last non-empty frontier if the search dies
+	d      *OnTheFly
+	sc     *scratch
+	cur    *tokenStore
+	next   *tokenStore
+	st     Stats
+	a0     metrics.AllocCounters
+	dead   bool
+	frozen *tokenStore // last non-empty frontier if the search dies
 
 	// Telemetry state: counters are published incrementally (every Push
 	// adds the frame's Stats delta) so a /metrics scrape mid-utterance sees
@@ -41,7 +41,7 @@ type Stream struct {
 
 // NewStream starts an incremental decode on d.
 func (d *OnTheFly) NewStream() *Stream {
-	s := &Stream{sc: getScratch(), sampler: metrics.NewAllocSampler()}
+	s := &Stream{sc: getScratch()}
 	s.reset(d)
 	return s
 }
@@ -58,7 +58,7 @@ func (s *Stream) reset(d *OnTheFly) {
 	s.published = Stats{}
 	s.dead = false
 	s.frozen = nil
-	s.a0 = s.sampler.Read()
+	s.a0 = s.sc.sampler.Read()
 	s.start = tel.now()
 	s.span = tel.startSpan("stream")
 	s.sc.lat.reset()
@@ -76,21 +76,38 @@ func (s *Stream) Push(frame []float32) error {
 	if len(frame) == 0 {
 		return fmt.Errorf("decoder: empty frame")
 	}
+	s.sc.one[0] = frame
+	s.sc.feed.rows = s.sc.one[:]
+	s.step(&s.sc.feed, 0)
+	return nil
+}
+
+// Feed consumes src's rows 0 to n-1 as the stream's next n frames, each
+// read when the search reaches it (see Feeder), so a feeder that scores on
+// demand scores only what the search reads. After a search death the rest
+// are not read.
+func (s *Stream) Feed(src Feeder, n int) {
+	for i := 0; i < n && !s.dead; i++ {
+		s.step(src, i)
+	}
+}
+
+// step searches one frame, src's row i.
+func (s *Stream) step(src Feeder, i int) {
 	beam, maxActive := s.d.searchParams()
 	f := s.st.Frames
 	s.st.Frames++
-	s.d.stepFrame(s.cur, s.next, frame, beam, maxActive, &s.sc.lat, &s.st, f, s.sc)
+	s.d.stepFrame(s.cur, s.next, src, i, beam, maxActive, &s.sc.lat, &s.st, f, s.sc)
 	if s.next.len() == 0 {
 		s.dead = true
 		s.st.SearchFailures++
 		s.frozen = s.cur
 		s.publish()
-		return nil
+		return
 	}
 	s.cur, s.next = s.next, s.cur
 	s.d.hook(f, s.cur)
 	s.publish()
-	return nil
 }
 
 // publish pushes the Stats advance since the last publication into the
@@ -143,4 +160,14 @@ func (s *Stream) Finish() *Result {
 	s.d.cfg.Telemetry.recordStream(s.st, s.published, s.start, s.span)
 	s.published = s.st
 	return res
+}
+
+// Close returns the stream's scratch set to the shared pool. The stream
+// must not be used afterwards (Finish's Result stays valid: it copies what
+// it keeps). Close is idempotent.
+func (s *Stream) Close() {
+	if s.sc != nil {
+		putScratch(s.sc)
+		s.sc, s.cur, s.next, s.frozen = nil, nil, nil, nil
+	}
 }

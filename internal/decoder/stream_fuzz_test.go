@@ -47,7 +47,10 @@ func chunkFuzzTasks(t *testing.T) []*task.Task {
 // FuzzStreamChunks holds the live stream path — features scored chunk by
 // chunk through one acoustic.Utterance, rows pushed into a Stream — to the
 // whole-utterance Decode, bit for bit: words, word ends, cost bits,
-// finality and search statistics. The input picks the scorer kind (the
+// finality and search statistics. Its on-demand arm runs the same chunks
+// through a second Utterance loaded chunk by chunk and read by Stream.Feed
+// (a GMM scoring only the senones each frontier reads), checked by
+// strictFeed on every row, to the same bits. The input picks the scorer kind (the
 // GMM, the DNN, or the RNN whose recurrence must carry across every chunk
 // edge), the utterance, preemptive pruning on or off, and the chunk
 // partition: chunk i is chunks[i mod len] frames, 0 meaning the rest of the
@@ -73,9 +76,16 @@ func FuzzStreamChunks(f *testing.F) {
 		}
 		want := dWhole.Decode(tk.Scorer.ScoreUtterance(frames))
 
-		s := dStream.NewStream()
-		u := acoustic.NewUtterance(tk.Scorer)
+		dFeed, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager := tk.Scorer.ScoreUtterance(frames)
+		s, sFeed := dStream.NewStream(), dFeed.NewStream()
+		defer sFeed.Close()
+		u, uFeed := acoustic.NewUtterance(tk.Scorer), acoustic.NewUtterance(tk.Scorer)
 		defer u.Close()
+		defer uFeed.Close()
 		for pos, i := 0, 0; pos < len(frames); i++ {
 			end := len(frames)
 			if len(chunks) > 0 {
@@ -88,9 +98,18 @@ func FuzzStreamChunks(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
+			uFeed.Load(frames[pos:end])
+			sFeed.Feed(&strictFeed{t: t, inner: uFeed, eager: eager, base: pos}, end-pos)
 			pos = end
 		}
 		got := s.Finish()
+		if gotFeed := sFeed.Finish(); math.Float32bits(float32(gotFeed.Cost)) != math.Float32bits(float32(got.Cost)) ||
+			!equalInt32s(gotFeed.Words, got.Words) || !equalInt32s(gotFeed.WordEnds, got.WordEnds) ||
+			gotFeed.Stats.Search() != got.Stats.Search() {
+			t.Errorf("%s on demand: %v at %v cost %v %+v, pushed rows: %v at %v cost %v %+v", tk.Scorer.Name(),
+				gotFeed.Words, gotFeed.WordEnds, gotFeed.Cost, gotFeed.Stats.Search(),
+				got.Words, got.WordEnds, got.Cost, got.Stats.Search())
+		}
 
 		if math.Float32bits(float32(got.Cost)) != math.Float32bits(float32(want.Cost)) {
 			t.Errorf("%s cost: stream %v, whole %v", tk.Scorer.Name(), got.Cost, want.Cost)

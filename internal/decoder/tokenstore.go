@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/semiring"
 )
 
@@ -229,19 +230,43 @@ type scratch struct {
 	prune           []pruneEnt
 	bucket          []uint16
 	touched         int32 // sink of gather's arc loads
+
+	// The Feeder side (feed.go): feed serves finished rows (one holds a
+	// Push's row), and need is needSenones bound to this set, reading the
+	// decoder and frontier stepFrame leaves in needD and needCur.
+	feed    rowFeed
+	one     [1][]float32
+	need    func() []int32
+	needD   *OnTheFly
+	needCur *tokenStore
+	senones []int32
+	seen    []uint32
+	gen     uint32
+
+	sampler *metrics.AllocSampler // a Stream's allocation counters
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{
-		cur:   newTokenStore(),
-		next:  newTokenStore(),
-		snap:  newTokenStore(),
-		queue: make([]int32, 0, minTableSize),
+	sc := &scratch{
+		cur:     newTokenStore(),
+		next:    newTokenStore(),
+		snap:    newTokenStore(),
+		queue:   make([]int32, 0, minTableSize),
+		sampler: metrics.NewAllocSampler(),
 	}
+	sc.need = sc.needSenones
+	return sc
 }}
 
-func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
-func putScratch(sc *scratch) { scratchPool.Put(sc) }
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch returns sc to the pool, dropping its references to the
+// caller's rows and decoder so a pooled set keeps neither alive.
+func putScratch(sc *scratch) {
+	sc.feed.rows, sc.one[0] = nil, nil
+	sc.needD, sc.needCur = nil, nil
+	scratchPool.Put(sc)
+}
 
 // capBuckets is the resolution of the MaxActive cap's cost histogram: the
 // beam is cut into this many equal cost ranges, and only the one range that

@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"fmt"
-	"runtime"
 	runtimemetrics "runtime/metrics"
 	"time"
 )
@@ -155,9 +154,9 @@ var allocSampleNames = [3]string{
 // The sample is cheap but span-granular: the runtime accounts small
 // allocations only when their span fills (or a GC flushes per-P caches), so
 // a window that allocates less than a span per size class can read a zero
-// delta. Use it on per-utterance paths where a stop-the-world sample would
-// stall concurrent workers; batch boundaries should prefer
-// ReadAllocCountersExact.
+// delta. That is the price of never stopping the world: the exact figure
+// needs a MemStats read, which pauses every goroutine, and serving paths
+// must not pay it (`make lint` refuses one outside tests and bench/).
 func ReadAllocCounters() AllocCounters {
 	var samples [3]runtimemetrics.Sample
 	for i := range samples {
@@ -198,16 +197,6 @@ func (s *AllocSampler) Read() AllocCounters {
 		Objects: s.samples[1].Value.Uint64(),
 		GCs:     s.samples[2].Value.Uint64(),
 	}
-}
-
-// ReadAllocCountersExact samples the same counters precisely: it uses
-// runtime.ReadMemStats, which briefly stops the world to flush every P's
-// allocation cache, so even a handful of small allocations show up in the
-// delta. Call it at batch boundaries, not inside per-utterance hot paths.
-func ReadAllocCountersExact() AllocCounters {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return AllocCounters{Bytes: ms.TotalAlloc, Objects: ms.Mallocs, GCs: uint64(ms.NumGC)}
 }
 
 // MemoryFootprint is a point-in-time view of the process's memory and

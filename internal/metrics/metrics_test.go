@@ -208,24 +208,6 @@ func TestSearchHealth(t *testing.T) {
 	}
 }
 
-// sink keeps test allocations from being optimized away.
-var sink []*[64]byte
-
-func TestAllocCountersExactSeesSmallAllocations(t *testing.T) {
-	a0 := ReadAllocCountersExact()
-	sink = make([]*[64]byte, 16)
-	for i := range sink {
-		sink[i] = new([64]byte)
-	}
-	d := ReadAllocCountersExact().Delta(a0)
-	if d.Objects < 16 {
-		t.Errorf("exact delta saw %d objects, want >= 16", d.Objects)
-	}
-	if d.Bytes < 16*64 {
-		t.Errorf("exact delta saw %d bytes, want >= %d", d.Bytes, 16*64)
-	}
-}
-
 func TestAllocCountersDelta(t *testing.T) {
 	a := AllocCounters{Bytes: 100, Objects: 10, GCs: 3}
 	b := AllocCounters{Bytes: 250, Objects: 14, GCs: 3}

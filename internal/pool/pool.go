@@ -1,5 +1,6 @@
 // Package pool provides the concurrent decoding engine over one pair of
-// AM/LM graphs: a DecodePool fans a batch of pre-scored utterances out to
+// AM/LM graphs: a DecodePool fans a batch of utterances — score rows, or
+// feature frames the worker scores as its search reads them — out to
 // worker goroutines, one whole utterance per worker. Every worker owns a
 // private on-the-fly decoder, and with it a private offset table that stays
 // warm across the utterances it decodes; the graphs are the only state the
@@ -21,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/acoustic"
 	"repro/internal/decoder"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -202,24 +204,40 @@ func (p *DecodePool) DecodePresetContext(ctx context.Context, scores [][][]float
 // invariant the bias differential tests pin down at the decoder layer and
 // tenant_test.go pins here.
 func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32, preset *decoder.SearchPreset, tb *TenantBias) (*Batch, error) {
+	return p.decodeBatch(ctx, scores, nil, preset, tb)
+}
+
+// DecodeFeatures is DecodeBiasContext over feature frames instead of score
+// rows: feats[i] is utterance i's frames, and the worker that decodes it
+// scores them with sc as the search reads them (an acoustic.Utterance fed
+// to decoder.DecodeFeed), so a GMM scores only the senones each pruned
+// frontier reads. The results are DecodeBiasContext's over sc's
+// ScoreUtterance rows, bit for bit. A panic while scoring is isolated like
+// one in the search.
+func (p *DecodePool) DecodeFeatures(ctx context.Context, sc acoustic.Scorer, feats [][][]float32, preset *decoder.SearchPreset, tb *TenantBias) (*Batch, error) {
+	return p.decodeBatch(ctx, feats, sc, preset, tb)
+}
+
+// decodeBatch is the body of DecodeBiasContext and DecodeFeatures: utts
+// are score rows, or feature frames when sc is set.
+func (p *DecodePool) decodeBatch(ctx context.Context, utts [][][]float32, sc acoustic.Scorer, preset *decoder.SearchPreset, tb *TenantBias) (*Batch, error) {
 	start := time.Now()
-	// Exact (mcache-flushing) sampling: a warm batch allocates so little
-	// that the span-granular counters can round it down to zero.
-	a0 := metrics.ReadAllocCountersExact()
-	results := make([]*decoder.Result, len(scores))
-	errs := make([]*DecodeError, len(scores))
+	n := len(utts)
+	// runtime/metrics sampling: span-granular, so a warm batch's few small
+	// allocations can read as zero, but it never stops the world the way a
+	// MemStats read does — twice per request on a busy server.
+	a0 := metrics.ReadAllocCounters()
+	results := make([]*decoder.Result, n)
+	errs := make([]*DecodeError, n)
 
 	var ids []int
-	if len(scores) > 0 {
-		want := len(p.workers)
-		if len(scores) < want {
-			want = len(scores)
-		}
+	if n > 0 {
+		want := min(len(p.workers), n)
 		var cerr error
 		ids, cerr = p.checkout(ctx, want)
 		if cerr != nil {
 			// No worker ever ran: the whole batch is canceled work.
-			for j := range scores {
+			for j := range errs {
 				errs[j] = &DecodeError{Utterance: j, Stage: StageCanceled, Cause: cerr}
 			}
 		}
@@ -257,6 +275,11 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 			} else {
 				dec.ClearBias()
 			}
+			var u *acoustic.Utterance // this worker's scorer, for a feature batch
+			if sc != nil {
+				u = acoustic.NewUtterance(sc)
+				defer u.Close()
+			}
 			for i := range jobs {
 				if err := ctx.Err(); err != nil {
 					// Drain the remaining dealt jobs cheaply.
@@ -271,7 +294,7 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 					continue
 				}
 				workersBusy.Inc()
-				results[i], errs[i] = decodeOne(ctx, dec, i, scores[i])
+				results[i], errs[i] = decodeOne(ctx, dec, i, utts[i], u)
 				workersBusy.Dec()
 			}
 			p.idle <- id
@@ -279,13 +302,13 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 	}
 	if len(ids) > 0 {
 	deal:
-		for i := range scores {
+		for i := 0; i < n; i++ {
 			select {
 			case jobs <- i:
 			case <-ctx.Done():
 				// Utterance i and everything after it were never dealt; mark
 				// them canceled (workers only touch indices they received).
-				for j := i; j < len(scores); j++ {
+				for j := i; j < n; j++ {
 					errs[j] = &DecodeError{Utterance: j, Stage: StageCanceled, Cause: ctx.Err()}
 				}
 				break deal
@@ -295,7 +318,7 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 	close(jobs)
 	wg.Wait()
 
-	alloc := metrics.ReadAllocCountersExact().Delta(a0)
+	alloc := metrics.ReadAllocCounters().Delta(a0)
 	b := &Batch{Results: results, Errors: errs}
 	for _, r := range results {
 		if r != nil {
@@ -319,10 +342,10 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 			b.Search.Panics++
 		}
 	}
-	p.cfg.Telemetry.recordBatch(len(scores), time.Since(start),
+	p.cfg.Telemetry.recordBatch(n, time.Since(start),
 		searchDelta{panics: b.Search.Panics, canceled: b.Search.Canceled})
 	b.Throughput = metrics.Throughput{
-		Utterances:   len(scores),
+		Utterances:   n,
 		Frames:       b.Decoder.Frames,
 		Wall:         time.Since(start),
 		CacheHits:    b.Decoder.MemoHits,
@@ -334,9 +357,10 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 	return b, ctx.Err()
 }
 
-// decodeOne runs one utterance with panic isolation: a panic anywhere in
-// the search (decoder, corrupted input) becomes a typed DecodeError instead
-// of tearing down the batch. The worker's decoder holds no cross-utterance
+// decodeOne runs one utterance with panic isolation: utt is its score
+// rows, or its features when u, the worker's scorer, is set. A panic
+// anywhere in the search or the scoring (decoder, corrupted input) becomes
+// a typed DecodeError instead of tearing down the batch. The worker's decoder holds no cross-utterance
 // mutable state beyond the offset table, whose contents never affect
 // results, so the worker safely continues with the next job.
 //
@@ -347,7 +371,7 @@ func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32
 // panic, the recover below turns it into a StageSearch DecodeError, and the
 // serving registry can quarantine the sick model while every other model
 // keeps decoding.
-func decodeOne(ctx context.Context, dec *decoder.OnTheFly, i int, scores [][]float32) (res *decoder.Result, derr *DecodeError) {
+func decodeOne(ctx context.Context, dec *decoder.OnTheFly, i int, utt [][]float32, u *acoustic.Utterance) (res *decoder.Result, derr *DecodeError) {
 	old := debug.SetPanicOnFault(true)
 	defer debug.SetPanicOnFault(old)
 	defer func() {
@@ -356,7 +380,15 @@ func decodeOne(ctx context.Context, dec *decoder.OnTheFly, i int, scores [][]flo
 			derr = &DecodeError{Utterance: i, Stage: StageSearch, Cause: fmt.Errorf("recovered panic: %v", r)}
 		}
 	}()
-	r, err := dec.DecodeContext(ctx, scores)
+	var r *decoder.Result
+	var err error
+	if u != nil { // utt is features
+		u.Reset()
+		u.Load(utt)
+		r, err = dec.DecodeFeed(ctx, u, len(utt))
+	} else {
+		r, err = dec.DecodeContext(ctx, utt)
+	}
 	if err != nil {
 		return r, &DecodeError{Utterance: i, Stage: StageCanceled, Cause: err}
 	}

@@ -3,9 +3,11 @@ package pool
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
+	"repro/internal/acoustic"
 	"repro/internal/decoder"
 	"repro/internal/task"
 )
@@ -276,5 +278,79 @@ func TestAllocsPoolDecode(t *testing.T) {
 	if doubled > headroom*short {
 		t.Errorf("doubling every utterance's frames grew the batch bill from %.0f to %.0f objects, want <= %.0f",
 			short, doubled, headroom*short)
+	}
+}
+
+// panicScorer panics on the utterance whose first frame is bad and scores
+// every other one through the scorer it wraps (a wrapper, so
+// acoustic.Utterance scores its chunks whole through ScoreUtterance).
+type panicScorer struct {
+	acoustic.Scorer
+	bad *float32
+}
+
+func (p panicScorer) ScoreUtterance(frames [][]float32) [][]float32 {
+	if &frames[0][0] == p.bad {
+		panic("scorer fault")
+	}
+	return p.Scorer.ScoreUtterance(frames)
+}
+
+// TestDecodeFeaturesMatchesScores: a feature batch, each worker scoring its
+// utterance as the search reads it, returns what the pre-scored batch
+// returns — words, word ends, cost bits, finality and every search count
+// but the offset table's (each worker's table is warm in its own way) — for
+// any worker count, cold and warm. A scorer that panics on one utterance
+// fails that utterance alone, as a search panic does.
+func TestDecodeFeaturesMatchesScores(t *testing.T) {
+	f := getFixture(t)
+	feats := make([][][]float32, len(f.tk.Test))
+	for i, u := range f.tk.Test {
+		feats[i] = u.Frames
+	}
+	seq, err := decoder.NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, decoder.Config{PreemptivePruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	searchWork := func(r *decoder.Result) decoder.Stats {
+		st := r.Stats.Search()
+		st.MemoHits, st.MemoMisses, st.LMProbes = 0, 0, 0
+		return st
+	}
+	for _, workers := range []int{1, 2, 4} {
+		p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{Workers: workers, Decoder: decoder.Config{PreemptivePruning: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			batch, err := p.DecodeFeatures(context.Background(), f.tk.Scorer, feats, nil, nil)
+			if err != nil || batch.Failed() != 0 {
+				t.Fatalf("workers %d round %d: %v, %d failed", workers, round, err, batch.Failed())
+			}
+			for i, got := range batch.Results {
+				want := seq.Decode(f.scores[i])
+				if fmt.Sprint(got.Words, got.WordEnds, got.ReachedFinal) != fmt.Sprint(want.Words, want.WordEnds, want.ReachedFinal) ||
+					math.Float32bits(float32(got.Cost)) != math.Float32bits(float32(want.Cost)) ||
+					searchWork(got) != searchWork(want) {
+					t.Errorf("workers %d round %d utt %d: features %v at %v cost %v %+v, scores %v at %v cost %v %+v",
+						workers, round, i, got.Words, got.WordEnds, got.Cost, searchWork(got),
+						want.Words, want.WordEnds, want.Cost, searchWork(want))
+				}
+			}
+		}
+	}
+
+	p, err := New(f.tk.AM.G, f.tk.LMGraph.G, Config{Workers: 2, Decoder: decoder.Config{PreemptivePruning: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _ := p.DecodeFeatures(context.Background(), panicScorer{f.tk.Scorer, &feats[2][0][0]}, feats, nil, nil)
+	for i, e := range batch.Errors {
+		switch {
+		case i == 2 && (e == nil || e.Stage != StageSearch):
+			t.Errorf("utt 2: error %v, want a StageSearch fault", e)
+		case i != 2 && (e != nil || fmt.Sprint(batch.Results[i].Words) != fmt.Sprint(seq.Decode(f.scores[i]).Words)):
+			t.Errorf("utt %d: error %v next to a scorer fault", i, e)
+		}
 	}
 }

@@ -93,8 +93,9 @@ func checkDims(frames [][]float32, dim int) error {
 // waiters, shedding with a structured 429 past that), decodes at the
 // degradation level the current queue depth selects, and frees its slot the
 // moment its deadline fires — an expired request never occupies a worker.
-// The request scores its own frames (concurrently with other requests) and
-// the searches fan out across the pool.
+// The utterances fan out across the pool as feature frames: each worker
+// scores its utterance as its search reads it, which for a GMM means only
+// the senones each pruned frontier reads (pool.DecodeFeatures).
 func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outcome := "error"
@@ -211,13 +212,13 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 		s.degradedTotal.Inc()
 	}
 
-	// Scoring happens under the execution slot — it is real CPU work, and
-	// admitting it unbounded would defeat the gate.
-	scores := make([][][]float32, len(req.Utterances))
+	// Scoring happens on the pool workers, inside the execution slot — it
+	// is real CPU work, and admitting it unbounded would defeat the gate.
+	feats := make([][][]float32, len(req.Utterances))
 	for i, u := range req.Utterances {
-		scores[i] = m.scorer().ScoreUtterance(u.Frames)
+		feats[i] = u.Frames
 	}
-	batch, _ := m.pool.DecodeBiasContext(ctx, scores, preset, tb)
+	batch, _ := m.pool.DecodeFeatures(ctx, m.scorer(), feats, preset, tb)
 	if cerr := ctx.Err(); cerr != nil {
 		if errors.Is(cerr, context.DeadlineExceeded) {
 			outcome = "deadline"
@@ -286,7 +287,7 @@ type streamUpdate struct {
 	Degraded       int     `json:"degraded,omitempty"`
 	Error          string  `json:"error,omitempty"`
 	// Reason is the machine-matchable token on mid-stream error records
-	// ("stall", "bad_dims", "body_too_large", "deadline", "search"),
+	// ("stall", "bad_dims", "body_too_large", "deadline"),
 	// mirroring errorBody's Reason for errors that happen after the 200
 	// header is committed.
 	Reason string `json:"reason,omitempty"`
@@ -389,16 +390,6 @@ func (sn *streamSender) stop() {
 	})
 }
 
-// pushRows pushes one chunk's score rows into the stream, frame by frame.
-func pushRows(stream *decoder.Stream, rows [][]float32) error {
-	for _, row := range rows {
-		if err := stream.Push(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // handleStream runs an incremental decode over a chunked NDJSON exchange:
 // each request line carries feature frames, each response line the current
 // best partial hypothesis, flushed immediately so the client sees the
@@ -406,13 +397,14 @@ func pushRows(stream *decoder.Stream, rows [][]float32) error {
 // finalizes the utterance; cancellation (client disconnect, context
 // deadline) aborts it and counts toward unfold_server_streams_aborted_total.
 //
-// Each stream gets a private decoder — construction borrows the shared
-// graphs, so it is cheap, and its offset table is allocated by the first
-// cross-word fetch — and a private acoustic.Utterance that scores each chunk
-// as it arrives, carrying the scorer's state (the recurrent scorer's hidden
-// state and smoother) from chunk to chunk. A stream's words, word ends and
-// cost are therefore those /v1/recognize returns for the same frames, for
-// every scorer and every chunking.
+// Each stream checks a decoder out of the model's free list for its life —
+// so its offset table and the scratch set its decoder.Stream borrows come
+// warm from an earlier stream — and a private acoustic.Utterance that
+// scores each chunk as the search reads it (a GMM only the senones each
+// frontier reads), carrying the scorer's state (the recurrent scorer's
+// hidden state and smoother) from chunk to chunk. A stream's words, word
+// ends and cost are therefore those /v1/recognize returns for the same
+// frames, for every scorer and every chunking.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	outcome := "error"
@@ -518,15 +510,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The pressure level at connection time sets this stream's operating
-	// point, installed on the per-connection decoder.
+	// point, installed on the stream's decoder.
 	level := s.admit.level()
 	dcfg := s.cfg.Decoder
 	dcfg.Telemetry = s.ptel.Decoder
-	dec, err := decoder.NewOnTheFly(m.amGraph(), m.lmGraph(), dcfg)
+	dec, err := m.takeStreamDecoder(dcfg)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
+	defer m.putStreamDecoder(dec)
 	if level > 0 {
 		dec.SetSearchPreset(s.cfg.Decoder.DegradedPreset(level))
 		s.degradedTotal.Inc()
@@ -541,6 +534,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	stream := dec.NewStream()
+	defer stream.Close()
 	scorer := acoustic.NewUtterance(m.scorer())
 	defer scorer.Close()
 
@@ -623,16 +617,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			sn.final(streamUpdate{Final: true, Reason: "bad_dims", Error: err.Error()})
 			return
 		}
-		// Push the chunk's rows one frame at a time, as a live frontend
-		// would. A dead search is not an error — Push no-ops and Finish
-		// reports the best partial with SearchFailures set.
-		if err := pushRows(stream, scorer.Score(chunk.Frames)); err != nil {
-			// A decode failure mid-stream is model-sickness evidence, same
-			// as a whole-batch failure on /v1/recognize.
-			s.models.noteDecodeFailure(m)
-			sn.final(streamUpdate{Final: true, Reason: "search", Error: err.Error()})
-			return
-		}
+		// Search the chunk one frame at a time, as a live frontend would,
+		// scoring each frame as the search reaches it. A dead search is not
+		// an error — the rest of the chunk is skipped and Finish reports the
+		// best partial with SearchFailures set.
+		scorer.Load(chunk.Frames)
+		stream.Feed(scorer, len(chunk.Frames))
 		frames += len(chunk.Frames)
 		words := stream.Partial()
 		sn.partial(streamUpdate{Words: words, Text: m.words(words), Frames: frames})

@@ -10,6 +10,7 @@ import (
 	unfold "repro"
 	"repro/internal/acoustic"
 	"repro/internal/bias"
+	"repro/internal/decoder"
 	"repro/internal/pool"
 	"repro/internal/telemetry"
 	"repro/internal/wfst"
@@ -74,6 +75,38 @@ type model struct {
 	consecFails    int
 	reloadAttempts int
 	quarantines    int
+
+	// streamDecs is the free list of /v1/stream decoders: a stream checks
+	// one out for its life and puts it back, so the next stream starts with
+	// a warm offset table instead of building a decoder of its own.
+	streamMu   sync.Mutex
+	streamDecs []*decoder.OnTheFly
+}
+
+// takeStreamDecoder checks a decoder out of the stream free list, or builds
+// one with cfg when the list is empty. A recycled decoder comes back at its
+// configured operating point with no bias machine, as the pool's workers
+// are reset per batch: the previous stream's preset and tenant do not
+// carry over.
+func (m *model) takeStreamDecoder(cfg decoder.Config) (*decoder.OnTheFly, error) {
+	m.streamMu.Lock()
+	if n := len(m.streamDecs); n > 0 {
+		d := m.streamDecs[n-1]
+		m.streamDecs = m.streamDecs[:n-1]
+		m.streamMu.Unlock()
+		d.ClearSearchPreset()
+		d.ClearBias()
+		return d, nil
+	}
+	m.streamMu.Unlock()
+	return decoder.NewOnTheFly(m.amGraph(), m.lmGraph(), cfg)
+}
+
+// putStreamDecoder returns a decoder takeStreamDecoder handed out.
+func (m *model) putStreamDecoder(d *decoder.OnTheFly) {
+	m.streamMu.Lock()
+	m.streamDecs = append(m.streamDecs, d)
+	m.streamMu.Unlock()
 }
 
 func (m *model) amGraph() *wfst.WFST {

@@ -6,13 +6,14 @@
 // /debug/spans ring of recent decode traces.
 //
 // The decode paths reuse the repo's serving machinery wholesale: batch
-// recognition fans out through a pool.DecodePool; streaming recognition
-// runs a decoder.Stream on a per-connection decoder, fed by an
+// recognition fans out through a pool.DecodePool, whose workers score each
+// utterance's features as its search reads them; streaming recognition runs
+// a decoder.Stream on a decoder from the model's free list, fed by an
 // acoustic.Utterance that carries the scorer's state across chunks, so both
-// routes return the same result for the same frames. Telemetry is threaded through every path via the nil-safe
-// seams, so everything /metrics shows during a live decode — frontier
-// sizes, back-off walks, offset-table hits — is the decoder's own
-// accounting, not server-side estimation.
+// routes return the same result for the same frames. Telemetry is threaded
+// through every path via the nil-safe seams, so everything /metrics shows
+// during a live decode — frontier sizes, back-off walks, offset-table hits —
+// is the decoder's own accounting, not server-side estimation.
 package server
 
 import (
