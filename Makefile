@@ -26,7 +26,9 @@ vet:
 # suite. It also refuses runtime.ReadMemStats in Go code outside tests and
 # bench/: the call stops the world, and on a serving path it pauses every
 # request's goroutine (runtime/metrics reads the same counters without a
-# pause).
+# pause). And it holds the decoder to one frame loop: stepFrame may have
+# one call site outside tests, the session's step, so every decode path
+# (Decode, DecodeContext, Stream) searches and rescues a frame the same way.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -34,6 +36,10 @@ lint:
 	fi
 	@if git grep -n 'runtime.ReadMemStats' -- '*.go' ':!bench' ':!*_test.go'; then \
 		echo "runtime.ReadMemStats stops the world; use runtime/metrics (metrics.ReadAllocCounters)"; exit 1; \
+	fi
+	@calls=$$(git grep -n '\.stepFrame(' -- internal/decoder ':!*_test.go'); \
+	if [ $$(printf '%s\n' "$$calls" | grep -c .) -gt 1 ]; then \
+		echo "$$calls"; echo "stepFrame has more than one non-test call site; search frames through session.step"; exit 1; \
 	fi
 	go vet ./...
 

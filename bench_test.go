@@ -325,7 +325,7 @@ func BenchmarkParallelDecode(b *testing.B) {
 // tokenStore (Decode) and over the retained per-frame map frontier
 // (DecodeReference). The two produce byte-identical results — the
 // differential suite proves it — so every difference in ns/frame and
-// allocs/frame is attributable to frontier storage; TestSearchKernelRatio
+// allocs/op is attributable to frontier storage; TestSearchKernelRatio
 // holds the speed half as a same-run ratio.
 func BenchmarkFrontierDecode(b *testing.B) {
 	f := getBenchFixture(b)
@@ -343,16 +343,13 @@ func BenchmarkFrontierDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
-			var allocObjs int64
 			for i := 0; i < b.N; i++ {
 				for _, scores := range f.scores {
-					r := impl.decode(d, scores)
-					allocObjs += r.Stats.AllocObjects
+					impl.decode(d, scores)
 				}
 			}
 			total := float64(b.N) * float64(frames)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/frame")
-			b.ReportMetric(float64(allocObjs)/total, "allocs/frame")
 		})
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/acoustic"
 	"repro/internal/decoder"
 	"repro/internal/metrics"
 	"repro/internal/task"
@@ -93,7 +94,7 @@ func main() {
 			scores = append(scores, sys.Task.Scorer.ScoreUtterance(u.Frames))
 			frames += len(u.Frames)
 		}
-		batch, err := p.DecodeContext(ctx, scores)
+		batch, err := p.DecodeContext(ctx, scores, nil, decoder.Options{})
 		if batch == nil {
 			fail(err)
 		}
@@ -183,8 +184,12 @@ func main() {
 			fail(err)
 		}
 		var health metrics.Search
+		feats := acoustic.NewUtterance(sys.Task.Scorer) // scored as the search reads them
+		defer feats.Close()
 		for i, u := range sys.TestSet() {
-			res, err := dec.DecodeContext(ctx, sys.Task.Scorer.ScoreUtterance(u.Frames))
+			feats.Reset()
+			feats.Load(u.Frames)
+			res, err := dec.DecodeContext(ctx, feats, len(u.Frames))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "unfold-decode: utterance %d cut short: %v\n", i, err)
 			}

@@ -86,7 +86,7 @@ func TestAllocsBiasedStepFrame(t *testing.T) {
 	if m.Phrases() == 0 || m.NumStates() < 2 {
 		t.Fatalf("bias machine trivial: %d phrases, %d states", m.Phrases(), m.NumStates())
 	}
-	if err := d.SetBias(m); err != nil {
+	if err := d.SetOptions(Options{Bias: m}); err != nil {
 		t.Fatal(err)
 	}
 	sc := getScratch()

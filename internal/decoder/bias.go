@@ -1,9 +1,6 @@
 package decoder
 
 import (
-	"fmt"
-
-	"repro/internal/bias"
 	"repro/internal/semiring"
 	"repro/internal/wfst"
 )
@@ -24,39 +21,6 @@ const (
 	biasLMMask    = 1<<biasLMBits - 1
 	biasStateMask = 1<<biasStateBits - 1
 )
-
-// SetBias installs a compiled per-tenant bias machine: subsequent decodes
-// (and newly created or reset Streams) search the AM ∘ LM ∘ Bias
-// composition, crediting the machine's bonuses on cross-word arcs. Like
-// SetSearchPreset, it must not be called while a decode is in flight on
-// this decoder — the pool installs it only while it holds the worker
-// exclusively. Passing nil is ClearBias.
-//
-// The 26/26/12 composed key bounds the graphs: AM and LM must each have
-// fewer than 2^26 states and the machine at most 2^12 (bias.MaxStates
-// already guarantees the latter for compiled machines).
-func (d *OnTheFly) SetBias(m *bias.Machine) error {
-	if m == nil {
-		d.ClearBias()
-		return nil
-	}
-	if d.am.NumStates() > 1<<biasLMBits || d.lm.NumStates() > 1<<biasLMBits {
-		return fmt.Errorf("decoder: biased decode needs AM and LM under %d states (AM %d, LM %d)",
-			1<<biasLMBits, d.am.NumStates(), d.lm.NumStates())
-	}
-	if m.NumStates() > 1<<biasStateBits {
-		return fmt.Errorf("decoder: bias machine has %d states, max %d", m.NumStates(), 1<<biasStateBits)
-	}
-	d.bias = m
-	d.biasSlack = m.MaxBonus()
-	return nil
-}
-
-// ClearBias restores the plain two-layer AM ∘ LM search.
-func (d *OnTheFly) ClearBias() { d.bias, d.biasSlack = nil, 0 }
-
-// Bias returns the installed bias machine, nil when decoding two-layer.
-func (d *OnTheFly) Bias() *bias.Machine { return d.bias }
 
 // key packs a composed search state in the layout the installed bias mode
 // selects. The nil branch computes exactly otfKey.

@@ -109,7 +109,7 @@ func compareResults(t *testing.T, label string, got, want *Result) {
 	if !equalInt32s(got.WordEnds, want.WordEnds) {
 		t.Errorf("%s word ends: %v vs %v", label, got.WordEnds, want.WordEnds)
 	}
-	if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+	if gs, ws := got.Stats, want.Stats; gs != ws {
 		t.Errorf("%s stats: %+v vs %+v", label, gs, ws)
 	}
 }
@@ -149,7 +149,7 @@ func TestDifferentialNilVsEmptyBiasSolo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := dEmpty.SetBias(emptyBiasMachine(t)); err != nil {
+				if err := dEmpty.SetOptions(Options{Bias: emptyBiasMachine(t)}); err != nil {
 					t.Fatal(err)
 				}
 				dRef, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
@@ -192,7 +192,7 @@ func TestDifferentialNilVsEmptyBiasStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dEmpty.SetBias(emptyBiasMachine(t)); err != nil {
+			if err := dEmpty.SetOptions(Options{Bias: emptyBiasMachine(t)}); err != nil {
 				t.Fatal(err)
 			}
 			for i, scores := range f.scores {
@@ -254,7 +254,7 @@ func TestDifferentialNilVsEmptyBiasLanes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := d.SetBias(emptyBiasMachine(t)); err != nil {
+				if err := d.SetOptions(Options{Bias: emptyBiasMachine(t)}); err != nil {
 					t.Fatal(err)
 				}
 				return d
@@ -297,7 +297,7 @@ func TestBiasedDecodeAgreesAcrossPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.SetBias(m); err != nil {
+		if err := d.SetOptions(Options{Bias: m}); err != nil {
 			t.Fatal(err)
 		}
 		return d

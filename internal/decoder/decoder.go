@@ -14,7 +14,6 @@ package decoder
 import (
 	"sort"
 
-	"repro/internal/metrics"
 	"repro/internal/semiring"
 )
 
@@ -102,8 +101,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats counts decoder work; the accelerator simulator consumes these to
-// charge cycles and memory traffic.
+// charge cycles and memory traffic. Every field counts search work: two
+// decodes of one utterance, one configuration and equally warm offset
+// tables have equal Stats, whatever the path (Decode, DecodeContext, Stream).
 type Stats struct {
+	// Frames is every frame the caller supplied, searched or not after a
+	// search death; a canceled decode counts the frames it searched.
 	Frames         int
 	TokensExpanded int64 // tokens alive at the start of a frame
 	TokensCreated  int64 // distinct (state) tokens materialized
@@ -128,28 +131,6 @@ type Stats struct {
 
 	// LatticeEntries is the number of word-lattice records written.
 	LatticeEntries int64
-
-	// AllocBytes, AllocObjects and GCCycles are allocation/GC observability
-	// counters: process-wide heap deltas sampled (via runtime/metrics)
-	// around the decode. They make the token-store recycling measurable —
-	// a warm steady-state decode should report near-zero objects per frame
-	// — but they are properties of the process, not of the search:
-	// concurrent decoders attribute each other's allocations, and pool/GC
-	// state changes them run to run. Equality comparisons of search work
-	// must use the Search view, which excludes them.
-	AllocBytes   int64
-	AllocObjects int64
-	GCCycles     int64
-}
-
-// Search returns s with the allocation/GC observability counters zeroed:
-// the deterministic search-work view. Two decodes of the same utterance by
-// the same configuration are byte-identical under this view (the property
-// the differential harness asserts), while the raw struct also carries the
-// nondeterministic heap counters.
-func (s Stats) Search() Stats {
-	s.AllocBytes, s.AllocObjects, s.GCCycles = 0, 0, 0
-	return s
 }
 
 // Add accumulates another utterance's counters into s — the batch-level
@@ -170,18 +151,6 @@ func (s *Stats) Add(o Stats) {
 	s.Rescues += o.Rescues
 	s.SearchFailures += o.SearchFailures
 	s.LatticeEntries += o.LatticeEntries
-	s.AllocBytes += o.AllocBytes
-	s.AllocObjects += o.AllocObjects
-	s.GCCycles += o.GCCycles
-}
-
-// recordAlloc fills the allocation/GC counters with the process-wide heap
-// advance since the snapshot start (taken at decode entry).
-func (s *Stats) recordAlloc(start metrics.AllocCounters) {
-	d := metrics.ReadAllocCounters().Delta(start)
-	s.AllocBytes = int64(d.Bytes)
-	s.AllocObjects = int64(d.Objects)
-	s.GCCycles = int64(d.GCs)
 }
 
 // Result is the decoder output for one utterance.

@@ -260,9 +260,7 @@ func TestDecodeDeterministic(t *testing.T) {
 		d2, _ := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: pre})
 		r1 := d1.Decode(f.scores[1])
 		r2 := d2.Decode(f.scores[1])
-		// Stats.Search excludes the allocation/GC counters, which are
-		// process-global and legitimately differ between the two runs.
-		if r1.Cost != r2.Cost || r1.Stats.Search() != r2.Stats.Search() {
+		if r1.Cost != r2.Cost || r1.Stats != r2.Stats {
 			t.Errorf("pre=%v: nondeterministic decode: %+v vs %+v", pre, r1.Stats, r2.Stats)
 		}
 	}

@@ -107,7 +107,7 @@ func TestDifferentialStoreVsReference(t *testing.T) {
 				if !equalInt32s(got.WordEnds, want.WordEnds) {
 					t.Errorf("word ends: store %v, reference %v", got.WordEnds, want.WordEnds)
 				}
-				if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+				if gs, ws := got.Stats, want.Stats; gs != ws {
 					t.Errorf("stats: store %+v, reference %+v", gs, ws)
 				}
 				compareSnaps(t, *storeSnaps, *refSnaps)
@@ -125,9 +125,6 @@ func TestDifferentialStoreVsReference(t *testing.T) {
 func TestDifferentialStreamVsReference(t *testing.T) {
 	f := getFixture(t, 42)
 	for _, tc := range diffConfigs {
-		if tc.cfg.RescueWidenings > 0 {
-			continue // streams have no rescue snapshots
-		}
 		t.Run(tc.name, func(t *testing.T) {
 			dStream, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, tc.cfg)
 			if err != nil {
@@ -150,7 +147,7 @@ func TestDifferentialStreamVsReference(t *testing.T) {
 					t.Errorf("utt %d: stream (%v, %v) vs reference (%v, %v)",
 						i, got.Words, got.Cost, want.Words, want.Cost)
 				}
-				if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+				if gs, ws := got.Stats, want.Stats; gs != ws {
 					t.Errorf("utt %d stats: stream %+v, reference %+v", i, gs, ws)
 				}
 			}
@@ -223,7 +220,7 @@ func decodeInterleaved(t testing.TB, sc acoustic.Scorer, utts [][][]float32, wid
 }
 
 // TestDifferentialLanesVsSolo is the interleaved-vs-solo oracle: across
-// seeded tasks, every non-rescue search configuration, and 1, 2 or 4
+// seeded tasks, every search configuration, and 1, 2 or 4
 // interleaved streams (decodeInterleaved: chunked scoring through one
 // Utterance per stream, frontiers stepped per stream), utterances must match
 // solo decodes byte-for-byte — hypotheses, word end frames, cost bits,
@@ -253,9 +250,6 @@ func TestDifferentialLanesVsSolo(t *testing.T) {
 			utts[i] = u.Frames
 		}
 		for _, tc := range diffConfigs {
-			if tc.cfg.RescueWidenings > 0 {
-				continue // streams have no rescue snapshots
-			}
 			for _, width := range widths {
 				total++
 				t.Run(fmt.Sprintf("seed%d/%s/width%d", seed, tc.name, width), func(t *testing.T) {
@@ -305,7 +299,7 @@ func TestDifferentialLanesVsSolo(t *testing.T) {
 						if !equalInt32s(got.WordEnds, want.WordEnds) {
 							t.Errorf("utt %d word ends: stream %v, solo %v", i, got.WordEnds, want.WordEnds)
 						}
-						if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+						if gs, ws := got.Stats, want.Stats; gs != ws {
 							t.Errorf("utt %d stats: stream %+v, solo %+v", i, gs, ws)
 						}
 						compareSnaps(t, *laneSnaps[i], *solo[i].snaps)
@@ -338,7 +332,7 @@ func comparePipelineResults(t *testing.T, label string, got, want *Result) {
 	if !equalInt32s(got.WordEnds, want.WordEnds) {
 		t.Errorf("%s word ends: pipelined %v, sync %v", label, got.WordEnds, want.WordEnds)
 	}
-	if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+	if gs, ws := got.Stats, want.Stats; gs != ws {
 		t.Errorf("%s stats: pipelined %+v, sync %+v", label, gs, ws)
 	}
 }
@@ -351,8 +345,8 @@ func comparePipelineResults(t *testing.T, label string, got, want *Result) {
 // must match the synchronous path — score everything with ScoreUtterance,
 // then Decode — byte-for-byte: hypotheses, word end frames, cost bits,
 // finality, search statistics, and the entire per-frame token frontier
-// captured through the frameHook seam. Streams have no rescue snapshots, so
-// the rescue case (a poisoned frame) decodes the windowed rows with Decode.
+// captured through the frameHook seam, the rescue case's poisoned frame
+// included.
 func TestDifferentialPipelinedVsSynchronous(t *testing.T) {
 	seeds := []int64{221, 222, 223}
 	windows := []int{1, 3, 8}
@@ -397,18 +391,13 @@ func TestDifferentialPipelinedVsSynchronous(t *testing.T) {
 					for i := 0; i < len(in); i += k {
 						rows = append(rows, tk.Scorer.ScoreUtterance(in[i:min(i+k, len(in))])...)
 					}
-					var got *Result
-					if tc.cfg.RescueWidenings > 0 {
-						got = dPipe.Decode(rows)
-					} else {
-						s := dPipe.NewStream()
-						for _, row := range rows {
-							if err := s.Push(row); err != nil {
-								t.Fatal(err)
-							}
+					s := dPipe.NewStream()
+					for _, row := range rows {
+						if err := s.Push(row); err != nil {
+							t.Fatal(err)
 						}
-						got = s.Finish()
 					}
+					got := s.Finish()
 
 					comparePipelineResults(t, "decode", got, want)
 					compareSnaps(t, *pipeSnaps, *syncSnaps)

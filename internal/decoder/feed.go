@@ -25,6 +25,12 @@ type rowFeed struct{ rows [][]float32 }
 
 func (r *rowFeed) Row(i int, _ func() []int32) []float32 { return r.rows[i] }
 
+// rows points sc's row feeder at r and returns it.
+func (sc *scratch) rows(r [][]float32) Feeder {
+	sc.feed.rows = r
+	return &sc.feed
+}
+
 // needSenones is the need function stepFrame hands its Feeder (bound once
 // per scratch set as sc.need, so the call allocates nothing): the distinct
 // input labels of the emitting arcs of sc.needCur, on the graphs of

@@ -64,7 +64,7 @@ func TestDifferentialFlatVsPointerGraphs(t *testing.T) {
 			if !equalInt32s(got.Words, want.Words) || !equalInt32s(got.WordEnds, want.WordEnds) {
 				t.Errorf("words: flat %v/%v vs pointer %v/%v", got.Words, got.WordEnds, want.Words, want.WordEnds)
 			}
-			if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+			if gs, ws := got.Stats, want.Stats; gs != ws {
 				t.Errorf("stats: flat %+v vs pointer %+v", gs, ws)
 			}
 			compareSnaps(t, *flatSnaps, *ptrSnaps)

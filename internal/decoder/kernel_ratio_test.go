@@ -38,7 +38,7 @@ func TestCappedSearchMatchesReference(t *testing.T) {
 		if got.Cost != want.Cost || !equalInt32s(got.Words, want.Words) || !equalInt32s(got.WordEnds, want.WordEnds) {
 			t.Errorf("store %v/%v/%v, reference %v/%v/%v", got.Words, got.WordEnds, got.Cost, want.Words, want.WordEnds, want.Cost)
 		}
-		if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+		if gs, ws := got.Stats, want.Stats; gs != ws {
 			t.Errorf("stats: store %+v, reference %+v", gs, ws)
 		}
 		compareSnaps(t, *storeSnaps, *refSnaps)
@@ -140,7 +140,7 @@ func TestSearchKernelRatio(t *testing.T) {
 	}
 	for _, sc := range scores {
 		got, want := store.Decode(sc), ref.DecodeReference(sc)
-		if got.Cost != want.Cost || !equalInt32s(got.Words, want.Words) || got.Stats.Search() != want.Stats.Search() {
+		if got.Cost != want.Cost || !equalInt32s(got.Words, want.Words) || got.Stats != want.Stats {
 			t.Fatalf("store and reference disagree: %v/%v vs %v/%v", got.Words, got.Cost, want.Words, want.Cost)
 		}
 	}

@@ -69,9 +69,9 @@ func poisonFeatures(frames [][]float32, f int) [][]float32 {
 }
 
 // TestDifferentialOnDemandVsEager holds the on-demand path — features
-// scored by an acoustic.Utterance as DecodeFeed's search reads them — to
+// scored by an acoustic.Utterance as DecodeContext's search reads them — to
 // Decode over ScoreUtterance's rows: words, word ends, cost bits, finality,
-// Stats.Search() and every per-frame frontier, over seeded tasks of each
+// Stats and every per-frame frontier, over seeded tasks of each
 // scorer kind and every differential config (rescue among them), plus a
 // poisoned frame under rescue (each widening asks for the frame again),
 // an installed bias machine and a degraded preset. strictFeed checks the
@@ -100,11 +100,14 @@ func TestDifferentialOnDemandVsEager(t *testing.T) {
 	}
 	variants = append(variants,
 		variant{"bias", f.tk, Config{PreemptivePruning: true}, func(d *OnTheFly) {
-			if err := d.SetBias(bm); err != nil {
+			if err := d.SetOptions(Options{Bias: bm}); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		variant{"preset", f.tk, Config{}, func(d *OnTheFly) { d.SetSearchPreset(Config{}.DegradedPreset(2)) }},
+		variant{"preset", f.tk, Config{}, func(d *OnTheFly) {
+			p := Config{}.DegradedPreset(2)
+			d.SetOptions(Options{Preset: &p})
+		}},
 	)
 	var rescued int64
 	for _, v := range variants {
@@ -136,7 +139,7 @@ func TestDifferentialOnDemandVsEager(t *testing.T) {
 			u.Reset()
 			u.Load(frames)
 			feed := &strictFeed{t: t, inner: u, eager: eager}
-			got, err := dLazy.DecodeFeed(context.Background(), feed, len(frames))
+			got, err := dLazy.DecodeContext(context.Background(), feed, len(frames))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bias"
-	"repro/internal/metrics"
 	"repro/internal/semiring"
 	"repro/internal/wfst"
 )
@@ -38,16 +37,16 @@ type OnTheFly struct {
 	// harness uses to compare per-frame token sets between the tokenStore
 	// path and the retained map reference; production decodes leave it nil.
 	frameHook func(frame int, keys []uint64, toks []token)
-	// preset, when non-nil, overrides the configured Beam/MaxActive — the
-	// degraded operating point a loaded server installs between decodes
-	// (SetSearchPreset). nil preserves Config exactly.
-	preset *SearchPreset
+	// beam and maxActive are the search's operating point: the configured
+	// Beam and MaxActive, or the preset SetOptions installed.
+	beam      semiring.Weight
+	maxActive int
 	// bias, when non-nil, is the third on-the-fly machine: search runs over
 	// AM ∘ LM ∘ Bias with the per-tenant machine advanced on every emitted
-	// word (SetBias). nil keeps the two-layer search byte-identical to the
-	// pre-bias decoder, including key packing (see bias.go). biasSlack is
-	// the machine's MaxBonus, added to the preemptive-pruning threshold so
-	// a hypothesis about to earn a bonus is never pre-pruned for cost the
+	// word (Options.Bias). nil keeps the two-layer search byte-identical to
+	// the pre-bias decoder, including key packing (see bias.go). biasSlack
+	// is the machine's MaxBonus, added to the preemptive-pruning threshold
+	// so a hypothesis about to earn a bonus is never pre-pruned for cost the
 	// bonus would repay; it is exactly 0 with no machine installed.
 	bias      *bias.Machine
 	biasSlack semiring.Weight
@@ -63,7 +62,8 @@ func NewOnTheFly(amGraph, lmGraph *wfst.WFST, cfg Config) (*OnTheFly, error) {
 		return nil, fmt.Errorf("decoder: LM graph must be input-sorted")
 	}
 	cfg = cfg.withDefaults()
-	return &OnTheFly{am: amGraph, lm: lmGraph, cfg: cfg, amEps: amGraph.EpsInStates()}, nil
+	return &OnTheFly{am: amGraph, lm: lmGraph, cfg: cfg, amEps: amGraph.EpsInStates(),
+		beam: cfg.Beam, maxActive: cfg.MaxActive}, nil
 }
 
 // memoBits sizes the offset table: 1<<12 entries of 12 bytes, 48 KiB. The
@@ -106,107 +106,36 @@ func (d *OnTheFly) hook(frame int, s *tokenStore) {
 
 // Decode runs the one-pass on-the-fly Viterbi search over acoustic scores.
 func (d *OnTheFly) Decode(scores [][]float32) *Result {
-	res, _ := d.DecodeContext(context.Background(), scores)
+	res, _ := d.decode(context.Background(), nil, scores, len(scores))
 	return res
 }
 
-// DecodeContext is Decode with deadline/cancellation semantics: the context
-// is checked once per frame, and on cancellation the best partial hypothesis
-// decoded so far is returned together with ctx.Err(). The returned Result is
-// never nil.
-//
-// When Config.RescueWidenings is positive, a frame that empties the
-// active-token set is retried from a pre-pruning snapshot with the beam and
-// MaxActive doubled per attempt; if every widening fails (e.g. a fully
-// poisoned score frame, which no beam can cure), the frame is skipped and
-// the search continues from the snapshot — graceful degradation instead of
-// a truncated hypothesis when one frame is unsearchable.
-//
-// The search runs over pooled tokenStore frontiers (see tokenstore.go), so
-// a steady-state decode performs no per-frame heap allocation; the observed
-// allocation and GC activity is reported in Result.Stats.
-func (d *OnTheFly) DecodeContext(ctx context.Context, scores [][]float32) (*Result, error) {
-	return d.decodeWith(ctx, nil, scores, len(scores))
+// DecodeContext searches frames rows that src supplies as the search
+// reaches them (see Feeder) — finished score rows, or features a scorer
+// scores on demand, so a GMM scores only the senones the search reads. The
+// context is checked once per frame; on cancellation the best partial
+// hypothesis decoded so far is returned together with ctx.Err(). The
+// returned Result is never nil. Over the same rows the result is Decode's,
+// and a Stream's.
+func (d *OnTheFly) DecodeContext(ctx context.Context, src Feeder, frames int) (*Result, error) {
+	return d.decode(ctx, src, nil, frames)
 }
 
-// DecodeFeed is DecodeContext over frames rows that src supplies as the
-// search reaches them (see Feeder): the path that scores only the senones
-// the search reads. Its result is DecodeContext's over the same rows.
-func (d *OnTheFly) DecodeFeed(ctx context.Context, src Feeder, frames int) (*Result, error) {
-	return d.decodeWith(ctx, src, nil, frames)
-}
-
-// decodeWith wraps decode with the allocation-counter sampling and the
-// telemetry, so every return path is covered.
-func (d *OnTheFly) decodeWith(ctx context.Context, src Feeder, rows [][]float32, n int) (*Result, error) {
+// decode runs one session over n frames read from src, or from rows when
+// src is nil, and publishes it to the telemetry once.
+func (d *OnTheFly) decode(ctx context.Context, src Feeder, rows [][]float32, n int) (*Result, error) {
 	tel := d.cfg.Telemetry
-	start := tel.now()
-	sp := tel.startSpan("decode")
-	a0 := metrics.ReadAllocCounters()
-	res, err := d.decode(ctx, src, rows, n)
-	res.Stats.recordAlloc(a0)
+	start, sp := tel.now(), tel.startSpan("decode")
+	var s session
+	s.open(d, getScratch())
+	if src == nil {
+		src = s.sc.rows(rows)
+	}
+	err := s.feed(ctx, src, n)
+	res := s.result()
+	putScratch(s.sc)
 	tel.recordDecode(res.Stats, start, sp)
 	return res, err
-}
-
-// decode searches n frames read from src, or from rows when src is nil.
-func (d *OnTheFly) decode(ctx context.Context, src Feeder, rows [][]float32, n int) (*Result, error) {
-	cfg := d.cfg
-	tel := cfg.Telemetry
-	sc := getScratch()
-	defer putScratch(sc)
-	if src == nil {
-		sc.feed.rows = rows
-		src = &sc.feed
-	}
-	lat := &sc.lat
-	lat.reset()
-	st := Stats{Frames: n}
-
-	cur, next, snap := sc.cur, sc.next, sc.snap
-	cur.reset(0)
-	cur.relax(d.startKey(), semiring.One, -1)
-	d.epsClosure(cur, lat, &st, semiring.Zero, -1, sc)
-	d.hook(-1, cur)
-
-	for f := 0; f < n; f++ {
-		if err := ctx.Err(); err != nil {
-			st.Frames = f // frames actually searched
-			return d.finish(cur, lat, st), err
-		}
-		if cfg.RescueWidenings > 0 {
-			snap.copyFrom(cur)
-		}
-		beam, maxActive := d.searchParams()
-		d.stepFrame(cur, next, src, f, beam, maxActive, lat, &st, f, sc)
-		for attempt := 0; next.len() == 0 && attempt < cfg.RescueWidenings; attempt++ {
-			// Bounded escalation: restore the pre-pruning frontier and retry
-			// the frame with double the beam and double the histogram cap.
-			st.Rescues++
-			beam *= 2
-			if maxActive > 0 {
-				maxActive *= 2
-			}
-			cur.copyFrom(snap)
-			d.stepFrame(cur, next, src, f, beam, maxActive, lat, &st, f, sc)
-		}
-		if next.len() == 0 {
-			st.SearchFailures++
-			if cfg.RescueWidenings > 0 {
-				// Unsearchable frame (no widening helped): skip it and keep
-				// the pre-frame frontier alive instead of truncating.
-				cur.copyFrom(snap)
-				d.hook(f, cur)
-				tel.observeFrontier(cur.len())
-				continue
-			}
-			return d.finish(cur, lat, st), nil
-		}
-		cur, next = next, cur
-		d.hook(f, cur)
-		tel.observeFrontier(cur.len())
-	}
-	return d.finish(cur, lat, st), nil
 }
 
 // stepFrame advances the search by one frame: beam/histogram pruning of cur

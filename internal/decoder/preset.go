@@ -1,6 +1,11 @@
 package decoder
 
-import "repro/internal/semiring"
+import (
+	"fmt"
+
+	"repro/internal/bias"
+	"repro/internal/semiring"
+)
 
 // SearchPreset is one (Beam, MaxActive) search operating point. Presets are
 // the knob a serving layer turns when load builds up: narrowing the beam
@@ -37,23 +42,45 @@ func (c Config) DegradedPreset(level int) SearchPreset {
 	return p
 }
 
-// SetSearchPreset overrides the decoder's Beam and MaxActive for subsequent
-// Decode/DecodeContext calls and newly created Streams. It must not be
-// called while a decode is in flight on this decoder — the pool applies
-// presets to a worker only while it holds that worker, and a server applies
-// them to a per-connection stream decoder before the stream starts. Lookup
-// strategy, pruning mode and rescue behaviour are unchanged; rescue
-// widenings double from the preset's values.
-func (d *OnTheFly) SetSearchPreset(p SearchPreset) { d.preset = &p }
+// Options are a decode's per-request search options, installed on a
+// decoder by SetOptions. A nil field keeps the configured search, so the
+// zero Options is the decoder's Config exactly.
+type Options struct {
+	// Preset overrides the configured Beam and MaxActive: the degraded
+	// operating point a loaded server decodes at (Config.DegradedPreset).
+	// Lookup strategy, pruning mode and rescue behaviour are unchanged;
+	// rescue widenings double from the preset's values.
+	Preset *SearchPreset
+	// Bias is a compiled per-tenant bias machine: the search runs over the
+	// AM ∘ LM ∘ Bias composition, crediting the machine's bonuses on
+	// cross-word arcs. The 26/26/12 composed key bounds the graphs: AM and
+	// LM must each have fewer than 2^26 states and the machine at most 2^12
+	// (bias.MaxStates already guarantees the latter for compiled machines).
+	Bias *bias.Machine
+}
 
-// ClearSearchPreset restores the configured Beam/MaxActive.
-func (d *OnTheFly) ClearSearchPreset() { d.preset = nil }
-
-// searchParams resolves the effective beam and histogram cap: the installed
-// preset when one is set, the configuration otherwise.
-func (d *OnTheFly) searchParams() (semiring.Weight, int) {
-	if d.preset != nil {
-		return d.preset.Beam, d.preset.MaxActive
+// SetOptions installs o for subsequent decodes and newly created (or
+// reset) Streams, replacing the options installed before. It must not be
+// called while a decode is in flight on d — the pool installs a batch's
+// options on a worker only while it holds that worker, and a server
+// installs a stream's on its decoder before the stream starts. An error
+// (a bias machine the composed key cannot pack) leaves d at its configured
+// search with no machine.
+func (d *OnTheFly) SetOptions(o Options) error {
+	d.beam, d.maxActive = d.cfg.Beam, d.cfg.MaxActive
+	d.bias, d.biasSlack = nil, 0
+	if o.Bias != nil {
+		if d.am.NumStates() > 1<<biasLMBits || d.lm.NumStates() > 1<<biasLMBits {
+			return fmt.Errorf("decoder: biased decode needs AM and LM under %d states (AM %d, LM %d)",
+				1<<biasLMBits, d.am.NumStates(), d.lm.NumStates())
+		}
+		if n := o.Bias.NumStates(); n > 1<<biasStateBits {
+			return fmt.Errorf("decoder: bias machine has %d states, max %d", n, 1<<biasStateBits)
+		}
+		d.bias, d.biasSlack = o.Bias, o.Bias.MaxBonus()
 	}
-	return d.cfg.Beam, d.cfg.MaxActive
+	if o.Preset != nil {
+		d.beam, d.maxActive = o.Preset.Beam, o.Preset.MaxActive
+	}
+	return nil
 }

@@ -57,7 +57,7 @@ func TestSetSearchPresetNarrowsAndRestores(t *testing.T) {
 	}
 	want := oracle.Decode(f.scores[0])
 
-	d.SetSearchPreset(lvl2)
+	d.SetOptions(Options{Preset: &lvl2})
 	got := d.Decode(f.scores[0])
 	if fmt.Sprint(got.Words) != fmt.Sprint(want.Words) || got.Cost != want.Cost {
 		t.Errorf("preset decode diverged from equivalently configured decoder:\n got %v (%v)\nwant %v (%v)",
@@ -68,10 +68,10 @@ func TestSetSearchPresetNarrowsAndRestores(t *testing.T) {
 			got.Stats.TokensExpanded, full.Stats.TokensExpanded)
 	}
 
-	d.ClearSearchPreset()
+	d.SetOptions(Options{})
 	restored := d.Decode(f.scores[0])
 	if fmt.Sprint(restored.Words) != fmt.Sprint(full.Words) || restored.Cost != full.Cost {
-		t.Errorf("ClearSearchPreset did not restore the full search: %v vs %v",
+		t.Errorf("SetOptions(Options{}) did not restore the full search: %v vs %v",
 			restored.Words, full.Words)
 	}
 }
@@ -87,7 +87,7 @@ func TestStreamHonorsPreset(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Config{}.DegradedPreset(2)
-	d.SetSearchPreset(p)
+	d.SetOptions(Options{Preset: &p})
 	want := d.Decode(f.scores[1])
 
 	st := d.NewStream()

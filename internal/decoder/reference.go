@@ -1,7 +1,6 @@
 package decoder
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/semiring"
 	"repro/internal/wfst"
 )
@@ -9,7 +8,7 @@ import (
 // This file retains the pre-tokenStore frontier: a map[uint64]token per
 // frame plus an explicit insertion-order key list. It is the differential
 // oracle for the zero-allocation hot path — DecodeReference must produce
-// byte-identical hypotheses, costs, lattices and (Search-view) Stats to
+// byte-identical hypotheses, costs, lattices and Stats to
 // Decode, which the differential harness in differential_test.go asserts
 // over randomized tasks, and TestSearchKernelRatio and
 // BenchmarkFrontierDecode use it as the "before" implementation when
@@ -89,18 +88,10 @@ func (d *OnTheFly) hookRef(frame int, r *refFrontier) {
 // one-pass on-the-fly Viterbi search — the pre-tokenStore decoder, kept as
 // the package's differential oracle and allocation baseline. Results are
 // byte-identical to Decode: same hypotheses, word end times, costs,
-// lattices and Stats (under Stats.Search; the allocation counters instead
-// record the map implementation's per-frame churn). It honors the same
-// Config, including RescueWidenings, but takes no context: it exists for
-// testing and benchmarking, not serving.
+// lattices and Stats. It honors the same Config, including
+// RescueWidenings, but takes no context: it exists for testing and
+// benchmarking, not serving.
 func (d *OnTheFly) DecodeReference(scores [][]float32) *Result {
-	a0 := metrics.ReadAllocCounters()
-	res := d.decodeReference(scores)
-	res.Stats.recordAlloc(a0)
-	return res
-}
-
-func (d *OnTheFly) decodeReference(scores [][]float32) *Result {
 	cfg := d.cfg
 	lat := &lattice{}
 	st := Stats{Frames: len(scores)}

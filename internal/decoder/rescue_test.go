@@ -79,6 +79,53 @@ func TestRescueSkipsUnsearchableFrame(t *testing.T) {
 	}
 }
 
+// TestStreamRescuesLikeDecode: one poisoned frame, rescue off (the search
+// dies) and on (the frame is widened, then skipped). A Stream pushed the
+// rows frame by frame, and one fed them through Feed, must finish with
+// Decode's result on every fixture utterance: words, word ends, cost bits,
+// finality and every Stats field.
+func TestStreamRescuesLikeDecode(t *testing.T) {
+	f := getFixture(t, 42)
+	for _, widenings := range []int{0, 2} {
+		// One decoder per path: the offset table persists across
+		// utterances, and its hit counts are part of Stats.
+		dec := func() *OnTheFly {
+			d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true, RescueWidenings: widenings})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		dDecode, dPush, dFeed := dec(), dec(), dec()
+		for i, scores := range f.scores {
+			in := poisonFrame(scores, len(scores)/2)
+			want := dDecode.Decode(in)
+			if want.Stats.SearchFailures != 1 {
+				t.Fatalf("rescue %d utt %d: the poisoned frame did not fail the search", widenings, i)
+			}
+			pushed := dPush.NewStream()
+			for _, row := range in {
+				if err := pushed.Push(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fed := dFeed.NewStream()
+			fed.Feed(&rowFeed{in}, len(in))
+			for arm, got := range map[string]*Result{"push": pushed.Finish(), "feed": fed.Finish()} {
+				if math.Float32bits(float32(got.Cost)) != math.Float32bits(float32(want.Cost)) ||
+					got.ReachedFinal != want.ReachedFinal || got.Stats != want.Stats ||
+					!equalInt32s(got.Words, want.Words) || !equalInt32s(got.WordEnds, want.WordEnds) {
+					t.Errorf("rescue %d utt %d %s: stream %v at %v cost %v %+v, Decode %v at %v cost %v %+v",
+						widenings, i, arm, got.Words, got.WordEnds, got.Cost, got.Stats,
+						want.Words, want.WordEnds, want.Cost, want.Stats)
+				}
+			}
+			pushed.Close()
+			fed.Close()
+		}
+	}
+}
+
 // TestRescueIdleWhenBeamHealthy: with healthy scores the rescue machinery
 // must never fire, and results must be byte-identical to a decoder built
 // without it — the opt-in guarantee that keeps the equivalence oracle valid.
@@ -150,7 +197,7 @@ func TestDecodeContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, cerr := d.DecodeContext(ctx, f.scores[0])
+	r, cerr := d.DecodeContext(ctx, &rowFeed{f.scores[0]}, len(f.scores[0]))
 	if cerr != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", cerr)
 	}
@@ -161,7 +208,7 @@ func TestDecodeContextCancel(t *testing.T) {
 		t.Errorf("pre-canceled decode processed %d frames", r.Stats.Frames)
 	}
 	// The same decoder must still work for the next call.
-	if r2, err := d.DecodeContext(context.Background(), f.scores[0]); err != nil || len(r2.Words) == 0 {
+	if r2, err := d.DecodeContext(context.Background(), &rowFeed{f.scores[0]}, len(f.scores[0])); err != nil || len(r2.Words) == 0 {
 		t.Fatalf("decoder unusable after cancellation: %v", err)
 	}
 }

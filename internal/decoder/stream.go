@@ -1,39 +1,131 @@
 package decoder
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/semiring"
 	"repro/internal/telemetry"
 )
 
+// session is the one owner of a search frontier and the one frame loop:
+// Decode runs a session over a whole utterance, and a Stream keeps one open
+// across its Push and Feed calls. A session borrows a scratch set (token
+// stores, lattice arena, closure worklist) and searches each frame in step,
+// so every decode path shares one rescue rule and one frame count.
+type session struct {
+	d         *OnTheFly
+	sc        *scratch
+	cur, next *tokenStore
+	st        Stats
+	// dead is set when a frame empties the frontier with rescue off: cur
+	// then keeps the last frontier, and later frames are counted in
+	// Stats.Frames but not searched.
+	dead bool
+}
+
+// open arms s for a fresh utterance on d over the scratch set sc: the
+// composed start state and its epsilon closure.
+func (s *session) open(d *OnTheFly, sc *scratch) {
+	s.d, s.sc = d, sc
+	s.cur, s.next = sc.cur, sc.next
+	s.st = Stats{}
+	s.dead = false
+	sc.lat.reset()
+	s.cur.reset(0)
+	s.cur.relax(d.startKey(), semiring.One, -1)
+	d.epsClosure(s.cur, &sc.lat, &s.st, semiring.Zero, -1, sc)
+	d.hook(-1, s.cur)
+}
+
+// feed searches src's rows 0 to n-1 as the session's next n frames,
+// checking ctx before each. On cancellation Stats.Frames counts the frames
+// actually searched; after a search death it counts every frame supplied,
+// and the rest are not read.
+func (s *session) feed(ctx context.Context, src Feeder, n int) error {
+	for i := 0; i < n; i++ {
+		if s.dead {
+			s.st.Frames += n - i
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s.step(src, i)
+	}
+	return nil
+}
+
+// step searches one frame, src's row i.
+//
+// When Config.RescueWidenings is positive, a frame that empties the
+// active-token set is retried from a pre-pruning snapshot with the beam and
+// MaxActive doubled per attempt; if every widening fails (e.g. a fully
+// poisoned score frame, which no beam can cure), the frame is skipped and
+// the search continues from the snapshot — graceful degradation instead of
+// a truncated hypothesis when one frame is unsearchable. With rescue off
+// the search dies there, keeping the frontier it had.
+func (s *session) step(src Feeder, i int) {
+	d, sc := s.d, s.sc
+	f := s.st.Frames
+	s.st.Frames++
+	widenings := d.cfg.RescueWidenings
+	if widenings > 0 {
+		sc.snap.copyFrom(s.cur)
+	}
+	beam, maxActive := d.beam, d.maxActive
+	for attempt := 0; ; attempt++ {
+		d.stepFrame(s.cur, s.next, src, i, beam, maxActive, &sc.lat, &s.st, f, sc)
+		if s.next.len() > 0 || attempt == widenings {
+			break
+		}
+		// Bounded escalation: restore the pre-pruning frontier and retry
+		// the frame with double the beam and double the histogram cap.
+		s.st.Rescues++
+		beam *= 2
+		if maxActive > 0 {
+			maxActive *= 2
+		}
+		s.cur.copyFrom(sc.snap)
+	}
+	if s.next.len() > 0 {
+		s.cur, s.next = s.next, s.cur
+	} else {
+		s.st.SearchFailures++
+		if widenings == 0 {
+			s.dead = true
+			return
+		}
+		// Unsearchable frame (no widening helped): skip it and keep the
+		// pre-frame frontier alive instead of truncating.
+		s.cur.copyFrom(sc.snap)
+	}
+	d.hook(f, s.cur)
+	d.cfg.Telemetry.observeFrontier(s.cur.len())
+}
+
+// result is the session's best hypothesis as it stands.
+func (s *session) result() *Result { return s.d.finish(s.cur, &s.sc.lat, s.st) }
+
 // Stream is an incremental (frame-at-a-time) interface over the on-the-fly
 // decoder — the shape a real-time recognizer exposes: acoustic score rows
 // are pushed as the GPU produces each batch, and the current-best partial
-// hypothesis is available at any time. A Stream fed the same rows as a
-// batch Decode call produces exactly the same result.
+// hypothesis is available at any time. A Stream is the session a batch
+// Decode runs, kept open between calls, so fed the same rows it produces
+// exactly Decode's result, rescue and search death included.
 //
-// A Stream borrows one scratch set (token stores, lattice arena, closure
-// worklist) from the shared pool at creation and owns it until Close, so a
-// steady-state Push performs no per-frame heap allocation beyond the
-// amortized growth of the word lattice, and the next stream gets the set
-// warm.
+// A Stream borrows one scratch set from the shared pool at creation and
+// owns it until Close, so a steady-state Push performs no per-frame heap
+// allocation beyond the amortized growth of the word lattice, and the next
+// stream gets the set warm.
 type Stream struct {
-	d      *OnTheFly
-	sc     *scratch
-	cur    *tokenStore
-	next   *tokenStore
-	st     Stats
-	a0     metrics.AllocCounters
-	dead   bool
-	frozen *tokenStore // last non-empty frontier if the search dies
+	session
 
-	// Telemetry state: counters are published incrementally (every Push
-	// adds the frame's Stats delta) so a /metrics scrape mid-utterance sees
-	// the live search, not just completed streams. published is the
-	// high-water mark of what has been pushed to the registry so far.
+	// Telemetry state: counters are published once per Push or Feed call
+	// (the Stats advance since the last one), so a /metrics scrape
+	// mid-utterance sees the live search, not just completed streams.
+	// published is what has been pushed to the registry so far.
 	published Stats
 	start     time.Time
 	span      telemetry.Span
@@ -41,44 +133,30 @@ type Stream struct {
 
 // NewStream starts an incremental decode on d.
 func (d *OnTheFly) NewStream() *Stream {
-	s := &Stream{sc: getScratch()}
+	s := &Stream{}
+	s.sc = getScratch()
 	s.reset(d)
 	return s
 }
 
 // reset arms the stream for a fresh utterance on decoder d, reusing its
-// scratch set (token stores, lattice arena, worklist) in place: after reset
-// the stream is indistinguishable from a NewStream on d. The previous
-// utterance must be finished or abandoned first.
+// scratch set in place: after reset the stream is indistinguishable from a
+// NewStream on d. The previous utterance must be finished or abandoned
+// first.
 func (s *Stream) reset(d *OnTheFly) {
 	tel := d.cfg.Telemetry
-	s.d = d
-	s.cur, s.next = s.sc.cur, s.sc.next
-	s.st = Stats{}
 	s.published = Stats{}
-	s.dead = false
-	s.frozen = nil
-	s.a0 = s.sc.sampler.Read()
-	s.start = tel.now()
-	s.span = tel.startSpan("stream")
-	s.sc.lat.reset()
-	s.cur.reset(0)
-	s.cur.relax(d.startKey(), semiring.One, -1)
-	d.epsClosure(s.cur, &s.sc.lat, &s.st, semiring.Zero, -1, s.sc)
-	d.hook(-1, s.cur)
+	s.start, s.span = tel.now(), tel.startSpan("stream")
+	s.open(d, s.sc)
 }
 
 // Push consumes one frame of acoustic scores (1-based senone indexing).
 func (s *Stream) Push(frame []float32) error {
-	if s.dead {
-		return nil // search died earlier; Finish reports the best partial
-	}
 	if len(frame) == 0 {
 		return fmt.Errorf("decoder: empty frame")
 	}
 	s.sc.one[0] = frame
-	s.sc.feed.rows = s.sc.one[:]
-	s.step(&s.sc.feed, 0)
+	s.Feed(s.sc.rows(s.sc.one[:]), 1)
 	return nil
 }
 
@@ -87,61 +165,20 @@ func (s *Stream) Push(frame []float32) error {
 // demand scores only what the search reads. After a search death the rest
 // are not read.
 func (s *Stream) Feed(src Feeder, n int) {
-	for i := 0; i < n && !s.dead; i++ {
-		s.step(src, i)
-	}
-}
-
-// step searches one frame, src's row i.
-func (s *Stream) step(src Feeder, i int) {
-	beam, maxActive := s.d.searchParams()
-	f := s.st.Frames
-	s.st.Frames++
-	s.d.stepFrame(s.cur, s.next, src, i, beam, maxActive, &s.sc.lat, &s.st, f, s.sc)
-	if s.next.len() == 0 {
-		s.dead = true
-		s.st.SearchFailures++
-		s.frozen = s.cur
-		s.publish()
-		return
-	}
-	s.cur, s.next = s.next, s.cur
-	s.d.hook(f, s.cur)
-	s.publish()
-}
-
-// publish pushes the Stats advance since the last publication into the
-// decoder's telemetry set, plus this frame's frontier size. One branch and
-// no work when telemetry is disabled.
-func (s *Stream) publish() {
-	tel := s.d.cfg.Telemetry
-	if tel == nil {
-		return
-	}
-	tel.publishDelta(s.st, s.published)
+	s.feed(context.Background(), src, n)
+	s.d.cfg.Telemetry.publishDelta(s.st, s.published)
 	s.published = s.st
-	tel.observeFrontier(s.frontier().len())
-}
-
-// frontier returns the live active set (or the frozen one after a search
-// death).
-func (s *Stream) frontier() *tokenStore {
-	if s.dead {
-		return s.frozen
-	}
-	return s.cur
 }
 
 // Partial returns the current best hypothesis without ending the stream —
 // what a UI would display while the user is still speaking. Finality is
 // ignored: the utterance is not over.
 func (s *Stream) Partial() []int32 {
-	frontier := s.frontier()
 	best := semiring.Zero
 	lat := int32(-1)
-	for i := range frontier.toks {
-		if frontier.toks[i].cost < best {
-			best, lat = frontier.toks[i].cost, frontier.toks[i].lat
+	for _, t := range s.cur.toks {
+		if t.cost < best {
+			best, lat = t.cost, t.lat
 		}
 	}
 	if semiring.IsZero(best) {
@@ -152,13 +189,11 @@ func (s *Stream) Partial() []int32 {
 }
 
 // Finish ends the utterance and returns the final result, identical to a
-// batch Decode over the same frames. The result carries the allocation/GC
-// counters accumulated since NewStream.
+// batch Decode over the same frames.
 func (s *Stream) Finish() *Result {
-	res := s.d.finish(s.frontier(), &s.sc.lat, s.st)
-	res.Stats.recordAlloc(s.a0)
-	s.d.cfg.Telemetry.recordStream(s.st, s.published, s.start, s.span)
-	s.published = s.st
+	res := s.result()
+	s.d.cfg.Telemetry.recordStream(res.Stats, s.published, s.start, s.span)
+	s.published = res.Stats
 	return res
 }
 
@@ -168,6 +203,6 @@ func (s *Stream) Finish() *Result {
 func (s *Stream) Close() {
 	if s.sc != nil {
 		putScratch(s.sc)
-		s.sc, s.cur, s.next, s.frozen = nil, nil, nil, nil
+		s.sc, s.cur, s.next = nil, nil, nil
 	}
 }

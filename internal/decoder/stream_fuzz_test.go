@@ -54,18 +54,29 @@ func chunkFuzzTasks(t *testing.T) []*task.Task {
 // GMM, the DNN, or the RNN whose recurrence must carry across every chunk
 // edge), the utterance, preemptive pruning on or off, and the chunk
 // partition: chunk i is chunks[i mod len] frames, 0 meaning the rest of the
-// utterance (and no chunks at all meaning one chunk).
+// utterance (and no chunks at all meaning one chunk). Its rescue arm, a
+// nonzero poison, NaN-poisons the features of frame poison-1 (mod the
+// utterance length) and decodes with RescueWidenings 2, so every path
+// widens and then skips the unsearchable frame, and the RNN carries the
+// poison on through its recurrence.
 func FuzzStreamChunks(f *testing.F) {
-	f.Add([]byte{1}, uint8(0), false)
-	f.Add([]byte{4, 1, 25}, uint8(1), true)
-	f.Add([]byte{15, 16, 17, 3}, uint8(2), false)
-	f.Add([]byte{2, 0}, uint8(5), true)
-	f.Add([]byte{}, uint8(4), false)
-	f.Fuzz(func(t *testing.T, chunks []byte, pick uint8, preemptive bool) {
+	f.Add([]byte{1}, uint8(0), false, uint8(0))
+	f.Add([]byte{4, 1, 25}, uint8(1), true, uint8(0))
+	f.Add([]byte{15, 16, 17, 3}, uint8(2), false, uint8(0))
+	f.Add([]byte{2, 0}, uint8(5), true, uint8(0))
+	f.Add([]byte{}, uint8(4), false, uint8(0))
+	f.Add([]byte{3}, uint8(0), true, uint8(20))
+	f.Add([]byte{7, 1}, uint8(1), false, uint8(1))
+	f.Add([]byte{}, uint8(2), true, uint8(200))
+	f.Fuzz(func(t *testing.T, chunks []byte, pick uint8, preemptive bool, poison uint8) {
 		tasks := chunkFuzzTasks(t)
 		tk := tasks[int(pick)%len(tasks)]
 		frames := tk.Test[int(pick)/len(tasks)%len(tk.Test)].Frames
 		cfg := Config{PreemptivePruning: preemptive}
+		if poison > 0 {
+			frames = poisonFeatures(frames, int(poison-1)%len(frames))
+			cfg.RescueWidenings = 2
+		}
 		dWhole, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -105,10 +116,10 @@ func FuzzStreamChunks(f *testing.F) {
 		got := s.Finish()
 		if gotFeed := sFeed.Finish(); math.Float32bits(float32(gotFeed.Cost)) != math.Float32bits(float32(got.Cost)) ||
 			!equalInt32s(gotFeed.Words, got.Words) || !equalInt32s(gotFeed.WordEnds, got.WordEnds) ||
-			gotFeed.Stats.Search() != got.Stats.Search() {
+			gotFeed.Stats != got.Stats {
 			t.Errorf("%s on demand: %v at %v cost %v %+v, pushed rows: %v at %v cost %v %+v", tk.Scorer.Name(),
-				gotFeed.Words, gotFeed.WordEnds, gotFeed.Cost, gotFeed.Stats.Search(),
-				got.Words, got.WordEnds, got.Cost, got.Stats.Search())
+				gotFeed.Words, gotFeed.WordEnds, gotFeed.Cost, gotFeed.Stats,
+				got.Words, got.WordEnds, got.Cost, got.Stats)
 		}
 
 		if math.Float32bits(float32(got.Cost)) != math.Float32bits(float32(want.Cost)) {
@@ -121,7 +132,7 @@ func FuzzStreamChunks(f *testing.F) {
 			t.Errorf("%s words: stream %v at %v, whole %v at %v",
 				tk.Scorer.Name(), got.Words, got.WordEnds, want.Words, want.WordEnds)
 		}
-		if gs, ws := got.Stats.Search(), want.Stats.Search(); gs != ws {
+		if gs, ws := got.Stats, want.Stats; gs != ws {
 			t.Errorf("%s stats: stream %+v, whole %+v", tk.Scorer.Name(), gs, ws)
 		}
 	})

@@ -93,6 +93,10 @@ func TestStreamSurvivesSearchDeath(t *testing.T) {
 	if r == nil {
 		t.Fatal("nil result after search death")
 	}
+	// Decode's frame count: every frame supplied, searched or not.
+	if r.Stats.Frames != len(f.scores[0]) {
+		t.Errorf("Stats.Frames = %d after search death, want every pushed frame (%d)", r.Stats.Frames, len(f.scores[0]))
+	}
 }
 
 func TestNBestOrderedAndDeduplicated(t *testing.T) {

@@ -18,7 +18,8 @@ import (
 // the zero-allocation gates in alloc_test.go keep reporting 0 allocs with
 // telemetry off. Hooks publish Stats *deltas* — the search already counts
 // its work in Stats for free, so the frame loop never touches an atomic
-// per arc, only per frame (streams) or per decode (batch).
+// per arc, only once per Push or Feed call (streams) or per decode
+// (batch), plus one frontier-size observation per frame.
 type Telemetry struct {
 	// Decodes counts completed batch decodes; Streams counts completed
 	// stream lifecycles (NewStream..Finish).
@@ -93,8 +94,8 @@ func (t *Telemetry) observeFrontier(tokens int) {
 }
 
 // publishDelta adds the counter advance from prev to cur — the incremental
-// publication streams perform per frame so a scrape mid-utterance sees the
-// work done so far, not just completed decodes.
+// publication streams perform per Push or Feed call so a scrape
+// mid-utterance sees the work done so far, not just completed decodes.
 func (t *Telemetry) publishDelta(cur, prev Stats) {
 	if t == nil {
 		return
@@ -125,14 +126,27 @@ func (t *Telemetry) startSpan(name string) telemetry.Span {
 	return t.Tracer.Start(name)
 }
 
-// recordDecode publishes one completed batch decode: the whole Stats
-// advance, the wall-time observation, and the span (when tracing).
+// recordDecode publishes one completed batch decode: its whole Stats, the
+// wall time and the span.
 func (t *Telemetry) recordDecode(st Stats, start time.Time, sp telemetry.Span) {
-	if t == nil {
-		return
+	if t != nil {
+		t.Decodes.Inc()
+		t.record(st, Stats{}, start, sp)
 	}
-	t.Decodes.Inc()
-	t.publishDelta(st, Stats{})
+}
+
+// recordStream publishes a completed stream lifecycle: the Stats advance
+// its Push and Feed calls have not published (the lattice entries, which
+// Finish counts), the wall time and the span.
+func (t *Telemetry) recordStream(st, published Stats, start time.Time, sp telemetry.Span) {
+	if t != nil {
+		t.Streams.Inc()
+		t.record(st, published, start, sp)
+	}
+}
+
+func (t *Telemetry) record(st, published Stats, start time.Time, sp telemetry.Span) {
+	t.publishDelta(st, published)
 	t.DecodeSeconds.Observe(time.Since(start).Seconds())
 	if sp.Active() {
 		sp.End(
@@ -142,26 +156,6 @@ func (t *Telemetry) recordDecode(st Stats, start time.Time, sp telemetry.Span) {
 			telemetry.A("backoff_hops", st.BackoffHops),
 			telemetry.A("rescues", st.Rescues),
 			telemetry.A("search_failures", st.SearchFailures),
-		)
-	}
-}
-
-// recordStream publishes a completed stream lifecycle: the residual Stats
-// delta not yet pushed frame-by-frame, the wall time, and the span.
-func (t *Telemetry) recordStream(cur, published Stats, start time.Time, sp telemetry.Span) {
-	if t == nil {
-		return
-	}
-	t.Streams.Inc()
-	t.publishDelta(cur, published)
-	t.DecodeSeconds.Observe(time.Since(start).Seconds())
-	if sp.Active() {
-		sp.End(
-			telemetry.A("frames", int64(cur.Frames)),
-			telemetry.A("tokens_created", cur.TokensCreated),
-			telemetry.A("lm_fetches", cur.LMFetches),
-			telemetry.A("backoff_hops", cur.BackoffHops),
-			telemetry.A("search_failures", cur.SearchFailures),
 		)
 	}
 }

@@ -96,8 +96,8 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 				t.Fatalf("utt %d word %d differs", i, j)
 			}
 		}
-		if a.Stats.Search() != b.Stats.Search() {
-			t.Fatalf("utt %d: search stats diverged:\n%+v\n%+v", i, a.Stats.Search(), b.Stats.Search())
+		if a.Stats != b.Stats {
+			t.Fatalf("utt %d: search stats diverged:\n%+v\n%+v", i, a.Stats, b.Stats)
 		}
 	}
 }

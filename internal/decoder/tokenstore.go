@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/metrics"
 	"repro/internal/semiring"
 )
 
@@ -242,17 +241,14 @@ type scratch struct {
 	senones []int32
 	seen    []uint32
 	gen     uint32
-
-	sampler *metrics.AllocSampler // a Stream's allocation counters
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	sc := &scratch{
-		cur:     newTokenStore(),
-		next:    newTokenStore(),
-		snap:    newTokenStore(),
-		queue:   make([]int32, 0, minTableSize),
-		sampler: metrics.NewAllocSampler(),
+		cur:   newTokenStore(),
+		next:  newTokenStore(),
+		snap:  newTokenStore(),
+		queue: make([]int32, 0, minTableSize),
 	}
 	sc.need = sc.needSenones
 	return sc

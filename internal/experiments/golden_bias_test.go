@@ -19,7 +19,7 @@ import (
 const goldenBiasBonus = 4.0
 
 // biasVariants are the three recorded conditions per task. "no-bias" is a
-// decoder that never had SetBias called (the byte-identity anchor),
+// decoder that never had a bias machine installed (the byte-identity anchor),
 // "bias-hit" biases the reference vocabulary of the test set itself, and
 // "bias-miss" biases in-lexicon words that appear in no reference — the
 // fixture pins down that a miss changes nothing it shouldn't.
@@ -80,7 +80,7 @@ func decodeGoldenBias(t *testing.T, tk *task.Task, phrases []string) []goldenUtt
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.SetBias(m); err != nil {
+		if err := d.SetOptions(decoder.Options{Bias: m}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func decodeGoldenBias(t *testing.T, tk *task.Task, phrases []string) []goldenUtt
 // asserts the semantics the fixtures exist to freeze:
 //
 //   - no-bias matches the task's existing solo "default" fixture byte for
-//     byte (SetBias never called ≡ the pre-bias decoder);
+//     byte (no machine installed ≡ the pre-bias decoder);
 //   - bias-hit makes the biased terms win: biased-term recall (the
 //     internal/task metric) is at least the no-bias recall, every
 //     hypothesis surfaces at least one biased term, and no utterance's

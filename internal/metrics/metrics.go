@@ -130,9 +130,10 @@ func MeanMax(ds []time.Duration) (mean, max time.Duration) {
 
 // AllocCounters is a point-in-time snapshot of the process's cumulative
 // heap-allocation and GC counters, read cheaply (no stop-the-world) via
-// runtime/metrics. Decoders sample a snapshot before and after a decode and
-// report the Delta, which is how the token-store recycling of the Viterbi
-// hot path stays observable instead of merely asserted.
+// runtime/metrics. The decode pool samples one before and after a batch
+// and reports the Delta in Throughput, which is how the token-store
+// recycling of the Viterbi hot path stays observable instead of merely
+// asserted.
 type AllocCounters struct {
 	// Bytes is the cumulative heap bytes allocated since process start.
 	Bytes uint64
@@ -167,35 +168,6 @@ func ReadAllocCounters() AllocCounters {
 		Bytes:   samples[0].Value.Uint64(),
 		Objects: samples[1].Value.Uint64(),
 		GCs:     samples[2].Value.Uint64(),
-	}
-}
-
-// AllocSampler is ReadAllocCounters without the per-call allocation: the
-// sample buffer handed to runtime/metrics escapes, so a stack-local one
-// costs one heap object per read. A sampler owns the buffer instead and is
-// reused across reads — the shape a lane slot needs, where a counter sample
-// per recycled utterance must not break the 0-allocs/frame contract. Not
-// safe for concurrent use; give each reader its own.
-type AllocSampler struct {
-	samples [3]runtimemetrics.Sample
-}
-
-// NewAllocSampler builds a reusable allocation-counter sampler.
-func NewAllocSampler() *AllocSampler {
-	s := &AllocSampler{}
-	for i := range s.samples {
-		s.samples[i].Name = allocSampleNames[i]
-	}
-	return s
-}
-
-// Read samples the current counters, allocating nothing.
-func (s *AllocSampler) Read() AllocCounters {
-	runtimemetrics.Read(s.samples[:])
-	return AllocCounters{
-		Bytes:   s.samples[0].Value.Uint64(),
-		Objects: s.samples[1].Value.Uint64(),
-		GCs:     s.samples[2].Value.Uint64(),
 	}
 }
 

@@ -26,7 +26,7 @@ var biasSoak = flag.Duration("bias-soak", 2*time.Second, "wall time for the tena
 // mixed with tenantless traffic, canceled batches and abandoned streams,
 // three times as many tenants as workers so every worker keeps changing
 // machines. Under the race detector this exercises the cross-thread seams
-// the tenant layer added: per-worker SetBias installs racing batch
+// the tenant layer added: per-worker SetOptions installs racing batch
 // submission, one scorer's pooled window states shared by concurrent
 // chunked streams, and metric scrapes racing live decodes. The correctness
 // bar never drops: every completed utterance is byte-identical to its
@@ -50,12 +50,12 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 	}
 	for ti := 0; ti < tenants; ti++ {
 		machines[ti] = tenantMachine(t, f, ti, 0.5+float32(ti)*0.25)
-		if err := solo.SetBias(machines[ti]); err != nil {
+		if err := solo.SetOptions(decoder.Options{Bias: machines[ti]}); err != nil {
 			t.Fatal(err)
 		}
 		oracle[ti] = decodeAll()
 	}
-	solo.ClearBias()
+	solo.SetOptions(decoder.Options{})
 	oracle[tenants] = decodeAll()
 
 	reg := telemetry.NewRegistry()
@@ -77,15 +77,13 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 	}
 	// openStream is the server's /v1/stream setup: a per-connection decoder
 	// carrying the tenant's machine, and a chunk scorer on the shared scorer.
-	openStream := func(tb *TenantBias) (*decoder.Stream, *acoustic.Utterance) {
+	openStream := func(opts decoder.Options) (*decoder.Stream, *acoustic.Utterance) {
 		d, err := decoder.NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tb != nil {
-			if err := d.SetBias(tb.Machine); err != nil {
-				t.Fatal(err)
-			}
+		if err := d.SetOptions(opts); err != nil {
+			t.Fatal(err)
 		}
 		return d.NewStream(), acoustic.NewUtterance(f.tk.Scorer)
 	}
@@ -102,16 +100,16 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 			for time.Now().Before(deadline) {
 				utt := rng.Intn(len(f.tk.Test))
 				ti := tenants // tenantless
-				var tb *TenantBias
+				var opts decoder.Options
 				if rng.Intn(4) != 0 {
 					ti = int(zipf.Uint64())
-					tb = &TenantBias{Machine: machines[ti]}
+					opts.Bias = machines[ti]
 				}
 				switch rng.Intn(4) {
 				case 0: // scrape racing decodes
 					_, _ = reg.WriteTo(io.Discard)
 				case 1: // chunked biased stream
-					s, u := openStream(tb)
+					s, u := openStream(opts)
 					frames := f.tk.Test[utt].Frames
 					chunk := 1 + rng.Intn(8)
 					for off := 0; off < len(frames); off += chunk {
@@ -128,7 +126,7 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 					done.Add(1)
 				case 2: // abandoned stream or canceled batch: liveness only
 					if rng.Intn(2) == 0 {
-						s, u := openStream(tb)
+						s, u := openStream(opts)
 						for _, row := range u.Score(f.tk.Test[utt].Frames[:1+rng.Intn(5)]) {
 							_ = s.Push(row)
 						}
@@ -137,7 +135,7 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 					}
 					ctx, cancel := context.WithCancel(context.Background())
 					cancel()
-					_, _ = p.DecodeBiasContext(ctx, f.scores[utt:utt+1], nil, tb)
+					_, _ = p.DecodeContext(ctx, f.scores[utt:utt+1], nil, opts)
 				default: // small biased batch
 					n := 1 + rng.Intn(3)
 					var scores [][][]float32
@@ -147,7 +145,7 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 						scores = append(scores, f.tk.Scorer.ScoreUtterance(f.tk.Test[u].Frames))
 						idx = append(idx, u)
 					}
-					b, err := p.DecodeBiasContext(context.Background(), scores, nil, tb)
+					b, err := p.DecodeContext(context.Background(), scores, nil, opts)
 					if err != nil || b.Failed() != 0 {
 						t.Errorf("soak batch: err=%v errors=%v", err, b.Errors)
 						return
@@ -169,7 +167,7 @@ func TestSoakBiasTenantChurn(t *testing.T) {
 	}
 	// Every worker sheds its last tenant: a tenantless batch after the churn
 	// is the tenantless oracle.
-	b, err := p.DecodeContext(context.Background(), f.scores)
+	b, err := p.DecodeContext(context.Background(), f.scores, nil, decoder.Options{})
 	if err != nil || b.Failed() != 0 {
 		t.Fatalf("post-soak batch: err=%v failed=%d", err, b.Failed())
 	}

@@ -98,7 +98,7 @@ func TestDecodePoolCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	batch, err := p.DecodeContext(ctx, f.scores)
+	batch, err := p.DecodeContext(ctx, f.scores, nil, decoder.Options{})
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Errorf("pre-canceled batch took %v", d)
 	}
@@ -142,7 +142,7 @@ func TestDecodePoolCancelMidBatch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	batch, err := p.DecodeContext(ctx, scores)
+	batch, err := p.DecodeContext(ctx, scores, nil, decoder.Options{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded (batch finished too fast to cancel?)", err)

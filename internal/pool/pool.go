@@ -164,16 +164,25 @@ func (b *Batch) Failed() int {
 // workers dynamically, so long and short utterances balance; the result
 // order matches the input order regardless of which worker decoded what.
 func (p *DecodePool) Decode(scores [][][]float32) (*Batch, error) {
-	return p.DecodeContext(context.Background(), scores)
+	return p.DecodeContext(context.Background(), scores, nil, decoder.Options{})
 }
 
-// DecodeContext is Decode with deadline/cancellation and per-utterance
-// fault isolation:
+// DecodeContext decodes a batch at the search options opts, with
+// deadline/cancellation and per-utterance fault isolation. utts[i] is
+// utterance i's score rows when sc is nil, or its feature frames when sc is
+// set: the worker that decodes it then scores them with sc as the search
+// reads them (an acoustic.Utterance fed to decoder.DecodeContext), so a GMM
+// scores only the senones each pruned frontier reads, with the same result
+// bits as over sc's ScoreUtterance rows.
 //
+//   - opts is installed on every worker the batch checks out, while the
+//     batch holds it exclusively, and applies to this batch alone. The zero
+//     Options decodes at the configured search.
 //   - A worker panic mid-utterance (e.g. an out-of-range read caused by a
-//     corrupted score row) is recovered and recorded as Batch.Errors[i]
-//     without disturbing any other worker; every other utterance's result
-//     stays byte-identical to a sequential decode.
+//     corrupted score row, or a panic while scoring) is recovered and
+//     recorded as Batch.Errors[i] without disturbing any other worker;
+//     every other utterance's result stays byte-identical to a sequential
+//     decode.
 //   - Cancellation is checked per frame inside each worker and between
 //     utterances at the dealing loop, so the call returns promptly with
 //     index-aligned partial results and ctx.Err(). Utterances cut short or
@@ -182,45 +191,7 @@ func (p *DecodePool) Decode(scores [][][]float32) (*Batch, error) {
 // The returned Batch is always non-nil; the error is ctx.Err() when the
 // context ended the batch (including while waiting for a free worker), nil
 // otherwise — per-utterance faults live in Batch.Errors.
-func (p *DecodePool) DecodeContext(ctx context.Context, scores [][][]float32) (*Batch, error) {
-	return p.DecodePresetContext(ctx, scores, nil)
-}
-
-// DecodePresetContext is DecodeContext with a search operating point: when
-// preset is non-nil, every worker this batch checks out decodes at the
-// degraded (Beam, MaxActive) point instead of its configured one — the
-// load-shedding ladder a serving frontend steps through under pressure
-// (decoder.Config.DegradedPreset). nil preset decodes at full quality; the
-// preset applies only to this batch, never to concurrent or later ones.
-func (p *DecodePool) DecodePresetContext(ctx context.Context, scores [][][]float32, preset *decoder.SearchPreset) (*Batch, error) {
-	return p.DecodeBiasContext(ctx, scores, preset, nil)
-}
-
-// DecodeBiasContext is DecodePresetContext with a tenant assignment: when
-// tb is non-nil, every worker this batch checks out decodes under the
-// tenant's bias machine. Like the preset, the assignment is installed only
-// while the batch holds each worker exclusively and applies to this batch
-// alone. A nil tb is byte-identical to DecodePresetContext — the tenantless
-// invariant the bias differential tests pin down at the decoder layer and
-// tenant_test.go pins here.
-func (p *DecodePool) DecodeBiasContext(ctx context.Context, scores [][][]float32, preset *decoder.SearchPreset, tb *TenantBias) (*Batch, error) {
-	return p.decodeBatch(ctx, scores, nil, preset, tb)
-}
-
-// DecodeFeatures is DecodeBiasContext over feature frames instead of score
-// rows: feats[i] is utterance i's frames, and the worker that decodes it
-// scores them with sc as the search reads them (an acoustic.Utterance fed
-// to decoder.DecodeFeed), so a GMM scores only the senones each pruned
-// frontier reads. The results are DecodeBiasContext's over sc's
-// ScoreUtterance rows, bit for bit. A panic while scoring is isolated like
-// one in the search.
-func (p *DecodePool) DecodeFeatures(ctx context.Context, sc acoustic.Scorer, feats [][][]float32, preset *decoder.SearchPreset, tb *TenantBias) (*Batch, error) {
-	return p.decodeBatch(ctx, feats, sc, preset, tb)
-}
-
-// decodeBatch is the body of DecodeBiasContext and DecodeFeatures: utts
-// are score rows, or feature frames when sc is set.
-func (p *DecodePool) decodeBatch(ctx context.Context, utts [][][]float32, sc acoustic.Scorer, preset *decoder.SearchPreset, tb *TenantBias) (*Batch, error) {
+func (p *DecodePool) DecodeContext(ctx context.Context, utts [][][]float32, sc acoustic.Scorer, opts decoder.Options) (*Batch, error) {
 	start := time.Now()
 	n := len(utts)
 	// runtime/metrics sampling: span-granular, so a warm batch's few small
@@ -257,24 +228,11 @@ func (p *DecodePool) decodeBatch(ctx context.Context, utts [][][]float32, sc aco
 			defer wg.Done()
 			dec := p.workers[id]
 			// The caller holds the worker exclusively until it is returned
-			// to the free list, so installing the batch's operating point
-			// here cannot race with another batch.
-			if preset != nil {
-				dec.SetSearchPreset(*preset)
-			} else {
-				dec.ClearSearchPreset()
-			}
-			// The bias machine rides the same exclusivity. Both branches
-			// run every batch so a worker never carries a previous batch's
-			// machine.
-			var biasErr error
-			if tb != nil {
-				if biasErr = dec.SetBias(tb.Machine); biasErr != nil {
-					dec.ClearBias()
-				}
-			} else {
-				dec.ClearBias()
-			}
+			// to the free list, so installing the batch's options here
+			// cannot race with another batch, and every batch installs its
+			// own, so a worker never carries a previous batch's.
+			optErr := dec.SetOptions(opts)
+			var rows scoreRows
 			var u *acoustic.Utterance // this worker's scorer, for a feature batch
 			if sc != nil {
 				u = acoustic.NewUtterance(sc)
@@ -286,15 +244,15 @@ func (p *DecodePool) decodeBatch(ctx context.Context, utts [][][]float32, sc aco
 					errs[i] = &DecodeError{Utterance: i, Stage: StageCanceled, Cause: err}
 					continue
 				}
-				if biasErr != nil {
+				if optErr != nil {
 					// The bias machine does not fit this model's graphs; the
 					// whole batch asked for it, so every utterance fails the
 					// same way rather than silently decoding unbiased.
-					errs[i] = &DecodeError{Utterance: i, Stage: StageSearch, Cause: biasErr}
+					errs[i] = &DecodeError{Utterance: i, Stage: StageSearch, Cause: optErr}
 					continue
 				}
 				workersBusy.Inc()
-				results[i], errs[i] = decodeOne(ctx, dec, i, utts[i], u)
+				results[i], errs[i] = decodeOne(ctx, dec, i, utts[i], u, &rows)
 				workersBusy.Dec()
 			}
 			p.idle <- id
@@ -325,12 +283,6 @@ func (p *DecodePool) decodeBatch(ctx context.Context, utts [][][]float32, sc aco
 			b.Decoder.Add(r.Stats)
 		}
 	}
-	// Per-utterance allocation counters double-count under concurrency
-	// (each worker's snapshot window sees the other workers' allocations),
-	// so the batch aggregate is replaced by one batch-wide delta.
-	b.Decoder.AllocBytes = int64(alloc.Bytes)
-	b.Decoder.AllocObjects = int64(alloc.Objects)
-	b.Decoder.GCCycles = int64(alloc.GCs)
 	b.Search = metrics.Search{Rescues: b.Decoder.Rescues, Failures: b.Decoder.SearchFailures}
 	for _, e := range errs {
 		if e == nil {
@@ -357,12 +309,14 @@ func (p *DecodePool) decodeBatch(ctx context.Context, utts [][][]float32, sc aco
 	return b, ctx.Err()
 }
 
-// decodeOne runs one utterance with panic isolation: utt is its score
-// rows, or its features when u, the worker's scorer, is set. A panic
-// anywhere in the search or the scoring (decoder, corrupted input) becomes
-// a typed DecodeError instead of tearing down the batch. The worker's decoder holds no cross-utterance
-// mutable state beyond the offset table, whose contents never affect
-// results, so the worker safely continues with the next job.
+// decodeOne runs one utterance with panic isolation: utt is its features
+// when u, the worker's scorer, is set, and its score rows, fed through the
+// worker's rows, otherwise. A panic anywhere in the search or the scoring
+// (decoder, corrupted input)
+// becomes a typed DecodeError instead of tearing down the batch. The
+// worker's decoder holds no cross-utterance mutable state beyond the offset
+// table, whose contents never affect results, so the worker safely
+// continues with the next job.
 //
 // SetPanicOnFault extends the isolation to memory faults: a decode walking
 // a memory-mapped v3 bundle whose backing file was truncated or whose
@@ -371,7 +325,7 @@ func (p *DecodePool) decodeBatch(ctx context.Context, utts [][][]float32, sc aco
 // panic, the recover below turns it into a StageSearch DecodeError, and the
 // serving registry can quarantine the sick model while every other model
 // keeps decoding.
-func decodeOne(ctx context.Context, dec *decoder.OnTheFly, i int, utt [][]float32, u *acoustic.Utterance) (res *decoder.Result, derr *DecodeError) {
+func decodeOne(ctx context.Context, dec *decoder.OnTheFly, i int, utt [][]float32, u *acoustic.Utterance, rows *scoreRows) (res *decoder.Result, derr *DecodeError) {
 	old := debug.SetPanicOnFault(true)
 	defer debug.SetPanicOnFault(old)
 	defer func() {
@@ -380,17 +334,22 @@ func decodeOne(ctx context.Context, dec *decoder.OnTheFly, i int, utt [][]float3
 			derr = &DecodeError{Utterance: i, Stage: StageSearch, Cause: fmt.Errorf("recovered panic: %v", r)}
 		}
 	}()
-	var r *decoder.Result
-	var err error
-	if u != nil { // utt is features
+	var src decoder.Feeder = rows
+	if u != nil {
 		u.Reset()
 		u.Load(utt)
-		r, err = dec.DecodeFeed(ctx, u, len(utt))
+		src = u
 	} else {
-		r, err = dec.DecodeContext(ctx, utt)
+		*rows = utt
 	}
+	r, err := dec.DecodeContext(ctx, src, len(utt))
 	if err != nil {
 		return r, &DecodeError{Utterance: i, Stage: StageCanceled, Cause: err}
 	}
 	return r, nil
 }
+
+// scoreRows is the decoder.Feeder over an utterance's finished score rows.
+type scoreRows [][]float32
+
+func (r *scoreRows) Row(i int, _ func() []int32) []float32 { return (*r)[i] }

@@ -218,7 +218,7 @@ func TestDecodePoolPreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg, err := p.DecodePresetContext(context.Background(), f.scores, &preset)
+	deg, err := p.DecodeContext(context.Background(), f.scores, nil, decoder.Options{Preset: &preset})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestDecodeFeaturesMatchesScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	searchWork := func(r *decoder.Result) decoder.Stats {
-		st := r.Stats.Search()
+		st := r.Stats
 		st.MemoHits, st.MemoMisses, st.LMProbes = 0, 0, 0
 		return st
 	}
@@ -323,7 +323,7 @@ func TestDecodeFeaturesMatchesScores(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 2; round++ {
-			batch, err := p.DecodeFeatures(context.Background(), f.tk.Scorer, feats, nil, nil)
+			batch, err := p.DecodeContext(context.Background(), feats, f.tk.Scorer, decoder.Options{})
 			if err != nil || batch.Failed() != 0 {
 				t.Fatalf("workers %d round %d: %v, %d failed", workers, round, err, batch.Failed())
 			}
@@ -344,7 +344,7 @@ func TestDecodeFeaturesMatchesScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, _ := p.DecodeFeatures(context.Background(), panicScorer{f.tk.Scorer, &feats[2][0][0]}, feats, nil, nil)
+	batch, _ := p.DecodeContext(context.Background(), feats, panicScorer{f.tk.Scorer, &feats[2][0][0]}, decoder.Options{})
 	for i, e := range batch.Errors {
 		switch {
 		case i == 2 && (e == nil || e.Stage != StageSearch):

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/decoder"
 	"repro/internal/telemetry"
 )
 
@@ -90,7 +91,7 @@ func TestPoolTelemetryCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b, err := p.DecodeContext(ctx, f.scores)
+	b, err := p.DecodeContext(ctx, f.scores, nil, decoder.Options{})
 	if err == nil {
 		t.Fatal("expected ctx error")
 	}

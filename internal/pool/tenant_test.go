@@ -42,7 +42,7 @@ func tenantMachine(t testing.TB, f *poolFixture, utt int, bonus float32) *bias.M
 // Pool integration: the tenant assignment changes search results exactly
 // when a machine is installed.
 
-// TestPoolDecodeBiasNilAndTenantOnlyIdentical: a nil TenantBias and a
+// TestPoolDecodeBiasNilAndTenantOnlyIdentical: zero Options and a
 // machine-less assignment both produce results byte-identical to the plain
 // preset path.
 func TestPoolDecodeBiasNilAndTenantOnlyIdentical(t *testing.T) {
@@ -54,19 +54,19 @@ func TestPoolDecodeBiasNilAndTenantOnlyIdentical(t *testing.T) {
 		}
 		return p
 	}
-	base, err := mk().DecodePresetContext(context.Background(), f.scores, nil)
+	base, err := mk().DecodeContext(context.Background(), f.scores, nil, decoder.Options{})
 	if err != nil || base.Failed() != 0 {
 		t.Fatalf("baseline: err=%v failed=%d", err, base.Failed())
 	}
 	ctx := context.Background()
 
 	pNil := mk()
-	bNil, err := pNil.DecodeBiasContext(ctx, f.scores, nil, nil)
+	bNil, err := pNil.DecodeContext(ctx, f.scores, nil, decoder.Options{})
 	if err != nil || bNil.Failed() != 0 {
 		t.Fatalf("nil tb: err=%v failed=%d", err, bNil.Failed())
 	}
 	pTen := mk()
-	bTen, err := pTen.DecodeBiasContext(ctx, f.scores, nil, &TenantBias{})
+	bTen, err := pTen.DecodeContext(ctx, f.scores, nil, decoder.Options{Bias: nil})
 	if err != nil || bTen.Failed() != 0 {
 		t.Fatalf("tenant-only: err=%v failed=%d", err, bTen.Failed())
 	}
@@ -93,14 +93,14 @@ func TestPoolDecodeBiasMatchesSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := solo.SetBias(m); err != nil {
+	if err := solo.SetOptions(decoder.Options{Bias: m}); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]*decoder.Result, len(f.scores))
 	for i, sc := range f.scores {
 		want[i] = solo.Decode(sc)
 	}
-	solo.ClearBias()
+	solo.SetOptions(decoder.Options{})
 	plain := make([]*decoder.Result, len(f.scores))
 	for i, sc := range f.scores {
 		plain[i] = solo.Decode(sc)
@@ -110,7 +110,7 @@ func TestPoolDecodeBiasMatchesSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.DecodeBiasContext(context.Background(), f.scores, nil, &TenantBias{Machine: m})
+	b, err := p.DecodeContext(context.Background(), f.scores, nil, decoder.Options{Bias: m})
 	if err != nil || b.Failed() != 0 {
 		t.Fatalf("biased batch: err=%v failed=%d", err, b.Failed())
 	}
@@ -121,7 +121,7 @@ func TestPoolDecodeBiasMatchesSolo(t *testing.T) {
 		}
 	}
 	// Same pool, next batch unbiased: must match the unbiased baseline.
-	b2, err := p.DecodeContext(context.Background(), f.scores)
+	b2, err := p.DecodeContext(context.Background(), f.scores, nil, decoder.Options{})
 	if err != nil || b2.Failed() != 0 {
 		t.Fatalf("follow-up batch: err=%v failed=%d", err, b2.Failed())
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bias"
-	"repro/internal/pool"
+	"repro/internal/decoder"
 	"repro/internal/telemetry"
 )
 
@@ -47,14 +47,17 @@ func newWordLookup(words []string) bias.Lookup {
 	}
 }
 
-// tenantBias resolves a request's bias block into the pool-level tenant
-// assignment: nil in, nil out (the byte-identical no-bias path); otherwise
-// the machine comes from the model's compiler cache and the tenant's
-// compile-cache counters are published. A compile failure is a client
-// error (bad phrase list), reported as a 400 by the caller.
-func (s *Server) tenantBias(m *model, b *biasRequest) (*pool.TenantBias, error) {
+// decodeOptions builds a request's search options, which both routes
+// install the same way (the pool on each worker, /v1/stream on its
+// decoder): no bias block, or one with no phrases, is the zero Options —
+// the byte-identical unbiased search; otherwise the machine comes from the
+// model's compiler cache and the tenant's compile-cache counters are
+// published. A compile failure is a client error (bad phrase list),
+// reported as a 400 by the caller. The preset is degrade's, once the
+// request holds its slot.
+func (s *Server) decodeOptions(m *model, b *biasRequest) (decoder.Options, error) {
 	if b == nil || len(b.Phrases) == 0 {
-		return nil, nil
+		return decoder.Options{}, nil
 	}
 	bonus := b.Bonus
 	if bonus == 0 {
@@ -62,11 +65,24 @@ func (s *Server) tenantBias(m *model, b *biasRequest) (*pool.TenantBias, error) 
 	}
 	machine, err := m.biasComp.Get(b.Tenant, b.Phrases, bonus)
 	if err != nil {
-		return nil, err
+		return decoder.Options{}, err
 	}
 	s.biasCompiles.Inc()
 	s.observeBiasTenant(m, b.Tenant)
-	return &pool.TenantBias{Machine: machine}, nil
+	return decoder.Options{Bias: machine}, nil
+}
+
+// degrade samples the pressure controller once: past level 0 it sets the
+// level's degraded preset in o, the operating point of the whole request,
+// and counts the degraded request. It returns the level.
+func (s *Server) degrade(o *decoder.Options) int {
+	level := s.admit.level()
+	if level > 0 {
+		p := s.cfg.Decoder.DegradedPreset(level)
+		o.Preset = &p
+		s.degradedTotal.Inc()
+	}
+	return level
 }
 
 // observeBiasCompiler publishes a model's compiled-machine cache counters

@@ -30,7 +30,7 @@ func biasOracle(t *testing.T, sys *unfold.System, phrases []string, bonus float3
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dec.SetBias(m); err != nil {
+		if err := dec.SetOptions(decoder.Options{Bias: m}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/acoustic"
-	"repro/internal/decoder"
 )
 
 // utteranceRequest is one utterance's feature frames.
@@ -95,7 +94,7 @@ func checkDims(frames [][]float32, dim int) error {
 // moment its deadline fires — an expired request never occupies a worker.
 // The utterances fan out across the pool as feature frames: each worker
 // scores its utterance as its search reads it, which for a GMM means only
-// the senones each pruned frontier reads (pool.DecodeFeatures).
+// the senones each pruned frontier reads (pool.DecodeContext with a scorer).
 func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outcome := "error"
@@ -166,7 +165,7 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tb, berr := s.tenantBias(m, req.Bias)
+	opts, berr := s.decodeOptions(m, req.Bias)
 	if berr != nil {
 		outcome = "invalid"
 		s.fail(w, http.StatusBadRequest, "bad_bias", badBias(berr))
@@ -202,15 +201,9 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Sample the pressure controller once per request: the level the queue
-	// depth selects now is the operating point for this whole batch.
-	level := s.admit.level()
-	var preset *decoder.SearchPreset
-	if level > 0 {
-		pr := s.cfg.Decoder.DegradedPreset(level)
-		preset = &pr
-		s.degradedTotal.Inc()
-	}
+	// The level the queue depth selects now is the operating point for this
+	// whole batch.
+	level := s.degrade(&opts)
 
 	// Scoring happens on the pool workers, inside the execution slot — it
 	// is real CPU work, and admitting it unbounded would defeat the gate.
@@ -218,7 +211,7 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 	for i, u := range req.Utterances {
 		feats[i] = u.Frames
 	}
-	batch, _ := m.pool.DecodeFeatures(ctx, m.scorer(), feats, preset, tb)
+	batch, _ := m.pool.DecodeContext(ctx, feats, m.scorer(), opts)
 	if cerr := ctx.Err(); cerr != nil {
 		if errors.Is(cerr, context.DeadlineExceeded) {
 			outcome = "deadline"
@@ -502,7 +495,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// mapping) for the stream's whole life; a drain waits on it.
 	defer releaseModel()
 
-	tb, berr := s.tenantBias(m, first.Bias)
+	opts, berr := s.decodeOptions(m, first.Bias)
 	if berr != nil {
 		outcome = "invalid"
 		s.fail(w, http.StatusBadRequest, "bad_bias", badBias(berr))
@@ -510,8 +503,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The pressure level at connection time sets this stream's operating
-	// point, installed on the stream's decoder.
-	level := s.admit.level()
+	// point, installed on the stream's decoder with the bias machine.
+	level := s.degrade(&opts)
 	dcfg := s.cfg.Decoder
 	dcfg.Telemetry = s.ptel.Decoder
 	dec, err := m.takeStreamDecoder(dcfg)
@@ -520,18 +513,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer m.putStreamDecoder(dec)
-	if level > 0 {
-		dec.SetSearchPreset(s.cfg.Decoder.DegradedPreset(level))
-		s.degradedTotal.Inc()
-	}
-	if tb != nil {
-		if err := dec.SetBias(tb.Machine); err != nil {
-			// The machine compiled but cannot compose with this model's
-			// graphs (state-count guardrails): still a client problem.
-			outcome = "invalid"
-			s.fail(w, http.StatusBadRequest, "bad_bias", badBias(err))
-			return
-		}
+	if err := dec.SetOptions(opts); err != nil {
+		// The machine compiled but cannot compose with this model's graphs
+		// (state-count guardrails): still a client problem.
+		outcome = "invalid"
+		s.fail(w, http.StatusBadRequest, "bad_bias", badBias(err))
+		return
 	}
 	stream := dec.NewStream()
 	defer stream.Close()

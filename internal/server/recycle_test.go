@@ -37,7 +37,7 @@ func TestStreamDecoderRecycled(t *testing.T) {
 		return st.Finish()
 	}
 	searchWork := func(r *decoder.Result) decoder.Stats {
-		st := r.Stats.Search()
+		st := r.Stats
 		st.MemoHits, st.MemoMisses, st.LMProbes = 0, 0, 0
 		return st
 	}
@@ -47,14 +47,15 @@ func TestStreamDecoderRecycled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := s.tenantBias(m, &biasRequest{Tenant: "recycle", Phrases: []string{strings.Join(sys.Words(test[0].Words), " ")}})
-	if err != nil || tb == nil {
+	opts, err := s.decodeOptions(m, &biasRequest{Tenant: "recycle", Phrases: []string{strings.Join(sys.Words(test[0].Words), " ")}})
+	if err != nil || opts.Bias == nil {
 		t.Fatalf("bias: %v", err)
 	}
-	if err := d.SetBias(tb.Machine); err != nil {
+	preset := cfg.DegradedPreset(3)
+	opts.Preset = &preset
+	if err := d.SetOptions(opts); err != nil {
 		t.Fatal(err)
 	}
-	d.SetSearchPreset(cfg.DegradedPreset(3))
 	biased := run(d, test[0].Frames)
 	m.putStreamDecoder(d)
 

@@ -94,8 +94,7 @@ func (m *model) takeStreamDecoder(cfg decoder.Config) (*decoder.OnTheFly, error)
 		d := m.streamDecs[n-1]
 		m.streamDecs = m.streamDecs[:n-1]
 		m.streamMu.Unlock()
-		d.ClearSearchPreset()
-		d.ClearBias()
+		d.SetOptions(decoder.Options{})
 		return d, nil
 	}
 	m.streamMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 
 	unfold "repro"
 	"repro/internal/acoustic"
+	"repro/internal/decoder"
 	"repro/internal/task"
 )
 
@@ -383,6 +385,54 @@ func TestStreamRNNMatchesRecognize(t *testing.T) {
 			if fmt.Sprint(got.Words) != fmt.Sprint(want.Words) || got.Frames != want.Frames || got.Cost != want.Cost {
 				t.Errorf("%d-frame chunks, utt %d: stream %v (%d frames) cost %v, recognize %v (%d frames) cost %v",
 					k, i, got.Words, got.Frames, got.Cost, want.Words, want.Frames, want.Cost)
+			}
+		}
+	}
+}
+
+// TestStreamRescuesLikeRecognize: with search-failure rescue on and one
+// unsearchable frame per utterance (features at the float32 limit, where
+// every senone scores -Inf), /v1/stream widens and then skips the frame as
+// /v1/recognize does, whatever the chunking: the same words, cost bits,
+// frame count, rescues and search failures.
+func TestStreamRescuesLikeRecognize(t *testing.T) {
+	sys := getSystem(t)
+	s := newLoadedServer(t, Config{Workers: 1, Decoder: decoder.Config{RescueWidenings: 2}})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var req recognizeRequest
+	for _, u := range sys.TestSet() {
+		frames := append([][]float32(nil), u.Frames...)
+		bad := make([]float32, len(frames[0]))
+		for j := range bad {
+			bad[j] = math.MaxFloat32
+		}
+		frames[len(frames)/2] = bad
+		req.Utterances = append(req.Utterances, utteranceRequest{Frames: frames})
+	}
+	rec := postRecognize(t, s, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("recognize: %d %s", rec.Code, rec.Body.String())
+	}
+	var batch recognizeResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 7} {
+		for i, u := range req.Utterances {
+			want := batch.Results[i]
+			if want.Rescues != 2 || want.SearchFailures != 1 {
+				t.Fatalf("utt %d: recognize rescues %d, failures %d; want the poisoned frame widened twice and skipped",
+					i, want.Rescues, want.SearchFailures)
+			}
+			got := streamFinal(t, ts.URL, u.Frames, k)
+			if fmt.Sprint(got.Words) != fmt.Sprint(want.Words) || got.Cost != want.Cost || got.Frames != want.Frames ||
+				got.Rescues != want.Rescues || got.SearchFailures != want.SearchFailures {
+				t.Errorf("%d-frame chunks, utt %d: stream %v cost %v (%d frames, %d rescues, %d failures), recognize %v cost %v (%d, %d, %d)",
+					k, i, got.Words, got.Cost, got.Frames, got.Rescues, got.SearchFailures,
+					want.Words, want.Cost, want.Frames, want.Rescues, want.SearchFailures)
 			}
 		}
 	}

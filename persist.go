@@ -409,8 +409,7 @@ func (r *Recognizer) RecognizeContext(ctx context.Context, frames [][]float32) (
 	if err := ctx.Err(); err != nil {
 		return nil, err // scoring is most of a request; a dead one skips it
 	}
-	res, err := r.dec.DecodeContext(ctx, r.Scorer.ScoreUtterance(frames))
-	return res.Words, err
+	return decodeFrames(ctx, r.dec, r.Scorer, frames)
 }
 
 // Words renders word IDs as surface forms.

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
+	"repro/internal/acoustic"
 	"repro/internal/compress"
 	"repro/internal/decoder"
 	"repro/internal/metrics"
@@ -141,8 +142,18 @@ func (s *System) RecognizeContext(ctx context.Context, frames [][]float32) ([]in
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	scores := s.Task.Scorer.ScoreUtterance(frames)
-	res, err := s.dec.DecodeContext(ctx, scores)
+	return decodeFrames(ctx, s.dec, s.Task.Scorer, frames)
+}
+
+// decodeFrames decodes frames on dec under ctx, scoring them with sc as the
+// search reads them: the feature path /v1/recognize serves, which for a
+// GMM scores only the senones each pruned frontier reads. The words are
+// those of a Decode over sc's ScoreUtterance rows.
+func decodeFrames(ctx context.Context, dec *decoder.OnTheFly, sc acoustic.Scorer, frames [][]float32) ([]int32, error) {
+	u := acoustic.NewUtterance(sc)
+	defer u.Close()
+	u.Load(frames)
+	res, err := dec.DecodeContext(ctx, u, len(frames))
 	return res.Words, err
 }
 
@@ -198,7 +209,7 @@ func (s *System) RecognizeBatchContext(ctx context.Context, frames [][][]float32
 	if err != nil {
 		return nil, Throughput{}, err
 	}
-	batch, err := p.DecodeContext(ctx, scores)
+	batch, err := p.DecodeContext(ctx, scores, nil, decoder.Options{})
 	if batch == nil {
 		return nil, Throughput{}, err
 	}
