@@ -29,6 +29,8 @@ vet:
 # pause). And it holds the decoder to one frame loop: stepFrame may have
 # one call site outside tests, the session's step, so every decode path
 # (Decode, DecodeContext, Stream) searches and rescues a frame the same way.
+# Last, the server builds no decoder or pool itself: every one comes from
+# its model's unfold.Recognizer, so it serves one model type.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -41,10 +43,13 @@ lint:
 	if [ $$(printf '%s\n' "$$calls" | grep -c .) -gt 1 ]; then \
 		echo "$$calls"; echo "stepFrame has more than one non-test call site; search frames through session.step"; exit 1; \
 	fi
+	@if git grep -nE 'pool\.New\(|decoder\.NewOnTheFly\(' -- internal/server ':!*_test.go'; then \
+		echo "the server builds decoders and pools through its model's Recognizer (NewDecoder, NewDecodePool)"; exit 1; \
+	fi
 	go vet ./...
 
 # Go line counts, non-test and test: decoder + pool + server (the unit
-# ROADMAP items 1, 4 and 6 gate on), then the whole tree. Blank lines and
+# ROADMAP items 2 and 10 gate on), then the whole tree. Blank lines and
 # comments count; a PR that claims to shrink the code quotes this before
 # and after.
 loc:

@@ -320,40 +320,6 @@ func BenchmarkParallelDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkFrontierDecode is the before/after comparison for the
-// zero-allocation token frontier: the same search run over the pooled
-// tokenStore (Decode) and over the retained per-frame map frontier
-// (DecodeReference). The two produce byte-identical results — the
-// differential suite proves it — so every difference in ns/frame and
-// allocs/op is attributable to frontier storage; TestSearchKernelRatio
-// holds the speed half as a same-run ratio.
-func BenchmarkFrontierDecode(b *testing.B) {
-	f := getBenchFixture(b)
-	frames := benchFrames(f)
-	for _, impl := range []struct {
-		name   string
-		decode func(d *decoder.OnTheFly, scores [][]float32) *decoder.Result
-	}{
-		{"tokenstore", func(d *decoder.OnTheFly, scores [][]float32) *decoder.Result { return d.Decode(scores) }},
-		{"map-reference", func(d *decoder.OnTheFly, scores [][]float32) *decoder.Result { return d.DecodeReference(scores) }},
-	} {
-		b.Run(impl.name, func(b *testing.B) {
-			d, err := f.sys.NewDecoder(decoder.Config{PreemptivePruning: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, scores := range f.scores {
-					impl.decode(d, scores)
-				}
-			}
-			total := float64(b.N) * float64(frames)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/frame")
-		})
-	}
-}
-
 // BenchmarkStreamPush measures the incremental path: one stream lifecycle
 // (NewStream, Push per frame, Finish) per iteration over the fixture's first
 // utterance.

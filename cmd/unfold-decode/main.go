@@ -91,7 +91,7 @@ func main() {
 		}
 		var scores [][][]float32
 		for _, u := range sys.TestSet() {
-			scores = append(scores, sys.Task.Scorer.ScoreUtterance(u.Frames))
+			scores = append(scores, sys.Scorer.ScoreUtterance(u.Frames))
 			frames += len(u.Frames)
 		}
 		batch, err := p.DecodeContext(ctx, scores, nil, decoder.Options{})
@@ -123,7 +123,7 @@ func main() {
 		var refs [][]int32
 		var lists [][][]int32
 		for i, u := range sys.TestSet() {
-			scores := sys.Task.Scorer.ScoreUtterance(u.Frames)
+			scores := sys.Scorer.ScoreUtterance(u.Frames)
 			frames += len(u.Frames)
 			list := tp.NBest(scores, *nbest)
 			fmt.Printf("utt %02d ref: %s\n", i, strings.Join(sys.Words(u.Words), " "))
@@ -143,7 +143,7 @@ func main() {
 			fail(err)
 		}
 		for i, u := range sys.TestSet() {
-			scores := sys.Task.Scorer.ScoreUtterance(u.Frames)
+			scores := sys.Scorer.ScoreUtterance(u.Frames)
 			frames += len(u.Frames)
 			st := dec.NewStream()
 			for f, frame := range scores {
@@ -166,7 +166,7 @@ func main() {
 		}
 		var scores [][][]float32
 		for _, u := range sys.TestSet() {
-			scores = append(scores, sys.Task.Scorer.ScoreUtterance(u.Frames))
+			scores = append(scores, sys.Scorer.ScoreUtterance(u.Frames))
 			frames += len(u.Frames)
 		}
 		res, per := acc.DecodeAll(scores)
@@ -184,7 +184,7 @@ func main() {
 			fail(err)
 		}
 		var health metrics.Search
-		feats := acoustic.NewUtterance(sys.Task.Scorer) // scored as the search reads them
+		feats := acoustic.NewUtterance(sys.Scorer) // scored as the search reads them
 		defer feats.Close()
 		for i, u := range sys.TestSet() {
 			feats.Reset()

@@ -25,7 +25,7 @@ func main() {
 	var scores [][][]float32
 	frames := 0
 	for _, u := range sys.TestSet() {
-		scores = append(scores, sys.Task.Scorer.ScoreUtterance(u.Frames))
+		scores = append(scores, sys.Scorer.ScoreUtterance(u.Frames))
 		frames += len(u.Frames)
 	}
 	audio := metrics.AudioDuration(frames).Seconds()

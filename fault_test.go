@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/acoustic"
@@ -114,13 +115,17 @@ func TestRecognizeSurvivesPoisonedScorer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fault := range []faultinject.ScoreFault{faultinject.FaultNaN, faultinject.FaultPosInf, faultinject.FaultNegInf} {
-		sys.Task.Scorer = &faultinject.NaNScorer{
-			Inner: sys.Task.Scorer, Rate: 0.3, Fault: fault, Seed: int64(fault) + 1,
-		}
+		sc := &countingScorer{Scorer: &faultinject.NaNScorer{
+			Inner: sys.Scorer, Rate: 0.3, Fault: fault, Seed: int64(fault) + 1,
+		}}
+		sys.Scorer = sc
 		for i, u := range sys.TestSet() {
 			if _, err := sys.Recognize(u.Frames); err != nil {
 				t.Fatalf("fault %d utt %d: %v", fault, i, err)
 			}
+		}
+		if sc.calls.Load() == 0 {
+			t.Fatalf("fault %d: the poisoned scorer was never called", fault)
 		}
 	}
 }
@@ -132,7 +137,8 @@ func TestRecognizeBatchSurvivesPoisonedScorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Task.Scorer = &faultinject.NaNScorer{Inner: sys.Task.Scorer, Rate: 0.5, Seed: 4}
+	sc := &countingScorer{Scorer: &faultinject.NaNScorer{Inner: sys.Scorer, Rate: 0.5, Seed: 4}}
+	sys.Scorer = sc
 	var frames [][][]float32
 	for _, u := range sys.TestSet() {
 		frames = append(frames, u.Frames)
@@ -146,6 +152,9 @@ func TestRecognizeBatchSurvivesPoisonedScorer(t *testing.T) {
 	}
 	if tp.Frames == 0 {
 		t.Error("throughput not recorded")
+	}
+	if sc.calls.Load() == 0 {
+		t.Error("the poisoned scorer was never called")
 	}
 }
 
@@ -188,14 +197,15 @@ func TestDimensionErrors(t *testing.T) {
 	}
 }
 
-// countingScorer counts ScoreUtterance calls on the scorer it wraps.
+// countingScorer counts ScoreUtterance calls on the scorer it wraps; the
+// batch path's workers call it concurrently.
 type countingScorer struct {
 	acoustic.Scorer
-	calls int
+	calls atomic.Int64
 }
 
 func (c *countingScorer) ScoreUtterance(frames [][]float32) [][]float32 {
-	c.calls++
+	c.calls.Add(1)
 	return c.Scorer.ScoreUtterance(frames)
 }
 
@@ -211,21 +221,22 @@ func TestRecognizeContextCanceled(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	sys, tk := *fx.sys, *fx.sys.Task
-	sc := &countingScorer{Scorer: tk.Scorer}
-	tk.Scorer, sys.Task = sc, &tk
-	if _, err := sys.RecognizeContext(context.Background(), u.Frames); err != nil || sc.calls != 1 {
-		t.Fatalf("live context: err %v, %d scorer calls, want nil and 1", err, sc.calls)
+	sys := fx.sys
+	sc := &countingScorer{Scorer: sys.Scorer}
+	sys.Scorer = sc
+	t.Cleanup(func() { sys.Scorer = sc.Scorer })
+	if _, err := sys.RecognizeContext(context.Background(), u.Frames); err != nil || sc.calls.Load() != 1 {
+		t.Fatalf("live context: err %v, %d scorer calls, want nil and 1", err, sc.calls.Load())
 	}
-	sc.calls = 0
+	sc.calls.Store(0)
 	if words, err := sys.RecognizeContext(dead, u.Frames); !errors.Is(err, context.Canceled) || words != nil {
 		t.Errorf("RecognizeContext: words %v, err %v, want nil and context.Canceled", words, err)
 	}
 	if _, _, err := sys.RecognizeBatchContext(dead, [][][]float32{u.Frames, u.Frames}, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("RecognizeBatchContext: %v, want context.Canceled", err)
 	}
-	if sc.calls != 0 {
-		t.Errorf("System scored %d utterances for dead requests, want 0", sc.calls)
+	if n := sc.calls.Load(); n != 0 {
+		t.Errorf("System scored %d utterances for dead requests, want 0", n)
 	}
 
 	rec, err := LoadRecognizer(fx.dir)
@@ -237,7 +248,7 @@ func TestRecognizeContextCanceled(t *testing.T) {
 	if words, err := rec.RecognizeContext(dead, u.Frames); !errors.Is(err, context.Canceled) || words != nil {
 		t.Errorf("Recognizer.RecognizeContext: words %v, err %v, want nil and context.Canceled", words, err)
 	}
-	if rsc.calls != 0 {
-		t.Errorf("Recognizer scored %d utterances for a dead request, want 0", rsc.calls)
+	if n := rsc.calls.Load(); n != 0 {
+		t.Errorf("Recognizer scored %d utterances for a dead request, want 0", n)
 	}
 }

@@ -181,3 +181,40 @@ func TestSearchKernelRatio(t *testing.T) {
 		t.Errorf("tokenStore search is %.2fx the map reference, want >= %.2fx", ratio, floor)
 	}
 }
+
+// BenchmarkFrontierDecode is the before/after comparison for the
+// zero-allocation token frontier: the same search run over the pooled
+// tokenStore (Decode) and over the retained per-frame map frontier
+// (DecodeReference). The two produce byte-identical results — the
+// differential suite proves it — so every difference in ns/frame and
+// allocs/op is attributable to frontier storage; TestSearchKernelRatio
+// holds the speed half as a same-run ratio.
+func BenchmarkFrontierDecode(b *testing.B) {
+	f := getFixture(b, 42)
+	var frames int64
+	for _, sc := range f.scores {
+		frames += int64(len(sc))
+	}
+	for _, impl := range []struct {
+		name   string
+		decode func(d *OnTheFly, scores [][]float32) *Result
+	}{
+		{"tokenstore", (*OnTheFly).Decode},
+		{"map-reference", (*OnTheFly).DecodeReference},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, scores := range f.scores {
+					impl.decode(d, scores)
+				}
+			}
+			total := float64(b.N) * float64(frames)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/frame")
+		})
+	}
+}

@@ -2,7 +2,6 @@ package decoder
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/semiring"
@@ -366,36 +365,4 @@ func (d *TwoPass) lmSequenceCost(words []int32, st *Stats) semiring.Weight {
 		s = next
 	}
 	return semiring.Times(cost, d.lm.Final(s))
-}
-
-// Confidences converts an N-best list into per-hypothesis posterior-style
-// confidence scores: softmax of negated costs over the list. The list is
-// the whole probability mass considered, so scores sum to 1 across it —
-// the usual N-best approximation of hypothesis posteriors.
-func Confidences(list []*TwoPassResult) []float64 {
-	out := make([]float64, len(list))
-	if len(list) == 0 {
-		return out
-	}
-	best := list[0].Cost
-	for _, r := range list {
-		if r.Cost < best {
-			best = r.Cost
-		}
-	}
-	var sum float64
-	for i, r := range list {
-		if semiring.IsZero(r.Cost) {
-			out[i] = 0
-			continue
-		}
-		out[i] = math.Exp(-float64(r.Cost - best))
-		sum += out[i]
-	}
-	if sum > 0 {
-		for i := range out {
-			out[i] /= sum
-		}
-	}
-	return out
 }

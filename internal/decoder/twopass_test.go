@@ -89,34 +89,3 @@ func TestTwoPassDefaultK(t *testing.T) {
 		t.Errorf("default K = %d, want 4", tp.K)
 	}
 }
-
-func TestConfidences(t *testing.T) {
-	f := getFixture(t, 42)
-	tp, err := NewTwoPass(f.tk.AM.G, f.tk.LMGraph.G, Config{}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sc := range f.scores {
-		list := tp.NBest(sc, 5)
-		conf := Confidences(list)
-		if len(conf) != len(list) {
-			t.Fatalf("utt %d: %d confidences for %d hypotheses", i, len(conf), len(list))
-		}
-		var sum float64
-		for j, c := range conf {
-			if c < 0 || c > 1 {
-				t.Fatalf("utt %d: confidence %v out of [0,1]", i, c)
-			}
-			if j > 0 && c > conf[j-1]+1e-12 {
-				t.Fatalf("utt %d: confidences not ordered with costs", i)
-			}
-			sum += c
-		}
-		if sum < 0.999 || sum > 1.001 {
-			t.Fatalf("utt %d: confidences sum to %v", i, sum)
-		}
-	}
-	if got := Confidences(nil); len(got) != 0 {
-		t.Error("nil list should give empty confidences")
-	}
-}

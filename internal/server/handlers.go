@@ -152,7 +152,7 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "empty_batch", "no utterances")
 		return
 	}
-	dim := m.dim()
+	dim := m.rec.Senones.Dim
 	for i, u := range req.Utterances {
 		if len(u.Frames) == 0 {
 			outcome = "invalid"
@@ -211,7 +211,7 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 	for i, u := range req.Utterances {
 		feats[i] = u.Frames
 	}
-	batch, _ := m.pool.DecodeContext(ctx, feats, m.scorer(), opts)
+	batch, _ := m.pool.DecodeContext(ctx, feats, m.rec.Scorer, opts)
 	if cerr := ctx.Err(); cerr != nil {
 		if errors.Is(cerr, context.DeadlineExceeded) {
 			outcome = "deadline"
@@ -235,7 +235,7 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		out.Words = res.Words
-		out.Text = m.words(res.Words)
+		out.Text = strings.Join(m.rec.Words(res.Words), " ")
 		out.Cost = float64(res.Cost)
 		out.Frames = res.Stats.Frames
 		out.Rescues = res.Stats.Rescues
@@ -522,7 +522,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	stream := dec.NewStream()
 	defer stream.Close()
-	scorer := acoustic.NewUtterance(m.scorer())
+	scorer := acoustic.NewUtterance(m.rec.Scorer)
 	defer scorer.Close()
 
 	s.streamsActive.Add(1)
@@ -545,7 +545,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// deferred stop on early returns.
 	sn := s.newStreamSender(w, cancel)
 	defer sn.stop()
-	dim := m.dim()
+	dim := m.rec.Senones.Dim
 	frames := 0
 
 	// The peeked first line is the first chunk; later iterations read from
@@ -612,7 +612,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		stream.Feed(scorer, len(chunk.Frames))
 		frames += len(chunk.Frames)
 		words := stream.Partial()
-		sn.partial(streamUpdate{Words: words, Text: m.words(words), Frames: frames})
+		sn.partial(streamUpdate{Words: words, Text: strings.Join(m.rec.Words(words), " "), Frames: frames})
 	}
 
 	res := stream.Finish()
@@ -620,7 +620,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	outcome = "ok"
 	if sn.final(streamUpdate{
 		Words:          res.Words,
-		Text:           m.words(res.Words),
+		Text:           strings.Join(m.rec.Words(res.Words), " "),
 		Frames:         res.Stats.Frames,
 		Final:          true,
 		Cost:           float64(res.Cost),
@@ -652,7 +652,7 @@ func (s *Server) handleTestset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseModel()
-	test := m.testSet()
+	test := m.test
 	if test == nil {
 		s.fail(w, http.StatusNotFound, "no_testset",
 			fmt.Sprintf("model %q was loaded from a bundle and carries no test set", m.name))
@@ -666,13 +666,13 @@ func (s *Server) handleTestset(w http.ResponseWriter, r *http.Request) {
 		}
 		u := test[i]
 		writeJSON(w, http.StatusOK, testsetItem{
-			Utt: i, Ref: m.words(u.Words), Frames: len(u.Frames), Data: u.Frames,
+			Utt: i, Ref: strings.Join(m.rec.Words(u.Words), " "), Frames: len(u.Frames), Data: u.Frames,
 		})
 		return
 	}
 	items := make([]testsetItem, len(test))
 	for i, u := range test {
-		items[i] = testsetItem{Utt: i, Ref: m.words(u.Words), Frames: len(u.Frames)}
+		items[i] = testsetItem{Utt: i, Ref: strings.Join(m.rec.Words(u.Words), " "), Frames: len(u.Frames)}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(test), "utterances": items})
 }

@@ -27,7 +27,7 @@ func TestStreamDecoderRecycled(t *testing.T) {
 	run := func(d *decoder.OnTheFly, frames [][]float32) *decoder.Result {
 		st := d.NewStream()
 		defer st.Close()
-		u := acoustic.NewUtterance(m.scorer())
+		u := acoustic.NewUtterance(m.rec.Scorer)
 		defer u.Close()
 		for i := 0; i < len(frames); i += 5 {
 			chunk := frames[i:min(i+5, len(frames))]
@@ -67,7 +67,7 @@ func TestStreamDecoderRecycled(t *testing.T) {
 		t.Fatal("the free list built a new decoder instead of handing back the idle one")
 	}
 	defer m.putStreamDecoder(recycled)
-	fresh, err := decoder.NewOnTheFly(m.amGraph(), m.lmGraph(), cfg)
+	fresh, err := m.rec.NewDecoder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

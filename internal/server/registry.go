@@ -3,17 +3,14 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	unfold "repro"
-	"repro/internal/acoustic"
 	"repro/internal/bias"
 	"repro/internal/decoder"
 	"repro/internal/pool"
 	"repro/internal/telemetry"
-	"repro/internal/wfst"
 )
 
 // DefaultModel is the registry name Load installs under; requests that
@@ -35,16 +32,18 @@ const (
 	modelFailed = "failed"
 )
 
-// model is one servable entry: a task-built System or a bundle-loaded
-// Recognizer, plus the per-model serving machinery (decode pool, bias
-// compiler). Everything except the lifecycle fields is immutable once the
-// model reaches the ready state.
+// model is one servable entry: a recognizer (task-built or bundle-loaded)
+// plus the per-model serving machinery (decode pool, bias compiler).
+// Everything except the lifecycle fields is immutable once the model
+// reaches the ready state.
 type model struct {
 	name string
 	task string
 
-	sys *unfold.System     // task path; nil for bundle loads
-	rec *unfold.Recognizer // bundle path; nil for task loads
+	rec *unfold.Recognizer
+	// test is the task's held-out set behind /v1/testset; nil for a bundle
+	// (a v3 bundle stores models, not evaluation data).
+	test []unfold.Utterance
 
 	pool *pool.DecodePool
 	// biasComp compiles per-tenant phrase lists into bias machines over
@@ -55,12 +54,12 @@ type model struct {
 	resident    int64
 	loadSeconds float64
 
-	// Reload provenance: where the bundle came from and how to build a
-	// replacement generation, used by the supervisor's reload loop. rebuild
-	// returns a fresh, uninstalled model (never touches the registry).
-	srcPath   string
-	srcVerify bool
-	rebuild   func() (*model, error)
+	// Reload provenance: where the bundle came from ("" for a task model)
+	// and how to build a replacement generation, used by the supervisor's
+	// reload loop. rebuild returns a fresh, uninstalled model (never touches
+	// the registry).
+	srcPath string
+	rebuild func() (*model, error)
 
 	// mu guards the lifecycle below. refs counts in-flight requests
 	// reading through the model's graphs; a draining model is closed (and
@@ -98,7 +97,7 @@ func (m *model) takeStreamDecoder(cfg decoder.Config) (*decoder.OnTheFly, error)
 		return d, nil
 	}
 	m.streamMu.Unlock()
-	return decoder.NewOnTheFly(m.amGraph(), m.lmGraph(), cfg)
+	return m.rec.NewDecoder(cfg)
 }
 
 // putStreamDecoder returns a decoder takeStreamDecoder handed out.
@@ -106,54 +105,6 @@ func (m *model) putStreamDecoder(d *decoder.OnTheFly) {
 	m.streamMu.Lock()
 	m.streamDecs = append(m.streamDecs, d)
 	m.streamMu.Unlock()
-}
-
-func (m *model) amGraph() *wfst.WFST {
-	if m.sys != nil {
-		return m.sys.Task.AM.G
-	}
-	return m.rec.AMGraph
-}
-
-func (m *model) lmGraph() *wfst.WFST {
-	if m.sys != nil {
-		return m.sys.Task.LMGraph.G
-	}
-	return m.rec.LMGraph
-}
-
-// dim is the acoustic feature dimension requests are validated against.
-func (m *model) dim() int {
-	if m.sys != nil {
-		return m.sys.Task.Senones.Dim
-	}
-	return m.rec.Senones.Dim
-}
-
-// scorer exposes the model's acoustic scorer. Requests score through it
-// concurrently (see acoustic.Scorer).
-func (m *model) scorer() acoustic.Scorer {
-	if m.sys != nil {
-		return m.sys.Task.Scorer
-	}
-	return m.rec.Scorer
-}
-
-// words renders word IDs as a space-joined surface string.
-func (m *model) words(ids []int32) string {
-	if m.sys != nil {
-		return strings.Join(m.sys.Words(ids), " ")
-	}
-	return strings.Join(m.rec.Words(ids), " ")
-}
-
-// testSet returns the model's held-out utterances; bundle-loaded models
-// carry none (a v3 bundle stores models, not evaluation data).
-func (m *model) testSet() []unfold.Utterance {
-	if m.sys != nil {
-		return m.sys.TestSet()
-	}
-	return nil
 }
 
 // closeLocked releases the model's resources. Called with m.mu held, with

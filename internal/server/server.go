@@ -246,49 +246,17 @@ func (s *Server) Load(sys *unfold.System) error {
 	return s.LoadSystem(DefaultModel, sys)
 }
 
+// loader returns a recognizer generation and its test set (nil for a
+// bundle). A bundle loader reads the bundle afresh; a task loader hands
+// back the System's heap-resident recognizer every time, whose Close is a
+// no-op, so draining one generation leaves it whole for the next.
+type loader func() (*unfold.Recognizer, []unfold.Utterance, error)
+
 // LoadSystem registers a task-built system under a model name.
 func (s *Server) LoadSystem(name string, sys *unfold.System) error {
-	fp := sys.Footprint()
-	commit, abort, err := s.models.beginLoad(name, fp.AMBytes+fp.LMBytes)
-	if err != nil {
-		return err
-	}
-	m, err := s.buildSystemModel(name, sys)
-	if err != nil {
-		abort(err)
-		return err
-	}
-	commit(m)
-	return nil
-}
-
-// buildSystemModel constructs (but does not install) a servable model from
-// an in-memory system. It is also the rebuild path the supervisor uses to
-// recover a quarantined task model: the graphs live on the heap and cannot
-// rot, but a fresh decode pool sheds whatever state drove the failures.
-func (s *Server) buildSystemModel(name string, sys *unfold.System) (*model, error) {
-	start := time.Now()
-	p, err := sys.NewDecodePool(pool.Config{
-		Workers:   s.cfg.Workers,
-		Decoder:   s.cfg.Decoder,
-		Telemetry: s.ptel,
+	return s.install(name, sys.ResidentBytes(), "", func() (*unfold.Recognizer, []unfold.Utterance, error) {
+		return sys.Recognizer, sys.TestSet(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	fp := sys.Footprint()
-	comp := bias.NewCompiler(newWordLookup(sys.Task.Lex.Words), bias.CompilerConfig{})
-	s.observeBiasCompiler(name, comp)
-	return &model{
-		name:        name,
-		task:        sys.Task.Spec.Name,
-		sys:         sys,
-		pool:        p,
-		biasComp:    comp,
-		resident:    fp.AMBytes + fp.LMBytes,
-		loadSeconds: loadSecondsSince(start),
-		rebuild:     func() (*model, error) { return s.buildSystemModel(name, sys) },
-	}, nil
 }
 
 // LoadBundle registers a model bundle from disk under a name — the hot-add
@@ -302,11 +270,24 @@ func (s *Server) LoadBundle(name, path string, verify bool) error {
 	if st, err := os.Stat(path); err == nil && !st.IsDir() {
 		estimate = st.Size()
 	}
+	load := unfold.LoadRecognizerFast
+	if verify {
+		load = unfold.LoadRecognizer
+	}
+	return s.install(name, estimate, path, func() (*unfold.Recognizer, []unfold.Utterance, error) {
+		rec, err := load(path)
+		return rec, nil, err
+	})
+}
+
+// install reserves name under the memory budget (estimate bytes), builds
+// the model from load and marks it ready, or marks the entry failed.
+func (s *Server) install(name string, estimate int64, srcPath string, load loader) error {
 	commit, abort, err := s.models.beginLoad(name, estimate)
 	if err != nil {
 		return err
 	}
-	m, err := s.buildBundleModel(name, path, verify)
+	m, err := s.buildModel(name, srcPath, load)
 	if err != nil {
 		abort(err)
 		return err
@@ -315,21 +296,18 @@ func (s *Server) LoadBundle(name, path string, verify bool) error {
 	return nil
 }
 
-// buildBundleModel constructs (but does not install) a servable model from
-// a bundle on disk. The supervisor's reload loop calls it again — with the
-// remembered path and verify mode — to build the replacement generation for
-// a quarantined model.
-func (s *Server) buildBundleModel(name, path string, verify bool) (*model, error) {
+// buildModel constructs (but does not install) a servable model. It is
+// also the supervisor's reload path for a quarantined model: a bundle is
+// loaded again from srcPath, and a task model, whose graphs live on the
+// heap and cannot rot, gets a fresh decode pool that sheds whatever state
+// drove the failures.
+func (s *Server) buildModel(name, srcPath string, load loader) (*model, error) {
 	start := time.Now()
-	load := unfold.LoadRecognizerFast
-	if verify {
-		load = unfold.LoadRecognizer
-	}
-	rec, err := load(path)
+	rec, test, err := load()
 	if err != nil {
 		return nil, err
 	}
-	p, err := pool.New(rec.AMGraph, rec.LMGraph, pool.Config{
+	p, err := rec.NewDecodePool(pool.Config{
 		Workers:   s.cfg.Workers,
 		Decoder:   s.cfg.Decoder,
 		Telemetry: s.ptel,
@@ -344,13 +322,13 @@ func (s *Server) buildBundleModel(name, path string, verify bool) (*model, error
 		name:        name,
 		task:        rec.TaskName,
 		rec:         rec,
+		test:        test,
 		pool:        p,
 		biasComp:    comp,
 		resident:    rec.ResidentBytes(),
 		loadSeconds: loadSecondsSince(start),
-		srcPath:     path,
-		srcVerify:   verify,
-		rebuild:     func() (*model, error) { return s.buildBundleModel(name, path, verify) },
+		srcPath:     srcPath,
+		rebuild:     func() (*model, error) { return s.buildModel(name, srcPath, load) },
 	}, nil
 }
 

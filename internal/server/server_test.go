@@ -590,13 +590,11 @@ func (r *rendezvousScorer) ScoreUtterance(frames [][]float32) [][]float32 {
 // path's transcripts.
 func TestRecognizeScoresConcurrently(t *testing.T) {
 	base := getSystem(t)
-	tk := *base.Task
-	sc := &rendezvousScorer{Scorer: tk.Scorer, want: 2, all: make(chan struct{}), timeout: 10 * time.Second}
-	tk.Scorer = sc
-	sys := *base
-	sys.Task = &tk
+	sc := &rendezvousScorer{Scorer: base.Scorer, want: 2, all: make(chan struct{}), timeout: 10 * time.Second}
+	base.Scorer = sc
+	t.Cleanup(func() { base.Scorer = sc.Scorer })
 	s := New(Config{Workers: 2})
-	if err := s.Load(&sys); err != nil {
+	if err := s.Load(base); err != nil {
 		t.Fatal(err)
 	}
 
@@ -630,6 +628,12 @@ func TestRecognizeScoresConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	sc.mu.Lock()
+	inside := sc.inside
+	sc.mu.Unlock()
+	if inside != 2 {
+		t.Fatalf("the rendezvous scorer took %d scoring calls, want 2: the requests did not score through it", inside)
+	}
 	if n := sc.missed.Load(); n != 0 {
 		t.Fatalf("%d of 2 scoring calls never overlapped the other: scoring is serialised per model", n)
 	}

@@ -2,7 +2,6 @@ package unfold
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/acoustic"
 	"repro/internal/am"
-	"repro/internal/decoder"
 	"repro/internal/lm"
 	"repro/internal/task"
 	"repro/internal/wfst"
@@ -174,27 +172,6 @@ func writeFileAtomic(dir, name string, write func(io.Writer) error) (string, err
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// Recognizer is a loaded model bundle: everything needed to decode, without
-// the synthetic task scaffolding (no corpus, no test set). A v3 (flat
-// bundle) load reads its graphs through the bundle mapping; release it with
-// Close when done. Model is only populated by v2 loads — v3 bundles decode
-// from the flat LM graph directly and keep the ARPA text as an unparsed
-// section.
-type Recognizer struct {
-	// TaskName is the bundle's originating task, from its metadata.
-	TaskName string
-
-	Lex     *am.Lexicon
-	AMGraph *wfst.WFST
-	LMGraph *wfst.WFST
-	Model   *lm.Model
-	Senones *acoustic.SenoneModel
-	Scorer  acoustic.Scorer
-	dec     *decoder.OnTheFly
-
-	recognizerFlatState
-}
-
 // LoadRecognizer restores a model bundle written by Save (a v2 directory)
 // or SaveFlat (a v3 flat file); the two are distinguished by whether path
 // is a directory. It never trusts the bytes on disk: v2 verifies every data
@@ -237,16 +214,8 @@ func loadV2(dir string) (rec *Recognizer, err error) {
 		return nil, &BundleError{File: metaFile, Reason: "version",
 			Cause: fmt.Errorf("bundle version %d, want %d (re-save with this release)", meta.FormatVersion, bundleVersion)}
 	}
-	// Bound the header's counts before any of them size an allocation.
-	switch {
-	case meta.Vocab < 1 || meta.Vocab > 1<<22:
-		return nil, &BundleError{File: metaFile, Reason: "structure", Cause: fmt.Errorf("implausible vocab %d", meta.Vocab)}
-	case meta.NumSenones < 1 || meta.NumSenones > 1<<22:
-		return nil, &BundleError{File: metaFile, Reason: "structure", Cause: fmt.Errorf("implausible senone count %d", meta.NumSenones)}
-	case meta.LMOrder < 1 || meta.LMOrder > 3:
-		return nil, &BundleError{File: metaFile, Reason: "structure", Cause: fmt.Errorf("LM order %d outside [1,3]", meta.LMOrder)}
-	case meta.FeatDim < 1 || meta.FeatDim > 1<<16:
-		return nil, &BundleError{File: metaFile, Reason: "structure", Cause: fmt.Errorf("implausible feature dim %d", meta.FeatDim)}
+	if err := boundMeta(meta, metaFile); err != nil {
+		return nil, err
 	}
 
 	// readVerified loads one data file, checks its recorded checksum, and
@@ -309,13 +278,23 @@ func loadV2(dir string) (rec *Recognizer, err error) {
 	}
 	r.LMGraph = gr.G
 
-	// Rebuild the scorer. GMMs are a pure function of the senone model;
-	// DNN/RNN weights are regenerated from the recorded seed, replaying the
-	// build-time rng stream (lexicon, grammar, corpus draws) so the weights
-	// match... Task.Build draws from one stream, so exact DNN replay would
-	// require replaying the whole build; the seed-derived sub-rng here is
-	// documented as a refresh: templates (the discriminative part) are
-	// loaded exactly, only the perturbation stack differs.
+	if err := r.finish(meta, metaFile); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// finish is both loaders' tail: it gives a loaded recognizer the scorer its
+// header names and its shared decoder. file names the header in a
+// BundleError.
+//
+// GMMs are a pure function of the senone model; DNN/RNN weights are
+// regenerated from the recorded seed. Task.Build draws from one rng stream
+// (lexicon, grammar, corpus draws), so exact DNN replay would require
+// replaying the whole build; the seed-derived sub-rng here is documented as
+// a refresh: templates (the discriminative part) are loaded exactly, only
+// the perturbation stack differs.
+func (r *Recognizer) finish(meta bundleMeta, file string) error {
 	switch meta.Scorer {
 	case task.ScorerGMM:
 		r.Scorer = acoustic.NewGMMScorer(r.Senones)
@@ -324,16 +303,29 @@ func loadV2(dir string) (rec *Recognizer, err error) {
 	case task.ScorerRNN:
 		r.Scorer = acoustic.NewRNNScorer(r.Senones, rand.New(rand.NewSource(meta.ScorerSeed)), 0)
 	default:
-		return nil, &BundleError{File: metaFile, Reason: "structure",
+		return &BundleError{File: file, Reason: "structure",
 			Cause: fmt.Errorf("unknown scorer kind %q", meta.Scorer)}
 	}
-
-	dec, err := decoder.NewOnTheFly(r.AMGraph, r.LMGraph, decoder.Config{PreemptivePruning: true})
-	if err != nil {
-		return nil, &BundleError{Reason: "structure", Cause: err}
+	if err := r.start(); err != nil {
+		return &BundleError{Reason: "structure", Cause: err}
 	}
-	r.dec = dec
-	return r, nil
+	return nil
+}
+
+// boundMeta bounds the header's counts before any of them sizes an
+// allocation. file names the header in a BundleError.
+func boundMeta(meta bundleMeta, file string) error {
+	switch {
+	case meta.Vocab < 1 || meta.Vocab > 1<<22:
+		return &BundleError{File: file, Reason: "structure", Cause: fmt.Errorf("implausible vocab %d", meta.Vocab)}
+	case meta.NumSenones < 1 || meta.NumSenones > 1<<22:
+		return &BundleError{File: file, Reason: "structure", Cause: fmt.Errorf("implausible senone count %d", meta.NumSenones)}
+	case meta.LMOrder < 1 || meta.LMOrder > 3:
+		return &BundleError{File: file, Reason: "structure", Cause: fmt.Errorf("LM order %d outside [1,3]", meta.LMOrder)}
+	case meta.FeatDim < 1 || meta.FeatDim > 1<<16:
+		return &BundleError{File: file, Reason: "structure", Cause: fmt.Errorf("implausible feature dim %d", meta.FeatDim)}
+	}
+	return nil
 }
 
 // validateBundle cross-checks the parsed components against each other and
@@ -384,39 +376,4 @@ func validateBundle(meta bundleMeta, r *Recognizer) error {
 		}
 	}
 	return nil
-}
-
-// Recognize scores and decodes one utterance. Frames are validated against
-// the bundle's feature dimension; a mismatch returns a *DimensionError.
-//
-// A Recognizer decodes on one shared decoder whose offset table is not
-// synchronized: make one Recognize/RecognizeContext call at a time per
-// Recognizer. A DecodePool over AMGraph and LMGraph is the concurrent entry
-// point (the server builds one per loaded model).
-func (r *Recognizer) Recognize(frames [][]float32) ([]int32, error) {
-	return r.RecognizeContext(context.Background(), frames)
-}
-
-// RecognizeContext is Recognize with deadline/cancellation semantics; on
-// cancellation the best partial hypothesis is returned with ctx.Err().
-func (r *Recognizer) RecognizeContext(ctx context.Context, frames [][]float32) ([]int32, error) {
-	if len(frames) == 0 {
-		return nil, nil
-	}
-	if err := validateFrames(frames, r.Senones.Dim); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err // scoring is most of a request; a dead one skips it
-	}
-	return decodeFrames(ctx, r.dec, r.Scorer, frames)
-}
-
-// Words renders word IDs as surface forms.
-func (r *Recognizer) Words(ids []int32) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = r.Lex.Words[id]
-	}
-	return out
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,9 +13,7 @@ import (
 	"repro/internal/acoustic"
 	"repro/internal/am"
 	"repro/internal/compress"
-	"repro/internal/decoder"
 	"repro/internal/flatstore"
-	"repro/internal/task"
 	"repro/internal/wfst"
 )
 
@@ -157,8 +154,11 @@ func loadFlat(path string, verify bool) (rec *Recognizer, err error) {
 		return nil, &BundleError{File: "meta", Reason: "structure",
 			Cause: fmt.Errorf("flat bundle metadata lacks graph descriptors")}
 	}
-	if err := boundMeta(meta); err != nil {
+	if err := boundMeta(meta, "meta"); err != nil {
 		return nil, err
+	}
+	if meta.AM.States < 0 || meta.AM.States > 1<<28 || meta.LM.States < 0 || meta.LM.States > 1<<28 {
+		return nil, &BundleError{File: "meta", Reason: "structure", Cause: fmt.Errorf("implausible graph state counts %d/%d", meta.AM.States, meta.LM.States)}
 	}
 
 	r := &Recognizer{TaskName: meta.TaskName, recognizerFlatState: recognizerFlatState{bundle: b}}
@@ -196,23 +196,9 @@ func loadFlat(path string, verify bool) (rec *Recognizer, err error) {
 		}
 	}
 
-	switch meta.Scorer {
-	case task.ScorerGMM:
-		r.Scorer = acoustic.NewGMMScorer(r.Senones)
-	case task.ScorerDNN:
-		r.Scorer = acoustic.NewDNNScorer(r.Senones, rand.New(rand.NewSource(meta.ScorerSeed)), 0, 0)
-	case task.ScorerRNN:
-		r.Scorer = acoustic.NewRNNScorer(r.Senones, rand.New(rand.NewSource(meta.ScorerSeed)), 0)
-	default:
-		return nil, &BundleError{File: "meta", Reason: "structure",
-			Cause: fmt.Errorf("unknown scorer kind %q", meta.Scorer)}
+	if err := r.finish(meta, "meta"); err != nil {
+		return nil, err
 	}
-
-	dec, err := decoder.NewOnTheFly(r.AMGraph, r.LMGraph, decoder.Config{PreemptivePruning: true})
-	if err != nil {
-		return nil, &BundleError{Reason: "structure", Cause: err}
-	}
-	r.dec = dec
 	return r, nil
 }
 
@@ -231,24 +217,6 @@ func flatGraph(b *flatstore.Bundle, states, arcs flatstore.SectionKind, gm flatG
 		return nil, &BundleError{File: states.String(), Reason: "structure", Cause: gerr}
 	}
 	return g, nil
-}
-
-// boundMeta applies the v2 loader's plausibility bounds to a v3 header
-// before any field sizes an allocation.
-func boundMeta(meta bundleMeta) error {
-	switch {
-	case meta.Vocab < 1 || meta.Vocab > 1<<22:
-		return &BundleError{File: "meta", Reason: "structure", Cause: fmt.Errorf("implausible vocab %d", meta.Vocab)}
-	case meta.NumSenones < 1 || meta.NumSenones > 1<<22:
-		return &BundleError{File: "meta", Reason: "structure", Cause: fmt.Errorf("implausible senone count %d", meta.NumSenones)}
-	case meta.LMOrder < 1 || meta.LMOrder > 3:
-		return &BundleError{File: "meta", Reason: "structure", Cause: fmt.Errorf("LM order %d outside [1,3]", meta.LMOrder)}
-	case meta.FeatDim < 1 || meta.FeatDim > 1<<16:
-		return &BundleError{File: "meta", Reason: "structure", Cause: fmt.Errorf("implausible feature dim %d", meta.FeatDim)}
-	case meta.AM.States < 0 || meta.AM.States > 1<<28 || meta.LM.States < 0 || meta.LM.States > 1<<28:
-		return &BundleError{File: "meta", Reason: "structure", Cause: fmt.Errorf("implausible graph state counts %d/%d", meta.AM.States, meta.LM.States)}
-	}
-	return nil
 }
 
 // flatErr maps a flatstore error into the bundle error taxonomy callers

@@ -2,10 +2,11 @@
 // memory-efficient speech recognizer built on on-the-fly WFST composition
 // (Yazdani, Arnau, González — MICRO-50, 2017).
 //
-// A System bundles everything needed to recognize speech on one task: the
-// acoustic-model and language-model transducers, their compressed forms,
-// an acoustic scorer, and constructors for the software decoders and the
-// two simulated hardware designs. The typical flow:
+// A Recognizer is the runnable model: the acoustic-model and language-model
+// transducers and an acoustic scorer, searched by one on-the-fly decoder. A
+// System is a Recognizer plus the task it was built from: the compressed
+// transducers, the test set, and constructors for the two simulated
+// hardware designs. The typical flow:
 //
 //	sys, _ := unfold.NewSystem(unfold.KaldiVoxforge(1.0))
 //	words, _ := sys.Recognize(sys.TestSet()[0].Frames)
@@ -20,8 +21,10 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/acoustic"
+	"repro/internal/am"
 	"repro/internal/compress"
 	"repro/internal/decoder"
+	"repro/internal/lm"
 	"repro/internal/metrics"
 	"repro/internal/pool"
 	"repro/internal/task"
@@ -63,15 +66,48 @@ var (
 	EesenTedlium     = task.EesenTedlium
 )
 
-// System is a fully assembled recognizer for one task.
+// Recognizer is the runnable model: the AM and LM transducers, the lexicon
+// and the acoustic scorer, searched by one on-the-fly decoder. Every decode
+// entry point is a Recognizer method. LoadRecognizer and LoadRecognizerFast
+// restore one from a bundle, without the synthetic task scaffolding (no
+// corpus, no test set); NewSystem builds one inside a System. A v3 (flat
+// bundle) load reads its graphs through the bundle mapping; release it with
+// Close when done. Model is set by v2 loads and by NewSystem — v3 bundles
+// decode from the flat LM graph directly and keep the ARPA text as an
+// unparsed section.
+type Recognizer struct {
+	// TaskName is the originating task, from the bundle metadata or the
+	// task spec.
+	TaskName string
+
+	Lex     *am.Lexicon
+	AMGraph *wfst.WFST
+	LMGraph *wfst.WFST
+	Model   *lm.Model
+	Senones *acoustic.SenoneModel
+	Scorer  acoustic.Scorer
+	dec     *decoder.OnTheFly
+
+	recognizerFlatState
+}
+
+// System is a Recognizer plus the task it was built from: the task record,
+// the compressed transducers, the offline composition and the accelerator
+// constructors. Its decode methods are the embedded Recognizer's.
+//
+// Task is the build record. The decode path reads the Recognizer's fields
+// (Scorer, AMGraph, LMGraph, Lex, Senones), which NewSystem points at the
+// task's; replacing Task.Scorer does not change what Recognize scores with —
+// set Scorer for that.
 type System struct {
+	*Recognizer
+
 	Task *task.Task
 	// AM and LM are the compressed transducers UNFOLD decodes from.
 	AM *compress.AM
 	LM *compress.LM
 
 	composed *wfst.WFST
-	dec      *decoder.OnTheFly
 }
 
 // NewSystem builds the models for a task spec and compresses them.
@@ -96,21 +132,29 @@ func NewSystem(spec Spec) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("unfold: compressing LM: %w", err)
 	}
-	dec, err := decoder.NewOnTheFly(tk.AM.G, tk.LMGraph.G, decoder.Config{PreemptivePruning: true})
-	if err != nil {
+	r := &Recognizer{TaskName: tk.Spec.Name, Lex: tk.Lex, AMGraph: tk.AM.G, LMGraph: tk.LMGraph.G,
+		Model: tk.LM, Senones: tk.Senones, Scorer: tk.Scorer}
+	if err := r.start(); err != nil {
 		return nil, err
 	}
-	return &System{Task: tk, AM: cam, LM: clm, dec: dec}, nil
+	return &System{Recognizer: r, Task: tk, AM: cam, LM: clm}, nil
+}
+
+// start builds the shared decoder Recognize, RecognizeContext and
+// RecognizeTimed search on.
+func (r *Recognizer) start() (err error) {
+	r.dec, err = decoder.NewOnTheFly(r.AMGraph, r.LMGraph, decoder.Config{PreemptivePruning: true})
+	return err
 }
 
 // TestSet returns the task's held-out utterances.
 func (s *System) TestSet() []Utterance { return s.Task.Test }
 
 // Words renders word IDs as surface forms.
-func (s *System) Words(ids []int32) []string {
+func (r *Recognizer) Words(ids []int32) []string {
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = s.Task.Lex.Words[id]
+		out[i] = r.Lex.Words[id]
 	}
 	return out
 }
@@ -121,65 +165,61 @@ func (s *System) Words(ids []int32) []string {
 // mismatch returns a *DimensionError instead of garbage scores or a panic
 // deep in the scorer.
 //
-// A System decodes on one shared decoder whose offset table is not
+// A Recognizer decodes on one shared decoder whose offset table is not
 // synchronized: make one Recognize/RecognizeContext/RecognizeTimed call at a
-// time per System. NewDecodePool is the concurrent entry point.
-func (s *System) Recognize(frames [][]float32) ([]int32, error) {
-	return s.RecognizeContext(context.Background(), frames)
+// time per Recognizer. NewDecodePool is the concurrent entry point (the
+// server builds one per loaded model).
+func (r *Recognizer) Recognize(frames [][]float32) ([]int32, error) {
+	return r.RecognizeContext(context.Background(), frames)
 }
 
 // RecognizeContext is Recognize with deadline/cancellation semantics: the
 // context is checked before scoring and once per frame during the search,
 // and on cancellation the best partial hypothesis (none, before the first
-// frame) is returned together with ctx.Err().
-func (s *System) RecognizeContext(ctx context.Context, frames [][]float32) ([]int32, error) {
+// frame) is returned together with ctx.Err(). Frames are scored as the
+// search reads them, the feature path /v1/recognize serves, which for a GMM
+// scores only the senones each pruned frontier reads; the words are those of
+// a Decode over the scorer's ScoreUtterance rows.
+func (r *Recognizer) RecognizeContext(ctx context.Context, frames [][]float32) ([]int32, error) {
 	if len(frames) == 0 {
 		return nil, nil
 	}
-	if err := validateFrames(frames, s.Task.Senones.Dim); err != nil {
+	if err := validateFrames(frames, r.Senones.Dim); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, err // scoring is most of a request; a dead one skips it
 	}
-	return decodeFrames(ctx, s.dec, s.Task.Scorer, frames)
-}
-
-// decodeFrames decodes frames on dec under ctx, scoring them with sc as the
-// search reads them: the feature path /v1/recognize serves, which for a
-// GMM scores only the senones each pruned frontier reads. The words are
-// those of a Decode over sc's ScoreUtterance rows.
-func decodeFrames(ctx context.Context, dec *decoder.OnTheFly, sc acoustic.Scorer, frames [][]float32) ([]int32, error) {
-	u := acoustic.NewUtterance(sc)
+	u := acoustic.NewUtterance(r.Scorer)
 	defer u.Close()
 	u.Load(frames)
-	res, err := dec.DecodeContext(ctx, u, len(frames))
+	res, err := r.dec.DecodeContext(ctx, u, len(frames))
 	return res.Words, err
 }
 
 // NewDecoder builds a software on-the-fly decoder with a custom config.
-func (s *System) NewDecoder(cfg DecoderConfig) (*decoder.OnTheFly, error) {
-	return decoder.NewOnTheFly(s.Task.AM.G, s.Task.LMGraph.G, cfg)
+func (r *Recognizer) NewDecoder(cfg DecoderConfig) (*decoder.OnTheFly, error) {
+	return decoder.NewOnTheFly(r.AMGraph, r.LMGraph, cfg)
 }
 
-// NewDecodePool builds a concurrent batch-decoding engine over this
-// system's graphs. The pool is long-lived: reusing it across batches keeps
-// each worker's offset table warm. Transcripts are identical to sequential
-// decoding for any worker count.
-func (s *System) NewDecodePool(cfg PoolConfig) (*DecodePool, error) {
-	return pool.New(s.Task.AM.G, s.Task.LMGraph.G, cfg)
+// NewDecodePool builds a concurrent batch-decoding engine over the
+// recognizer's graphs. The pool is long-lived: reusing it across batches
+// keeps each worker's offset table warm. Transcripts are identical to
+// sequential decoding for any worker count.
+func (r *Recognizer) NewDecodePool(cfg PoolConfig) (*DecodePool, error) {
+	return pool.New(r.AMGraph, r.LMGraph, cfg)
 }
 
-// RecognizeBatch scores each utterance's frames and decodes the batch on a
-// transient pool of the given worker count (≤0 means GOMAXPROCS). It
-// returns per-utterance word IDs, index-aligned with the input, plus the
-// batch throughput aggregates. For repeated batches build a DecodePool
-// once via NewDecodePool and keep it warm instead.
+// RecognizeBatch scores and decodes a batch of utterances on a transient
+// pool of the given worker count (≤0 means GOMAXPROCS). It returns
+// per-utterance word IDs, index-aligned with the input, plus the batch
+// throughput aggregates. For repeated batches build a DecodePool once via
+// NewDecodePool and keep it warm instead.
 //
-// Scoring runs sequentially before the fan-out, so the reported
-// throughput covers the search, the component this pool scales.
-func (s *System) RecognizeBatch(frames [][][]float32, workers int) ([][]int32, Throughput, error) {
-	return s.RecognizeBatchContext(context.Background(), frames, workers)
+// Each worker scores its utterance's features as its search reads them, so
+// the reported throughput covers scoring and search.
+func (r *Recognizer) RecognizeBatch(frames [][][]float32, workers int) ([][]int32, Throughput, error) {
+	return r.RecognizeBatchContext(context.Background(), frames, workers)
 }
 
 // RecognizeBatchContext is RecognizeBatch with deadline/cancellation
@@ -188,38 +228,44 @@ func (s *System) RecognizeBatch(frames [][][]float32, workers int) ([][]int32, T
 // scoring work). On cancellation it returns promptly with index-aligned
 // partial results — utterances decoded before the cancellation keep their
 // transcripts, the rest are nil — together with ctx.Err().
-func (s *System) RecognizeBatchContext(ctx context.Context, frames [][][]float32, workers int) ([][]int32, Throughput, error) {
+func (r *Recognizer) RecognizeBatchContext(ctx context.Context, frames [][][]float32, workers int) ([][]int32, Throughput, error) {
 	for i, f := range frames {
-		if err := validateFrames(f, s.Task.Senones.Dim); err != nil {
+		if err := validateFrames(f, r.Senones.Dim); err != nil {
 			return nil, Throughput{}, &DecodeError{Utterance: i, Stage: StageFeatures, Cause: err}
 		}
 	}
-	scores := make([][][]float32, len(frames))
-	for i, f := range frames {
-		if err := ctx.Err(); err != nil {
-			return nil, Throughput{}, err
-		}
-		if len(f) == 0 {
-			scores[i] = nil
-			continue
-		}
-		scores[i] = s.Task.Scorer.ScoreUtterance(f)
-	}
-	p, err := s.NewDecodePool(PoolConfig{Workers: workers})
+	p, err := r.NewDecodePool(PoolConfig{Workers: workers})
 	if err != nil {
 		return nil, Throughput{}, err
 	}
-	batch, err := p.DecodeContext(ctx, scores, nil, decoder.Options{})
+	batch, err := p.DecodeContext(ctx, frames, r.Scorer, decoder.Options{})
 	if batch == nil {
 		return nil, Throughput{}, err
 	}
 	out := make([][]int32, len(batch.Results))
-	for i, r := range batch.Results {
-		if r != nil {
-			out[i] = r.Words
+	for i, res := range batch.Results {
+		if res != nil {
+			out[i] = res.Words
 		}
 	}
 	return out, batch.Throughput, err
+}
+
+// RecognizeTimed runs the pipeline and additionally returns each word's end
+// time in seconds (frame index x 10 ms).
+func (r *Recognizer) RecognizeTimed(frames [][]float32) (words []int32, ends []float64, err error) {
+	if len(frames) == 0 {
+		return nil, nil, nil
+	}
+	if err := validateFrames(frames, r.Senones.Dim); err != nil {
+		return nil, nil, err
+	}
+	res := r.dec.Decode(r.Scorer.ScoreUtterance(frames))
+	ends = make([]float64, len(res.WordEnds))
+	for i, e := range res.WordEnds {
+		ends[i] = float64(e) * 0.010
+	}
+	return res.Words, ends, nil
 }
 
 // NewAccelerator builds the UNFOLD hardware simulator over the compressed
@@ -293,21 +339,4 @@ func (s *System) EvaluateWER() (float64, error) {
 		acc.Add(u.Words, hyp)
 	}
 	return acc.WER(), nil
-}
-
-// RecognizeTimed runs the pipeline and additionally returns each word's end
-// time in seconds (frame index x 10 ms).
-func (s *System) RecognizeTimed(frames [][]float32) (words []int32, ends []float64, err error) {
-	if len(frames) == 0 {
-		return nil, nil, nil
-	}
-	if err := validateFrames(frames, s.Task.Senones.Dim); err != nil {
-		return nil, nil, err
-	}
-	res := s.dec.Decode(s.Task.Scorer.ScoreUtterance(frames))
-	ends = make([]float64, len(res.WordEnds))
-	for i, e := range res.WordEnds {
-		ends[i] = float64(e) * 0.010
-	}
-	return res.Words, ends, nil
 }
