@@ -29,8 +29,11 @@ vet:
 # pause). And it holds the decoder to one frame loop: stepFrame may have
 # one call site outside tests, the session's step, so every decode path
 # (Decode, DecodeContext, Stream) searches and rescues a frame the same way.
-# Last, the server builds no decoder or pool itself: every one comes from
-# its model's unfold.Recognizer, so it serves one model type.
+# The server builds no decoder or pool itself: every one comes from
+# its model's unfold.Recognizer, so it serves one model type. Last, the
+# server answers every failure through one writer: errorBody is built at one
+# non-test site (writeError), and a request's outcome label is derived from
+# the failure its route returns, so at most 2 non-test sites may assign one.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -45,6 +48,14 @@ lint:
 	fi
 	@if git grep -nE 'pool\.New\(|decoder\.NewOnTheFly\(' -- internal/server ':!*_test.go'; then \
 		echo "the server builds decoders and pools through its model's Recognizer (NewDecoder, NewDecodePool)"; exit 1; \
+	fi
+	@sites=$$(git grep -n 'errorBody{' -- internal/server ':!*_test.go'); \
+	if [ $$(printf '%s\n' "$$sites" | grep -c .) -gt 1 ]; then \
+		echo "$$sites"; echo "errorBody has more than one non-test construction site; return a *failure and let writeError answer it"; exit 1; \
+	fi
+	@sets=$$(git grep -n 'outcome = "' -- internal/server ':!*_test.go'); \
+	if [ $$(printf '%s\n' "$$sets" | grep -c .) -gt 2 ]; then \
+		echo "$$sets"; echo "more than 2 non-test outcome assignments in internal/server; derive the outcome from the returned *failure"; exit 1; \
 	fi
 	go vet ./...
 

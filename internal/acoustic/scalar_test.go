@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -168,6 +169,7 @@ func TestScoreKernelRatio(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("timing gate: skipped under -short and -race")
 	}
+	t.Logf("clock: %s", timingClock)
 	// The bench/ harness's big-dnn shape: 120 senones, dim 16, hidden 256,
 	// 3 layers, one 224-frame utterance.
 	m := newModel(t, 30, 120, 16)
@@ -243,15 +245,21 @@ func TestScoreKernelRatio(t *testing.T) {
 
 // timePair times base and fast per frame of an n-frame utterance: the
 // median of rounds rounds of 4 calls each. The two sides take turns round
-// by round, so a busy stretch of the host lands on both.
+// by round, so a busy stretch of the host lands on both. On linux it reads
+// the thread's CPU clock (clockNow), with the goroutine locked to its
+// thread: `go test ./...` runs other packages' tests on the same cores, and
+// with other processes busy there a row whose median is 1.04x read as low
+// as 0.47x on the wall clock.
 func timePair(rounds, n int, base, fast func()) (time.Duration, time.Duration) {
 	const reps = 4
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	timeIt := func(score func()) time.Duration {
-		start := time.Now()
+		start := clockNow()
 		for r := 0; r < reps; r++ {
 			score()
 		}
-		return time.Since(start) / time.Duration(reps*n)
+		return (clockNow() - start) / time.Duration(reps*n)
 	}
 	bases, fasts := make([]time.Duration, rounds), make([]time.Duration, rounds)
 	for i := 0; i < rounds; i++ {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"sync/atomic"
@@ -86,9 +87,10 @@ func (c AdmissionConfig) withDefaults(workers int) AdmissionConfig {
 	return c
 }
 
-// errShed is returned by acquire when the wait queue is full; the handler
-// turns it into a structured 429.
-var errShed = errors.New("server overloaded: request queue full")
+// errShed is returned by acquire when the wait queue is full, and is the
+// failure of a request past either route's capacity: a structured 429.
+var errShed = &failure{code: http.StatusTooManyRequests, reason: "overloaded",
+	msg: "server overloaded: request queue full, retry later", retry: true}
 
 // admitter is the server's admission gate: a fixed set of execution slots
 // with a bounded FIFO wait queue in front (batch requests), plus a hard cap
@@ -113,10 +115,7 @@ func newAdmitter(cfg AdmissionConfig) *admitter {
 // ctx.Err() when the request's deadline or client connection ends the wait
 // — in every failure case the caller has nothing to release, so shed and
 // expired work never occupies a pool worker.
-func (a *admitter) acquire(ctx interface {
-	Done() <-chan struct{}
-	Err() error
-}) (func(), error) {
+func (a *admitter) acquire(ctx context.Context) (func(), error) {
 	select {
 	case a.slots <- struct{}{}:
 		return a.release, nil

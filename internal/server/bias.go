@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net/http"
 
 	"repro/internal/bias"
 	"repro/internal/decoder"
@@ -119,5 +120,8 @@ func (s *Server) observeBiasTenant(m *model, tenant string) {
 		func() float64 { tc, _ := comp.TenantCountersFor(name); return float64(tc.Misses) }, ml, tl)
 }
 
-// badBias formats a compile failure for the structured 400.
-func badBias(err error) string { return fmt.Sprintf("bias block rejected: %v", err) }
+// badBias is the bias stage's failure: a phrase list that does not compile,
+// or a machine that does not compose with the model's graphs.
+func badBias(err error) *failure {
+	return fail(http.StatusBadRequest, "bad_bias", fmt.Sprintf("bias block rejected: %v", err))
+}

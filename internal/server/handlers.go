@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/acoustic"
+	"repro/internal/telemetry"
 )
 
 // utteranceRequest is one utterance's feature frames.
@@ -34,19 +35,6 @@ type recognizeRequest struct {
 	// Bias, when present, decodes the batch as AM ∘ LM ∘ Bias with the
 	// tenant's compiled phrase machine. See docs/BIASING.md.
 	Bias *biasRequest `json:"bias,omitempty"`
-}
-
-// compatibleContentType reports whether an explicitly-set Content-Type can
-// carry the JSON bodies the decode routes accept. Requests without the
-// header are taken at face value (curl one-liners and existing clients
-// omit it), so only an explicit wrong type earns a 415.
-func compatibleContentType(ct string) bool {
-	mt, _, err := mime.ParseMediaType(ct)
-	if err != nil {
-		return false
-	}
-	return mt == "application/json" || mt == "application/x-ndjson" ||
-		mt == "text/json" || strings.HasSuffix(mt, "+json")
 }
 
 // recognizeResult is one utterance's transcript.
@@ -86,118 +74,181 @@ func checkDims(frames [][]float32, dim int) error {
 	return nil
 }
 
+// failure is how a request fails: the status, the reason token (sent and
+// counted under unfold_server_errors_total{reason}), the message, and
+// whether Retry-After applies. A failure without a status has nothing left
+// to answer: its client is gone, or it ended a stream past the 200 header.
+type failure struct {
+	code   int
+	reason string
+	msg    string
+	retry  bool
+}
+
+func (f *failure) Error() string { return f.msg }
+
+func fail(code int, reason, msg string) *failure {
+	return &failure{code: code, reason: reason, msg: msg}
+}
+
+func unavailable(reason, msg string) *failure {
+	return &failure{code: http.StatusServiceUnavailable, reason: reason, msg: msg, retry: true}
+}
+
+// errCanceled ends a request whose client is gone: nobody reads a reply, so
+// nothing is written and nothing is counted under errors_total.
+var errCanceled = &failure{reason: "canceled"}
+
+// outcome is the unfold_server_request_seconds label of a request that
+// ended with f (nil is success).
+func (f *failure) outcome() string {
+	switch {
+	case f == nil:
+		return "ok"
+	case f == errShed:
+		return "shed"
+	case f.reason == "canceled", f.reason == "deadline":
+		return f.reason
+	case f.reason == "stall":
+		return "stalled"
+	case f.code == http.StatusServiceUnavailable:
+		return "unavailable"
+	case f.code >= 500:
+		return "error"
+	}
+	return "invalid"
+}
+
+// route serves a decode route: it counts and times the request, runs the
+// gate and then the route's own stages, answers a failure returned before
+// the 200 header, and records unfold_server_request_seconds{route,outcome}
+// from the failure. accept names the route's body type in the gate's 415.
+func (s *Server) route(name, accept string, h func(http.ResponseWriter, *http.Request) *failure) http.Handler {
+	return s.counted(name, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		f := s.gate(r, accept)
+		if f == nil {
+			f = h(w, r)
+		}
+		if f != nil {
+			s.writeError(w, name, f)
+		}
+		s.reg.Histogram("unfold_server_request_seconds", "Request latency by route and outcome.",
+			requestBuckets, telemetry.L("route", name), telemetry.L("outcome", f.outcome())).
+			Observe(time.Since(start).Seconds())
+	}))
+}
+
+// gate is both decode routes' first stage: POST only, a JSON Content-Type,
+// and a server that is neither draining nor without a model. A request
+// without a Content-Type is taken at face value (curl one-liners and
+// existing clients omit it), so only an explicit wrong type earns a 415.
+func (s *Server) gate(r *http.Request, accept string) *failure {
+	if r.Method != http.MethodPost {
+		return fail(http.StatusMethodNotAllowed, "method", "POST required")
+	}
+	if ct := r.Header.Get("Content-Type"); ct != "" {
+		mt, _, err := mime.ParseMediaType(ct)
+		if err != nil || mt != "application/json" && mt != "application/x-ndjson" &&
+			mt != "text/json" && !strings.HasSuffix(mt, "+json") {
+			return fail(http.StatusUnsupportedMediaType, "content_type", fmt.Sprintf("cannot decode %q; send %s", ct, accept))
+		}
+	}
+	if s.draining.Load() {
+		return unavailable("draining", "server is draining")
+	}
+	if s.models.empty() {
+		return unavailable("not_loaded", "model not loaded")
+	}
+	return nil
+}
+
+// parseFailure maps a request-body read error: past the byte cap a 413
+// body_too_large (tooBig formats the cap), anything else a 400 bad_json.
+func parseFailure(err error, tooBig, badPrefix string) *failure {
+	var mb *http.MaxBytesError
+	if errors.As(err, &mb) {
+		return fail(http.StatusRequestEntityTooLarge, "body_too_large", fmt.Sprintf(tooBig, mb.Limit))
+	}
+	return fail(http.StatusBadRequest, "bad_json", badPrefix+err.Error())
+}
+
+// deadline is the timeout stage: the request's decode deadline (field, else
+// the X-Unfold-Timeout header, else the configured default) on a context
+// the caller must cancel.
+func (s *Server) deadline(r *http.Request, field string) (context.Context, context.CancelFunc, *failure) {
+	timeout, err := s.admit.parseTimeout(r, field)
+	if err != nil {
+		return nil, nil, fail(http.StatusBadRequest, "bad_timeout", err.Error())
+	}
+	if timeout > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		return ctx, cancel, nil
+	}
+	ctx, cancel := context.WithCancel(r.Context())
+	return ctx, cancel, nil
+}
+
+// ctxFailure is the failure of a request whose context has ended: a 408
+// past its deadline (msg says where it ran out), else a client gone away.
+func ctxFailure(ctx context.Context, msg string) *failure {
+	switch err := ctx.Err(); {
+	case err == nil:
+		return nil
+	case errors.Is(err, context.DeadlineExceeded):
+		return fail(http.StatusRequestTimeout, "deadline", msg)
+	}
+	return errCanceled
+}
+
 // handleRecognize decodes a batch of utterances through the worker pool,
 // behind the admission gate: validation is free and happens first, then the
-// request claims an execution slot (queueing behind at most MaxQueue
-// waiters, shedding with a structured 429 past that), decodes at the
-// degradation level the current queue depth selects, and frees its slot the
-// moment its deadline fires — an expired request never occupies a worker.
+// request claims an execution slot, decodes at the degradation level the
+// current queue depth selects, and frees its slot the moment its deadline
+// fires — an expired request never occupies a worker.
 // The utterances fan out across the pool as feature frames: each worker
 // scores its utterance as its search reads it, which for a GMM means only
 // the senones each pruned frontier reads (pool.DecodeContext with a scorer).
-func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	outcome := "error"
-	defer func() { s.observeLatency("/v1/recognize", outcome, start) }()
-
-	if r.Method != http.MethodPost {
-		outcome = "invalid"
-		s.fail(w, http.StatusMethodNotAllowed, "method", "POST required")
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" && !compatibleContentType(ct) {
-		outcome = "invalid"
-		s.fail(w, http.StatusUnsupportedMediaType, "content_type", fmt.Sprintf("cannot decode %q; send application/json", ct))
-		return
-	}
-	if s.draining.Load() {
-		outcome = "unavailable"
-		s.failRetry(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	if s.models.empty() {
-		outcome = "unavailable"
-		s.failRetry(w, http.StatusServiceUnavailable, "not_loaded", "model not loaded")
-		return
-	}
+func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) *failure {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Admission.MaxBodyBytes)
 	var req recognizeRequest
 	in := newFeatureReader(r.Body, s.cfg.Admission.MaxBodyBytes)
 	err := in.recognize(&req)
 	in.release()
 	if err != nil {
-		outcome = "invalid"
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "bad_json", "bad JSON: "+err.Error())
-		return
+		return parseFailure(err, "request body exceeds %d bytes", "bad JSON: ")
 	}
-	if req.Model == "" {
-		req.Model = r.URL.Query().Get("model")
+	m, releaseModel, f := s.resolveModel(r, req.Model)
+	if f != nil {
+		return f
 	}
-	m, releaseModel, ok := s.resolveModel(w, req.Model)
-	if !ok {
-		outcome = "invalid"
-		return
-	}
-	// The reference pins the model's graphs (for a v3 bundle, the memory
-	// mapping) until the batch is done; a drain waits on it.
 	defer releaseModel()
 	if len(req.Utterances) == 0 {
-		outcome = "invalid"
-		s.fail(w, http.StatusBadRequest, "empty_batch", "no utterances")
-		return
+		return fail(http.StatusBadRequest, "empty_batch", "no utterances")
 	}
-	dim := m.rec.Senones.Dim
 	for i, u := range req.Utterances {
 		if len(u.Frames) == 0 {
-			outcome = "invalid"
-			s.fail(w, http.StatusBadRequest, "empty_utterance", fmt.Sprintf("utterance %d is empty", i))
-			return
+			return fail(http.StatusBadRequest, "empty_utterance", fmt.Sprintf("utterance %d is empty", i))
 		}
-		if err := checkDims(u.Frames, dim); err != nil {
-			outcome = "invalid"
-			s.fail(w, http.StatusBadRequest, "bad_dims", fmt.Sprintf("utterance %d: %v", i, err))
-			return
+		if err := checkDims(u.Frames, m.rec.Senones.Dim); err != nil {
+			return fail(http.StatusBadRequest, "bad_dims", fmt.Sprintf("utterance %d: %v", i, err))
 		}
 	}
-	opts, berr := s.decodeOptions(m, req.Bias)
-	if berr != nil {
-		outcome = "invalid"
-		s.fail(w, http.StatusBadRequest, "bad_bias", badBias(berr))
-		return
-	}
-	timeout, err := s.admit.parseTimeout(r, req.Timeout)
+	opts, err := s.decodeOptions(m, req.Bias)
 	if err != nil {
-		outcome = "invalid"
-		s.fail(w, http.StatusBadRequest, "bad_timeout", err.Error())
-		return
+		return badBias(err)
 	}
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+	ctx, cancel, f := s.deadline(r, req.Timeout)
+	if f != nil {
+		return f
 	}
-
-	release, aerr := s.admit.acquire(ctx)
-	if aerr != nil {
-		switch {
-		case errors.Is(aerr, errShed):
-			outcome = "shed"
-			s.shed(w, "/v1/recognize")
-		case errors.Is(aerr, context.DeadlineExceeded):
-			outcome = "deadline"
-			s.fail(w, http.StatusRequestTimeout, "deadline", "deadline expired before a decode slot was free")
-		default:
-			// Client went away while queued; nobody is listening for a body.
-			outcome = "canceled"
-		}
-		return
+	defer cancel()
+	release, err := s.admit.acquire(ctx)
+	if err == errShed {
+		return errShed
+	}
+	if err != nil {
+		return ctxFailure(ctx, "deadline expired before a decode slot was free")
 	}
 	defer release()
 
@@ -212,19 +263,12 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 		feats[i] = u.Frames
 	}
 	batch, _ := m.pool.DecodeContext(ctx, feats, m.rec.Scorer, opts)
-	if cerr := ctx.Err(); cerr != nil {
-		if errors.Is(cerr, context.DeadlineExceeded) {
-			outcome = "deadline"
-			s.fail(w, http.StatusRequestTimeout, "deadline", "decode exceeded the request deadline")
-		} else {
-			outcome = "canceled"
-		}
-		return
+	if f := ctxFailure(ctx, "decode exceeded the request deadline"); f != nil {
+		return f
 	}
 	// Feed the supervisor: enough consecutive whole-batch search failures
 	// quarantine the model (see supervisor.go); any success resets.
 	s.models.noteBatch(m, batch.Errors)
-	outcome = "ok"
 	resp := recognizeResponse{Results: make([]recognizeResult, len(batch.Results)), Degraded: level}
 	for i, res := range batch.Results {
 		out := &resp.Results[i]
@@ -246,6 +290,7 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 	resp.Throughput.RTF = batch.Throughput.RTF()
 	resp.Throughput.CacheHitRate = batch.Throughput.CacheHitRate()
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // streamChunk is one NDJSON input line on /v1/stream: a chunk of feature
@@ -261,11 +306,6 @@ type streamChunk struct {
 	Bias *biasRequest `json:"bias,omitempty"`
 }
 
-// lineTooLarge is the message for a stream line over the byte cap.
-func lineTooLarge(err *http.MaxBytesError) string {
-	return fmt.Sprintf("stream line exceeds %d bytes", err.Limit)
-}
-
 // streamUpdate is the NDJSON reply line emitted after each chunk (and, with
 // Final set, after the stream ends).
 type streamUpdate struct {
@@ -279,10 +319,8 @@ type streamUpdate struct {
 	SearchFailures int64   `json:"search_failures,omitempty"`
 	Degraded       int     `json:"degraded,omitempty"`
 	Error          string  `json:"error,omitempty"`
-	// Reason is the machine-matchable token on mid-stream error records
-	// ("stall", "bad_dims", "body_too_large", "deadline"),
-	// mirroring errorBody's Reason for errors that happen after the 200
-	// header is committed.
+	// Reason is errorBody's Reason on a final record that ends the stream
+	// with an error after the 200 header.
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -296,12 +334,11 @@ type streamUpdate struct {
 // that misses it (or fails outright — the client is gone) cancels the
 // stream's context so the decode stops doing work nobody will read.
 type streamSender struct {
-	srv     *Server
-	enc     *json.Encoder
-	flusher http.Flusher
-	rc      *http.ResponseController
-	timeout time.Duration
-	cancel  context.CancelFunc
+	srv    *Server
+	enc    *json.Encoder
+	rc     *http.ResponseController
+	cancel context.CancelFunc
+	level  int // the degradation level, for the deadline record
 
 	ch   chan streamUpdate
 	done chan struct{}
@@ -309,17 +346,15 @@ type streamSender struct {
 	err  error // first write error; written by run, read only after done
 }
 
-func (s *Server) newStreamSender(w http.ResponseWriter, cancel context.CancelFunc) *streamSender {
-	flusher, _ := w.(http.Flusher)
+func (s *Server) newStreamSender(w http.ResponseWriter, cancel context.CancelFunc, level int) *streamSender {
 	sn := &streamSender{
-		srv:     s,
-		enc:     json.NewEncoder(w),
-		flusher: flusher,
-		rc:      http.NewResponseController(w),
-		timeout: s.cfg.Stream.WriteTimeout,
-		cancel:  cancel,
-		ch:      make(chan streamUpdate, s.cfg.Stream.SendBuffer),
-		done:    make(chan struct{}),
+		srv:    s,
+		enc:    json.NewEncoder(w),
+		rc:     http.NewResponseController(w),
+		cancel: cancel,
+		level:  level,
+		ch:     make(chan streamUpdate, s.cfg.Stream.SendBuffer),
+		done:   make(chan struct{}),
 	}
 	go sn.run()
 	return sn
@@ -331,9 +366,9 @@ func (sn *streamSender) run() {
 		if sn.err != nil {
 			continue // drain: the connection is dead, the decode canceled
 		}
-		if sn.timeout > 0 {
+		if wt := sn.srv.cfg.Stream.WriteTimeout; wt > 0 {
 			// ErrNotSupported (test recorders) deliberately ignored.
-			sn.rc.SetWriteDeadline(time.Now().Add(sn.timeout))
+			sn.rc.SetWriteDeadline(time.Now().Add(wt))
 		}
 		if err := sn.enc.Encode(u); err != nil {
 			sn.err = err
@@ -343,9 +378,7 @@ func (sn *streamSender) run() {
 			sn.cancel()
 			continue
 		}
-		if sn.flusher != nil {
-			sn.flusher.Flush()
-		}
+		sn.rc.Flush()
 	}
 }
 
@@ -374,6 +407,27 @@ func (sn *streamSender) final(u streamUpdate) error {
 	return sn.err
 }
 
+// fail is writeError past the 200 header: it counts f the same way, counts
+// a stream cut short by a clock or its client (any outcome but invalid
+// input) under streams_aborted_total, and enqueues the final record, which
+// for a deadline carries the level the stream decoded at against it. It
+// returns f without its status, which has been answered.
+func (sn *streamSender) fail(f *failure) *failure {
+	s := sn.srv
+	if f.outcome() != "invalid" {
+		s.streamsAborted.Inc()
+	}
+	if f != errCanceled {
+		s.countError(f)
+		u := streamUpdate{Final: true, Reason: f.reason, Error: f.msg}
+		if f.reason == "deadline" {
+			u.Degraded = sn.level
+		}
+		sn.final(u)
+	}
+	return &failure{reason: f.reason}
+}
+
 // stop ends the writer goroutine after the queue drains. Idempotent; safe
 // to defer alongside an explicit final.
 func (sn *streamSender) stop() {
@@ -387,8 +441,7 @@ func (sn *streamSender) stop() {
 // each request line carries feature frames, each response line the current
 // best partial hypothesis, flushed immediately so the client sees the
 // transcript grow while it is still sending audio. EOF on the request body
-// finalizes the utterance; cancellation (client disconnect, context
-// deadline) aborts it and counts toward unfold_server_streams_aborted_total.
+// finalizes the utterance.
 //
 // Each stream checks a decoder out of the model's free list for its life —
 // so its offset table and the scratch set its decoder.Stream borrows come
@@ -398,108 +451,52 @@ func (sn *streamSender) stop() {
 // hidden state and smoother) from chunk to chunk. A stream's words, word
 // ends and cost are therefore those /v1/recognize returns for the same
 // frames, for every scorer and every chunking.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	begin := time.Now()
-	outcome := "error"
-	defer func() { s.observeLatency("/v1/stream", outcome, begin) }()
-
-	if r.Method != http.MethodPost {
-		outcome = "invalid"
-		s.fail(w, http.StatusMethodNotAllowed, "method", "POST required")
-		return
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) *failure {
+	// The stream context is always cancelable: the sender cancels it when
+	// the client stops reading, the watchdog when it stops sending.
+	ctx, cancel, f := s.deadline(r, "")
+	if f != nil {
+		return f
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" && !compatibleContentType(ct) {
-		outcome = "invalid"
-		s.fail(w, http.StatusUnsupportedMediaType, "content_type", fmt.Sprintf("cannot decode %q; send application/x-ndjson", ct))
-		return
-	}
-	if s.draining.Load() {
-		outcome = "unavailable"
-		s.failRetry(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	if s.models.empty() {
-		outcome = "unavailable"
-		s.failRetry(w, http.StatusServiceUnavailable, "not_loaded", "model not loaded")
-		return
-	}
-	timeout, err := s.admit.parseTimeout(r, "")
-	if err != nil {
-		outcome = "invalid"
-		s.fail(w, http.StatusBadRequest, "bad_timeout", err.Error())
-		return
-	}
+	defer cancel()
 	// Streams are long-lived, so there is no queue: past MaxStreams the
 	// honest answer is an immediate shed, not minutes of head-of-line wait.
 	releaseStream, ok := s.admit.acquireStream()
 	if !ok {
-		outcome = "shed"
-		s.shed(w, "/v1/stream")
-		return
+		return errShed
 	}
 	defer releaseStream()
 
-	// The stream context is always cancelable: the sender cancels it when
-	// the client stops reading, the watchdog when it stops sending.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
+	// Each line may take up to MaxBodyBytes, the /v1/recognize body cap,
+	// counted from the end of the one before. The watchdog bounds each read,
+	// so a client that sends headers and then nothing gets a 408, not a
+	// parked goroutine. (SetReadDeadline errors are ignored: test recorders
+	// don't support deadlines and don't need them.)
 	rc := http.NewResponseController(w)
-	watchdog := s.cfg.Stream.Watchdog
-
-	// Peek the first NDJSON line before any response bytes: it may carry
-	// the model selector, and resolving the model up front lets an unknown
-	// name answer a clean 404 instead of failing mid-stream. The watchdog
-	// covers the peek too — a client that sends headers and then nothing
-	// gets a 408, not a parked goroutine. (SetReadDeadline errors are
-	// ignored: test recorders don't support deadlines and don't need them.)
-	if watchdog > 0 {
-		rc.SetReadDeadline(time.Now().Add(watchdog))
-	}
-	// Each line may take up to MaxBodyBytes, the /v1/recognize body cap;
-	// the reader counts every line from the end of the one before.
 	in := newFeatureReader(r.Body, s.cfg.Admission.MaxBodyBytes)
 	defer in.release()
-	var first streamChunk
-	firstErr := in.chunk(&first)
-	if firstErr != nil && !errors.Is(firstErr, io.EOF) {
-		if errors.Is(firstErr, os.ErrDeadlineExceeded) {
-			outcome = "stalled"
-			s.streamsStalled.Inc()
-			s.fail(w, http.StatusRequestTimeout, "stall", fmt.Sprintf("no frames within %s", watchdog))
-			return
+	var chunk streamChunk
+	read := func() error {
+		if wd := s.cfg.Stream.Watchdog; wd > 0 {
+			rc.SetReadDeadline(time.Now().Add(wd))
 		}
-		outcome = "invalid"
-		var tooBig *http.MaxBytesError
-		if errors.As(firstErr, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "body_too_large", lineTooLarge(tooBig))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "bad_json", "bad NDJSON first line: "+firstErr.Error())
-		return
+		return in.chunk(&chunk)
 	}
-	name := first.Model
-	if name == "" {
-		name = r.URL.Query().Get("model")
+	// Peek the first NDJSON line before any response bytes: it may carry
+	// the model selector, and resolving the model up front lets an unknown
+	// name answer a clean 404 instead of failing mid-stream.
+	readErr := read()
+	if readErr != nil && !errors.Is(readErr, io.EOF) {
+		return s.lineFailure(readErr, true)
 	}
-	m, releaseModel, ok := s.resolveModel(w, name)
-	if !ok {
-		outcome = "invalid"
-		return
+	m, releaseModel, f := s.resolveModel(r, chunk.Model)
+	if f != nil {
+		return f
 	}
-	// The reference pins the model's graphs (for a v3 bundle, the memory
-	// mapping) for the stream's whole life; a drain waits on it.
 	defer releaseModel()
-
-	opts, berr := s.decodeOptions(m, first.Bias)
-	if berr != nil {
-		outcome = "invalid"
-		s.fail(w, http.StatusBadRequest, "bad_bias", badBias(berr))
-		return
+	opts, err := s.decodeOptions(m, chunk.Bias)
+	if err != nil {
+		return badBias(err)
 	}
 
 	// The pressure level at connection time sets this stream's operating
@@ -509,16 +506,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	dcfg.Telemetry = s.ptel.Decoder
 	dec, err := m.takeStreamDecoder(dcfg)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "internal", err.Error())
-		return
+		return fail(http.StatusInternalServerError, "internal", err.Error())
 	}
 	defer m.putStreamDecoder(dec)
 	if err := dec.SetOptions(opts); err != nil {
 		// The machine compiled but cannot compose with this model's graphs
 		// (state-count guardrails): still a client problem.
-		outcome = "invalid"
-		s.fail(w, http.StatusBadRequest, "bad_bias", badBias(err))
-		return
+		return badBias(err)
 	}
 	stream := dec.NewStream()
 	defer stream.Close()
@@ -539,70 +533,25 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// ignored deliberately: transports that don't support the switch
 	// (HTTP/2, test recorders) are already full-duplex or in-memory.
 	rc.EnableFullDuplex()
-	// Every response write goes through the sender: bounded latest-wins
-	// buffer, per-write deadlines, cancel-on-dead-client. It is stopped
-	// exactly once — by a final record on each normal exit, or by the
-	// deferred stop on early returns.
-	sn := s.newStreamSender(w, cancel)
+	// The sender stops once: by a final record, or by the deferred stop.
+	sn := s.newStreamSender(w, cancel, level)
 	defer sn.stop()
-	dim := m.rec.Senones.Dim
 	frames := 0
 
-	// The peeked first line is the first chunk; later iterations read from
-	// the wire (a clean EOF on the peek skips straight to finalization —
-	// the reader keeps returning io.EOF).
-	chunk, haveChunk := first, firstErr == nil
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			if errors.Is(cerr, context.DeadlineExceeded) {
-				// The stream outlived its decode deadline: tell the client
-				// on the wire it is already reading, then stop.
-				outcome = "deadline"
-				sn.final(streamUpdate{Final: true, Degraded: level, Reason: "deadline", Error: "stream exceeded its decode deadline"})
-			} else {
-				outcome = "canceled"
-			}
-			s.streamsAborted.Inc()
-			return
+	// The peeked first line is the first chunk; a clean EOF on the peek
+	// finalizes at once. The decode deadline is checked before every read.
+	for peeked := true; ; peeked = false {
+		if f := ctxFailure(ctx, "stream exceeded its decode deadline"); f != nil {
+			return sn.fail(f)
 		}
-		if !haveChunk {
-			if watchdog > 0 {
-				rc.SetReadDeadline(time.Now().Add(watchdog))
-			}
-			if err := in.chunk(&chunk); err != nil {
-				if errors.Is(err, io.EOF) {
-					break // client finished sending; finalize below
-				}
-				var tooBig *http.MaxBytesError
-				if errors.As(err, &tooBig) {
-					outcome = "invalid"
-					s.countError("body_too_large")
-					sn.final(streamUpdate{Final: true, Reason: "body_too_large", Error: lineTooLarge(tooBig)})
-					return
-				}
-				if errors.Is(err, os.ErrDeadlineExceeded) {
-					// The frame clock stalled: the client holds the
-					// connection open but stopped sending. Cancel the decode
-					// and say why in a structured final record on the wire
-					// the client is (nominally) still reading.
-					outcome = "stalled"
-					s.streamsStalled.Inc()
-					s.streamsAborted.Inc()
-					sn.final(streamUpdate{Final: true, Reason: "stall",
-						Error: fmt.Sprintf("no frames within %s: frame clock stalled, decode canceled", watchdog)})
-					return
-				}
-				// Mid-stream read failure: disconnect or canceled request.
-				outcome = "canceled"
-				s.streamsAborted.Inc()
-				return
-			}
+		if !peeked {
+			readErr = read()
 		}
-		haveChunk = false
-		if err := checkDims(chunk.Frames, dim); err != nil {
-			outcome = "invalid"
-			sn.final(streamUpdate{Final: true, Reason: "bad_dims", Error: err.Error()})
-			return
+		if readErr != nil {
+			break
+		}
+		if err := checkDims(chunk.Frames, m.rec.Senones.Dim); err != nil {
+			return sn.fail(fail(http.StatusBadRequest, "bad_dims", err.Error()))
 		}
 		// Search the chunk one frame at a time, as a live frontend would,
 		// scoring each frame as the search reaches it. A dead search is not
@@ -614,10 +563,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		words := stream.Partial()
 		sn.partial(streamUpdate{Words: words, Text: strings.Join(m.rec.Words(words), " "), Frames: frames})
 	}
+	if !errors.Is(readErr, io.EOF) {
+		return sn.fail(s.lineFailure(readErr, false))
+	}
 
 	res := stream.Finish()
 	s.models.noteDecodeSuccess(m)
-	outcome = "ok"
 	if sn.final(streamUpdate{
 		Words:          res.Words,
 		Text:           strings.Join(m.rec.Words(res.Words), " "),
@@ -628,9 +579,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		SearchFailures: res.Stats.SearchFailures,
 		Degraded:       level,
 	}) != nil {
-		outcome = "canceled"
-		s.streamsAborted.Inc()
+		return sn.fail(errCanceled)
 	}
+	return nil
+}
+
+// lineFailure maps a /v1/stream read error: a read past the watchdog is a
+// stall (a frame clock that stopped mid-stream cancels the decode), a line
+// over the byte cap is body_too_large, and any other error is bad_json on
+// the first line and, later, a client that went away.
+func (s *Server) lineFailure(err error, first bool) *failure {
+	var mb *http.MaxBytesError
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		msg := fmt.Sprintf("no frames within %s", s.cfg.Stream.Watchdog)
+		if !first {
+			msg += ": frame clock stalled, decode canceled"
+		}
+		return fail(http.StatusRequestTimeout, "stall", msg)
+	case first || errors.As(err, &mb):
+		return parseFailure(err, "stream line exceeds %d bytes", "bad NDJSON first line: ")
+	}
+	return errCanceled
 }
 
 // testsetItem describes one held-out utterance.
@@ -647,21 +617,22 @@ type testsetItem struct {
 // ?model= selects the model. Bundle-loaded models carry no evaluation
 // data, so they answer 404.
 func (s *Server) handleTestset(w http.ResponseWriter, r *http.Request) {
-	m, releaseModel, ok := s.resolveModel(w, r.URL.Query().Get("model"))
-	if !ok {
+	m, releaseModel, f := s.resolveModel(r, "")
+	if f != nil {
+		s.writeError(w, "/v1/testset", f)
 		return
 	}
 	defer releaseModel()
 	test := m.test
 	if test == nil {
-		s.fail(w, http.StatusNotFound, "no_testset",
-			fmt.Sprintf("model %q was loaded from a bundle and carries no test set", m.name))
+		s.writeError(w, "/v1/testset", fail(http.StatusNotFound, "no_testset",
+			fmt.Sprintf("model %q was loaded from a bundle and carries no test set", m.name)))
 		return
 	}
 	if q := r.URL.Query().Get("utt"); q != "" {
 		i, err := strconv.Atoi(q)
 		if err != nil || i < 0 || i >= len(test) {
-			s.fail(w, http.StatusBadRequest, "bad_utt", fmt.Sprintf("utt must be in [0,%d)", len(test)))
+			s.writeError(w, "/v1/testset", fail(http.StatusBadRequest, "bad_utt", fmt.Sprintf("utt must be in [0,%d)", len(test))))
 			return
 		}
 		u := test[i]

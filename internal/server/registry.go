@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -123,12 +124,6 @@ func (m *model) closeLocked() {
 	}
 }
 
-// budgetError marks a load rejected by the memory budget, so the HTTP
-// layer can answer 507 instead of a generic load failure.
-type budgetError struct{ msg string }
-
-func (e *budgetError) Error() string { return e.msg }
-
 // modelStatus classifies a failed acquire.
 type modelStatus int
 
@@ -235,8 +230,11 @@ func (g *modelRegistry) beginLoad(name string, estimate int64) (commit func(*mod
 		}
 		if total > g.budget {
 			g.mu.Unlock()
-			return nil, nil, &budgetError{fmt.Sprintf("loading %q (%d bytes) would exceed the model budget (%d of %d bytes in use)",
-				name, estimate, total-estimate, g.budget)}
+			// 507, not a load failure: draining a model (or waiting for a
+			// swapped-out generation to finish draining) frees budget.
+			return nil, nil, &failure{code: http.StatusInsufficientStorage, reason: "model_budget", retry: true,
+				msg: fmt.Sprintf("loading %q (%d bytes) would exceed the model budget (%d of %d bytes in use)",
+					name, estimate, total-estimate, g.budget)}
 		}
 	}
 	prev := g.models[name]

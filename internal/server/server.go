@@ -124,7 +124,6 @@ type Server struct {
 	admit *admitter
 
 	// Server-level instruments.
-	requestsByPath  map[string]*telemetry.Counter
 	streamsGauge    *telemetry.Gauge
 	streamsAborted  *telemetry.Counter
 	streamsStalled  *telemetry.Counter
@@ -163,10 +162,6 @@ func New(cfg Config) *Server {
 	s.streamsAborted = reg.Counter("unfold_server_streams_aborted_total", "Streams ended by cancellation or client disconnect.")
 	s.streamsStalled = reg.Counter("unfold_server_stream_stalls_total", "Streams aborted by the frame-clock watchdog or a write timeout.")
 	s.partialsDropped = reg.Counter("unfold_server_stream_partials_dropped_total", "Partial updates dropped because a slow client let the send buffer fill.")
-	s.requestsByPath = map[string]*telemetry.Counter{}
-	for _, route := range []string{"/v1/recognize", "/v1/stream", "/v1/testset", "/v1/models", "/healthz", "/metrics"} {
-		s.requestsByPath[route] = reg.Counter("unfold_server_requests_total", "HTTP requests by route.", telemetry.L("route", route))
-	}
 
 	// Load-management instruments: live pressure (queue depth against its
 	// capacity, current ladder level) plus the shed/degrade totals the
@@ -350,15 +345,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // routes installs every endpoint.
 func (s *Server) routes() {
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.Handle("/metrics", s.counted("/metrics", s.reg.Handler()))
-	s.mux.Handle("/debug/spans", s.tracer.Handler())
-	s.mux.Handle("/v1/recognize", s.counted("/v1/recognize", http.HandlerFunc(s.handleRecognize)))
-	s.mux.Handle("/v1/stream", s.counted("/v1/stream", http.HandlerFunc(s.handleStream)))
+	s.mux.Handle("/v1/recognize", s.route("/v1/recognize", "application/json", s.handleRecognize))
+	s.mux.Handle("/v1/stream", s.route("/v1/stream", "application/x-ndjson", s.handleStream))
 	s.mux.Handle("/v1/testset", s.counted("/v1/testset", http.HandlerFunc(s.handleTestset)))
 	s.mux.Handle("GET /v1/models", s.counted("/v1/models", http.HandlerFunc(s.handleModelsList)))
 	s.mux.Handle("POST /v1/models", s.counted("/v1/models", http.HandlerFunc(s.handleModelsAdd)))
 	s.mux.Handle("DELETE /v1/models/{name}", s.counted("/v1/models", http.HandlerFunc(s.handleModelsDrain)))
+	s.mux.Handle("/healthz", s.counted("/healthz", http.HandlerFunc(s.handleHealthz)))
+	s.mux.Handle("/metrics", s.counted("/metrics", s.reg.Handler()))
+	s.mux.Handle("/debug/spans", s.tracer.Handler())
 	if !s.cfg.DisablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -368,9 +363,9 @@ func (s *Server) routes() {
 	}
 }
 
-// counted wraps h with the per-route request counter.
+// counted wraps h with the route's unfold_server_requests_total counter.
 func (s *Server) counted(route string, h http.Handler) http.Handler {
-	c := s.requestsByPath[route]
+	c := s.reg.Counter("unfold_server_requests_total", "HTTP requests by route.", telemetry.L("route", route))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c.Inc()
 		h.ServeHTTP(w, r)
@@ -406,7 +401,6 @@ type healthResponse struct {
 // size and how many are mid-utterance) and headline load figures either
 // way, so an unhealthy probe is still diagnosable.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.requestsByPath["/healthz"].Inc()
 	var resp healthResponse
 	resp.UptimeSeconds = time.Since(s.start).Seconds()
 	resp.Draining = s.draining.Load()
@@ -446,30 +440,29 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, resp)
 }
 
-// resolveModel acquires the request's model — the explicit name, or the
-// default — and writes the structured error itself when the model is not
-// servable: 404 unknown_model for a named miss, 503 not_loaded /
-// model_not_ready otherwise. Callers must invoke the release exactly once
-// when it is non-nil.
-func (s *Server) resolveModel(w http.ResponseWriter, name string) (*model, func(), bool) {
+// resolveModel is the model stage: it acquires the request's model — name,
+// else the ?model= query parameter, else the default — whose graphs (for a
+// v3 bundle, the memory mapping) stay pinned, and a drain waits, until the
+// caller invokes the release, exactly once. A named miss is 404; a missing
+// default or a model that is not servable is 503.
+func (s *Server) resolveModel(r *http.Request, name string) (*model, func(), *failure) {
+	if name == "" {
+		name = r.URL.Query().Get("model")
+	}
 	explicit := name != ""
 	if !explicit {
 		name = DefaultModel
 	}
 	m, release, st, detail := s.models.acquire(name)
-	switch st {
-	case statusOK:
-		return m, release, true
-	case statusUnknown:
-		if !explicit {
-			s.failRetry(w, http.StatusServiceUnavailable, "not_loaded", "model not loaded")
-		} else {
-			s.fail(w, http.StatusNotFound, "unknown_model", detail)
-		}
-	default:
-		s.failRetry(w, http.StatusServiceUnavailable, "model_not_ready", detail)
+	switch {
+	case st == statusOK:
+		return m, release, nil
+	case st == statusUnknown && explicit:
+		return nil, nil, fail(http.StatusNotFound, "unknown_model", detail)
+	case st == statusUnknown:
+		return nil, nil, unavailable("not_loaded", "model not loaded")
 	}
-	return nil, nil, false
+	return nil, nil, unavailable("model_not_ready", detail)
 }
 
 // writeJSON writes v as a JSON response with the given status code.
@@ -479,74 +472,54 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// errorBody is the structured error reply on the decode routes: a
-// human-readable message, a machine-matchable reason token, and — on shed
-// responses — the backoff hint mirrored from the Retry-After header.
+// errorBody is the structured error reply: a human-readable message, a
+// machine-matchable reason token, and — on retryable failures — the backoff
+// hint mirrored from the Retry-After header.
 type errorBody struct {
 	Error             string  `json:"error"`
 	Reason            string  `json:"reason,omitempty"`
 	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
 }
 
-// fail rejects a request with a structured error and counts it under
-// unfold_server_errors_total{reason}.
-func (s *Server) fail(w http.ResponseWriter, code int, reason, msg string) {
-	s.countError(reason)
-	writeJSON(w, code, errorBody{Error: msg, Reason: reason})
-}
-
-// countError counts a rejected request (or a stream ended by its client's
-// input) under unfold_server_errors_total.
-func (s *Server) countError(reason string) {
-	s.reg.Counter("unfold_server_errors_total", "Requests rejected, by reason.", telemetry.L("reason", reason)).Inc()
-}
-
-// failRetry is fail for retryable conditions (503 not-ready/draining, 507
-// budget): the response carries a Retry-After header and mirrors the hint
-// in the body, so clients and load balancers back off instead of
-// hammering a model that is mid-reload.
-func (s *Server) failRetry(w http.ResponseWriter, code int, reason, msg string) {
-	retry := s.cfg.Admission.RetryAfter
-	secs := int(retry.Seconds() + 0.999)
-	if secs < 1 {
-		secs = 1
+// writeError answers a failure before any response byte: the structured
+// body, the Retry-After header and its body mirror where the failure says
+// so, and the count — unfold_server_errors_total{reason}, or for a shed
+// unfold_server_shed_total{route} only.
+func (s *Server) writeError(w http.ResponseWriter, route string, f *failure) {
+	if f.code == 0 {
+		return
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	s.countError(reason)
-	writeJSON(w, code, errorBody{Error: msg, Reason: reason, RetryAfterSeconds: retry.Seconds()})
+	if f == errShed {
+		s.shedTotal[route].Inc()
+	} else {
+		s.countError(f)
+	}
+	body := errorBody{Error: f.msg, Reason: f.reason}
+	if f.retry {
+		// The hint is the configured constant: a client or load balancer
+		// backs off instead of hammering a model mid-reload, and under a
+		// sustained overload, with no honest queue-time estimate, a fixed
+		// short backoff spreads the retry wave.
+		retry := s.cfg.Admission.RetryAfter
+		w.Header().Set("Retry-After", strconv.Itoa(max(int(retry.Seconds()+0.999), 1)))
+		body.RetryAfterSeconds = retry.Seconds()
+	}
+	writeJSON(w, f.code, body)
 }
 
-// shed answers an over-capacity request: 429 with a Retry-After header and
-// the same hint in the body, counted per route. The hint is the configured
-// constant — under a sustained overload there is no honest queue-time
-// estimate, and a fixed short backoff spreads the retry wave.
-func (s *Server) shed(w http.ResponseWriter, route string) {
-	s.shedTotal[route].Inc()
-	retry := s.cfg.Admission.RetryAfter
-	secs := int(retry.Seconds() + 0.999)
-	if secs < 1 {
-		secs = 1
+// countError counts a failure, before or after a stream's header, under
+// unfold_server_errors_total{reason}; a watchdog stall also counts under
+// unfold_server_stream_stalls_total.
+func (s *Server) countError(f *failure) {
+	if f.reason == "stall" {
+		s.streamsStalled.Inc()
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusTooManyRequests, errorBody{
-		Error:             "server overloaded: request queue full, retry later",
-		Reason:            "overloaded",
-		RetryAfterSeconds: retry.Seconds(),
-	})
+	s.reg.Counter("unfold_server_errors_total", "Requests rejected, by reason.", telemetry.L("reason", f.reason)).Inc()
 }
 
 // requestBuckets spans 1ms..8s exponentially — decode latencies from a
 // trivial utterance to a deadline-bounded worst case.
 var requestBuckets = telemetry.ExpBuckets(0.001, 2, 14)
-
-// observeLatency records one request's wall time under
-// unfold_server_request_seconds{route,outcome}. Registration is
-// get-or-create, so the series appears the first time an outcome occurs.
-func (s *Server) observeLatency(route, outcome string, start time.Time) {
-	s.reg.Histogram("unfold_server_request_seconds", "Request latency by route and outcome.",
-		requestBuckets, telemetry.L("route", route), telemetry.L("outcome", outcome)).
-		Observe(time.Since(start).Seconds())
-}
 
 // modelsAddRequest is the POST /v1/models body: register (or hot-swap) a
 // bundle from disk under a name. Verify selects the fully-checked loader
@@ -569,22 +542,19 @@ func (s *Server) handleModelsList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModelsAdd(w http.ResponseWriter, r *http.Request) {
 	var req modelsAddRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad_json", "bad JSON: "+err.Error())
+		s.writeError(w, "/v1/models", fail(http.StatusBadRequest, "bad_json", "bad JSON: "+err.Error()))
 		return
 	}
 	if req.Name == "" || req.Path == "" {
-		s.fail(w, http.StatusBadRequest, "missing_field", "name and path are required")
+		s.writeError(w, "/v1/models", fail(http.StatusBadRequest, "missing_field", "name and path are required"))
 		return
 	}
 	if err := s.LoadBundle(req.Name, req.Path, req.Verify); err != nil {
-		var be *budgetError
-		if errors.As(err, &be) {
-			// Retryable: draining a model (or waiting for a swapped-out
-			// generation to finish draining) frees budget.
-			s.failRetry(w, http.StatusInsufficientStorage, "model_budget", err.Error())
-			return
+		var f *failure // the budget's 507
+		if !errors.As(err, &f) {
+			f = fail(http.StatusBadRequest, "load_failed", err.Error())
 		}
-		s.fail(w, http.StatusBadRequest, "load_failed", err.Error())
+		s.writeError(w, "/v1/models", f)
 		return
 	}
 	for _, mi := range s.models.list() {
@@ -602,7 +572,7 @@ func (s *Server) handleModelsAdd(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModelsDrain(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.models.drain(name); err != nil {
-		s.fail(w, http.StatusNotFound, "unknown_model", err.Error())
+		s.writeError(w, "/v1/models", fail(http.StatusNotFound, "unknown_model", err.Error()))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"name": name, "state": modelDraining})
