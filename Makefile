@@ -29,6 +29,9 @@ vet:
 # pause). And it holds the decoder to one frame loop: stepFrame may have
 # one call site outside tests, the session's step, so every decode path
 # (Decode, DecodeContext, Stream) searches and rescues a frame the same way.
+# The session core's token store is the one frontier the decoder ships: a
+# map[uint64]token frontier outside tests (the map oracle lives in
+# reference_test.go) is refused.
 # The server builds no decoder or pool itself: every one comes from
 # its model's unfold.Recognizer, so it serves one model type. Last, the
 # server answers every failure through one writer: errorBody is built at one
@@ -45,6 +48,9 @@ lint:
 	@calls=$$(git grep -n '\.stepFrame(' -- internal/decoder ':!*_test.go'); \
 	if [ $$(printf '%s\n' "$$calls" | grep -c .) -gt 1 ]; then \
 		echo "$$calls"; echo "stepFrame has more than one non-test call site; search frames through session.step"; exit 1; \
+	fi
+	@if git grep -nE '^[^/]*map\[uint64\]token' -- internal/decoder ':!*_test.go'; then \
+		echo "a map[uint64]token frontier outside tests; the session core's tokenStore is the one frontier internal/decoder ships"; exit 1; \
 	fi
 	@if git grep -nE 'pool\.New\(|decoder\.NewOnTheFly\(' -- internal/server ':!*_test.go'; then \
 		echo "the server builds decoders and pools through its model's Recognizer (NewDecoder, NewDecodePool)"; exit 1; \

@@ -45,23 +45,45 @@ func feedInPlace(d *OnTheFly, src Feeder, n int, sc *scratch) {
 
 // TestAllocsStepFrame gates the per-frame core: after one warmup utterance
 // (which grows every buffer to its high-water mark), replaying the same
-// utterance through stepFrame and epsClosure must allocate nothing at all.
+// utterance through stepFrame and epsClosure must allocate nothing at all —
+// on-the-fly and over the fixture's offline composition alike.
 func TestAllocsStepFrame(t *testing.T) {
+	scores := getFixture(t, 42).scores[0]
+	for _, in := range allocDecoders(t) {
+		sc := getScratch()
+		decodeInPlace(in.d, scores, sc) // warm buffers and the offset memo
+
+		allocs := testing.AllocsPerRun(10, func() {
+			decodeInPlace(in.d, scores, sc)
+		})
+		putScratch(sc)
+		if allocs > 0 {
+			t.Errorf("%s: steady-state stepFrame loop allocates %.1f objects per utterance, want 0", in.name, allocs)
+		}
+	}
+}
+
+// allocDecoders returns the two searches the per-frame gates hold, both with
+// preemptive pruning on: on-the-fly over the seed-42 fixture's AM and LM, and
+// the fully-composed baseline over their offline composition.
+func allocDecoders(t *testing.T) []namedDecoder {
+	t.Helper()
 	f := getFixture(t, 42)
-	d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true})
+	cfg := Config{PreemptivePruning: true}
+	otf, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	decodeInPlace(d, f.scores[0], sc) // warm buffers and the offset memo
-
-	allocs := testing.AllocsPerRun(10, func() {
-		decodeInPlace(d, f.scores[0], sc)
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state stepFrame loop allocates %.1f objects per utterance, want 0", allocs)
+	composed, err := NewComposed(f.composed, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return []namedDecoder{{"on-the-fly", otf}, {"composed", composed}}
+}
+
+type namedDecoder struct {
+	name string
+	d    *OnTheFly
 }
 
 // TestAllocsBiasedStepFrame extends the per-frame gate to the three-way
@@ -202,21 +224,19 @@ func TestAllocsEpsClosure(t *testing.T) {
 
 // TestAllocsDecodePerFrame gates the public batch entry point: a warm Decode
 // call's whole-utterance allocation bill (Result construction, backtrace
-// copies, counter sampling) must average below one object per frame.
+// copies, counter sampling) must average below one object per frame, for
+// both searches allocDecoders returns.
 func TestAllocsDecodePerFrame(t *testing.T) {
-	f := getFixture(t, 42)
-	d, err := NewOnTheFly(f.tk.AM.G, f.tk.LMGraph.G, Config{PreemptivePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := f.scores[0]
-	d.Decode(scores) // warm the scratch pool and the offset memo
+	scores := getFixture(t, 42).scores[0]
+	for _, in := range allocDecoders(t) {
+		in.d.Decode(scores) // warm the scratch pool and the offset memo
 
-	allocs := testing.AllocsPerRun(10, func() { d.Decode(scores) })
-	perFrame := allocs / float64(len(scores))
-	if perFrame > 1 {
-		t.Errorf("Decode allocates %.2f objects/frame (%.0f per %d-frame utterance), want <= 1",
-			perFrame, allocs, len(scores))
+		allocs := testing.AllocsPerRun(10, func() { in.d.Decode(scores) })
+		perFrame := allocs / float64(len(scores))
+		if perFrame > 1 {
+			t.Errorf("%s: Decode allocates %.2f objects/frame (%.0f per %d-frame utterance), want <= 1",
+				in.name, perFrame, allocs, len(scores))
+		}
 	}
 }
 

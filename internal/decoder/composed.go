@@ -7,123 +7,30 @@ import (
 	"repro/internal/wfst"
 )
 
-// Composed is the fully-composed baseline decoder: a classic token-passing
-// Viterbi beam search over one offline-composed WFST, the approach of the
-// accelerators the paper compares against.
-type Composed struct {
-	g   *wfst.WFST
-	cfg Config
-}
-
-// NewComposed wraps an offline-composed search graph.
-func NewComposed(g *wfst.WFST, cfg Config) (*Composed, error) {
+// NewComposed builds the fully-composed baseline decoder, the approach of
+// the accelerators the paper compares against: the session core's Viterbi
+// search over one offline-composed WFST g. g takes the AM side, and the LM
+// side is a pass-through: one state, start and final, with a self-loop of
+// weight One for every word g emits. Every resolved LM weight is One + One,
+// which is 0, so each cost keeps the bits the composed graph gives it.
+func NewComposed(g *wfst.WFST, cfg Config) (*OnTheFly, error) {
 	if g.Start() == wfst.NoState {
 		return nil, fmt.Errorf("decoder: composed graph has no start state")
 	}
-	return &Composed{g: g, cfg: cfg.withDefaults()}, nil
-}
-
-// Decode runs the Viterbi beam search over an utterance's acoustic scores
-// (scores[frame][senone], 1-based senone indexing).
-func (d *Composed) Decode(scores [][]float32) *Result {
-	g, cfg := d.g, d.cfg
-	lat := &lattice{}
-	st := Stats{Frames: len(scores)}
-
-	cur := map[uint64]token{uint64(g.Start()): {semiring.One, -1}}
-	d.epsClosure(cur, lat, &st, -1)
-
-	for f := range scores {
-		_, cut := beamPrune(cur, cfg.Beam, cfg.MaxActive)
-		st.TokensBeamCut += cut
-		st.TokensExpanded += int64(len(cur))
-		next := make(map[uint64]token, 2*len(cur))
-		frame := scores[f]
-		for key, tok := range cur {
-			s := wfst.StateID(key)
-			for _, a := range g.Arcs(s) {
-				if a.In == wfst.Epsilon {
-					continue // non-emitting arcs are handled by the closure
-				}
-				st.ArcsTraversed++
-				c := tok.cost + a.W - semiring.Weight(cfg.AcousticScale*frame[a.In])
-				latIdx := tok.lat
-				if a.Out != wfst.Epsilon {
-					latIdx = lat.add(a.Out, tok.lat, int32(f))
-				}
-				if created, _ := relax(next, uint64(a.Next), c, latIdx); created {
-					st.TokensCreated++
-				}
-			}
-		}
-		d.epsClosure(next, lat, &st, int32(f))
-		if len(next) == 0 {
-			// Search died (beam too tight): return the best partial result.
-			return d.finish(cur, lat, st)
-		}
-		cur = next
-	}
-	return d.finish(cur, lat, st)
-}
-
-// epsClosure relaxes non-emitting arcs within a frame using a worklist.
-func (d *Composed) epsClosure(active map[uint64]token, lat *lattice, st *Stats, frame int32) {
-	queue := make([]uint64, 0, len(active))
-	for k := range active {
-		queue = append(queue, k)
-	}
-	for len(queue) > 0 {
-		key := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		tok, ok := active[key]
-		if !ok {
-			continue
-		}
-		s := wfst.StateID(key)
-		for _, a := range d.g.Arcs(s) {
-			if a.In != wfst.Epsilon {
-				continue
-			}
-			st.EpsTraversed++
-			c := tok.cost + a.W
-			latIdx := tok.lat
-			if a.Out != wfst.Epsilon {
-				latIdx = lat.add(a.Out, tok.lat, frame)
-			}
-			created, improved := relax(active, uint64(a.Next), c, latIdx)
-			if created {
-				st.TokensCreated++
-			}
-			if improved {
-				queue = append(queue, uint64(a.Next))
-			}
+	var words int32
+	for s := wfst.StateID(0); int(s) < g.NumStates(); s++ {
+		for _, a := range g.Arcs(s) {
+			words = max(words, a.Out)
 		}
 	}
-}
-
-// finish selects the best final token (or best overall when none is final)
-// and backtraces its word sequence.
-func (d *Composed) finish(active map[uint64]token, lat *lattice, st Stats) *Result {
-	res := &Result{Cost: semiring.Zero, Stats: st}
-	bestAny, bestAnyLat := semiring.Zero, int32(-1)
-	for key, tok := range active {
-		s := wfst.StateID(key)
-		if fw := d.g.Final(s); !semiring.IsZero(fw) {
-			c := tok.cost + fw
-			if c < res.Cost {
-				res.Cost = c
-				res.Words, res.WordEnds = lat.backtrace(tok.lat)
-				res.ReachedFinal = true
-			}
-		}
-		if tok.cost < bestAny {
-			bestAny, bestAnyLat = tok.cost, tok.lat
-		}
+	b := wfst.NewBuilder()
+	s := b.AddState()
+	b.SetStart(s)
+	b.SetFinal(s, semiring.One)
+	for w := int32(1); w <= words; w++ {
+		b.AddArc(s, wfst.Arc{In: w, Out: w, W: semiring.One, Next: s})
 	}
-	if !res.ReachedFinal && !semiring.IsZero(bestAny) {
-		res.Cost = bestAny
-		res.Words, res.WordEnds = lat.backtrace(bestAnyLat)
-	}
-	res.Stats.LatticeEntries = int64(lat.Entries())
-	return res
+	passLM := b.MustBuild()
+	passLM.SortByInput()
+	return NewOnTheFly(g, passLM, cfg)
 }

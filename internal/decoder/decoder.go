@@ -1,21 +1,18 @@
-// Package decoder implements the software reference Viterbi beam-search
-// decoders: the fully-composed baseline (searching one offline-composed
-// WFST, as in Yazdani et al. MICRO-49) and the paper's on-the-fly
-// composition decoder (tokens are (AM state, LM state) pairs; cross-word
-// arcs trigger LM look-ups with back-off, an offset memo table, and
-// preemptive back-off pruning).
+// Package decoder implements the software reference Viterbi beam search:
+// one token-passing search over (AM state, LM state) pairs, the paper's
+// on-the-fly composition (cross-word arcs trigger LM look-ups with back-off,
+// an offset memo table, and preemptive back-off pruning). The same search is
+// the fully-composed baseline (Yazdani et al. MICRO-49): NewComposed reads an
+// offline-composed WFST as the AM side through a one-state pass-through LM
+// whose every weight is One.
 //
-// The two decoders explore exactly the same search space, so — given the
-// same beam — they produce the same hypothesis. That equivalence is the
-// package's central test oracle, mirroring the paper's claim that on-the-fly
-// composition changes memory behaviour, not results.
+// Offline and on-the-fly composition give the search the same space, so —
+// given the same beam — they produce the same hypothesis. That equivalence is
+// the package's central test oracle, mirroring the paper's claim that
+// on-the-fly composition changes memory behaviour, not results.
 package decoder
 
-import (
-	"sort"
-
-	"repro/internal/semiring"
-)
+import "repro/internal/semiring"
 
 // LookupKind selects how the on-the-fly decoder locates LM arcs
 // (Section 5.1 discusses all three: linear search is a 10x slowdown,
@@ -46,7 +43,7 @@ func (k LookupKind) String() string {
 	}
 }
 
-// Config holds beam-search parameters shared by both decoders.
+// Config holds the beam-search parameters.
 type Config struct {
 	// Beam is the pruning beam in cost units; hypotheses worse than the
 	// frame's best by more than Beam are discarded. Default 24, wide enough
@@ -60,10 +57,12 @@ type Config struct {
 	// the search, balancing AM and LM dynamic ranges. Default 0.8.
 	AcousticScale float32
 	// PreemptivePruning enables the paper's Section 3.3 scheme: hypotheses
-	// are threshold-checked at every back-off hop and abandoned early.
-	// On-the-fly decoder only.
+	// are threshold-checked at every back-off hop and abandoned early. The
+	// composed baseline's pass-through LM has no back-off arcs, so it never
+	// prunes there.
 	PreemptivePruning bool
-	// Lookup selects the LM arc-fetch strategy. On-the-fly decoder only.
+	// Lookup selects the LM arc-fetch strategy. The composed baseline's
+	// fetches go to its pass-through LM.
 	Lookup LookupKind
 	// Telemetry, when non-nil, publishes continuous observability for this
 	// decoder — per-frame frontier sizes, per-decode search-work counters
@@ -75,15 +74,15 @@ type Config struct {
 	// never changes search behaviour; it only observes Stats the search
 	// already counts.
 	Telemetry *Telemetry
-	// RescueWidenings enables search-failure rescue on the on-the-fly
-	// decoder: when a frame empties the active-token set mid-utterance, the
-	// frame is retried from a pre-pruning snapshot with the beam and
-	// MaxActive doubled, escalating up to this many times (each widening is
-	// counted in Stats.Rescues). A frame no widening can save — e.g. one
-	// whose scores are entirely NaN — is skipped and the search continues
-	// from the snapshot (counted in Stats.SearchFailures). 0, the default,
-	// preserves the non-rescued behaviour: the best partial hypothesis is
-	// returned the moment the search dies.
+	// RescueWidenings enables search-failure rescue: when a frame empties
+	// the active-token set mid-utterance, the frame is retried from a
+	// pre-pruning snapshot with the beam and MaxActive doubled, escalating
+	// up to this many times (each widening is counted in Stats.Rescues). A
+	// frame no widening can save — e.g. one whose scores are entirely NaN —
+	// is skipped and the search continues from the snapshot (counted in
+	// Stats.SearchFailures). 0, the default, preserves the non-rescued
+	// behaviour: the best partial hypothesis is returned the moment the
+	// search dies.
 	RescueWidenings int
 }
 
@@ -114,7 +113,8 @@ type Stats struct {
 	ArcsTraversed  int64 // emitting arcs evaluated
 	EpsTraversed   int64 // non-emitting arcs evaluated
 
-	// On-the-fly specifics.
+	// LM-side work. Over the composed baseline's pass-through LM every word
+	// arc is one fetch and no back-off hop.
 	LMFetches        int64 // word resolutions triggered by cross-word arcs
 	LMProbes         int64 // arc-search probes (binary or linear steps)
 	BackoffHops      int64 // back-off arcs taken
@@ -217,64 +217,3 @@ func (l *lattice) backtrace(idx int32) (words, ends []int32) {
 // Entries reports the number of lattice entries written (token-cache
 // traffic in the accelerator model).
 func (l *lattice) Entries() int { return len(l.words) }
-
-// beamPrune removes tokens worse than best+beam, then applies the
-// MaxActive histogram cap. It returns the surviving-token threshold used by
-// preemptive pruning and the number of removed tokens. Deterministic: ties
-// are broken by key.
-func beamPrune(active map[uint64]token, beam semiring.Weight, maxActive int) (semiring.Weight, int64) {
-	if len(active) == 0 {
-		return semiring.Zero, 0
-	}
-	best := semiring.Zero
-	for _, t := range active {
-		if t.cost < best {
-			best = t.cost
-		}
-	}
-	thr := best + beam
-	var cut int64
-	for k, t := range active {
-		if t.cost > thr {
-			delete(active, k)
-			cut++
-		}
-	}
-	if maxActive > 0 && len(active) > maxActive {
-		type kt struct {
-			k uint64
-			c semiring.Weight
-		}
-		all := make([]kt, 0, len(active))
-		for k, t := range active {
-			all = append(all, kt{k, t.cost})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].c != all[j].c {
-				return all[i].c < all[j].c
-			}
-			return all[i].k < all[j].k
-		})
-		for _, e := range all[maxActive:] {
-			delete(active, e.k)
-			cut++
-		}
-		thr = all[maxActive-1].c
-	}
-	return thr, cut
-}
-
-// relax performs the tropical-semiring token update: keep the better cost.
-// It reports whether the destination token was created or improved.
-func relax(m map[uint64]token, key uint64, cost semiring.Weight, lat int32) (created, improved bool) {
-	old, ok := m[key]
-	if !ok {
-		m[key] = token{cost, lat}
-		return true, true
-	}
-	if cost < old.cost {
-		m[key] = token{cost, lat}
-		return false, true
-	}
-	return false, false
-}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/acoustic"
 	"repro/internal/task"
+	"repro/internal/wfst"
 )
 
 // frameSnap is one captured frontier: the token set after the initial
@@ -52,6 +53,8 @@ var diffConfigs = []struct {
 // finality, search statistics, and the entire per-frame token frontier
 // including iteration order. Any divergence in the store's hashing, growth,
 // pruning compaction or closure ordering shows up here as a frame-level diff.
+// Each seed runs twice: on-the-fly over its AM and LM, and the fully-composed
+// baseline (NewComposed) over their offline composition.
 func TestDifferentialStoreVsReference(t *testing.T) {
 	seeds := []int64{201, 202, 203, 204, 205, 206, 207, 208}
 	total := 0
@@ -68,50 +71,63 @@ func TestDifferentialStoreVsReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		composed, err := wfst.Compose(tk.AM.G, tk.LMGraph.G, wfst.ComposeOptions{MaxStates: 2_000_000})
+		if err != nil {
+			t.Fatal(err)
+		}
 		scores := tk.Scorer.ScoreUtterance(tk.Test[0].Frames)
-		for _, tc := range diffConfigs {
-			total++
-			t.Run(fmt.Sprintf("seed%d/%s", seed, tc.name), func(t *testing.T) {
-				in := scores
-				if tc.cfg.RescueWidenings > 0 && len(in) > 2 {
-					// Poison one frame so the rescue/skip machinery runs on
-					// both implementations.
-					in = poisonFrame(in, len(in)/2)
-				}
-				// Separate decoder instances: the offset memo persists across
-				// utterances, so sharing one would skew hit/miss statistics
-				// between the two runs.
-				dStore, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dRef, err := NewOnTheFly(tk.AM.G, tk.LMGraph.G, tc.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				storeSnaps := captureFrames(dStore)
-				refSnaps := captureFrames(dRef)
+		searches := []struct {
+			name string
+			new  func(Config) (*OnTheFly, error)
+		}{
+			{"", func(cfg Config) (*OnTheFly, error) { return NewOnTheFly(tk.AM.G, tk.LMGraph.G, cfg) }},
+			{"composed/", func(cfg Config) (*OnTheFly, error) { return NewComposed(composed, cfg) }},
+		}
+		for _, search := range searches {
+			for _, tc := range diffConfigs {
+				total++
+				t.Run(fmt.Sprintf("seed%d/%s%s", seed, search.name, tc.name), func(t *testing.T) {
+					in := scores
+					if tc.cfg.RescueWidenings > 0 && len(in) > 2 {
+						// Poison one frame so the rescue/skip machinery runs on
+						// both implementations.
+						in = poisonFrame(in, len(in)/2)
+					}
+					// Separate decoder instances: the offset memo persists across
+					// utterances, so sharing one would skew hit/miss statistics
+					// between the two runs.
+					dStore, err := search.new(tc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dRef, err := search.new(tc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					storeSnaps := captureFrames(dStore)
+					refSnaps := captureFrames(dRef)
 
-				got := dStore.Decode(in)
-				want := dRef.DecodeReference(in)
+					got := dStore.Decode(in)
+					want := dRef.DecodeReference(in)
 
-				if got.Cost != want.Cost {
-					t.Errorf("cost: store %v, reference %v", got.Cost, want.Cost)
-				}
-				if got.ReachedFinal != want.ReachedFinal {
-					t.Errorf("finality: store %v, reference %v", got.ReachedFinal, want.ReachedFinal)
-				}
-				if !equalInt32s(got.Words, want.Words) {
-					t.Errorf("words: store %v, reference %v", got.Words, want.Words)
-				}
-				if !equalInt32s(got.WordEnds, want.WordEnds) {
-					t.Errorf("word ends: store %v, reference %v", got.WordEnds, want.WordEnds)
-				}
-				if gs, ws := got.Stats, want.Stats; gs != ws {
-					t.Errorf("stats: store %+v, reference %+v", gs, ws)
-				}
-				compareSnaps(t, *storeSnaps, *refSnaps)
-			})
+					if got.Cost != want.Cost {
+						t.Errorf("cost: store %v, reference %v", got.Cost, want.Cost)
+					}
+					if got.ReachedFinal != want.ReachedFinal {
+						t.Errorf("finality: store %v, reference %v", got.ReachedFinal, want.ReachedFinal)
+					}
+					if !equalInt32s(got.Words, want.Words) {
+						t.Errorf("words: store %v, reference %v", got.Words, want.Words)
+					}
+					if !equalInt32s(got.WordEnds, want.WordEnds) {
+						t.Errorf("word ends: store %v, reference %v", got.WordEnds, want.WordEnds)
+					}
+					if gs, ws := got.Stats, want.Stats; gs != ws {
+						t.Errorf("stats: store %+v, reference %+v", gs, ws)
+					}
+					compareSnaps(t, *storeSnaps, *refSnaps)
+				})
+			}
 		}
 	}
 	if total < 50 {

@@ -1,6 +1,8 @@
 package decoder
 
 import (
+	"sort"
+
 	"repro/internal/semiring"
 	"repro/internal/wfst"
 )
@@ -14,7 +16,8 @@ import (
 // BenchmarkFrontierDecode use it as the "before" implementation when
 // measuring the speed and allocation win. It allocates exactly
 // the way the seed decoder did: fresh maps, key slices and closure queues
-// every frame.
+// every frame. The map beamPrune and relax at the end of the file are its
+// frontier operations, and tokenstore_test.go's oracle for the store's.
 
 // refFrontier is the retained map-based active-token set. The order slice
 // records insertion order, which is the iteration order the tokenStore uses
@@ -250,4 +253,65 @@ func (d *OnTheFly) finishRef(active *refFrontier, lat *lattice, st Stats) *Resul
 	}
 	res.Stats.LatticeEntries = int64(lat.Entries())
 	return res
+}
+
+// beamPrune removes tokens worse than best+beam, then applies the
+// MaxActive histogram cap. It returns the surviving-token threshold used by
+// preemptive pruning and the number of removed tokens. Deterministic: ties
+// are broken by key.
+func beamPrune(active map[uint64]token, beam semiring.Weight, maxActive int) (semiring.Weight, int64) {
+	if len(active) == 0 {
+		return semiring.Zero, 0
+	}
+	best := semiring.Zero
+	for _, t := range active {
+		if t.cost < best {
+			best = t.cost
+		}
+	}
+	thr := best + beam
+	var cut int64
+	for k, t := range active {
+		if t.cost > thr {
+			delete(active, k)
+			cut++
+		}
+	}
+	if maxActive > 0 && len(active) > maxActive {
+		type kt struct {
+			k uint64
+			c semiring.Weight
+		}
+		all := make([]kt, 0, len(active))
+		for k, t := range active {
+			all = append(all, kt{k, t.cost})
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].c != all[j].c {
+				return all[i].c < all[j].c
+			}
+			return all[i].k < all[j].k
+		})
+		for _, e := range all[maxActive:] {
+			delete(active, e.k)
+			cut++
+		}
+		thr = all[maxActive-1].c
+	}
+	return thr, cut
+}
+
+// relax performs the tropical-semiring token update: keep the better cost.
+// It reports whether the destination token was created or improved.
+func relax(m map[uint64]token, key uint64, cost semiring.Weight, lat int32) (created, improved bool) {
+	old, ok := m[key]
+	if !ok {
+		m[key] = token{cost, lat}
+		return true, true
+	}
+	if cost < old.cost {
+		m[key] = token{cost, lat}
+		return false, true
+	}
+	return false, false
 }

@@ -452,6 +452,12 @@ func (sn *streamSender) stop() {
 // ends and cost are therefore those /v1/recognize returns for the same
 // frames, for every scorer and every chunking.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) *failure {
+	// Deferred first, so it runs last: a stream that ends before its body's
+	// EOF drains the rest here, after the sender and the decoder are
+	// released. Left to net/http, the drain runs after it has aborted its
+	// pending read, and a background read started at EOF then collides with
+	// the next request's read ("invalid concurrent Body.Read call").
+	defer r.Body.Close()
 	// The stream context is always cancelable: the sender cancels it when
 	// the client stops reading, the watchdog when it stops sending.
 	ctx, cancel, f := s.deadline(r, "")
@@ -586,10 +592,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) *failure {
 
 // lineFailure maps a /v1/stream read error: a read past the watchdog is a
 // stall (a frame clock that stopped mid-stream cancels the decode), a line
-// over the byte cap is body_too_large, and any other error is bad_json on
-// the first line and, later, a client that went away.
+// over the byte cap is body_too_large, a line encoding/json refuses is
+// bad_json, and any other error is bad_json on the first line and, later, a
+// client that went away.
 func (s *Server) lineFailure(err error, first bool) *failure {
 	var mb *http.MaxBytesError
+	var syntax *json.SyntaxError
+	var typ *json.UnmarshalTypeError
 	switch {
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		msg := fmt.Sprintf("no frames within %s", s.cfg.Stream.Watchdog)
@@ -597,8 +606,10 @@ func (s *Server) lineFailure(err error, first bool) *failure {
 			msg += ": frame clock stalled, decode canceled"
 		}
 		return fail(http.StatusRequestTimeout, "stall", msg)
-	case first || errors.As(err, &mb):
+	case first:
 		return parseFailure(err, "stream line exceeds %d bytes", "bad NDJSON first line: ")
+	case errors.As(err, &mb), errors.As(err, &syntax), errors.As(err, &typ):
+		return parseFailure(err, "stream line exceeds %d bytes", "bad NDJSON line: ")
 	}
 	return errCanceled
 }

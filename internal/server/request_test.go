@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -101,6 +103,7 @@ func TestStreamErrorTable(t *testing.T) {
 		// Past the 200 header: the reason arrives as the final record.
 		{name: "bad_dims", s: loaded, lines: []string{good, chunkLine([][]float32{{1, 2}}, "")}, wantCode: 200, wantReason: "bad_dims", wantOutcome: "invalid"},
 		{name: "body_too_large", s: loaded, lines: []string{good, big}, wantCode: 200, wantReason: "body_too_large", wantOutcome: "invalid"},
+		{name: "bad_json_later_line", s: loaded, lines: []string{good, "{oops\n", good}, wantCode: 200, wantReason: "bad_json", wantOutcome: "invalid"},
 		{name: "stall", s: loaded, lines: []string{good}, hang: true, wantCode: 200, wantReason: "stall", wantOutcome: "stalled"},
 		{name: "deadline", s: loaded, timeout: "50ms", lines: []string{good, good}, gap: 150 * time.Millisecond, wantCode: 200, wantReason: "deadline", wantOutcome: "deadline"},
 	}
@@ -198,6 +201,63 @@ func TestStreamErrorTable(t *testing.T) {
 				t.Errorf("shed_total{/v1/stream} = %d, want %d", got, wantShed)
 			}
 		})
+	}
+}
+
+// TestStreamEarlyEndLogsNoPanic holds the streams that end before their
+// request body's EOF (a final record mid-body) to a clean connection: the
+// handler drains the unread body itself, so net/http has no background read
+// left to collide with its next one, and its error log shows no
+// "panic serving ... invalid concurrent Body.Read call".
+func TestStreamEarlyEndLogsNoPanic(t *testing.T) {
+	sys := getSystem(t)
+	good := chunkLine(sys.TestSet()[0].Frames[:2], "")
+	big := chunkLine(sys.TestSet()[0].Frames[:20], "")
+	s := newLoadedServer(t, Config{Workers: 1, Admission: AdmissionConfig{MaxBodyBytes: 2048}})
+	defer s.Close()
+	var logged bytes.Buffer
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(&logged, "", 0)
+	ts.Start()
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, tc := range []struct {
+		name, reason string
+		lines        []string
+	}{
+		{"body_too_large", "body_too_large", []string{good, big}},
+		{"bad_dims", "bad_dims", []string{good, chunkLine([][]float32{{1, 2}}, ""), good}},
+		{"bad_json_later_line", "bad_json", []string{good, "{oops\n", good}},
+	} {
+		pr, pw := io.Pipe()
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			for _, l := range tc.lines {
+				if _, err := io.WriteString(pw, l); err != nil {
+					return
+				}
+			}
+			pw.Close()
+		}()
+		resp, err := client.Post(ts.URL+"/v1/stream", "application/x-ndjson", pr)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var last string
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+			last = sc.Text()
+		}
+		resp.Body.Close()
+		pr.Close() // unblocks a writer the transport stopped reading
+		<-wrote
+		var up streamUpdate
+		if err := json.Unmarshal([]byte(last), &up); err != nil || !up.Final || up.Reason != tc.reason {
+			t.Errorf("%s: last line %q, want a final record with reason %q", tc.name, last, tc.reason)
+		}
+	}
+	ts.Close() // waits for every connection, so its log lines are written
+	if strings.Contains(logged.String(), "panic serving") {
+		t.Errorf("server error log:\n%s", logged.String())
 	}
 }
 
