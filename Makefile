@@ -32,11 +32,16 @@ vet:
 # The session core's token store is the one frontier the decoder ships: a
 # map[uint64]token frontier outside tests (the map oracle lives in
 # reference_test.go) is refused.
-# The server builds no decoder or pool itself: every one comes from
-# its model's unfold.Recognizer, so it serves one model type. Last, the
-# server answers every failure through one writer: errorBody is built at one
-# non-test site (writeError), and a request's outcome label is derived from
-# the failure its route returns, so at most 2 non-test sites may assign one.
+# The server keeps one decoder set per model and no pool: its non-test
+# code names no `pool.` and no NewDecodePool, and builds every decoder
+# through its model's unfold.Recognizer, so it serves one model type. A
+# memory fault becomes a panic only where one is caught: the decoder's
+# session guard, which every decode path reaches, and the flatstore
+# re-verify; SetPanicOnFault anywhere else outside tests is refused. Last,
+# the server answers every failure through one writer: errorBody is built
+# at one non-test site (writeError), and a request's outcome label is
+# derived from the failure its route returns, so at most 2 non-test sites
+# may assign one.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -52,8 +57,11 @@ lint:
 	@if git grep -nE '^[^/]*map\[uint64\]token' -- internal/decoder ':!*_test.go'; then \
 		echo "a map[uint64]token frontier outside tests; the session core's tokenStore is the one frontier internal/decoder ships"; exit 1; \
 	fi
-	@if git grep -nE 'pool\.New\(|decoder\.NewOnTheFly\(' -- internal/server ':!*_test.go'; then \
-		echo "the server builds decoders and pools through its model's Recognizer (NewDecoder, NewDecodePool)"; exit 1; \
+	@if git grep -nE 'pool\.|NewDecodePool|decoder\.NewOnTheFly\(' -- internal/server ':!*_test.go'; then \
+		echo "the server keeps one decoder free list per model, built through its Recognizer (NewDecoder), and no pool"; exit 1; \
+	fi
+	@if git grep -n 'SetPanicOnFault' -- '*.go' ':!*_test.go' ':!internal/decoder' ':!internal/flatstore'; then \
+		echo "SetPanicOnFault outside the decoder's session guard and the flatstore re-verify; decode through a session, which catches faults"; exit 1; \
 	fi
 	@sites=$$(git grep -n 'errorBody{' -- internal/server ':!*_test.go'); \
 	if [ $$(printf '%s\n' "$$sites" | grep -c .) -gt 1 ]; then \

@@ -103,11 +103,11 @@ func main() {
 	flag.Var(&bundles, "bundle", "preload a v3 flat bundle as name=path (repeatable)")
 	verifyBundles := flag.Bool("verify-bundles", false, "verify per-section checksums when loading bundles")
 	modelBudget := flag.Int64("model-budget", 0, "cap on summed resident model bytes (0 = unlimited)")
-	workers := flag.Int("workers", 0, "batch decode workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "concurrent batch decodes when -max-concurrent is 0 (0 = GOMAXPROCS)")
 	rescue := flag.Int("rescue", 2, "search-failure rescue widenings per frame")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	noPprof := flag.Bool("no-pprof", false, "disable the /debug/pprof endpoints")
-	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent batch decodes (0 = pool workers)")
+	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent batch decodes (0 = -workers)")
 	maxQueue := flag.Int("max-queue", 0, "queued batch requests before shedding (0 = default 16)")
 	maxStreams := flag.Int("max-streams", 0, "concurrent streams before shedding (0 = default 32)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "decode deadline for requests without their own (0 = none)")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,6 +129,45 @@ func TestRecognizeSurvivesPoisonedScorer(t *testing.T) {
 			t.Fatalf("fault %d: the poisoned scorer was never called", fault)
 		}
 	}
+}
+
+// TestRecognizeSurvivesTruncatedMapping: a v3 bundle is mapped, then its
+// file is truncated to 4 KiB under the live Recognizer, so the next decode's
+// reads past the new end raise SIGBUS. Recognize and RecognizeTimed must
+// return the decoder's fault as a StageSearch *DecodeError, and the process
+// must live; without the session's guard the runtime ends the test binary
+// with "fatal error: fault".
+func TestRecognizeSurvivesTruncatedMapping(t *testing.T) {
+	path, fx := saveFlatFixture(t)
+	rec, err := LoadRecognizerFast(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if !rec.Mapped() {
+		t.Skip("mmap unavailable on this platform")
+	}
+	frames := fx.sys.TestSet()[0].Frames
+	if _, err := rec.Recognize(frames); err != nil {
+		t.Fatalf("intact bundle: %v", err)
+	}
+	if err := os.Truncate(path, 4<<10); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, err error) {
+		t.Helper()
+		var derr *DecodeError
+		if !errors.As(err, &derr) || derr.Stage != StageSearch || !strings.Contains(err.Error(), "recovered panic") {
+			t.Errorf("%s on a truncated mapping: %v, want a StageSearch DecodeError carrying the recovered fault", name, err)
+		}
+	}
+	words, err := rec.Recognize(frames)
+	check("Recognize", err)
+	if words != nil {
+		t.Errorf("Recognize returned words %v with its fault", words)
+	}
+	_, _, err = rec.RecognizeTimed(frames)
+	check("RecognizeTimed", err)
 }
 
 // TestRecognizeBatchSurvivesPoisonedScorer: the batch path under a poisoned

@@ -249,11 +249,15 @@ func TestScoreKernelRatio(t *testing.T) {
 // the thread's CPU clock (clockNow), with the goroutine locked to its
 // thread: `go test ./...` runs other packages' tests on the same cores, and
 // with other processes busy there a row whose median is 1.04x read as low
-// as 0.47x on the wall clock.
+// as 0.47x on the wall clock. One untimed call of each side comes first, so
+// the first timed round does not pay the cold start (page faults, cold
+// caches, lazily built buffers) that read 0.87-0.92x on a 1.00-1.15x row.
 func timePair(rounds, n int, base, fast func()) (time.Duration, time.Duration) {
 	const reps = 4
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
+	base()
+	fast()
 	timeIt := func(score func()) time.Duration {
 		start := clockNow()
 		for r := 0; r < reps; r++ {

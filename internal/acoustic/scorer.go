@@ -85,7 +85,7 @@ type Utterance struct {
 
 	// The chunk Load handed in, and what Row serves it from: for the GMM
 	// the features (gmm set), for every other scorer the chunk's rows,
-	// scored whole by Load.
+	// scored whole by the chunk's first Row (nil until then).
 	gmm    *GMMScorer
 	frames [][]float32
 	loaded [][]float32
@@ -125,17 +125,19 @@ func (u *Utterance) Score(frames [][]float32) [][]float32 {
 }
 
 // Load hands u the utterance's next chunk of frames, to be read through
-// Row. A GMM keeps the features and scores at each Row call; every other
-// scorer scores the chunk whole here, as Score does. The frames must stay
+// Row. Load itself scores nothing, so all scoring runs inside the reader's
+// Row calls (a decoder's fault guard covers them): a GMM scores at each Row
+// call, and every other scorer scores the chunk whole, as Score does, at
+// its first Row. A chunk no Row reads is not scored. The frames must stay
 // unchanged until the next Load.
 func (u *Utterance) Load(frames [][]float32) {
+	u.frames = frames
 	if u.gmm != nil {
-		u.frames = frames
 		st := u.st.(*gmmLaneState)
 		st.lo, st.hi = 0, 0
 		return
 	}
-	u.loaded = u.Score(frames)
+	u.loaded = nil
 }
 
 // eagerPercent is the GMM's break-even between the two ways Row scores a
@@ -160,12 +162,15 @@ const eagerPercent = 60
 // for at least every senone need lists: need is called at most once and
 // returns the senones the caller will read from the row (1-based). For the
 // GMM those are all Row scores, unless the search has been reading
-// eagerPercent of the model; other scorers scored the chunk at Load and
-// never call need. Row may be called again for the same i with a longer
-// need (a search retrying a frame with a wider beam). The row is valid
-// until the next Row, Load or Score call.
+// eagerPercent of the model; other scorers score the whole chunk at its
+// first Row and never call need. Row may be called again for the same i
+// with a longer need (a search retrying a frame with a wider beam). The
+// row is valid until the next Row, Load or Score call.
 func (u *Utterance) Row(i int, need func() []int32) []float32 {
 	if u.gmm == nil {
+		if u.loaded == nil {
+			u.loaded = u.Score(u.frames)
+		}
 		return u.loaded[i]
 	}
 	g, st := u.gmm, u.st.(*gmmLaneState)

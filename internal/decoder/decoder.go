@@ -214,6 +214,6 @@ func (l *lattice) backtrace(idx int32) (words, ends []int32) {
 	return words, ends
 }
 
-// Entries reports the number of lattice entries written (token-cache
+// entries reports the number of lattice entries written (token-cache
 // traffic in the accelerator model).
-func (l *lattice) Entries() int { return len(l.words) }
+func (l *lattice) entries() int { return len(l.words) }

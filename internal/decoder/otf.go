@@ -104,7 +104,8 @@ func (d *OnTheFly) hook(frame int, s *tokenStore) {
 	}
 }
 
-// Decode runs the one-pass on-the-fly Viterbi search over acoustic scores.
+// Decode runs the one-pass on-the-fly Viterbi search over acoustic scores;
+// a fault (see DecodeContext) yields a Result with no words.
 func (d *OnTheFly) Decode(scores [][]float32) *Result {
 	res, _ := d.decode(context.Background(), nil, scores, len(scores))
 	return res
@@ -114,25 +115,31 @@ func (d *OnTheFly) Decode(scores [][]float32) *Result {
 // reaches them (see Feeder) — finished score rows, or features a scorer
 // scores on demand, so a GMM scores only the senones the search reads. The
 // context is checked once per frame; on cancellation the best partial
-// hypothesis decoded so far is returned together with ctx.Err(). The
+// hypothesis decoded so far is returned together with ctx.Err(). Any other
+// error is a fault the session caught (a panic in the search or in src, a
+// memory fault on a mapped graph), with a Result that has no words. The
 // returned Result is never nil. Over the same rows the result is Decode's,
 // and a Stream's.
 func (d *OnTheFly) DecodeContext(ctx context.Context, src Feeder, frames int) (*Result, error) {
 	return d.decode(ctx, src, nil, frames)
 }
 
-// decode runs one session over n frames read from src, or from rows when
-// src is nil, and publishes it to the telemetry once.
-func (d *OnTheFly) decode(ctx context.Context, src Feeder, rows [][]float32, n int) (*Result, error) {
+// decode runs one guarded session over n frames read from src, or from
+// rows when src is nil, and publishes it to the telemetry once.
+func (d *OnTheFly) decode(ctx context.Context, src Feeder, rows [][]float32, n int) (res *Result, err error) {
 	tel := d.cfg.Telemetry
 	start, sp := tel.now(), tel.startSpan("decode")
 	var s session
-	s.open(d, getScratch())
-	if src == nil {
-		src = s.sc.rows(rows)
+	if fault := s.guard(func() {
+		s.open(d, getScratch())
+		if src == nil {
+			src = s.sc.rows(rows)
+		}
+		err = s.feed(ctx, src, n)
+		res = s.result()
+	}); fault != nil {
+		return &Result{Cost: semiring.Zero, Stats: s.st}, fault
 	}
-	err := s.feed(ctx, src, n)
-	res := s.result()
 	putScratch(s.sc)
 	tel.recordDecode(res.Stats, start, sp)
 	return res, err
@@ -366,12 +373,13 @@ func (d *OnTheFly) epsClosure(active *tokenStore, lat *lattice, st *Stats, thr s
 	sc.queue = queue // retain any grown capacity for the next closure
 }
 
-// finish mirrors the composed decoder: a token is final when both component
-// states accept, with the product final weight. The frontier is scanned in
-// its deterministic insertion order, so cost ties resolve reproducibly.
-// Every bias state is final, so an installed bias machine never changes
-// which tokens accept — only their exit weight (repaying unfinished phrase
-// matches).
+// finish ends the on-the-fly and the composed search alike (the latter's
+// pass-through LM accepts everywhere at weight One): a token is final when
+// both component states accept, with the product final weight. The
+// frontier is scanned in its deterministic insertion order, so cost ties
+// resolve reproducibly. Every bias state is final, so an installed bias
+// machine never changes which tokens accept — only their exit weight
+// (repaying unfinished phrase matches).
 func (d *OnTheFly) finish(active *tokenStore, lat *lattice, st Stats) *Result {
 	res := &Result{Cost: semiring.Zero, Stats: st}
 	bestAny, bestAnyLat := semiring.Zero, int32(-1)
@@ -396,6 +404,6 @@ func (d *OnTheFly) finish(active *tokenStore, lat *lattice, st Stats) *Result {
 		res.Cost = bestAny
 		res.Words, res.WordEnds = lat.backtrace(bestAnyLat)
 	}
-	res.Stats.LatticeEntries = int64(lat.Entries())
+	res.Stats.LatticeEntries = int64(lat.entries())
 	return res
 }

@@ -62,8 +62,8 @@ type Options struct {
 // SetOptions installs o for subsequent decodes and newly created (or
 // reset) Streams, replacing the options installed before. It must not be
 // called while a decode is in flight on d — the pool installs a batch's
-// options on a worker only while it holds that worker, and a server
-// installs a stream's on its decoder before the stream starts. An error
+// options on a worker only while it holds that worker, and the server
+// installs a request's on the decoder it checks out, before decoding. An error
 // (a bias machine the composed key cannot pack) leaves d at its configured
 // search with no machine.
 func (d *OnTheFly) SetOptions(o Options) error {

@@ -251,7 +251,7 @@ func (d *OnTheFly) finishRef(active *refFrontier, lat *lattice, st Stats) *Resul
 		res.Cost = bestAny
 		res.Words, res.WordEnds = lat.backtrace(bestAnyLat)
 	}
-	res.Stats.LatticeEntries = int64(lat.Entries())
+	res.Stats.LatticeEntries = int64(lat.entries())
 	return res
 }
 

@@ -3,6 +3,7 @@ package decoder
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/semiring"
@@ -23,6 +24,34 @@ type session struct {
 	// then keeps the last frontier, and later frames are counted in
 	// Stats.Frames but not searched.
 	dead bool
+	// fault is the panic a public call caught (guard): the session is dead
+	// for good, and its interrupted scratch set never goes back to the pool.
+	fault error
+}
+
+// faultError is a panic a public session call caught: a runtime error in
+// the search or the feeder's scoring, or a memory fault on a mapped graph
+// (a truncated bundle file), which guard has the runtime raise as a panic.
+type faultError struct{ v any }
+
+func (e *faultError) Error() string { return fmt.Sprintf("recovered panic: %v", e.v) }
+
+// guard runs call as one public session call (Decode, NewStream, Feed,
+// Finish), never per frame, and returns the session's fault: an earlier
+// call's, or the panic this one caught. It allocates nothing unless it
+// catches.
+func (s *session) guard(call func()) (err error) {
+	defer func(old bool) {
+		debug.SetPanicOnFault(old)
+		if r := recover(); r != nil {
+			s.fault = &faultError{r}
+		}
+		err = s.fault
+	}(debug.SetPanicOnFault(true))
+	if s.fault == nil {
+		call()
+	}
+	return nil
 }
 
 // open arms s for a fresh utterance on d over the scratch set sc: the
@@ -118,7 +147,9 @@ func (s *session) result() *Result { return s.d.finish(s.cur, &s.sc.lat, s.st) }
 // A Stream borrows one scratch set from the shared pool at creation and
 // owns it until Close, so a steady-state Push performs no per-frame heap
 // allocation beyond the amortized growth of the word lattice, and the next
-// stream gets the set warm.
+// stream gets the set warm. A fault in NewStream, Feed, Push or Finish ends
+// the stream: Feed and Push return it then and on every later call,
+// Partial returns nil and Finish a Result with no words.
 type Stream struct {
 	session
 
@@ -134,8 +165,10 @@ type Stream struct {
 // NewStream starts an incremental decode on d.
 func (d *OnTheFly) NewStream() *Stream {
 	s := &Stream{}
-	s.sc = getScratch()
-	s.reset(d)
+	s.guard(func() {
+		s.sc = getScratch()
+		s.reset(d)
+	})
 	return s
 }
 
@@ -156,24 +189,28 @@ func (s *Stream) Push(frame []float32) error {
 		return fmt.Errorf("decoder: empty frame")
 	}
 	s.sc.one[0] = frame
-	s.Feed(s.sc.rows(s.sc.one[:]), 1)
-	return nil
+	return s.Feed(s.sc.rows(s.sc.one[:]), 1)
 }
 
 // Feed consumes src's rows 0 to n-1 as the stream's next n frames, each
 // read when the search reaches it (see Feeder), so a feeder that scores on
 // demand scores only what the search reads. After a search death the rest
-// are not read.
-func (s *Stream) Feed(src Feeder, n int) {
-	s.feed(context.Background(), src, n)
-	s.d.cfg.Telemetry.publishDelta(s.st, s.published)
-	s.published = s.st
+// are not read. The error is the stream's fault, if it has one.
+func (s *Stream) Feed(src Feeder, n int) error {
+	return s.guard(func() {
+		s.feed(context.Background(), src, n)
+		s.d.cfg.Telemetry.publishDelta(s.st, s.published)
+		s.published = s.st
+	})
 }
 
 // Partial returns the current best hypothesis without ending the stream —
 // what a UI would display while the user is still speaking. Finality is
 // ignored: the utterance is not over.
 func (s *Stream) Partial() []int32 {
+	if s.fault != nil {
+		return nil
+	}
 	best := semiring.Zero
 	lat := int32(-1)
 	for _, t := range s.cur.toks {
@@ -190,18 +227,22 @@ func (s *Stream) Partial() []int32 {
 
 // Finish ends the utterance and returns the final result, identical to a
 // batch Decode over the same frames.
-func (s *Stream) Finish() *Result {
-	res := s.result()
-	s.d.cfg.Telemetry.recordStream(res.Stats, s.published, s.start, s.span)
-	s.published = res.Stats
+func (s *Stream) Finish() (res *Result) {
+	if s.guard(func() {
+		res = s.result()
+		s.d.cfg.Telemetry.recordStream(res.Stats, s.published, s.start, s.span)
+		s.published = res.Stats
+	}) != nil {
+		return &Result{Cost: semiring.Zero, Stats: s.st} // no words
+	}
 	return res
 }
 
-// Close returns the stream's scratch set to the shared pool. The stream
-// must not be used afterwards (Finish's Result stays valid: it copies what
-// it keeps). Close is idempotent.
+// Close returns the stream's scratch set to the shared pool, unless a fault
+// interrupted it. The stream must not be used afterwards (Finish's Result
+// stays valid: it copies what it keeps). Close is idempotent.
 func (s *Stream) Close() {
-	if s.sc != nil {
+	if s.sc != nil && s.fault == nil {
 		putScratch(s.sc)
 		s.sc, s.cur, s.next = nil, nil, nil
 	}

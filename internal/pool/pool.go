@@ -6,20 +6,20 @@
 // warm across the utterances it decodes; the graphs are the only state the
 // decoders share, and they are read-only.
 //
-// The pool isolates faults per utterance (a panic becomes a typed
-// DecodeError, cancellation returns partial results) and is deterministic:
-// each utterance is searched by exactly one decoder, and offset-table
-// contents never decide a result, so any worker count or interleaving
-// produces results byte-identical to sequential decoding. That determinism
-// is asserted by this package's tests.
+// The pool isolates faults per utterance (a panic or memory fault, caught
+// by the decoder's session, becomes a typed DecodeError; cancellation
+// returns partial results) and is deterministic: each utterance is searched
+// by exactly one decoder, and offset-table contents never decide a result,
+// so any worker count or interleaving produces results byte-identical to
+// sequential decoding. That determinism is asserted by this package's tests.
 package pool
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/acoustic"
@@ -45,13 +45,6 @@ type Config struct {
 	Telemetry *Telemetry
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	return c
-}
-
 // DecodePool fans batches of scored utterances out to a fixed set of
 // workers. Construction is cheap relative to the graphs (the workers borrow
 // the caller's AM/LM), so a pool can be long-lived and reused across
@@ -60,68 +53,66 @@ func (c Config) withDefaults() Config {
 //
 // Decode calls may overlap: each call checks workers out of a free list,
 // so concurrent batches split the pool between them instead of corrupting
-// worker state (a serving frontend issues one small batch per request).
+// worker state.
 // Results are deterministic and identical to sequential decoding for any
 // worker count and any interleaving — each utterance is decoded whole by
 // one worker, and offset-table contents never change results.
 type DecodePool struct {
-	cfg     Config
-	workers []*decoder.OnTheFly
-	// idle is the worker free list: it holds the index of every worker not
-	// currently checked out by a Decode call.
-	idle chan int
+	cfg Config
+	// idle is the worker free list: it holds every worker's decoder not
+	// currently checked out by a Decode call, and its capacity is the pool
+	// size.
+	idle chan *decoder.OnTheFly
 }
 
 // New builds a pool of cfg.Workers decoders over the AM and LM graphs (the
 // same pair NewOnTheFly takes; the LM must be input-sorted).
 func New(amGraph, lmGraph *wfst.WFST, cfg Config) (*DecodePool, error) {
-	cfg = cfg.withDefaults()
-	p := &DecodePool{cfg: cfg, workers: make([]*decoder.OnTheFly, cfg.Workers)}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	p := &DecodePool{cfg: cfg, idle: make(chan *decoder.OnTheFly, cfg.Workers)}
 	dcfg := cfg.Decoder
 	dcfg.Telemetry = cfg.Telemetry.decoderTelemetry()
-	for i := range p.workers {
+	for i := 0; i < cfg.Workers; i++ {
 		d, err := decoder.NewOnTheFly(amGraph, lmGraph, dcfg)
 		if err != nil {
 			return nil, fmt.Errorf("pool: worker %d: %w", i, err)
 		}
-		p.workers[i] = d
-	}
-	p.idle = make(chan int, cfg.Workers)
-	for i := range p.workers {
-		p.idle <- i
+		p.idle <- d
 	}
 	cfg.Telemetry.observePool(p)
 	return p, nil
 }
 
-// checkout claims up to want workers: it blocks (honouring ctx) until at
-// least one is free, then greedily grabs any further idle workers without
-// waiting — a batch running alongside others takes what it can get and the
-// dealing loop balances utterances over it.
-func (p *DecodePool) checkout(ctx context.Context, want int) ([]int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// checkout claims up to want workers: it blocks until one is free, or
+// claims none when ctx ends first, then greedily grabs any further idle
+// workers without waiting — a batch running alongside others takes what it
+// can get and its workers balance the utterances between them.
+func (p *DecodePool) checkout(ctx context.Context, want int) []*decoder.OnTheFly {
+	if want == 0 {
+		return nil
 	}
-	ids := make([]int, 0, want)
+	decs := make([]*decoder.OnTheFly, 0, want)
 	select {
-	case id := <-p.idle:
-		ids = append(ids, id)
+	case d := <-p.idle:
+		decs = append(decs, d)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil
 	}
-	for len(ids) < want {
+	for len(decs) < want {
 		select {
-		case id := <-p.idle:
-			ids = append(ids, id)
+		case d := <-p.idle:
+			decs = append(decs, d)
 		default:
-			return ids, nil
+			return decs
 		}
 	}
-	return ids, nil
+	return decs
 }
 
 // Workers reports the pool's worker count.
-func (p *DecodePool) Workers() int { return len(p.workers) }
+func (p *DecodePool) Workers() int { return cap(p.idle) }
 
 // Batch is the result of one DecodePool.Decode call.
 type Batch struct {
@@ -160,9 +151,9 @@ func (b *Batch) Failed() int {
 }
 
 // Decode runs the batch: scores[i] is utterance i's acoustic score matrix
-// (as produced by acoustic.Scorer.ScoreUtterance). Utterances are dealt to
-// workers dynamically, so long and short utterances balance; the result
-// order matches the input order regardless of which worker decoded what.
+// (as produced by acoustic.Scorer.ScoreUtterance). Workers claim utterances
+// in input order as each frees up, so long and short utterances balance;
+// the result order matches the input order whichever worker decoded what.
 func (p *DecodePool) Decode(scores [][][]float32) (*Batch, error) {
 	return p.DecodeContext(context.Background(), scores, nil, decoder.Options{})
 }
@@ -178,13 +169,13 @@ func (p *DecodePool) Decode(scores [][][]float32) (*Batch, error) {
 //   - opts is installed on every worker the batch checks out, while the
 //     batch holds it exclusively, and applies to this batch alone. The zero
 //     Options decodes at the configured search.
-//   - A worker panic mid-utterance (e.g. an out-of-range read caused by a
-//     corrupted score row, or a panic while scoring) is recovered and
-//     recorded as Batch.Errors[i] without disturbing any other worker;
-//     every other utterance's result stays byte-identical to a sequential
-//     decode.
-//   - Cancellation is checked per frame inside each worker and between
-//     utterances at the dealing loop, so the call returns promptly with
+//   - A panic mid-utterance (a corrupted score row read out of range, a
+//     scorer panic, a memory fault on a truncated mapped bundle), caught
+//     by the decoder's session, is a StageSearch Batch.Errors[i] with no
+//     result; every other utterance's result stays byte-identical to a
+//     sequential decode.
+//   - Cancellation is checked per frame inside each worker and before
+//     each utterance it claims, so the call returns promptly with
 //     index-aligned partial results and ctx.Err(). Utterances cut short or
 //     never started carry a StageCanceled error.
 //
@@ -201,20 +192,7 @@ func (p *DecodePool) DecodeContext(ctx context.Context, utts [][][]float32, sc a
 	results := make([]*decoder.Result, n)
 	errs := make([]*DecodeError, n)
 
-	var ids []int
-	if n > 0 {
-		want := min(len(p.workers), n)
-		var cerr error
-		ids, cerr = p.checkout(ctx, want)
-		if cerr != nil {
-			// No worker ever ran: the whole batch is canceled work.
-			for j := range errs {
-				errs[j] = &DecodeError{Utterance: j, Stage: StageCanceled, Cause: cerr}
-			}
-		}
-	}
-
-	jobs := make(chan int)
+	var next atomic.Int64 // the next utterance a worker claims
 	var wg sync.WaitGroup
 	// The busy gauge is extracted once: a nil pool telemetry leaves it nil,
 	// and nil-gauge updates are free no-ops.
@@ -222,11 +200,10 @@ func (p *DecodePool) DecodeContext(ctx context.Context, utts [][][]float32, sc a
 	if p.cfg.Telemetry != nil {
 		workersBusy = p.cfg.Telemetry.WorkersBusy
 	}
-	for _, id := range ids {
+	for _, dec := range p.checkout(ctx, min(p.Workers(), n)) {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			dec := p.workers[id]
 			// The caller holds the worker exclusively until it is returned
 			// to the free list, so installing the batch's options here
 			// cannot race with another batch, and every batch installs its
@@ -238,9 +215,9 @@ func (p *DecodePool) DecodeContext(ctx context.Context, utts [][][]float32, sc a
 				u = acoustic.NewUtterance(sc)
 				defer u.Close()
 			}
-			for i := range jobs {
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				if err := ctx.Err(); err != nil {
-					// Drain the remaining dealt jobs cheaply.
+					// Claim the rest cheaply, each canceled.
 					errs[i] = &DecodeError{Utterance: i, Stage: StageCanceled, Cause: err}
 					continue
 				}
@@ -251,49 +228,53 @@ func (p *DecodePool) DecodeContext(ctx context.Context, utts [][][]float32, sc a
 					errs[i] = &DecodeError{Utterance: i, Stage: StageSearch, Cause: optErr}
 					continue
 				}
-				workersBusy.Inc()
-				results[i], errs[i] = decodeOne(ctx, dec, i, utts[i], u, &rows)
-				workersBusy.Dec()
-			}
-			p.idle <- id
-		}(id)
-	}
-	if len(ids) > 0 {
-	deal:
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				// Utterance i and everything after it were never dealt; mark
-				// them canceled (workers only touch indices they received).
-				for j := i; j < n; j++ {
-					errs[j] = &DecodeError{Utterance: j, Stage: StageCanceled, Cause: ctx.Err()}
+				var src decoder.Feeder = &rows
+				if u != nil {
+					u.Reset()
+					u.Load(utts[i])
+					src = u
+				} else {
+					rows = utts[i]
 				}
-				break deal
+				workersBusy.Inc()
+				res, err := dec.DecodeContext(ctx, src, len(utts[i]))
+				workersBusy.Dec()
+				if err != nil && err != ctx.Err() {
+					// A fault the decoder's session caught: the utterance
+					// fails alone with no result, and the worker, whose
+					// decoder keeps no state that decides a result, goes on.
+					errs[i] = &DecodeError{Utterance: i, Stage: StageSearch, Cause: err}
+					continue
+				}
+				results[i] = res
+				if err != nil {
+					errs[i] = &DecodeError{Utterance: i, Stage: StageCanceled, Cause: err}
+				}
 			}
-		}
+			p.idle <- dec
+		}()
 	}
-	close(jobs)
 	wg.Wait()
+	for i := min(int(next.Load()), n); i < n; i++ {
+		// No worker was free before ctx ended: utterance i never started.
+		errs[i] = &DecodeError{Utterance: i, Stage: StageCanceled, Cause: ctx.Err()}
+	}
 
 	alloc := metrics.ReadAllocCounters().Delta(a0)
 	b := &Batch{Results: results, Errors: errs}
-	for _, r := range results {
+	for i, r := range results {
 		if r != nil {
 			b.Decoder.Add(r.Stats)
 		}
-	}
-	b.Search = metrics.Search{Rescues: b.Decoder.Rescues, Failures: b.Decoder.SearchFailures}
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		if e.Stage == StageCanceled {
+		switch e := errs[i]; {
+		case e == nil:
+		case e.Stage == StageCanceled:
 			b.Search.Canceled++
-		} else {
+		default:
 			b.Search.Panics++
 		}
 	}
+	b.Search.Rescues, b.Search.Failures = b.Decoder.Rescues, b.Decoder.SearchFailures
 	p.cfg.Telemetry.recordBatch(n, time.Since(start),
 		searchDelta{panics: b.Search.Panics, canceled: b.Search.Canceled})
 	b.Throughput = metrics.Throughput{
@@ -307,46 +288,6 @@ func (p *DecodePool) DecodeContext(ctx context.Context, utts [][][]float32, sc a
 		GCCycles:     int64(alloc.GCs),
 	}
 	return b, ctx.Err()
-}
-
-// decodeOne runs one utterance with panic isolation: utt is its features
-// when u, the worker's scorer, is set, and its score rows, fed through the
-// worker's rows, otherwise. A panic anywhere in the search or the scoring
-// (decoder, corrupted input)
-// becomes a typed DecodeError instead of tearing down the batch. The
-// worker's decoder holds no cross-utterance mutable state beyond the offset
-// table, whose contents never affect results, so the worker safely
-// continues with the next job.
-//
-// SetPanicOnFault extends the isolation to memory faults: a decode walking
-// a memory-mapped v3 bundle whose backing file was truncated or whose
-// device failed raises SIGBUS/SIGSEGV, which would otherwise kill the whole
-// process. With the flag set for this goroutine the fault becomes a runtime
-// panic, the recover below turns it into a StageSearch DecodeError, and the
-// serving registry can quarantine the sick model while every other model
-// keeps decoding.
-func decodeOne(ctx context.Context, dec *decoder.OnTheFly, i int, utt [][]float32, u *acoustic.Utterance, rows *scoreRows) (res *decoder.Result, derr *DecodeError) {
-	old := debug.SetPanicOnFault(true)
-	defer debug.SetPanicOnFault(old)
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			derr = &DecodeError{Utterance: i, Stage: StageSearch, Cause: fmt.Errorf("recovered panic: %v", r)}
-		}
-	}()
-	var src decoder.Feeder = rows
-	if u != nil {
-		u.Reset()
-		u.Load(utt)
-		src = u
-	} else {
-		*rows = utt
-	}
-	r, err := dec.DecodeContext(ctx, src, len(utt))
-	if err != nil {
-		return r, &DecodeError{Utterance: i, Stage: StageCanceled, Cause: err}
-	}
-	return r, nil
 }
 
 // scoreRows is the decoder.Feeder over an utterance's finished score rows.

@@ -63,7 +63,7 @@ func (t *Telemetry) observePool(p *DecodePool) {
 	if t == nil {
 		return
 	}
-	t.WorkersTotal.Set(float64(len(p.workers)))
+	t.WorkersTotal.Set(float64(p.Workers()))
 }
 
 // recordBatch publishes one completed batch: counts, wall time and fault

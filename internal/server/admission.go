@@ -14,9 +14,9 @@ import (
 // goroutines until latency or memory collapses. The zero value selects
 // serving-friendly defaults for every field.
 type AdmissionConfig struct {
-	// MaxConcurrent is how many batch decode requests may run at once.
-	// Default: the pool worker count (one request per worker keeps every
-	// worker busy without queueing inside the pool).
+	// MaxConcurrent is how many batch decode requests may run at once, each
+	// on its own goroutine and its own decoder from the model's free list.
+	// Default: Config.Workers, else GOMAXPROCS.
 	MaxConcurrent int
 	// MaxQueue bounds how many admitted-but-waiting batch requests may sit
 	// behind the MaxConcurrent executing ones. A request arriving with the
@@ -52,7 +52,8 @@ type AdmissionConfig struct {
 	DegradeLevels int
 }
 
-// withDefaults fills the zero fields; workers is the resolved pool size.
+// withDefaults fills the zero fields; workers is the resolved
+// Config.Workers.
 func (c AdmissionConfig) withDefaults(workers int) AdmissionConfig {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = workers
@@ -114,7 +115,7 @@ func newAdmitter(cfg AdmissionConfig) *admitter {
 // waiters. It returns the release func, errShed when the queue is full, or
 // ctx.Err() when the request's deadline or client connection ends the wait
 // — in every failure case the caller has nothing to release, so shed and
-// expired work never occupies a pool worker.
+// expired work never holds a slot.
 func (a *admitter) acquire(ctx context.Context) (func(), error) {
 	select {
 	case a.slots <- struct{}{}:

@@ -49,8 +49,8 @@ func newWordLookup(words []string) bias.Lookup {
 }
 
 // decodeOptions builds a request's search options, which both routes
-// install the same way (the pool on each worker, /v1/stream on its
-// decoder): no bias block, or one with no phrases, is the zero Options —
+// install the same way (takeDecoder, on the decoder the request checks out
+// of its model's free list): no bias block, or one with no phrases, is the zero Options —
 // the byte-identical unbiased search; otherwise the machine comes from the
 // model's compiler cache and the tenant's compile-cache counters are
 // published. A compile failure is a client error (bad phrase list),

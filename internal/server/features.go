@@ -28,8 +28,8 @@ import (
 // one. Every accepted body and every error string is encoding/json's.
 //
 // Each value's frames land in one fresh slab with row slices over it. It is
-// never reused: pool workers may still read rows after a deadline has
-// returned the handler. Only the reader's scratch is pooled.
+// never reused: the decode reads the rows in place. Only the reader's
+// scratch is pooled.
 type featureReader struct {
 	src valueBudget
 	// buf[mark:n] is every byte read since the previous value ended, so a

@@ -14,7 +14,10 @@ import (
 	"sync"
 	"time"
 
+	unfold "repro"
 	"repro/internal/acoustic"
+	"repro/internal/decoder"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -111,6 +114,10 @@ func (f *failure) outcome() string {
 		return f.reason
 	case f.reason == "stall":
 		return "stalled"
+	case f.reason == "fault":
+		// A fault is a 500, but it ends a stream past its header, where
+		// sn.fail has already answered the status.
+		return "error"
 	case f.code == http.StatusServiceUnavailable:
 		return "unavailable"
 	case f.code >= 500:
@@ -201,14 +208,14 @@ func ctxFailure(ctx context.Context, msg string) *failure {
 	return errCanceled
 }
 
-// handleRecognize decodes a batch of utterances through the worker pool,
-// behind the admission gate: validation is free and happens first, then the
-// request claims an execution slot, decodes at the degradation level the
-// current queue depth selects, and frees its slot the moment its deadline
-// fires — an expired request never occupies a worker.
-// The utterances fan out across the pool as feature frames: each worker
-// scores its utterance as its search reads it, which for a GMM means only
-// the senones each pruned frontier reads (pool.DecodeContext with a scorer).
+// handleRecognize decodes a batch of utterances behind the admission gate:
+// validation is free and happens first, then the request claims an
+// execution slot, decodes at the degradation level the current queue depth
+// selects, and frees its slot the moment its deadline fires — an expired
+// request never holds a slot. Its utterances decode one after another on
+// the request's goroutine and one decoder from the model's free list, each
+// scored as its search reads it (for a GMM, only the senones each pruned
+// frontier reads) — inside the slot, since scoring is real CPU work.
 func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) *failure {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Admission.MaxBodyBytes)
 	var req recognizeRequest
@@ -255,40 +262,44 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) *failur
 	// The level the queue depth selects now is the operating point for this
 	// whole batch.
 	level := s.degrade(&opts)
-
-	// Scoring happens on the pool workers, inside the execution slot — it
-	// is real CPU work, and admitting it unbounded would defeat the gate.
-	feats := make([][][]float32, len(req.Utterances))
-	for i, u := range req.Utterances {
-		feats[i] = u.Frames
+	dec, err := m.takeDecoder(s.cfg.Decoder, opts)
+	if err != nil {
+		return badBias(err)
 	}
-	batch, _ := m.pool.DecodeContext(ctx, feats, m.rec.Scorer, opts)
-	if f := ctxFailure(ctx, "decode exceeded the request deadline"); f != nil {
-		return f
+	faulted := false
+	defer func() { m.putDecoder(dec, faulted) }()
+	u := acoustic.NewUtterance(m.rec.Scorer)
+	defer u.Close()
+
+	start := time.Now()
+	resp := recognizeResponse{Results: make([]recognizeResult, len(req.Utterances)), Degraded: level}
+	errs := make([]*unfold.DecodeError, len(req.Utterances))
+	var work decoder.Stats
+	for i, utt := range req.Utterances {
+		u.Reset()
+		u.Load(utt.Frames)
+		res, err := dec.DecodeContext(ctx, u, len(utt.Frames))
+		if f := ctxFailure(ctx, "decode exceeded the request deadline"); f != nil {
+			return f
+		}
+		if err != nil { // a fault: the utterance fails alone, and dec is dropped
+			errs[i] = &unfold.DecodeError{Utterance: i, Stage: unfold.StageSearch, Cause: err}
+			resp.Results[i].Error, faulted = errs[i].Error(), true
+			continue
+		}
+		work.Add(res.Stats)
+		resp.Results[i] = recognizeResult{Words: res.Words, Text: strings.Join(m.rec.Words(res.Words), " "),
+			Cost: float64(res.Cost), Frames: res.Stats.Frames, Rescues: res.Stats.Rescues, SearchFailures: res.Stats.SearchFailures}
 	}
 	// Feed the supervisor: enough consecutive whole-batch search failures
 	// quarantine the model (see supervisor.go); any success resets.
-	s.models.noteBatch(m, batch.Errors)
-	resp := recognizeResponse{Results: make([]recognizeResult, len(batch.Results)), Degraded: level}
-	for i, res := range batch.Results {
-		out := &resp.Results[i]
-		if batch.Errors[i] != nil {
-			out.Error = batch.Errors[i].Error()
-		}
-		if res == nil {
-			continue
-		}
-		out.Words = res.Words
-		out.Text = strings.Join(m.rec.Words(res.Words), " ")
-		out.Cost = float64(res.Cost)
-		out.Frames = res.Stats.Frames
-		out.Rescues = res.Stats.Rescues
-		out.SearchFailures = res.Stats.SearchFailures
-	}
-	resp.Throughput.UttPerSec = batch.Throughput.UtterancesPerSec()
-	resp.Throughput.FramesPerSec = batch.Throughput.FramesPerSec()
-	resp.Throughput.RTF = batch.Throughput.RTF()
-	resp.Throughput.CacheHitRate = batch.Throughput.CacheHitRate()
+	s.models.noteBatch(m, errs)
+	tp := metrics.Throughput{Utterances: len(errs), Frames: work.Frames, Wall: time.Since(start),
+		CacheHits: work.MemoHits, CacheLookups: work.MemoHits + work.MemoMisses}
+	resp.Throughput.UttPerSec = tp.UtterancesPerSec()
+	resp.Throughput.FramesPerSec = tp.FramesPerSec()
+	resp.Throughput.RTF = tp.RTF()
+	resp.Throughput.CacheHitRate = tp.CacheHitRate()
 	writeJSON(w, http.StatusOK, resp)
 	return nil
 }
@@ -508,18 +519,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) *failure {
 	// The pressure level at connection time sets this stream's operating
 	// point, installed on the stream's decoder with the bias machine.
 	level := s.degrade(&opts)
-	dcfg := s.cfg.Decoder
-	dcfg.Telemetry = s.ptel.Decoder
-	dec, err := m.takeStreamDecoder(dcfg)
+	dec, err := m.takeDecoder(s.cfg.Decoder, opts)
 	if err != nil {
-		return fail(http.StatusInternalServerError, "internal", err.Error())
-	}
-	defer m.putStreamDecoder(dec)
-	if err := dec.SetOptions(opts); err != nil {
 		// The machine compiled but cannot compose with this model's graphs
 		// (state-count guardrails): still a client problem.
 		return badBias(err)
 	}
+	faulted := false
+	defer func() { m.putDecoder(dec, faulted) }()
 	stream := dec.NewStream()
 	defer stream.Close()
 	scorer := acoustic.NewUtterance(m.rec.Scorer)
@@ -562,9 +569,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) *failure {
 		// Search the chunk one frame at a time, as a live frontend would,
 		// scoring each frame as the search reaches it. A dead search is not
 		// an error — the rest of the chunk is skipped and Finish reports the
-		// best partial with SearchFailures set.
+		// best partial with SearchFailures set. A fault ends the stream,
+		// drops its decoder and counts toward the model's quarantine.
 		scorer.Load(chunk.Frames)
-		stream.Feed(scorer, len(chunk.Frames))
+		if err := stream.Feed(scorer, len(chunk.Frames)); err != nil {
+			faulted = true
+			s.models.noteDecodeFailure(m)
+			return sn.fail(fail(http.StatusInternalServerError, "fault", err.Error()))
+		}
 		frames += len(chunk.Frames)
 		words := stream.Partial()
 		sn.partial(streamUpdate{Words: words, Text: strings.Join(m.rec.Words(words), " "), Frames: frames})

@@ -43,7 +43,7 @@ func TestStreamDecoderRecycled(t *testing.T) {
 	}
 	test := sys.TestSet()
 
-	d, err := m.takeStreamDecoder(cfg)
+	d, err := m.takeDecoder(cfg, decoder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,16 +57,16 @@ func TestStreamDecoderRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	biased := run(d, test[0].Frames)
-	m.putStreamDecoder(d)
+	m.putDecoder(d, false)
 
-	recycled, err := m.takeStreamDecoder(cfg)
+	recycled, err := m.takeDecoder(cfg, decoder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if recycled != d {
 		t.Fatal("the free list built a new decoder instead of handing back the idle one")
 	}
-	defer m.putStreamDecoder(recycled)
+	defer m.putDecoder(recycled, false)
 	fresh, err := m.rec.NewDecoder(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	unfold "repro"
 	"repro/internal/bias"
 	"repro/internal/decoder"
-	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
 
@@ -34,7 +33,7 @@ const (
 )
 
 // model is one servable entry: a recognizer (task-built or bundle-loaded)
-// plus the per-model serving machinery (decode pool, bias compiler).
+// plus the per-model serving machinery (decoder free list, bias compiler).
 // Everything except the lifecycle fields is immutable once the model
 // reaches the ready state.
 type model struct {
@@ -46,7 +45,6 @@ type model struct {
 	// (a v3 bundle stores models, not evaluation data).
 	test []unfold.Utterance
 
-	pool *pool.DecodePool
 	// biasComp compiles per-tenant phrase lists into bias machines over
 	// this model's lexicon, with the tenant-keyed LRU in front so a stable
 	// phrase list compiles once per profile edit, not once per request.
@@ -76,36 +74,44 @@ type model struct {
 	reloadAttempts int
 	quarantines    int
 
-	// streamDecs is the free list of /v1/stream decoders: a stream checks
-	// one out for its life and puts it back, so the next stream starts with
-	// a warm offset table instead of building a decoder of its own.
-	streamMu   sync.Mutex
-	streamDecs []*decoder.OnTheFly
+	// decs is the model's one decoder free list: a request on either route
+	// checks one out and puts it back, so the next decode starts with a
+	// warm offset table instead of building a decoder of its own.
+	decMu sync.Mutex
+	decs  []*decoder.OnTheFly
 }
 
-// takeStreamDecoder checks a decoder out of the stream free list, or builds
-// one with cfg when the list is empty. A recycled decoder comes back at its
-// configured operating point with no bias machine, as the pool's workers
-// are reset per batch: the previous stream's preset and tenant do not
-// carry over.
-func (m *model) takeStreamDecoder(cfg decoder.Config) (*decoder.OnTheFly, error) {
-	m.streamMu.Lock()
-	if n := len(m.streamDecs); n > 0 {
-		d := m.streamDecs[n-1]
-		m.streamDecs = m.streamDecs[:n-1]
-		m.streamMu.Unlock()
-		d.SetOptions(decoder.Options{})
-		return d, nil
+// takeDecoder checks a decoder out of the free list, or builds one with cfg
+// (which cannot fail: loading the Recognizer built one over these graphs),
+// and installs opts, so no request inherits another's preset or bias
+// machine. The error is SetOptions': a bias machine that does not fit.
+func (m *model) takeDecoder(cfg decoder.Config, opts decoder.Options) (d *decoder.OnTheFly, err error) {
+	m.decMu.Lock()
+	if n := len(m.decs); n > 0 {
+		d, m.decs = m.decs[n-1], m.decs[:n-1]
 	}
-	m.streamMu.Unlock()
-	return m.rec.NewDecoder(cfg)
+	m.decMu.Unlock()
+	if d == nil {
+		if d, err = m.rec.NewDecoder(cfg); err != nil {
+			return nil, err
+		}
+	}
+	if err = d.SetOptions(opts); err != nil {
+		m.putDecoder(d, false)
+		return nil, err
+	}
+	return d, nil
 }
 
-// putStreamDecoder returns a decoder takeStreamDecoder handed out.
-func (m *model) putStreamDecoder(d *decoder.OnTheFly) {
-	m.streamMu.Lock()
-	m.streamDecs = append(m.streamDecs, d)
-	m.streamMu.Unlock()
+// putDecoder returns a decoder takeDecoder handed out, unless a call on it
+// faulted: an interrupted decoder never serves another request.
+func (m *model) putDecoder(d *decoder.OnTheFly, faulted bool) {
+	if faulted {
+		return
+	}
+	m.decMu.Lock()
+	m.decs = append(m.decs, d)
+	m.decMu.Unlock()
 }
 
 // closeLocked releases the model's resources. Called with m.mu held, with

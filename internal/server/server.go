@@ -5,12 +5,14 @@
 // (model loaded, worker liveness, drain state), net/http/pprof, and a
 // /debug/spans ring of recent decode traces.
 //
-// The decode paths reuse the repo's serving machinery wholesale: batch
-// recognition fans out through a pool.DecodePool, whose workers score each
-// utterance's features as its search reads them; streaming recognition runs
-// a decoder.Stream on a decoder from the model's free list, fed by an
-// acoustic.Utterance that carries the scorer's state across chunks, so both
-// routes return the same result for the same frames. Telemetry is threaded
+// Both decode routes take their decoder from the model's one free list and
+// feed it an acoustic.Utterance that scores features as the search reads
+// them: /v1/recognize decodes its utterances one after another on the
+// request's goroutine, inside its admission slot, and /v1/stream runs a
+// decoder.Stream whose Utterance carries the scorer's state across chunks,
+// so both routes return the same result for the same frames. The decoder's
+// session catches a panic or memory fault on either route, and the
+// supervisor counts it against the model. Telemetry is threaded
 // through every path via the nil-safe seams, so everything /metrics shows
 // during a live decode — frontier sizes, back-off walks, offset-table hits —
 // is the decoder's own accounting, not server-side estimation.
@@ -31,19 +33,18 @@ import (
 	"repro/internal/bias"
 	"repro/internal/decoder"
 	"repro/internal/metrics"
-	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
 
 // Config sizes the server. The zero value selects sensible defaults for
 // every field.
 type Config struct {
-	// Workers is the DecodePool size for batch /v1/recognize requests
-	// (defaults to GOMAXPROCS, per pool.Config).
+	// Workers is Admission.MaxConcurrent's default: how many batch
+	// /v1/recognize requests decode at once (defaults to GOMAXPROCS).
 	Workers int
-	// Decoder configures the beam search for both the pool workers and the
-	// per-connection stream decoders. Telemetry is overwritten by the
-	// server's own wiring; leave it nil.
+	// Decoder configures the beam search of every decoder the server
+	// builds, on both routes. Telemetry is overwritten by the server's own
+	// wiring; leave it nil.
 	Decoder decoder.Config
 	// SpanCapacity is the size of the /debug/spans ring. Default 128.
 	SpanCapacity int
@@ -53,7 +54,7 @@ type Config struct {
 	// Admission bounds accepted work: execution slots, a bounded wait
 	// queue, the degradation watermarks, and per-request deadline policy.
 	// The zero value enables load management with the AdmissionConfig
-	// defaults (MaxConcurrent tracks the pool worker count).
+	// defaults (MaxConcurrent is Workers).
 	Admission AdmissionConfig
 	// ModelBudget caps the summed resident bytes of every registered model
 	// (a swap holds both generations until the old one drains, and counts
@@ -104,7 +105,6 @@ type Server struct {
 	cfg    Config
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
-	ptel   *pool.Telemetry
 	mux    *http.ServeMux
 	start  time.Time
 
@@ -141,17 +141,17 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) // mirror pool.Config's default
+		workers = runtime.GOMAXPROCS(0)
 	}
 	cfg.Admission = cfg.Admission.withDefaults(workers)
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(cfg.SpanCapacity)
+	cfg.Decoder.Telemetry = decoder.NewTelemetry(reg, tracer)
 	sup := newSupervisor(cfg.Supervisor)
 	s := &Server{
 		cfg:    cfg,
 		reg:    reg,
 		tracer: tracer,
-		ptel:   pool.NewTelemetry(reg, tracer),
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
 		admit:  newAdmitter(cfg.Admission),
@@ -233,8 +233,8 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // Tracer returns the server's span tracer.
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
-// Load installs a recognizer system as the default model: it builds the
-// model's batch DecodePool, then marks the server ready.
+// Load installs a recognizer system as the default model and marks the
+// server ready.
 // Loading under an existing name hot-swaps: new requests resolve the new
 // generation immediately, the old one drains and closes in the background.
 func (s *Server) Load(sys *unfold.System) error {
@@ -294,21 +294,12 @@ func (s *Server) install(name string, estimate int64, srcPath string, load loade
 // buildModel constructs (but does not install) a servable model. It is
 // also the supervisor's reload path for a quarantined model: a bundle is
 // loaded again from srcPath, and a task model, whose graphs live on the
-// heap and cannot rot, gets a fresh decode pool that sheds whatever state
-// drove the failures.
+// heap and cannot rot, gets a fresh decoder free list that sheds whatever
+// state drove the failures.
 func (s *Server) buildModel(name, srcPath string, load loader) (*model, error) {
 	start := time.Now()
 	rec, test, err := load()
 	if err != nil {
-		return nil, err
-	}
-	p, err := rec.NewDecodePool(pool.Config{
-		Workers:   s.cfg.Workers,
-		Decoder:   s.cfg.Decoder,
-		Telemetry: s.ptel,
-	})
-	if err != nil {
-		rec.Close()
 		return nil, err
 	}
 	comp := bias.NewCompiler(newWordLookup(rec.Lex.Words), bias.CompilerConfig{})
@@ -318,7 +309,6 @@ func (s *Server) buildModel(name, srcPath string, load loader) (*model, error) {
 		task:        rec.TaskName,
 		rec:         rec,
 		test:        test,
-		pool:        p,
 		biasComp:    comp,
 		resident:    rec.ResidentBytes(),
 		loadSeconds: loadSecondsSince(start),
@@ -372,9 +362,10 @@ func (s *Server) counted(route string, h http.Handler) http.Handler {
 	})
 }
 
-// healthResponse is the /healthz JSON body. Task and the Workers block
-// describe the default model (kept for probe compatibility); Models lists
-// every registered model with its lifecycle state.
+// healthResponse is the /healthz JSON body. Task describes the default
+// model (kept for probe compatibility); Workers is the admission gate's
+// execution slots, Total of them and Busy held; Models lists every
+// registered model with its lifecycle state.
 type healthResponse struct {
 	Status        string  `json:"status"`
 	Task          string  `json:"task,omitempty"`
@@ -397,8 +388,8 @@ type healthResponse struct {
 }
 
 // handleHealthz reports readiness: 200 only when a model bundle is loaded
-// and the server is not draining. The body carries worker liveness (pool
-// size and how many are mid-utterance) and headline load figures either
+// and the server is not draining. The body carries worker liveness
+// (execution slots and how many are held) and headline load figures either
 // way, so an unhealthy probe is still diagnosable.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	var resp healthResponse
@@ -419,12 +410,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.Task = mi.Task
 		}
 	}
-	if m, release, st, _ := s.models.acquire(DefaultModel); st == statusOK {
-		resp.Workers.Total = m.pool.Workers()
-		release()
-	}
-	resp.Workers.Busy = int(s.ptel.WorkersBusy.Value())
-	resp.Decodes = s.ptel.Decoder.Decodes.Value() + s.ptel.Decoder.Streams.Value()
+	resp.Workers.Total = s.cfg.Admission.MaxConcurrent
+	resp.Workers.Busy = len(s.admit.slots)
+	tel := s.cfg.Decoder.Telemetry
+	resp.Decodes = tel.Decodes.Value() + tel.Streams.Value()
 
 	code := http.StatusOK
 	switch {

@@ -143,7 +143,7 @@ func TestRecognizeBatch(t *testing.T) {
 	mrec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
-		"unfold_pool_batches_total 1",
+		`unfold_server_request_seconds_count{route="/v1/recognize",outcome="ok"} 1`,
 		"unfold_decoder_decodes_total 4",
 		"unfold_decoder_frames_total",
 		`unfold_server_requests_total{route="/v1/recognize"} 1`,

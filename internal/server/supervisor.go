@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
+	unfold "repro"
 	"repro/internal/flatstore"
-	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
 
@@ -28,8 +28,8 @@ import (
 // supervision with the defaults below; set QuarantineThreshold negative to
 // disable failure-score quarantines entirely.
 type SupervisorConfig struct {
-	// QuarantineThreshold is how many consecutive whole-batch decode
-	// failures quarantine a model. Default 3; negative disables.
+	// QuarantineThreshold is how many consecutive decode failures (failed
+	// batches, faulted streams) quarantine a model. Default 3; negative disables.
 	QuarantineThreshold int
 	// ReloadBackoff is the delay before the first reload attempt; attempt n
 	// waits ReloadBackoff<<(n-1), jittered ±25%, capped at ReloadBackoffMax.
@@ -142,7 +142,7 @@ func (g *modelRegistry) failScoreGauge(name string) *telemetry.Gauge {
 // one failure came from the decode itself (not a cancellation — a client
 // hitting its own deadline says nothing about model health). Any decoded
 // utterance resets the score; an all-canceled batch is neutral.
-func (g *modelRegistry) noteBatch(m *model, errs []*pool.DecodeError) {
+func (g *modelRegistry) noteBatch(m *model, errs []*unfold.DecodeError) {
 	allFailed := len(errs) > 0
 	modelFault := false
 	for _, e := range errs {
@@ -150,7 +150,7 @@ func (g *modelRegistry) noteBatch(m *model, errs []*pool.DecodeError) {
 			allFailed = false
 			break
 		}
-		if e.Stage != pool.StageCanceled {
+		if e.Stage != unfold.StageCanceled {
 			modelFault = true
 		}
 	}
@@ -162,11 +162,11 @@ func (g *modelRegistry) noteBatch(m *model, errs []*pool.DecodeError) {
 	}
 }
 
-// noteDecodeFailure scores one whole-batch decode failure against a model
-// and quarantines it at the threshold. Callers classify: only batches where
+// noteDecodeFailure scores one decode failure against a model and
+// quarantines it at the threshold. Callers classify: only batches where
 // every utterance failed, at least one of them in the search itself (not a
-// cancellation), count — a client hitting its own deadline is not evidence
-// the model is sick.
+// cancellation), and streams whose decode faulted count — a client hitting
+// its own deadline is not evidence the model is sick.
 func (g *modelRegistry) noteDecodeFailure(m *model) {
 	if g.sup.cfg.QuarantineThreshold < 0 {
 		return

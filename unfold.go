@@ -165,10 +165,13 @@ func (r *Recognizer) Words(ids []int32) []string {
 // mismatch returns a *DimensionError instead of garbage scores or a panic
 // deep in the scorer.
 //
+// A panic or memory fault in the scoring or the search (a v3 bundle whose
+// mapped file was truncated under it, say) returns a *DecodeError with
+// Stage StageSearch, and the process keeps running.
+//
 // A Recognizer decodes on one shared decoder whose offset table is not
 // synchronized: make one Recognize/RecognizeContext/RecognizeTimed call at a
-// time per Recognizer. NewDecodePool is the concurrent entry point (the
-// server builds one per loaded model).
+// time per Recognizer. NewDecodePool is the concurrent batch entry point.
 func (r *Recognizer) Recognize(frames [][]float32) ([]int32, error) {
 	return r.RecognizeContext(context.Background(), frames)
 }
@@ -184,6 +187,18 @@ func (r *Recognizer) RecognizeContext(ctx context.Context, frames [][]float32) (
 	if len(frames) == 0 {
 		return nil, nil
 	}
+	res, err := r.decode(ctx, frames)
+	if res == nil {
+		return nil, err
+	}
+	return res.Words, err
+}
+
+// decode validates, scores and searches one utterance on the shared
+// decoder. A fault the decoder's session caught is a StageSearch
+// *DecodeError with no result; ctx's own error comes back with the partial
+// result.
+func (r *Recognizer) decode(ctx context.Context, frames [][]float32) (*decoder.Result, error) {
 	if err := validateFrames(frames, r.Senones.Dim); err != nil {
 		return nil, err
 	}
@@ -194,7 +209,10 @@ func (r *Recognizer) RecognizeContext(ctx context.Context, frames [][]float32) (
 	defer u.Close()
 	u.Load(frames)
 	res, err := r.dec.DecodeContext(ctx, u, len(frames))
-	return res.Words, err
+	if err != nil && err != ctx.Err() {
+		return nil, &DecodeError{Utterance: 0, Stage: StageSearch, Cause: err}
+	}
+	return res, err
 }
 
 // NewDecoder builds a software on-the-fly decoder with a custom config.
@@ -257,10 +275,10 @@ func (r *Recognizer) RecognizeTimed(frames [][]float32) (words []int32, ends []f
 	if len(frames) == 0 {
 		return nil, nil, nil
 	}
-	if err := validateFrames(frames, r.Senones.Dim); err != nil {
+	res, err := r.decode(context.Background(), frames)
+	if err != nil {
 		return nil, nil, err
 	}
-	res := r.dec.Decode(r.Scorer.ScoreUtterance(frames))
 	ends = make([]float64, len(res.WordEnds))
 	for i, e := range res.WordEnds {
 		ends[i] = float64(e) * 0.010
