@@ -41,7 +41,10 @@ vet:
 # the server answers every failure through one writer: errorBody is built
 # at one non-test site (writeError), and a request's outcome label is
 # derived from the failure its route returns, so at most 2 non-test sites
-# may assign one.
+# may assign one. Concurrency stays in one place: the search runs one
+# goroutine per session, so non-test internal/decoder has no go statement,
+# and in non-test internal/acoustic only the scoring fan-out (fanout.go)
+# starts goroutines.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -70,6 +73,12 @@ lint:
 	@sets=$$(git grep -n 'outcome = "' -- internal/server ':!*_test.go'); \
 	if [ $$(printf '%s\n' "$$sets" | grep -c .) -gt 2 ]; then \
 		echo "$$sets"; echo "more than 2 non-test outcome assignments in internal/server; derive the outcome from the returned *failure"; exit 1; \
+	fi
+	@if git grep -nE '(^|[;{])[[:space:]]*go[[:space:]]+[[:alnum:]_(]' -- internal/decoder ':!*_test.go'; then \
+		echo "a go statement in internal/decoder; the search runs one goroutine per session"; exit 1; \
+	fi
+	@if git grep -nE '(^|[;{])[[:space:]]*go[[:space:]]+[[:alnum:]_(]' -- internal/acoustic ':!*_test.go' ':!internal/acoustic/fanout.go'; then \
+		echo "a go statement in internal/acoustic outside fanout.go; scoring reaches other cores only through scoreWindows' fan-out"; exit 1; \
 	fi
 	go vet ./...
 

@@ -3,8 +3,10 @@ package unfold
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -168,6 +170,42 @@ func TestRecognizeSurvivesTruncatedMapping(t *testing.T) {
 	}
 	_, _, err = rec.RecognizeTimed(frames)
 	check("RecognizeTimed", err)
+}
+
+// TestRecognizeRelaysScoringPanic: a DNN built for one more feature
+// dimension than the frames carry panics in every block it scores, on the
+// caller's goroutine and on the helpers its blocks fan out to at
+// GOMAXPROCS 2. Recognize must return the panic as a StageSearch
+// *DecodeError and the process must live; a panic left on a helper would
+// end the test binary.
+func TestRecognizeRelaysScoringPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sys, err := NewSystem(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := acoustic.NewSenoneModel(rand.New(rand.NewSource(1)), sys.Senones.NumSenones, sys.Senones.Dim+1, 1, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Scorer = acoustic.NewDNNScorer(wide, rand.New(rand.NewSource(2)), 0, 0)
+	var frames [][]float32
+	for _, u := range sys.TestSet() {
+		frames = append(frames, u.Frames...)
+	}
+	if len(frames) < 40 {
+		t.Fatalf("%d frames: too few for the scoring to fan out", len(frames))
+	}
+	for run := 0; run < 20; run++ {
+		words, err := sys.Recognize(frames)
+		var derr *DecodeError
+		if !errors.As(err, &derr) || derr.Stage != StageSearch || !strings.Contains(err.Error(), "recovered panic") {
+			t.Fatalf("run %d: %v, want a StageSearch DecodeError carrying the recovered panic", run, err)
+		}
+		if words != nil {
+			t.Fatalf("run %d: words %v returned with the panic", run, words)
+		}
+	}
 }
 
 // TestRecognizeBatchSurvivesPoisonedScorer: the batch path under a poisoned

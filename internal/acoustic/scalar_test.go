@@ -252,8 +252,16 @@ func TestScoreKernelRatio(t *testing.T) {
 // as 0.47x on the wall clock. One untimed call of each side comes first, so
 // the first timed round does not pay the cold start (page faults, cold
 // caches, lazily built buffers) that read 0.87-0.92x on a 1.00-1.15x row.
+//
+// Both sides run at GOMAXPROCS 1, as testing.AllocsPerRun does: the rows
+// compare one core's kernels. Above 1, ScoreUtterance hands blocks to
+// helper goroutines whose CPU time the thread clock does not see, which
+// read the GMM tile row 14-17x instead of ~11x and the DNN tile row ~28x
+// instead of ~17x (enough to hide the tile forced off), and the 100-senone
+// on-demand row 0.71-0.77x, its eager side no longer one core's.
 func timePair(rounds, n int, base, fast func()) (time.Duration, time.Duration) {
 	const reps = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	base()

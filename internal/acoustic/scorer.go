@@ -18,7 +18,11 @@ type Scorer interface {
 	// the previous call). It is safe for concurrent use: model weights are
 	// read-only after construction and every call works on private state.
 	// The rows of one call share a single backing slab, so retaining one
-	// row keeps the whole utterance's scores alive.
+	// row keeps the whole utterance's scores alive. Like the GPU batch, a
+	// call may score its frames on several cores: this package's GMM and
+	// DNN share an utterance's blocks with idle helper goroutines, and
+	// return only once every block is scored, with the same bits as one
+	// core would write.
 	ScoreUtterance(frames [][]float32) [][]float32
 	// FLOPsPerFrame reports the arithmetic cost per frame, used by the
 	// GPU time/energy model.
@@ -41,7 +45,9 @@ const scoreBlock = tileLanes
 // to completion. One slab holds the whole score matrix; the frames walk
 // through scoreWindow in scoreBlock-wide blocks against a window state
 // borrowed from the scorer's pool, so a call allocates the result and
-// nothing else, whatever the frame count.
+// nothing else, whatever the frame count or GOMAXPROCS. For the GMM and
+// the DNN, scoreWindows shares the blocks with idle helpers, which borrow
+// window states of their own from the same pool.
 func scoreBlocked(sc windowScorer, frames [][]float32) [][]float32 {
 	out := newRows(len(frames), sc.ScoreDim())
 	st := borrowWindow(sc)

@@ -40,6 +40,7 @@ func TestGenericKernelPath(t *testing.T) {
 	t.Run("ScoreUtteranceConcurrent", TestScoreUtteranceConcurrent)
 	t.Run("UtteranceMatchesWhole", TestUtteranceMatchesWhole)
 	t.Run("UtteranceRowMatchesWhole", TestUtteranceRowMatchesWhole)
+	t.Run("FanOutMatchesOracle", TestFanOutMatchesOracle)
 }
 
 // diffBits is diffRows by bit pattern: NaN payloads and the sign of zero

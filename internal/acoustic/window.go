@@ -1,6 +1,9 @@
 package acoustic
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // Window scoring: the one block kernel behind ScoreUtterance and
 // Utterance.Score. scoreWindow advances ONE utterance by up to `width`
@@ -22,6 +25,12 @@ import "sync"
 // scalar_test.go) — same operands, same order, per (frame, element), at any
 // window width. TestScoreWindowMatchesUtterance locks this down for all three
 // scorers.
+//
+// Because the GMM's and the DNN's frames are independent, scoreWindows hands
+// the blocks of one call to idle cores as well (fanout.go): every block is
+// still one scoreWindow call with the sequential loop's boundaries, only on
+// another goroutine against a window state of its own. The RNN's blocks
+// stay on the caller, one after another, since each continues the last.
 
 // windowState holds one utterance's scorer state across windows: the RNN's
 // recurrence and smoother, and every scorer's per-window scratch. Reset
@@ -56,6 +65,10 @@ type windowScorer interface {
 	scoreWindow(state windowState, frames, out [][]float32)
 	// windowPool recycles the scorer's scoreBlock-wide window states.
 	windowPool() *sync.Pool
+	// framesIndependent reports whether a frame's scores depend on its own
+	// features only, so any window state may score any block of an
+	// utterance and scoreWindows may score the blocks in parallel.
+	framesIndependent() bool
 }
 
 // borrowWindow takes a scoreBlock-wide window state from sc's pool (or makes
@@ -71,8 +84,18 @@ func borrowWindow(sc windowScorer) windowState {
 
 // scoreWindows walks frames through scoreWindow in scoreBlock-wide windows,
 // continuing the utterance st carries: the block loop of ScoreUtterance and
-// of every Utterance.Score chunk.
+// of every Utterance.Score chunk, and the one place scoring runs on more
+// than one core. When sc's frames are independent, the call spans at least
+// two blocks and GOMAXPROCS is above 1, the blocks are shared with idle
+// helper goroutines (fanOut, fanout.go); each block keeps its boundaries,
+// so the rows are the same bits either way.
 func scoreWindows(sc windowScorer, st windowState, frames, out [][]float32) {
+	if len(frames) > scoreBlock && sc.framesIndependent() {
+		if procs := runtime.GOMAXPROCS(0); procs > 1 {
+			fanOut(sc, st, frames, out, procs-1)
+			return
+		}
+	}
 	for base := 0; base < len(frames); base += scoreBlock {
 		end := min(base+scoreBlock, len(frames))
 		sc.scoreWindow(st, frames[base:end], out[base:end])
@@ -83,6 +106,8 @@ func scoreWindows(sc windowScorer, st windowState, frames, out [][]float32) {
 // GMM
 
 func (g *GMMScorer) windowPool() *sync.Pool { return &g.windows }
+
+func (g *GMMScorer) framesIndependent() bool { return true }
 
 // newWindowState implements windowScorer: the stateless GMM needs only the
 // tile scratch, whatever the width.
@@ -109,6 +134,8 @@ type dnnWindowState struct {
 func (*dnnWindowState) Reset() {}
 
 func (d *DNNScorer) windowPool() *sync.Pool { return &d.windows }
+
+func (d *DNNScorer) framesIndependent() bool { return true }
 
 // newWindowState implements windowScorer.
 func (d *DNNScorer) newWindowState(width int) windowState {
@@ -159,6 +186,9 @@ func (ws *rnnWindowState) Reset() {
 }
 
 func (r *RNNScorer) windowPool() *sync.Pool { return &r.windows }
+
+// framesIndependent is false: the recurrence carries from frame to frame.
+func (r *RNNScorer) framesIndependent() bool { return false }
 
 // newWindowState implements windowScorer.
 func (r *RNNScorer) newWindowState(width int) windowState {

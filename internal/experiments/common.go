@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/accel"
@@ -213,8 +214,12 @@ func (b *bundle) softwareDecodeTime() (time.Duration, []time.Duration, error) {
 	return total, per, nil
 }
 
-// scorerTime measures acoustic-scoring wall time over the test set.
+// scorerTime measures acoustic-scoring wall time over the test set, at
+// GOMAXPROCS 1. ScoreUtterance would otherwise hand an utterance's blocks to
+// idle cores, and Fig 1 splits one core's Viterbi time (softwareDecodeTime,
+// one goroutine) against one core's scoring time.
 func (b *bundle) scorerTime() time.Duration {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	start := time.Now()
 	for _, u := range b.tk.Test {
 		b.tk.Scorer.ScoreUtterance(u.Frames)

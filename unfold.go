@@ -169,6 +169,13 @@ func (r *Recognizer) Words(ids []int32) []string {
 // mapped file was truncated under it, say) returns a *DecodeError with
 // Stage StageSearch, and the process keeps running.
 //
+// The search runs on the calling goroutine, and so does a GMM's on-demand
+// scoring. A DNN scores the utterance whole at the search's first frame and
+// shares its 16-frame blocks with idle helper goroutines (up to
+// GOMAXPROCS-1, process-wide), so one call may use every idle core while it
+// scores; a panic on a helper returns to this call as one on its own
+// goroutine would.
+//
 // A Recognizer decodes on one shared decoder whose offset table is not
 // synchronized: make one Recognize/RecognizeContext/RecognizeTimed call at a
 // time per Recognizer. NewDecodePool is the concurrent batch entry point.
