@@ -44,7 +44,9 @@ vet:
 # may assign one. Concurrency stays in one place: the search runs one
 # goroutine per session, so non-test internal/decoder has no go statement,
 # and in non-test internal/acoustic only the scoring fan-out (fanout.go)
-# starts goroutines.
+# starts goroutines. The two simulated accelerators run one search
+# (internal/accel/search.go) over two memory layouts: non-test
+# internal/accel defines epsClosure and decodeOne once each.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -80,6 +82,12 @@ lint:
 	@if git grep -nE '(^|[;{])[[:space:]]*go[[:space:]]+[[:alnum:]_(]' -- internal/acoustic ':!*_test.go' ':!internal/acoustic/fanout.go'; then \
 		echo "a go statement in internal/acoustic outside fanout.go; scoring reaches other cores only through scoreWindows' fan-out"; exit 1; \
 	fi
+	@for fn in epsClosure decodeOne; do \
+		defs=$$(git grep -nE "^func (\([^)]*\) )?$$fn\(" -- internal/accel ':!*_test.go'); \
+		if [ $$(printf '%s\n' "$$defs" | grep -c .) -gt 1 ]; then \
+			echo "$$defs"; echo "$$fn is defined more than once in non-test internal/accel; both designs run the one simulated search in search.go"; exit 1; \
+		fi; \
+	done
 	go vet ./...
 
 # Go line counts, non-test and test: decoder + pool + server (the unit

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/compress"
@@ -280,14 +281,35 @@ func TestEnergyBreakdownAndArea(t *testing.T) {
 	t.Logf("area: UNFOLD %.1f mm^2 vs baseline %.1f mm^2", ru.AreaMM2, rb.AreaMM2)
 }
 
+// Both simulators must repeat bit for bit: every frontier walk is in key
+// order and the energy total is summed in name order, so the whole Result
+// and every UttResult match across runs.
 func TestAccelDeterministic(t *testing.T) {
 	f := getFixture(t)
-	u1, _ := NewUnfold(UnfoldConfig(), decoder.Config{PreemptivePruning: true}, f.cam, f.clm, f.tk.AM.NumSenones)
-	u2, _ := NewUnfold(UnfoldConfig(), decoder.Config{PreemptivePruning: true}, f.cam, f.clm, f.tk.AM.NumSenones)
-	r1, _ := u1.DecodeAll(f.scores)
-	r2, _ := u2.DecodeAll(f.scores)
-	if r1.Cycles != r2.Cycles || r1.DRAMReadBytes != r2.DRAMReadBytes || r1.Dec != r2.Dec {
-		t.Error("UNFOLD simulation is nondeterministic")
+	designs := []struct {
+		name string
+		run  func() (*Result, []UttResult)
+	}{
+		{"UNFOLD", func() (*Result, []UttResult) {
+			u, _ := NewUnfold(UnfoldConfig(), decoder.Config{PreemptivePruning: true}, f.cam, f.clm, f.tk.AM.NumSenones)
+			return u.DecodeAll(f.scores)
+		}},
+		{"baseline", func() (*Result, []UttResult) {
+			b, _ := NewFullyComposed(BaselineConfig(), decoder.Config{}, f.composed, f.tk.AM.NumSenones)
+			return b.DecodeAll(f.scores)
+		}},
+	}
+	for _, d := range designs {
+		r0, per0 := d.run()
+		for run := 1; run <= 5; run++ {
+			r, per := d.run()
+			if !reflect.DeepEqual(r, r0) {
+				t.Fatalf("%s run %d: Result differs from run 0:\n%+v\nvs\n%+v", d.name, run, r, r0)
+			}
+			if !reflect.DeepEqual(per, per0) {
+				t.Fatalf("%s run %d: per-utterance results differ from run 0", d.name, run)
+			}
+		}
 	}
 }
 

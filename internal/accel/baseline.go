@@ -9,181 +9,44 @@ import (
 )
 
 // FullyComposed simulates the baseline accelerator of Yazdani et al.
-// MICRO-49: a Viterbi search over one offline-composed WFST stored
-// uncompressed in main memory (8-byte state records, 16-byte arcs), with a
-// unified Arc Cache and no LM machinery.
-type FullyComposed struct {
-	cfg     Config
-	dcfg    decoder.Config
-	g       *wfst.WFST
-	senones int
-}
+// MICRO-49: the same Viterbi search as UNFOLD over one offline-composed
+// WFST stored uncompressed in main memory, with a unified Arc Cache and no
+// LM machinery.
+type FullyComposed struct{ search }
 
 // NewFullyComposed builds the baseline simulator over a composed graph.
 func NewFullyComposed(cfg Config, dcfg decoder.Config, g *wfst.WFST, senones int) (*FullyComposed, error) {
 	if g == nil || g.Start() == wfst.NoState {
 		return nil, fmt.Errorf("accel: baseline needs a composed graph")
 	}
-	return &FullyComposed{cfg: cfg, dcfg: withDecoderDefaults(dcfg), g: g, senones: senones}, nil
+	return &FullyComposed{search{cfg: cfg, dcfg: withDecoderDefaults(dcfg), am: csrGraph{g}, lm: passThroughLM{}, senones: senones}}, nil
 }
 
-// DecodeAll decodes a batch of utterances on a warm machine and returns the
-// aggregate result plus per-utterance timings.
-func (b *FullyComposed) DecodeAll(utts [][][]float32) (*Result, []UttResult) {
-	m := newMachine(b.cfg)
-	agg := &Result{}
-	var per []UttResult
-	for _, scores := range utts {
-		startCycles := m.cycles
-		words, cost, final, dec := b.decodeOne(m, scores)
-		agg.Frames += len(scores)
-		addStats(&agg.Dec, dec)
-		uc := m.cycles - startCycles
-		per = append(per, UttResult{
-			Words: words, Cost: cost, ReachedFinal: final,
-			Frames: len(scores), Cycles: uc, Seconds: float64(uc) / b.cfg.FreqHz,
-		})
-	}
-	if n := len(per); n > 0 {
-		last := per[n-1]
-		agg.Words, agg.Cost, agg.ReachedFinal = last.Words, last.Cost, last.ReachedFinal
-	}
-	m.finalize(agg)
-	return agg, per
-}
+// csrGraph is the baseline's AM side: the composed graph in its CSR layout,
+// 8-byte state records at baseStates and 16-byte arcs at baseArcs.
+type csrGraph struct{ g *wfst.WFST }
 
-func (b *FullyComposed) decodeOne(m *machine, scores [][]float32) ([]int32, semiring.Weight, bool, decoder.Stats) {
-	cfg := b.dcfg
-	g := b.g
-	st := decoder.Stats{Frames: len(scores)}
-	lat := &hwLattice{}
+func (c csrGraph) start() wfst.StateID { return c.g.Start() }
 
-	cur := map[uint64]tok{uint64(g.Start()): {semiring.One, -1}}
-	b.epsClosure(m, cur, lat, &st)
+func (c csrGraph) state(s wfst.StateID) (uint64, uint64) { return baseStates + uint64(s)*8, 8 }
 
-	for f := range scores {
-		m.acousticFrame(b.senones)
-		_, cut := hwBeamPrune(cur, cfg.Beam, cfg.MaxActive)
-		st.TokensBeamCut += cut
-		st.TokensExpanded += int64(len(cur))
-		next := make(map[uint64]tok, 2*len(cur))
-		frame := scores[f]
-		for k, t := range cur {
-			s := wfst.StateID(k)
-			m.hashAccesses++
-			m.compute(cyclesPerToken)
-			m.fpOps++
-			m.touch(m.state, StreamStates, baseStates+uint64(s)*8, 8, false)
-			arcBase := uint64(g.ArcIndexBase(s))
-			for i, a := range g.Arcs(s) {
-				if a.In == wfst.Epsilon {
-					continue
-				}
-				m.touch(m.amArc, StreamArcs, baseArcs+(arcBase+uint64(i))*wfst.ArcBytes, wfst.ArcBytes, false)
-				m.compute(cyclesPerArc)
-				m.acousticReads++
-				m.fpOps += 2
-				st.ArcsTraversed++
-				c := t.cost + a.W - semiring.Weight(cfg.AcousticScale*frame[a.In])
-				latIdx := t.lat
-				if a.Out != wfst.Epsilon {
-					latIdx = lat.add(a.Out, t.lat)
-					addrT := baseTokens + uint64(len(lat.words)-1)*latticeEntryBytes
-					m.touch(m.token, StreamTokens, addrT, latticeEntryBytes, true)
-					st.LatticeEntries++
-				}
-				b.relax(m, next, uint64(a.Next), c, latIdx, &st)
-			}
-		}
-		b.epsClosure(m, next, lat, &st)
-		if len(next) == 0 {
-			return b.finish(m, cur, lat, st)
-		}
-		cur = next
-		m.frameBarrier()
-	}
-	return b.finish(m, cur, lat, st)
-}
-
-func (b *FullyComposed) relax(m *machine, next map[uint64]tok, k uint64, c semiring.Weight, latIdx int32, st *decoder.Stats) bool {
-	old, ok := next[k]
-	m.hashAccesses++
-	if !ok {
-		next[k] = tok{c, latIdx}
-		m.hashAccesses++
-		m.noteTokenInsert()
-		m.compute(cyclesPerNewToken)
-		st.TokensCreated++
-		return true
-	}
-	m.fpOps++
-	if c < old.cost {
-		next[k] = tok{c, latIdx}
-		m.hashAccesses++
-		return true
-	}
-	return false
-}
-
-func (b *FullyComposed) epsClosure(m *machine, active map[uint64]tok, lat *hwLattice, st *decoder.Stats) {
-	queue := make([]uint64, 0, len(active))
-	for k := range active {
-		queue = append(queue, k)
-	}
-	for len(queue) > 0 {
-		k := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		t, ok := active[k]
-		if !ok {
-			continue
-		}
-		s := wfst.StateID(k)
-		arcBase := uint64(b.g.ArcIndexBase(s))
-		for i, a := range b.g.Arcs(s) {
-			if a.In != wfst.Epsilon {
-				continue
-			}
-			m.touch(m.amArc, StreamArcs, baseArcs+(arcBase+uint64(i))*wfst.ArcBytes, wfst.ArcBytes, false)
-			m.compute(cyclesPerArc)
-			st.EpsTraversed++
-			c := t.cost + a.W
-			latIdx := t.lat
-			if a.Out != wfst.Epsilon {
-				latIdx = lat.add(a.Out, t.lat)
-				addrT := baseTokens + uint64(len(lat.words)-1)*latticeEntryBytes
-				m.touch(m.token, StreamTokens, addrT, latticeEntryBytes, true)
-				st.LatticeEntries++
-			}
-			if b.relax(m, active, uint64(a.Next), c, latIdx, st) {
-				queue = append(queue, uint64(a.Next))
-			}
-		}
+func (c csrGraph) arcs(s wfst.StateID, visit func(a wfst.Arc, addr, size uint64)) {
+	base := uint64(c.g.ArcIndexBase(s))
+	for i, a := range c.g.Arcs(s) {
+		visit(a, baseArcs+(base+uint64(i))*wfst.ArcBytes, wfst.ArcBytes)
 	}
 }
 
-func (b *FullyComposed) finish(m *machine, active map[uint64]tok, lat *hwLattice, st decoder.Stats) ([]int32, semiring.Weight, bool, decoder.Stats) {
-	bestCost := semiring.Zero
-	bestLat := int32(-1)
-	reached := false
-	anyCost, anyLat := semiring.Zero, int32(-1)
-	for k, t := range active {
-		s := wfst.StateID(k)
-		if fw := b.g.Final(s); !semiring.IsZero(fw) {
-			c := t.cost + fw
-			if c < bestCost {
-				bestCost, bestLat, reached = c, t.lat, true
-			}
-		}
-		if t.cost < anyCost {
-			anyCost, anyLat = t.cost, t.lat
-		}
-	}
-	if !reached {
-		bestCost, bestLat = anyCost, anyLat
-	}
-	m.frameBarrier()
-	if semiring.IsZero(bestCost) {
-		return nil, semiring.Zero, false, st
-	}
-	return lat.backtrace(bestLat), bestCost, reached, st
+func (c csrGraph) final(s wfst.StateID) semiring.Weight { return c.g.Final(s) }
+
+// passThroughLM is the baseline's LM side: the composed graph already
+// carries the LM weights, so a word keeps LM state 0, weighs One and
+// touches no memory. It counts no LMFetches, so the baseline's Dec counts
+// the search alone.
+type passThroughLM struct{}
+
+func (passThroughLM) resolve(_ *machine, s wfst.StateID, _ int32, _, _ semiring.Weight, _ *decoder.Stats) (wfst.StateID, semiring.Weight, bool) {
+	return s, semiring.One, true
 }
+
+func (passThroughLM) final(wfst.StateID) semiring.Weight { return semiring.One }

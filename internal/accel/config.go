@@ -3,7 +3,8 @@
 // the compressed datasets, with an Offset Lookup Table and preemptive
 // back-off pruning) and the fully-composed Viterbi accelerator of Yazdani
 // et al. MICRO-49 ("Reza et al."), which searches one offline-composed
-// WFST.
+// WFST. Both designs run one simulated search (search.go) over their own
+// memory layouts.
 //
 // The simulator executes the real decode (it is also a functional emulator,
 // like the paper's; Section 4) while charging pipeline cycles and driving

@@ -1,6 +1,8 @@
 package accel
 
 import (
+	"sort"
+
 	"repro/internal/decoder"
 	"repro/internal/energy"
 	"repro/internal/semiring"
@@ -216,8 +218,15 @@ func (m *machine) finalize(res *Result) {
 	e["MainMemory"] = energy.Joules(float64(m.dramReadBytes+m.dramWriteBytes)*energy.DRAMEnergyPerBytePJ) +
 		energy.LeakageJoules(energy.DRAMBackgroundMW, sec)
 	res.EnergyJ = e
-	for _, v := range e {
-		res.TotalEnergyJ += v
+	// Sum in name order: float addition is not associative, so map order
+	// would move the total's low bits between runs.
+	names := make([]string, 0, len(e))
+	for k := range e {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		res.TotalEnergyJ += e[k]
 	}
 	if sec > 0 {
 		res.AvgPowerW = res.TotalEnergyJ / sec

@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/compress"
 	"repro/internal/decoder"
@@ -13,23 +12,7 @@ import (
 // Unfold simulates the paper's accelerator: on-the-fly composition over the
 // compressed AM and LM datasets with the Offset Lookup Table and optional
 // preemptive back-off pruning.
-type Unfold struct {
-	cfg     Config
-	dcfg    decoder.Config
-	am      *compress.AM
-	lm      *compress.LM
-	senones int
-}
-
-// UttResult is the per-utterance slice of a batch decode (Table 5 latency).
-type UttResult struct {
-	Words        []int32
-	Cost         semiring.Weight
-	ReachedFinal bool
-	Frames       int
-	Cycles       uint64
-	Seconds      float64
-}
+type Unfold struct{ search }
 
 // NewUnfold builds the UNFOLD simulator. senones is the acoustic-score
 // vector length (drives the per-frame score DMA).
@@ -40,217 +23,51 @@ func NewUnfold(cfg Config, dcfg decoder.Config, am *compress.AM, lm *compress.LM
 	if cfg.LMArcCache.SizeBytes == 0 {
 		return nil, fmt.Errorf("accel: UNFOLD config needs an LM arc cache")
 	}
-	return &Unfold{cfg: cfg, dcfg: withDecoderDefaults(dcfg), am: am, lm: lm, senones: senones}, nil
+	dcfg = withDecoderDefaults(dcfg)
+	return &Unfold{search{cfg: cfg, dcfg: dcfg, am: packedAM{am}, lm: &packedLM{lm, dcfg}, senones: senones}}, nil
 }
 
-// withDecoderDefaults mirrors decoder.Config defaulting (unexported there).
-func withDecoderDefaults(c decoder.Config) decoder.Config {
-	if c.Beam == 0 {
-		c.Beam = 24
-	}
-	if c.MaxActive == 0 {
-		c.MaxActive = 3000
-	}
-	if c.AcousticScale == 0 {
-		c.AcousticScale = 0.8
-	}
-	return c
-}
+// packedAM is UNFOLD's AM side: 5-byte state records at baseAMStates and
+// bit-packed arcs at baseAMArcs.
+type packedAM struct{ am *compress.AM }
 
-// tok/lattice mirror the software decoder's structures; the lattice models
-// the compact word-lattice records the Token Issuer writes to main memory.
-type tok struct {
-	cost semiring.Weight
-	lat  int32
-}
+func (p packedAM) start() wfst.StateID { return p.am.Start() }
 
-type hwLattice struct {
-	words []int32
-	prev  []int32
-}
+func (p packedAM) state(s wfst.StateID) (uint64, uint64) { return baseAMStates + uint64(s)*5, 5 }
 
-func (l *hwLattice) add(word, prev int32) int32 {
-	l.words = append(l.words, word)
-	l.prev = append(l.prev, prev)
-	return int32(len(l.words) - 1)
-}
-
-func (l *hwLattice) backtrace(idx int32) []int32 {
-	var rev []int32
-	for i := idx; i >= 0; i = l.prev[i] {
-		rev = append(rev, l.words[i])
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// latticeEntryBytes is the size of one compact lattice record ([22]).
-const latticeEntryBytes = 8
-
-// DecodeAll decodes a batch of utterances on a warm machine (caches and the
-// Offset Lookup Table persist across utterances, as in hardware) and
-// returns the aggregate result plus per-utterance timings.
-func (u *Unfold) DecodeAll(utts [][][]float32) (*Result, []UttResult) {
-	m := newMachine(u.cfg)
-	agg := &Result{}
-	var per []UttResult
-	for _, scores := range utts {
-		startCycles := m.cycles
-		words, cost, final, dec := u.decodeOne(m, scores)
-		agg.Frames += len(scores)
-		addStats(&agg.Dec, dec)
-		uc := m.cycles - startCycles
-		per = append(per, UttResult{
-			Words: words, Cost: cost, ReachedFinal: final,
-			Frames: len(scores), Cycles: uc, Seconds: float64(uc) / u.cfg.FreqHz,
-		})
-	}
-	if n := len(per); n > 0 {
-		last := per[n-1]
-		agg.Words, agg.Cost, agg.ReachedFinal = last.Words, last.Cost, last.ReachedFinal
-	}
-	m.finalize(agg)
-	return agg, per
-}
-
-func addStats(dst *decoder.Stats, s decoder.Stats) {
-	dst.Frames += s.Frames
-	dst.TokensExpanded += s.TokensExpanded
-	dst.TokensCreated += s.TokensCreated
-	dst.TokensBeamCut += s.TokensBeamCut
-	dst.ArcsTraversed += s.ArcsTraversed
-	dst.EpsTraversed += s.EpsTraversed
-	dst.LMFetches += s.LMFetches
-	dst.LMProbes += s.LMProbes
-	dst.BackoffHops += s.BackoffHops
-	dst.MemoHits += s.MemoHits
-	dst.MemoMisses += s.MemoMisses
-	dst.PreemptivePruned += s.PreemptivePruned
-	dst.LatticeEntries += s.LatticeEntries
-}
-
-func (u *Unfold) decodeOne(m *machine, scores [][]float32) ([]int32, semiring.Weight, bool, decoder.Stats) {
-	cfg := u.dcfg
-	st := decoder.Stats{Frames: len(scores)}
-	lat := &hwLattice{}
-	key := func(am, lm wfst.StateID) uint64 { return uint64(uint32(am))<<32 | uint64(uint32(lm)) }
-
-	cur := map[uint64]tok{key(u.am.Start(), 0): {semiring.One, -1}}
-	u.epsClosure(m, cur, lat, &st)
-
-	keys := make([]uint64, 0, 64)
-	for f := range scores {
-		m.acousticFrame(u.senones)
-		_, cut := hwBeamPrune(cur, cfg.Beam, cfg.MaxActive)
-		st.TokensBeamCut += cut
-		st.TokensExpanded += int64(len(cur))
-		next := make(map[uint64]tok, 2*len(cur))
-		frame := scores[f]
-
-		keys = keys[:0]
-		for k := range cur {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-		runningBest := semiring.Zero
-		thr := func() semiring.Weight {
-			if semiring.IsZero(runningBest) {
-				return semiring.Zero
-			}
-			return runningBest + cfg.Beam
-		}
-
-		for _, k := range keys {
-			t := cur[k]
-			amS := wfst.StateID(k >> 32)
-			lmS := wfst.StateID(uint32(k))
-			// State Issuer: hash read + AM state record fetch + prune check.
-			m.hashAccesses++
-			m.compute(cyclesPerToken)
-			m.fpOps++
-			m.touch(m.state, StreamStates, baseAMStates+uint64(amS)*5, 5, false)
-
-			u.am.VisitArcs(amS, func(a wfst.Arc, bitOff uint64, bits uint) bool {
-				if a.In == wfst.Epsilon {
-					return true
-				}
-				addr, size := bitSpan(baseAMArcs, bitOff, bits)
-				m.touch(m.amArc, StreamArcs, addr, size, false)
-				m.compute(cyclesPerArc)
-				m.acousticReads++
-				m.fpOps += 2
-				st.ArcsTraversed++
-				c := t.cost + a.W - semiring.Weight(cfg.AcousticScale*frame[a.In])
-				lmNext, latIdx := lmS, t.lat
-				if a.Out != wfst.Epsilon {
-					var ok bool
-					var lmW semiring.Weight
-					lmNext, lmW, ok = u.resolve(m, lmS, a.Out, c, thr(), &st)
-					if !ok {
-						return true
-					}
-					c += lmW
-					latIdx = lat.add(a.Out, t.lat)
-					addrT := baseTokens + uint64(len(lat.words)-1)*latticeEntryBytes
-					m.touch(m.token, StreamTokens, addrT, latticeEntryBytes, true)
-					st.LatticeEntries++
-				}
-				u.relax(m, next, key(a.Next, lmNext), c, latIdx, &st)
-				if c < runningBest {
-					runningBest = c
-				}
-				return true
-			})
-		}
-		u.epsClosure(m, next, lat, &st)
-		if len(next) == 0 {
-			return u.finish(m, cur, lat, st)
-		}
-		cur = next
-		m.frameBarrier()
-	}
-	words, cost, final, st2 := u.finish(m, cur, lat, st)
-	return words, cost, final, st2
-}
-
-// relax inserts or improves a token, charging Token Issuer work.
-func (u *Unfold) relax(m *machine, next map[uint64]tok, k uint64, c semiring.Weight, latIdx int32, st *decoder.Stats) bool {
-	old, ok := next[k]
-	m.hashAccesses++ // hash probe
-	if !ok {
-		next[k] = tok{c, latIdx}
-		m.hashAccesses++ // insert
-		m.noteTokenInsert()
-		m.compute(cyclesPerNewToken)
-		st.TokensCreated++
+func (p packedAM) arcs(s wfst.StateID, visit func(a wfst.Arc, addr, size uint64)) {
+	p.am.VisitArcs(s, func(a wfst.Arc, bitOff uint64, bits uint) bool {
+		addr, size := bitSpan(baseAMArcs, bitOff, bits)
+		visit(a, addr, size)
 		return true
-	}
-	m.fpOps++ // compare
-	if c < old.cost {
-		next[k] = tok{c, latIdx}
-		m.hashAccesses++ // update
-		return true
-	}
-	return false
+	})
 }
+
+func (p packedAM) final(s wfst.StateID) semiring.Weight { return p.am.Final(s) }
+
+// packedLM is UNFOLD's LM side: the bit-packed LM behind the Offset Lookup
+// Table, with optional preemptive back-off pruning.
+type packedLM struct {
+	lm   *compress.LM
+	dcfg decoder.Config
+}
+
+func (p *packedLM) final(s wfst.StateID) semiring.Weight { return p.lm.Final(s) }
 
 // resolve performs the hardware LM arc fetch with back-off (Sections 3.1
 // and 3.3), charging offset-table probes, binary-search fetches through the
 // LM Arc Cache, and preemptive pruning checks.
-func (u *Unfold) resolve(m *machine, s wfst.StateID, word int32, base, thr semiring.Weight, st *decoder.Stats) (wfst.StateID, semiring.Weight, bool) {
+func (p *packedLM) resolve(m *machine, s wfst.StateID, word int32, base, thr semiring.Weight, st *decoder.Stats) (wfst.StateID, semiring.Weight, bool) {
 	st.LMFetches++
 	acc := semiring.One
 	for hops := 0; hops < 16; hops++ {
 		// LM state record fetch (shared State Cache, Section 3.1).
 		m.touch(m.state, StreamStates, baseLMStates+uint64(s)*8, 8, false)
-		a, found := u.findArc(m, s, word, st)
+		a, found := p.findArc(m, s, word, st)
 		if found {
 			return a.Next, acc + a.W, true
 		}
-		bo, ok := u.lm.BackoffArc(s, func(off uint64, bits uint) {
+		bo, ok := p.lm.BackoffArc(s, func(off uint64, bits uint) {
 			addr, size := bitSpan(baseLMArcs, off, bits)
 			m.touch(m.lmArc, StreamArcs, addr, size, false)
 		})
@@ -262,7 +79,7 @@ func (u *Unfold) resolve(m *machine, s wfst.StateID, word int32, base, thr semir
 		st.BackoffHops++
 		acc += bo.W
 		s = bo.Next
-		if u.dcfg.PreemptivePruning && base+acc > thr {
+		if p.dcfg.PreemptivePruning && base+acc > thr {
 			st.PreemptivePruned++
 			return wfst.NoState, semiring.Zero, false
 		}
@@ -272,22 +89,22 @@ func (u *Unfold) resolve(m *machine, s wfst.StateID, word int32, base, thr semir
 
 // findArc locates word's arc at LM state s under the configured lookup
 // strategy, modelling the Offset Lookup Table for LookupMemo.
-func (u *Unfold) findArc(m *machine, s wfst.StateID, word int32, st *decoder.Stats) (wfst.Arc, bool) {
+func (p *packedLM) findArc(m *machine, s wfst.StateID, word int32, st *decoder.Stats) (wfst.Arc, bool) {
 	probe := func(off uint64, bits uint) {
 		addr, size := bitSpan(baseLMArcs, off, bits)
 		m.touch(m.lmArc, StreamArcs, addr, size, false)
 		m.compute(cyclesPerProbe)
 		st.LMProbes++
 	}
-	switch u.dcfg.Lookup {
+	switch p.dcfg.Lookup {
 	case decoder.LookupLinear:
-		return u.lm.FindArcLinear(s, word, probe)
+		return p.lm.FindArcLinear(s, word, probe)
 	case decoder.LookupBinary:
-		return u.lm.FindArc(s, word, probe)
+		return p.lm.FindArc(s, word, probe)
 	default: // LookupMemo: Offset Lookup Table in front of binary search.
 		if s == 0 {
 			// Unigram arcs are directly indexed; no search, no table entry.
-			return u.lm.FindArc(s, word, probe)
+			return p.lm.FindArc(s, word, probe)
 		}
 		if m.offtab != nil {
 			m.compute(cyclesOffsetLookup)
@@ -296,13 +113,13 @@ func (u *Unfold) findArc(m *machine, s wfst.StateID, word int32, st *decoder.Sta
 				addr, size := bitSpan(baseLMArcs, off, 45)
 				m.touch(m.lmArc, StreamArcs, addr, size, false)
 				m.compute(cyclesPerArc)
-				return u.lm.ArcAtOffset(off), true
+				return p.lm.ArcAtOffset(off), true
 			}
 			st.MemoMisses++
 		}
 		var lastOff uint64
 		var probed bool
-		a, ok := u.lm.FindArc(s, word, func(off uint64, bits uint) {
+		a, ok := p.lm.FindArc(s, word, func(off uint64, bits uint) {
 			lastOff, probed = off, true
 			probe(off, bits)
 		})
@@ -311,109 +128,4 @@ func (u *Unfold) findArc(m *machine, s wfst.StateID, word int32, st *decoder.Sta
 		}
 		return a, ok
 	}
-}
-
-// epsClosure relaxes the AM's non-emitting arcs (word-end loop-backs).
-func (u *Unfold) epsClosure(m *machine, active map[uint64]tok, lat *hwLattice, st *decoder.Stats) {
-	queue := make([]uint64, 0, len(active))
-	for k := range active {
-		queue = append(queue, k)
-	}
-	for len(queue) > 0 {
-		k := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		t, ok := active[k]
-		if !ok {
-			continue
-		}
-		amS := wfst.StateID(k >> 32)
-		lmS := wfst.StateID(uint32(k))
-		u.am.VisitArcs(amS, func(a wfst.Arc, bitOff uint64, bits uint) bool {
-			if a.In != wfst.Epsilon {
-				return true
-			}
-			addr, size := bitSpan(baseAMArcs, bitOff, bits)
-			m.touch(m.amArc, StreamArcs, addr, size, false)
-			m.compute(cyclesPerArc)
-			st.EpsTraversed++
-			c := t.cost + a.W
-			nk := uint64(uint32(a.Next))<<32 | uint64(uint32(lmS))
-			if u.relax(m, active, nk, c, t.lat, st) {
-				queue = append(queue, nk)
-			}
-			return true
-		})
-	}
-}
-
-func (u *Unfold) finish(m *machine, active map[uint64]tok, lat *hwLattice, st decoder.Stats) ([]int32, semiring.Weight, bool, decoder.Stats) {
-	bestCost := semiring.Zero
-	bestLat := int32(-1)
-	reached := false
-	anyCost, anyLat := semiring.Zero, int32(-1)
-	for k, t := range active {
-		amS := wfst.StateID(k >> 32)
-		lmS := wfst.StateID(uint32(k))
-		fa, fl := u.am.Final(amS), u.lm.Final(lmS)
-		if !semiring.IsZero(fa) && !semiring.IsZero(fl) {
-			c := t.cost + fa + fl
-			if c < bestCost {
-				bestCost, bestLat, reached = c, t.lat, true
-			}
-		}
-		if t.cost < anyCost {
-			anyCost, anyLat = t.cost, t.lat
-		}
-	}
-	if !reached {
-		bestCost, bestLat = anyCost, anyLat
-	}
-	m.frameBarrier()
-	if semiring.IsZero(bestCost) {
-		return nil, semiring.Zero, false, st
-	}
-	return lat.backtrace(bestLat), bestCost, reached, st
-}
-
-// hwBeamPrune mirrors the software decoder's pruning (deterministic).
-func hwBeamPrune(active map[uint64]tok, beam semiring.Weight, maxActive int) (semiring.Weight, int64) {
-	if len(active) == 0 {
-		return semiring.Zero, 0
-	}
-	best := semiring.Zero
-	for _, t := range active {
-		if t.cost < best {
-			best = t.cost
-		}
-	}
-	thr := best + beam
-	var cut int64
-	for k, t := range active {
-		if t.cost > thr {
-			delete(active, k)
-			cut++
-		}
-	}
-	if maxActive > 0 && len(active) > maxActive {
-		type kt struct {
-			k uint64
-			c semiring.Weight
-		}
-		all := make([]kt, 0, len(active))
-		for k, t := range active {
-			all = append(all, kt{k, t.cost})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].c != all[j].c {
-				return all[i].c < all[j].c
-			}
-			return all[i].k < all[j].k
-		})
-		for _, e := range all[maxActive:] {
-			delete(active, e.k)
-			cut++
-		}
-		thr = all[maxActive-1].c
-	}
-	return thr, cut
 }

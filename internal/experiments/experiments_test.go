@@ -114,3 +114,36 @@ func TestBundleCachesComposition(t *testing.T) {
 		t.Error("no audio in bundle")
 	}
 }
+
+// A paper row must not depend on which experiments ran before it in the
+// process. Fig 8 compresses the cached composed graph, which the Fig 10
+// baseline also simulates; Fig 10 alone, after Fig 8 and once more must
+// print the same bytes. A graph re-sorted under the baseline shows in the
+// printed digits at scale 0.25, not at tinyOpts' 0.05.
+func TestFig10IndependentOfRunOrder(t *testing.T) {
+	for _, scale := range []float64{0.05, 0.25} {
+		opts := func(buf *bytes.Buffer) Options {
+			o := tinyOpts(buf)
+			o.Scale = scale
+			return o
+		}
+		fig10 := func() string {
+			var buf bytes.Buffer
+			if err := Fig10(opts(&buf)); err != nil {
+				t.Fatal(err)
+			}
+			return buf.String()
+		}
+		bundleCache = map[string]*bundle{}
+		alone := fig10()
+		var sink bytes.Buffer
+		if err := Fig8(opts(&sink)); err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []string{"after fig8", "again"} {
+			if got := fig10(); got != alone {
+				t.Fatalf("scale %v: fig10 %s differs from fig10 alone:\n%s\nvs\n%s", scale, run, got, alone)
+			}
+		}
+	}
+}
