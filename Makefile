@@ -80,7 +80,7 @@ lint:
 		echo "a go statement in internal/decoder; the search runs one goroutine per session"; exit 1; \
 	fi
 	@if git grep -nE '(^|[;{])[[:space:]]*go[[:space:]]+[[:alnum:]_(]' -- internal/acoustic ':!*_test.go' ':!internal/acoustic/fanout.go'; then \
-		echo "a go statement in internal/acoustic outside fanout.go; scoring reaches other cores only through scoreWindows' fan-out"; exit 1; \
+		echo "a go statement in internal/acoustic outside fanout.go; scoring reaches other cores only through fanout.go's scoring jobs"; exit 1; \
 	fi
 	@for fn in epsClosure decodeOne; do \
 		defs=$$(git grep -nE "^func (\([^)]*\) )?$$fn\(" -- internal/accel ':!*_test.go'); \
@@ -171,17 +171,20 @@ cover:
 	done
 
 # The repo's one assembly file holds the DNN and GMM tile kernels
-# (internal/acoustic/tile_amd64.s): the frame-lane ones (rows4x16, rows1x16,
-# reluTile, gmmTile) and the senone-lane gmmSenones behind ScoreSenones.
-# Three things keep it honest: the generic bodies every other GOARCH runs
-# must keep compiling, tests included, through tile_other.go's stubs (arm64
-# cross-build, vet and test compile, no network needed); asmdecl (in go
-# vet) checks every TEXT symbol's frame layout against its Go declaration,
-# which only happens when vetting for amd64; and the package's tests run
-# under the race build, where the compiler's code around the kernels
-# differs. The race build skips
-# TestLogSumExpExhaustive (every float32 in [-16, -0] through the
-# log-sum-exp table, ~20 s on two cores) and its tile arm
+# (internal/acoustic/tile_amd64.s): the frame-lane ones (rows8x16 on
+# AVX-512F, rows4x16, rows1x16, reluTile, gmmTile) and the senone-lane
+# gmmSenones behind ScoreSenones. Four things keep it honest: the generic
+# bodies every other GOARCH runs must keep compiling, tests included,
+# through tile_other.go's stubs (arm64 cross-build, vet and test compile, no
+# network needed); asmdecl (in go vet) checks every TEXT symbol's frame
+# layout against its Go declaration, which only happens when vetting for
+# amd64; the package's tests run under the race build, where the compiler's
+# code around the kernels differs; and the scoring jobs' tests (fanout.go:
+# ScoreUtterance's blocks, and a DNN's Row reading them as they are scored)
+# run again under the race build at GOMAXPROCS 1 and 4, so both the serial
+# path and the helper path run whatever the runner's core count. The race
+# build skips TestLogSumExpExhaustive (every float32 in [-16, -0] through
+# the log-sum-exp table, ~20 s on two cores) and its tile arm
 # TestLogSumExpExhaustiveTile (the same arguments through the AVX2 lanes,
 # ~11 s): `make test` runs both, being neither -short nor -race, and the
 # nightly workflow runs them as its own job.
@@ -191,6 +194,7 @@ asm-check:
 	GOOS=linux GOARCH=arm64 go test -c -o /dev/null ./internal/acoustic
 	GOARCH=amd64 go vet ./internal/acoustic
 	go test -race ./internal/acoustic
+	go test -race -count=1 -cpu 1,4 -run 'FanOut|Row|Utterance|Concurrent' ./internal/acoustic
 
 # Every finite float32 through the request-body reader's number scanner
 # (internal/server/features.go), written as json.Marshal writes it and as

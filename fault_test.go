@@ -3,6 +3,7 @@ package unfold
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -204,6 +205,58 @@ func TestRecognizeRelaysScoringPanic(t *testing.T) {
 		}
 		if words != nil {
 			t.Fatalf("run %d: words %v returned with the panic", run, words)
+		}
+	}
+}
+
+// countdownCtx is a live context whose Err reports context.Canceled from
+// its left+1-th call on, so a search that checks it once a frame stops
+// partway through an utterance.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRecognizeStopsMidUtterance is the public path of an early stop while
+// a DNN's helpers are still scoring: at GOMAXPROCS 2 a search cancelled
+// after 1 to 20 frames of a 40-plus-frame utterance returns the context's
+// error without panicking, and the next Recognize decodes exactly as before
+// the stop, so no abandoned block reaches it. Under -race this also checks
+// that the helpers are gone before the call returns its rows to no one.
+func TestRecognizeStopsMidUtterance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sys, err := NewSystem(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Scorer = acoustic.NewDNNScorer(sys.Senones, rand.New(rand.NewSource(2)), 0, 0)
+	var frames [][]float32
+	for _, u := range sys.TestSet() {
+		frames = append(frames, u.Frames...)
+	}
+	if len(frames) < 40 {
+		t.Fatalf("%d frames: too few for a stop after 20 to be mid-utterance", len(frames))
+	}
+	want, err := sys.Recognize(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(int32(2 + run)) // the check before scoring, then 1+run frames
+		if _, err := sys.RecognizeContext(ctx, frames); !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: %v, want context.Canceled", run, err)
+		}
+		got, err := sys.Recognize(frames)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: after the stop Recognize gave %v, %v; want %v", run, got, err, want)
 		}
 	}
 }

@@ -25,9 +25,12 @@ type spyScorer struct {
 	last         *[]float32 // the call's last frame
 	helperBlocks atomic.Int32
 	lastByHelper atomic.Bool
+	inFlight     atomic.Int32 // scoreWindow calls running now
 }
 
 func (s *spyScorer) scoreWindow(st windowState, frames, out [][]float32) {
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
 	byCaller := st == s.caller
 	if !byCaller {
 		s.helperBlocks.Add(1)
@@ -99,39 +102,121 @@ func TestFanOutMatchesOracle(t *testing.T) {
 
 // TestFanOutRelaysPanic: a frame of the wrong width in the last block
 // panics whichever worker scores it, and the panic surfaces in the caller's
-// goroutine, 200 calls a scorer; an unrecovered panic in a helper would end
-// the test binary. Half the calls steer the last block to a helper, half
-// to the caller, and both must have happened.
+// goroutine, 200 calls a scorer and path; an unrecovered panic in a helper
+// would end the test binary. Half the calls steer the last block to a
+// helper, half to the caller, and both must have happened.
+//
+// Two paths: a scoreWindows call (ScoreUtterance's), and an Utterance read
+// row by row through Row, whose job is the one a DNN's search reads. On the
+// Row path every row of the good blocks comes back with the oracle's bits,
+// the panic surfaces from the first Row of the bad block, after every
+// helper has left the job, and Close after it neither panics nor waits.
 func TestFanOutRelaysPanic(t *testing.T) {
 	setProcs(t, 2)
 	m, scorers := windowScorers(t)
 	rng := rand.New(rand.NewSource(27))
 	utt := randUtt(rng, 5*scoreBlock+3, m.Dim)
 	utt[len(utt)-1] = utt[len(utt)-1][:m.Dim-1]
+	bad := 5 * scoreBlock // the bad block's first frame
 	for _, sc := range scorers {
 		if !sc.framesIndependent() {
 			continue
 		}
+		want := scalarScore(t, sc, utt[:bad])
 		out := newRows(len(utt), sc.ScoreDim())
-		var byHelper int
-		for run := 0; run < 200; run++ {
-			st := borrowWindow(sc)
-			spy := &spyScorer{windowScorer: sc, caller: st, yieldCaller: run%2 == 0, last: &utt[len(utt)-1]}
-			p := func() (p any) {
-				defer func() { p = recover() }()
-				scoreWindows(spy, st, utt, out)
-				return nil
-			}()
-			if _, ok := p.(runtime.Error); !ok {
-				t.Fatalf("%s run %d: recovered %v, want the short frame's runtime error", sc.Name(), run, p)
+		for _, path := range []string{"scoreWindows", "Row"} {
+			var byHelper int
+			for run := 0; run < 200; run++ {
+				spy := &spyScorer{windowScorer: sc, yieldCaller: run%2 == 0, last: &utt[len(utt)-1]}
+				var p any
+				switch path {
+				case "scoreWindows":
+					st := borrowWindow(sc)
+					spy.caller = st
+					p = recovered(func() { scoreWindows(spy, st, utt, out) })
+				case "Row":
+					u := NewUtterance(spy)
+					spy.caller = u.st
+					u.Load(utt)
+					i := 0
+					p = recovered(func() {
+						for ; i < len(utt); i++ {
+							if d := diffRows([][]float32{u.Row(i, nil)}, want[i:i+1]); d != "" {
+								t.Fatalf("%s run %d, row %d: %s", sc.Name(), run, i, d)
+							}
+						}
+					})
+					if i != bad {
+						t.Fatalf("%s run %d: Row(%d) panicked, want the bad block's first row %d", sc.Name(), run, i, bad)
+					}
+					if n := spy.inFlight.Load(); n != 0 {
+						t.Fatalf("%s run %d: %d blocks still scoring when Row panicked", sc.Name(), run, n)
+					}
+					if q := recovered(u.Close); q != nil {
+						t.Fatalf("%s run %d: Close after the panic panicked: %v", sc.Name(), run, q)
+					}
+				}
+				if _, ok := p.(runtime.Error); !ok {
+					t.Fatalf("%s %s run %d: recovered %v, want the short frame's runtime error", sc.Name(), path, run, p)
+				}
+				if spy.lastByHelper.Load() {
+					byHelper++
+				}
 			}
-			if spy.lastByHelper.Load() {
-				byHelper++
+			t.Logf("%s %s: a helper scored the bad block in %d of 200 calls", sc.Name(), path, byHelper)
+			if byHelper == 0 || byHelper == 200 {
+				t.Errorf("%s %s: a helper scored the bad block in %d of 200 calls, want both workers to have", sc.Name(), path, byHelper)
 			}
 		}
-		t.Logf("%s: a helper scored the bad block in %d of 200 calls", sc.Name(), byHelper)
-		if byHelper == 0 || byHelper == 200 {
-			t.Errorf("%s: a helper scored the bad block in %d of 200 calls, want both workers to have", sc.Name(), byHelper)
+	}
+}
+
+// recovered runs f and returns what it panicked with, nil if nothing.
+func recovered(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// TestUtteranceCloseAfterEarlyStop: a search that stops reading a DNN's
+// chunk early — a cancelled context, or a search fault — leaves the job's
+// other blocks to the helpers, and Close (or the next Load) must end the
+// job without panicking and return only once no helper scores for the
+// utterance: no scoreWindow call is running then, and the test's writes to
+// every row after it are what -race would flag if a helper still wrote one.
+// 100 runs at GOMAXPROCS 2 and 4, stopping after 0 to 2 blocks' rows.
+func TestUtteranceCloseAfterEarlyStop(t *testing.T) {
+	m, scorers := windowScorers(t)
+	d := scorers[1]
+	utt := randUtt(rand.New(rand.NewSource(29)), 20*scoreBlock+5, m.Dim)
+	want := scalarScore(t, d, utt)
+	for _, procs := range []int{2, 4} {
+		setProcs(t, procs)
+		for run := 0; run < 100; run++ {
+			spy := &spyScorer{windowScorer: d, yieldCaller: run%2 == 0}
+			u := NewUtterance(spy)
+			spy.caller = u.st
+			read := run % (2*scoreBlock + 1)
+			stop := u.Close
+			if run%3 == 0 { // the next chunk's Load ends the job too
+				stop = func() { u.Load(utt[:1]); u.Close() }
+			}
+			u.Load(utt)
+			for i := 0; i < read; i++ {
+				if diff := diffRows([][]float32{u.Row(i, nil)}, want[i:i+1]); diff != "" {
+					t.Fatalf("GOMAXPROCS %d run %d, row %d: %s", procs, run, i, diff)
+				}
+			}
+			rows := u.rows
+			if p := recovered(stop); p != nil {
+				t.Fatalf("GOMAXPROCS %d run %d: Close after %d rows panicked: %v", procs, run, read, p)
+			}
+			if n := spy.inFlight.Load(); n != 0 {
+				t.Fatalf("GOMAXPROCS %d run %d: %d blocks still scoring after Close", procs, run, n)
+			}
+			for _, r := range rows {
+				clear(r)
+			}
 		}
 	}
 }
@@ -162,6 +247,34 @@ func TestFanOutAllocs(t *testing.T) {
 		}
 		u.Close()
 	}
+}
+
+// TestUtteranceRowAllocs: a warm DNN Utterance read through Row allocates
+// nothing at GOMAXPROCS 2, where helpers score its blocks — a chunk read to
+// its end, then one the search leaves after its first row, ended by the
+// next Load.
+func TestUtteranceRowAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	setProcs(t, 2)
+	m, scorers := windowScorers(t)
+	utt := randUtt(rand.New(rand.NewSource(30)), 20*scoreBlock, m.Dim)
+	u := NewUtterance(scorers[1])
+	cycle := func() {
+		u.Reset()
+		u.Load(utt)
+		for i := range utt {
+			u.Row(i, nil)
+		}
+		u.Load(utt[:33])
+		u.Row(0, nil)
+		u.Load(utt[:3])
+	}
+	if allocs := mallocsPerCall(50, cycle); allocs != 0 {
+		t.Errorf("a warm DNN Load/Row cycle allocates %d objects at GOMAXPROCS 2, want 0", allocs)
+	}
+	u.Close()
 }
 
 // mallocsPerCall is f's mean heap allocations per call over runs calls,

@@ -152,12 +152,18 @@ func diffRows(got, want [][]float32) string {
 
 // TestScoreKernelRatio holds the blocked kernel's gain where CI can see it:
 // ScoreUtterance against the scalar oracle on the same utterance in the same
-// run, median of 5 rounds each. The DNN and the GMM are timed on both kernel
-// paths, each floor at roughly half the measured ratio (DNN: AVX2 tile ~17x,
-// generic dot4 2.1x; GMM: AVX2 tile ~10.7x with the whole mixture on the
-// tile, generic sqDist4 ~3.1x — the table log-sum-exp carries the generic
-// path, the oracle keeps Log1p(Exp)) so a busy host does not trip it; the
-// RNN (sequential recurrence) must simply not lose.
+// run, median of 5 rounds each. The GMM is timed on both kernel paths, the
+// DNN on all three: the generic dot4 body, the AVX2 tile with AVX-512 off
+// (rows4x16) and, where the CPU has AVX-512F, the AVX-512 tile (rows8x16).
+// Measured: GMM AVX2 tile ~10.7x with the whole mixture on the tile,
+// generic sqDist4 ~3.1x (the table log-sum-exp carries the generic path,
+// the oracle keeps Log1p(Exp)); DNN AVX-512 tile 22.5-24.7x (floor 11x,
+// about half), AVX2 tile 16-18x. The DNN's generic row is four frames'
+// interleaved scalar dot products against one frame's at a time, with no
+// SIMD on either side: it read 1.58-2.14x in quiet runs and as low as
+// 1.27x under a parallel package run, so its floor of 1.3x says only that
+// the interleaving still wins. The RNN (sequential recurrence) must simply
+// not lose.
 //
 // Two more rows time the GMM's on-demand scoring (Utterance.Row) against
 // ScoreUtterance on the tile, each frame asking for a fresh random need
@@ -176,23 +182,30 @@ func TestScoreKernelRatio(t *testing.T) {
 	utt := randUtt(rand.New(rand.NewSource(33)), 224, m.Dim)
 	newDNN := func() Scorer { return NewDNNScorer(m, rand.New(rand.NewSource(31)), 0, 0) }
 	cases := []struct {
-		name  string
-		sc    Scorer
-		floor float64
-		tile  bool // score with the AVX2 tile on; the RNN does not consult it
+		name   string
+		sc     Scorer
+		floor  float64
+		tile   bool // score with the AVX2 tile on; the RNN does not consult it
+		avx512 bool // and the DNN's dense layers on rows8x16; only the DNN consults it
 	}{
-		{"GMM, generic sqDist4", NewGMMScorer(m), 1.5, false},
-		{"GMM, AVX2 tile", NewGMMScorer(m), 5.0, true},
-		{"DNN, generic dot4", newDNN(), 1.3, false},
-		{"DNN, AVX2 tile", newDNN(), 4.0, true},
-		{"RNN", NewRNNScorer(m, rand.New(rand.NewSource(32)), 0), 0.95, false},
+		{"GMM, generic sqDist4", NewGMMScorer(m), 1.5, false, false},
+		{"GMM, AVX2 tile", NewGMMScorer(m), 5.0, true, false},
+		{"DNN, generic dot4", newDNN(), 1.3, false, false},
+		{"DNN, AVX2 tile", newDNN(), 4.0, true, false},
+		{"DNN, AVX-512 tile", newDNN(), 11.0, true, true},
+		{"RNN", NewRNNScorer(m, rand.New(rand.NewSource(32)), 0), 0.95, false, false},
 	}
 	for _, c := range cases {
 		if c.tile && !cpuAVX2 {
 			t.Logf("%s: no AVX2 on this CPU, not run", c.name)
 			continue
 		}
+		if c.avx512 && !cpuAVX512 {
+			t.Logf("%s: no AVX-512F on this CPU, not run", c.name)
+			continue
+		}
 		useTile(t, c.tile)
+		useAVX512(t, c.avx512)
 		sc := c.sc
 		if d := diffRows(sc.ScoreUtterance(utt), scalarScore(t, sc, utt)); d != "" {
 			t.Fatalf("%s: %s", c.name, d)

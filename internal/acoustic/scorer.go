@@ -20,9 +20,11 @@ type Scorer interface {
 	// The rows of one call share a single backing slab, so retaining one
 	// row keeps the whole utterance's scores alive. Like the GPU batch, a
 	// call may score its frames on several cores: this package's GMM and
-	// DNN share an utterance's blocks with idle helper goroutines, and
-	// return only once every block is scored, with the same bits as one
-	// core would write.
+	// DNN share an utterance's 16-frame blocks with idle helper goroutines,
+	// and return only once every block is scored, with the same bits as
+	// one core would write. A search need not wait for the whole batch:
+	// Utterance.Row hands out a DNN's rows block by block as they are
+	// scored, from the same mechanism.
 	ScoreUtterance(frames [][]float32) [][]float32
 	// FLOPsPerFrame reports the arithmetic cost per frame, used by the
 	// GPU time/energy model.
@@ -76,7 +78,8 @@ func newRows(n, dim int) [][]float32 {
 //
 // A chunk is scored either whole (Score) or row by row as a search reads it
 // (Load, then Row): the second is how a GMM scores only the senones the
-// search asks for.
+// search asks for, and how a search reads a DNN's first 16-frame block
+// while idle helpers score the rest.
 //
 // A Scorer that is not one of this package's (a test or fault-injection
 // wrapper) scores each chunk with its own ScoreUtterance call.
@@ -90,11 +93,17 @@ type Utterance struct {
 	rows [][]float32
 
 	// The chunk Load handed in, and what Row serves it from: for the GMM
-	// the features (gmm set), for every other scorer the chunk's rows,
-	// scored whole by the chunk's first Row (nil until then).
-	gmm    *GMMScorer
-	frames [][]float32
-	loaded [][]float32
+	// the features (gmm set); for every other scorer the chunk's rows
+	// (nil until its first Row). A scorer with independent frames (the
+	// DNN; perBlock set) scores them in job, started by the chunk's first
+	// Row (running) and ended by the next Load, Score, Reset or Close; the
+	// RNN scores them whole at that Row, as Score does.
+	gmm      *GMMScorer
+	perBlock bool
+	frames   [][]float32
+	loaded   [][]float32
+	job      blockJob
+	running  bool
 }
 
 // NewUtterance starts a chunked utterance on sc.
@@ -104,15 +113,34 @@ func NewUtterance(sc Scorer) *Utterance {
 		u.ws, u.st = ws, borrowWindow(ws)
 	}
 	u.gmm, _ = sc.(*GMMScorer)
+	u.perBlock = u.gmm == nil && u.ws != nil && u.ws.framesIndependent()
 	return u
 }
 
 // Reset starts a new utterance on u, as if it were a new Utterance on the
 // same scorer: the recurrent state restarts.
 func (u *Utterance) Reset() {
+	u.endJob()
 	if u.st != nil {
 		u.st.Reset()
 	}
+}
+
+// endJob abandons the chunk's scoring job, if one is running: it returns
+// once no helper writes u's rows, and leaves the unread blocks unscored.
+func (u *Utterance) endJob() {
+	if u.running {
+		u.job.abandon()
+		u.running = false
+	}
+}
+
+// chunkRows returns u's first n rows, grown to n if need be.
+func (u *Utterance) chunkRows(n int) [][]float32 {
+	if n > len(u.rows) {
+		u.rows = newRows(n, u.ws.ScoreDim())
+	}
+	return u.rows[:n]
 }
 
 // Score scores the utterance's next chunk of frames and returns one row per
@@ -122,21 +150,24 @@ func (u *Utterance) Score(frames [][]float32) [][]float32 {
 	if u.ws == nil {
 		return u.sc.ScoreUtterance(frames)
 	}
-	if len(frames) > len(u.rows) {
-		u.rows = newRows(len(frames), u.ws.ScoreDim())
-	}
-	out := u.rows[:len(frames)]
-	scoreWindows(u.ws, u.st, frames, out)
+	u.endJob()
+	out := u.chunkRows(len(frames))
+	u.job.start(u.ws, frames, out)
+	u.job.finish(u.st)
 	return out
 }
 
 // Load hands u the utterance's next chunk of frames, to be read through
 // Row. Load itself scores nothing, so all scoring runs inside the reader's
 // Row calls (a decoder's fault guard covers them): a GMM scores at each Row
-// call, and every other scorer scores the chunk whole, as Score does, at
-// its first Row. A chunk no Row reads is not scored. The frames must stay
+// call; a DNN starts the chunk's scoring job at its first Row, idle helpers
+// scoring its 16-frame blocks from then on, and each Row returns as soon as
+// its own block is written; the RNN scores the chunk whole, as Score does,
+// at its first Row. A chunk no Row reads is not scored, and Load abandons
+// the blocks of the previous chunk that no Row read. The frames must stay
 // unchanged until the next Load.
 func (u *Utterance) Load(frames [][]float32) {
+	u.endJob()
 	u.frames = frames
 	if u.gmm != nil {
 		st := u.st.(*gmmLaneState)
@@ -168,11 +199,27 @@ const eagerPercent = 60
 // for at least every senone need lists: need is called at most once and
 // returns the senones the caller will read from the row (1-based). For the
 // GMM those are all Row scores, unless the search has been reading
-// eagerPercent of the model; other scorers score the whole chunk at its
-// first Row and never call need. Row may be called again for the same i
+// eagerPercent of the model; other scorers never call need. A DNN's Row
+// waits only for the 16-frame block that holds row i, scoring the next
+// unclaimed block itself while that one is not ready; a panic in any
+// block's scoring surfaces from the Row that needs that block, on the
+// caller's goroutine, once every helper has left the chunk. The RNN scores
+// the whole chunk at its first Row. Row may be called again for the same i
 // with a longer need (a search retrying a frame with a wider beam). The
 // row is valid until the next Row, Load or Score call.
 func (u *Utterance) Row(i int, need func() []int32) []float32 {
+	if u.perBlock {
+		if !u.running {
+			u.loaded = u.chunkRows(len(u.frames))
+			u.job.start(u.ws, u.frames, u.loaded)
+			u.running = true
+		}
+		if !u.job.await(u.st, i/scoreBlock) {
+			u.running = false
+			panic(u.job.end())
+		}
+		return u.loaded[i]
+	}
 	if u.gmm == nil {
 		if u.loaded == nil {
 			u.loaded = u.Score(u.frames)
@@ -202,9 +249,11 @@ func (u *Utterance) Row(i int, need func() []int32) []float32 {
 	return st.lane
 }
 
-// Close returns the utterance's window state to the scorer's pool. It is
-// idempotent.
+// Close abandons the chunk's unread blocks, as Load does, and returns the
+// utterance's window state to the scorer's pool once no helper is scoring
+// for u. It never panics, and it is idempotent.
 func (u *Utterance) Close() {
+	u.endJob()
 	if u.st != nil {
 		u.ws.windowPool().Put(u.st)
 		u.st = nil

@@ -3,14 +3,15 @@ package acoustic
 import "math/bits"
 
 // The DNN and GMM forward passes on a 16-frame tile, for amd64 CPUs with
-// AVX2.
+// AVX2; the DNN's dense layers go a register wider with AVX-512F.
 //
 // dot4 (batch.go) interleaves four frames' scalar dot products; the tile
 // makes the frames SIMD lanes instead. A block's features are transposed
 // once into frame-minor layout, xT[j*16+lane], and every weight row i then
 // yields hT[i*16:(i+1)*16] = Σ_j w[i][j]·xT[j][·] with all 16 frames in two
-// YMM registers — already the next layer's input layout, so nothing is
-// transposed again until the scores leave.
+// YMM registers — or one ZMM register with AVX-512F — already the next
+// layer's input layout, so nothing is transposed again until the scores
+// leave.
 //
 // Lanes across frames is bit-exact where lanes across j is not: a lane here
 // is one frame's whole dot product, accumulated from zero in j order with a
@@ -19,6 +20,9 @@ import "math/bits"
 // terms in a different order and round differently. The GMM rides the same
 // tile whole (gmmTile): a lane is one frame's sqDist, then mixture's
 // log-densities and logSumExp2's table, four float64 lanes at a time.
+
+//go:noescape
+func rows8x16(w *float32, n int, x, dst *float32)
 
 //go:noescape
 func rows4x16(w *float32, n int, x, dst *float32)
@@ -44,9 +48,13 @@ func lseTile(a, b, dst *float32, fb *uint8, n int)
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// haveAVX2 routes the DNN's and the GMM's stepLanes to the tile. Read once
-// here; the tests flip it to run both kernel paths on one machine.
-var haveAVX2 = detectAVX2()
+// haveAVX2 routes the DNN's and the GMM's stepLanes to the tile, and
+// haveAVX512 the DNN's dense layers to rows8x16 within it. Read once here;
+// the tests flip them to run every kernel path on one machine.
+var (
+	haveAVX2   = detectAVX2()
+	haveAVX512 = haveAVX2 && detectAVX512()
+)
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // state across context switches (OSXSAVE set and XCR0 enabling SSE + AVX).
@@ -66,13 +74,31 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
+// detectAVX512 reports whether the CPU has AVX-512F and the OS saves the
+// whole ZMM state: XCR0 enabling SSE and AVX (bits 1 and 2) and the opmask,
+// the upper halves of Z0–Z15 and Z16–Z31 (bits 5, 6 and 7). Called only
+// where detectAVX2 has already checked OSXSAVE and leaf 7.
+func detectAVX512() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<16) != 0
+}
+
 // denseTile sets dst[i*16+lane] = Σ_j w[i*n+j]·x[j*16+lane] for the
-// len(dst)/16 rows of w: four rows per kernel call, the remainder one at a
-// time. The reslicing is the bounds check the kernels do not make.
+// len(dst)/16 rows of w: eight rows per kernel call with AVX-512F, then
+// four, the remainder one at a time. The reslicing is the bounds check the
+// kernels do not make.
 func denseTile(w []float32, n int, x, dst []float32) {
 	rows := len(dst) / tileLanes
 	w, x, dst = w[:rows*n], x[:n*tileLanes], dst[:rows*tileLanes]
 	i := 0
+	if haveAVX512 {
+		for ; i+8 <= rows; i += 8 {
+			rows8x16(&w[i*n], n, &x[0], &dst[i*tileLanes])
+		}
+	}
 	for ; i+4 <= rows; i += 4 {
 		rows4x16(&w[i*n], n, &x[0], &dst[i*tileLanes])
 	}
@@ -115,14 +141,19 @@ func (d *DNNScorer) stepTile(st *dnnLaneState, xs, outs [][]float32) {
 		hT, h2T = h2T, hT
 	}
 
-	// Output layer, four senones at a time: their proj rows are contiguous
-	// (one rows4x16), their template rows are separate slices.
-	var ts, ps [4 * tileLanes]float32
+	// Output layer, a row group of senones at a time: their proj rows are
+	// contiguous (one rows8x16 or rows4x16), their template rows are
+	// separate slices.
+	var ts, ps [8 * tileLanes]float32
 	for _, o := range outs {
 		o[0] = unusedScore
 	}
-	for s := 1; s <= d.m.NumSenones; s += 4 {
-		g := min(4, d.m.NumSenones+1-s)
+	group := 4
+	if haveAVX512 {
+		group = 8
+	}
+	for s := 1; s <= d.m.NumSenones; s += group {
+		g := min(group, d.m.NumSenones+1-s)
 		denseTile(d.proj[s*hid:], hid, hT, ps[:g*tileLanes])
 		for i := 0; i < g; i++ {
 			denseTile(d.tmplW[s+i], dim, xT, ts[i*tileLanes:(i+1)*tileLanes])

@@ -68,6 +68,70 @@ loop4:
 	VZEROUPPER
 	RET
 
+// func rows8x16(w *float32, n int, x, dst *float32)
+//
+// dst[r*16+lane] = Σ_j w[r*n+j]·x[j*16+lane] for r < 8, on AVX-512F: a
+// row's 16 lanes are one ZMM register, so eight rows are eight independent
+// add chains, and each multiply takes its weight w[r][j] by embedded
+// broadcast. x[j] is the multiply's first source and the broadcast weight
+// its second; only a NaN weight could tell the two orders apart, and the
+// weights are finite.
+TEXT ·rows8x16(SB), NOSPLIT, $0-32
+	MOVQ w+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ x+16(FP), DX
+	MOVQ dst+24(FP), DI
+	LEAQ (SI)(CX*4), R8
+	LEAQ (R8)(CX*4), R9
+	LEAQ (R9)(CX*4), R10
+	LEAQ (R10)(CX*4), R11
+	LEAQ (R11)(CX*4), R12
+	LEAQ (R12)(CX*4), R13
+	LEAQ (R13)(CX*4), BX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	XORQ AX, AX
+
+loop8:
+	VMOVUPS (DX), Z8
+	VMULPS.BCST (SI)(AX*4), Z8, Z9
+	VMULPS.BCST (R8)(AX*4), Z8, Z10
+	VMULPS.BCST (R9)(AX*4), Z8, Z11
+	VMULPS.BCST (R10)(AX*4), Z8, Z12
+	VMULPS.BCST (R11)(AX*4), Z8, Z13
+	VMULPS.BCST (R12)(AX*4), Z8, Z14
+	VMULPS.BCST (R13)(AX*4), Z8, Z15
+	VMULPS.BCST (BX)(AX*4), Z8, Z16
+	VADDPS Z9, Z0, Z0
+	VADDPS Z10, Z1, Z1
+	VADDPS Z11, Z2, Z2
+	VADDPS Z12, Z3, Z3
+	VADDPS Z13, Z4, Z4
+	VADDPS Z14, Z5, Z5
+	VADDPS Z15, Z6, Z6
+	VADDPS Z16, Z7, Z7
+	ADDQ $64, DX
+	INCQ AX
+	CMPQ AX, CX
+	JLT loop8
+
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	VZEROUPPER
+	RET
+
 // func rows1x16(w *float32, n int, x, dst *float32)
 //
 // dst[lane] = Σ_j w[j]·x[j*16+lane]: one row, for rows that are not

@@ -2,10 +2,10 @@
 
 package acoustic
 
-// haveAVX2 is never set off amd64: the DNN's and the GMM's stepLanes keep
+// haveAVX2 and haveAVX512 are never set off amd64: the DNN's and the GMM's stepLanes keep
 // their generic dot4/sqDist4 bodies, ScoreSenones its per-senone mixture,
 // and neither stepTile nor senoneTile is reached.
-var haveAVX2 = false
+var haveAVX2, haveAVX512 = false, false
 
 func (d *DNNScorer) stepTile(st *dnnLaneState, xs, outs [][]float32) {
 	panic("acoustic: the tile kernel is amd64-only")

@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// cpuAVX2 is what the probe found, before any test flips haveAVX2.
-var cpuAVX2 = haveAVX2
+// cpuAVX2 and cpuAVX512 are what the probes found, before any test flips
+// haveAVX2 or haveAVX512.
+var cpuAVX2, cpuAVX512 = haveAVX2, haveAVX512
 
 // useTile switches the DNN's and the GMM's kernel path for the rest of the
 // test: the AVX2 tile, or the generic dot4/sqDist4 bodies every other CPU
@@ -22,6 +23,19 @@ func useTile(t testing.TB, on bool) {
 	prev := haveAVX2
 	haveAVX2 = on
 	t.Cleanup(func() { haveAVX2 = prev })
+}
+
+// useAVX512 switches the DNN's dense layers on the tile between rows8x16
+// (AVX-512F) and the AVX2 row kernels for the rest of the test, as useTile
+// switches the tile itself.
+func useAVX512(t testing.TB, on bool) {
+	t.Helper()
+	if on && !cpuAVX512 {
+		t.Skip("no AVX-512F on this CPU")
+	}
+	prev := haveAVX512
+	haveAVX512 = on
+	t.Cleanup(func() { haveAVX512 = prev })
 }
 
 // TestGenericKernelPath re-runs the package's scoring contracts with the
@@ -41,6 +55,21 @@ func TestGenericKernelPath(t *testing.T) {
 	t.Run("UtteranceMatchesWhole", TestUtteranceMatchesWhole)
 	t.Run("UtteranceRowMatchesWhole", TestUtteranceRowMatchesWhole)
 	t.Run("FanOutMatchesOracle", TestFanOutMatchesOracle)
+}
+
+// TestAVX2TilePath re-runs the DNN tile's contracts with AVX-512 switched
+// off, so the AVX2 row kernels (rows4x16 for every group of rows) that
+// every AVX2 CPU without AVX-512F runs are held to the same assertions on
+// the machines that take rows8x16.
+func TestAVX2TilePath(t *testing.T) {
+	if !cpuAVX512 {
+		t.Skip("no AVX-512F on this CPU: the tests above ran the AVX2 tile")
+	}
+	useAVX512(t, false)
+	t.Run("ScoreWindowMatchesUtterance", TestScoreWindowMatchesUtterance)
+	t.Run("UtteranceRowMatchesWhole", TestUtteranceRowMatchesWhole)
+	t.Run("FanOutMatchesOracle", TestFanOutMatchesOracle)
+	t.Run("DNNTileNonFiniteParity", TestDNNTileNonFiniteParity)
 }
 
 // diffBits is diffRows by bit pattern: NaN payloads and the sign of zero

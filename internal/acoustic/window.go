@@ -1,9 +1,6 @@
 package acoustic
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // Window scoring: the one block kernel behind ScoreUtterance and
 // Utterance.Score. scoreWindow advances ONE utterance by up to `width`
@@ -84,22 +81,16 @@ func borrowWindow(sc windowScorer) windowState {
 
 // scoreWindows walks frames through scoreWindow in scoreBlock-wide windows,
 // continuing the utterance st carries: the block loop of ScoreUtterance and
-// of every Utterance.Score chunk, and the one place scoring runs on more
-// than one core. When sc's frames are independent, the call spans at least
-// two blocks and GOMAXPROCS is above 1, the blocks are shared with idle
-// helper goroutines (fanOut, fanout.go); each block keeps its boundaries,
-// so the rows are the same bits either way.
+// of every Utterance.Score chunk, a scoring job (fanout.go) run to its end.
+// When sc's frames are independent, the call spans at least two blocks and
+// GOMAXPROCS is above 1, the blocks are shared with idle helper goroutines;
+// each block keeps its boundaries, so the rows are the same bits either
+// way.
 func scoreWindows(sc windowScorer, st windowState, frames, out [][]float32) {
-	if len(frames) > scoreBlock && sc.framesIndependent() {
-		if procs := runtime.GOMAXPROCS(0); procs > 1 {
-			fanOut(sc, st, frames, out, procs-1)
-			return
-		}
-	}
-	for base := 0; base < len(frames); base += scoreBlock {
-		end := min(base+scoreBlock, len(frames))
-		sc.scoreWindow(st, frames[base:end], out[base:end])
-	}
+	j := jobs.Get().(*blockJob)
+	j.start(sc, frames, out)
+	j.finish(st)
+	jobs.Put(j)
 }
 
 // ---------------------------------------------------------------------------

@@ -170,11 +170,13 @@ func (r *Recognizer) Words(ids []int32) []string {
 // Stage StageSearch, and the process keeps running.
 //
 // The search runs on the calling goroutine, and so does a GMM's on-demand
-// scoring. A DNN scores the utterance whole at the search's first frame and
-// shares its 16-frame blocks with idle helper goroutines (up to
-// GOMAXPROCS-1, process-wide), so one call may use every idle core while it
-// scores; a panic on a helper returns to this call as one on its own
-// goroutine would.
+// scoring. A DNN starts scoring the utterance's 16-frame blocks at the
+// search's first frame, with idle helper goroutines (up to GOMAXPROCS-1,
+// process-wide) taking blocks beside it, and the search reads each block
+// as soon as it is written, scoring the next one itself while the block it
+// needs is not ready. So one call may use every idle core while it scores
+// and searches; a panic on a helper returns to this call, at the frame
+// whose block it hit, as one on its own goroutine would.
 //
 // A Recognizer decodes on one shared decoder whose offset table is not
 // synchronized: make one Recognize/RecognizeContext/RecognizeTimed call at a
