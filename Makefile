@@ -46,7 +46,9 @@ vet:
 # and in non-test internal/acoustic only the scoring fan-out (fanout.go)
 # starts goroutines. The two simulated accelerators run one search
 # (internal/accel/search.go) over two memory layouts: non-test
-# internal/accel defines epsClosure and decodeOne once each.
+# internal/accel defines epsClosure and decodeOne once each. Section kinds
+# 8, 9 and 10 (am-packed, lm-packed, lm-arpa) are retired ABI that nothing
+# writes or reads: no non-test code outside internal/flatstore names them.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -88,6 +90,9 @@ lint:
 			echo "$$defs"; echo "$$fn is defined more than once in non-test internal/accel; both designs run the one simulated search in search.go"; exit 1; \
 		fi; \
 	done
+	@if git grep -nE 'Section(ARPA|AMPacked|LMPacked)\b' -- '*.go' ':!internal/flatstore' ':!*_test.go'; then \
+		echo "a retired section kind (8, 9 or 10) outside internal/flatstore; a bundle holds only what a decode reads, and new data takes a new kind"; exit 1; \
+	fi
 	go vet ./...
 
 # Go line counts, non-test and test: decoder + pool + server (the unit

@@ -103,11 +103,3 @@ func (r *Reader) ReadBits(pos uint64, n uint) uint64 {
 	}
 	return v
 }
-
-// Len returns the buffer length in bits.
-func (r *Reader) Len() uint64 { return uint64(len(r.buf)) * 8 }
-
-// Bytes returns the underlying packed buffer. The slice aliases the
-// reader's storage (serializers write it verbatim); callers must not
-// modify it.
-func (r *Reader) Bytes() []byte { return r.buf }

@@ -12,7 +12,8 @@ func FuzzReadBits(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte, pos uint16, n uint8) {
 		width := uint(n % 65)
 		r := NewReader(buf)
-		inRange := uint64(pos)+uint64(width) <= r.Len()
+		bits := uint64(len(buf)) * 8
+		inRange := uint64(pos)+uint64(width) <= bits
 		defer func() {
 			err := recover()
 			if inRange && err != nil {
@@ -20,7 +21,7 @@ func FuzzReadBits(f *testing.F) {
 			}
 			if !inRange && width > 0 && err == nil {
 				t.Fatalf("out-of-range read (pos %d width %d len %d) did not panic",
-					pos, width, r.Len())
+					pos, width, bits)
 			}
 		}()
 		v := r.ReadBits(uint64(pos), width)

@@ -71,17 +71,16 @@ const (
 	SectionLexicon SectionKind = 6
 	// SectionSenones is the senone template model (acoustic binary format).
 	SectionSenones SectionKind = 7
-	// SectionAMPacked is the compressed acoustic model: the verbatim
-	// internal/compress AM encoding (quantizer table, packed state records,
-	// 20/58-bit bitpack arc stream).
+	// SectionAMPacked, SectionLMPacked and SectionARPA are retired: bundles
+	// written before the store held only what a decode reads carry the
+	// compressed AM and LM (the internal/compress bitpack encodings) and the
+	// back-off LM as ARPA text under these kinds. No writer emits them and no
+	// loader reads them; readers skip them like any other kind, and the
+	// numbers are never reused. A packed search that earns its place in a
+	// bundle takes a new kind.
 	SectionAMPacked SectionKind = 8
-	// SectionLMPacked is the compressed language model: the verbatim
-	// internal/compress LM encoding (6/45/27-bit bitpack arc stream).
 	SectionLMPacked SectionKind = 9
-	// SectionARPA is the back-off language model as ARPA text, kept so a v3
-	// bundle remains self-contained for re-pruning and v2 interchange. Not
-	// read on the serving load path.
-	SectionARPA SectionKind = 10
+	SectionARPA     SectionKind = 10
 )
 
 // String names a section kind for error messages and tool output.

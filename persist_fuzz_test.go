@@ -69,9 +69,10 @@ func FuzzLoadBundle(f *testing.F) {
 // asserts the same contract as FuzzLoadBundle: LoadRecognizer (full verify)
 // and LoadRecognizerFast (O(1) trusted path) either load or return a typed
 // *BundleError — never panic, never return an untyped error. Seeds cover a
-// pristine v3 bundle plus systematic truncations and faultinject mutations
-// of it, so the fuzzer starts from structurally interesting corpora rather
-// than random noise.
+// pristine v3 bundle, the same bundle in the old layout with the retired
+// sections, plus systematic truncations and faultinject mutations of the
+// pristine one, so the fuzzer starts from structurally interesting corpora
+// rather than random noise.
 func FuzzLoadBundleV3(f *testing.F) {
 	fx := getBundle(f)
 	path := filepath.Join(f.TempDir(), "seed.ufb3")
@@ -83,6 +84,13 @@ func FuzzLoadBundleV3(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(pristine)
+	// A bundle in the layout written before the packed and ARPA sections
+	// were retired: loaders must keep skipping kinds 8, 9 and 10.
+	old, err := os.ReadFile(oldLayoutBundle(f, path))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 	// Truncations at the format's boundaries: inside the header, inside the
 	// section table, at a section edge, and mid-payload.
 	for _, n := range []int{0, flatstore.HeaderSize / 2, flatstore.HeaderSize,

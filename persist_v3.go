@@ -8,11 +8,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/acoustic"
 	"repro/internal/am"
-	"repro/internal/compress"
 	"repro/internal/flatstore"
 	"repro/internal/wfst"
 )
@@ -23,8 +21,8 @@ import (
 // the decoder's CSR arrays: LoadRecognizer maps the file and constructs
 // *wfst.WFST views over the mapping (wfst.NewFromFlat), so load time is
 // independent of arc count and resident memory is bounded by the file size.
-// The compressed (bitpack/compress) encodings are stored verbatim alongside
-// and parsed only on demand.
+// A bundle holds only what a decode reads; the retired packed and ARPA
+// kinds of older bundles are skipped on load.
 //
 // flatVersion is the meta format_version a v3 bundle carries.
 const flatVersion = 3
@@ -48,9 +46,7 @@ func (s *System) SaveFlat(path string) error {
 	}
 	return writeFlatBundle(path, meta, s.Task.AM.G, s.Task.LMGraph.G,
 		func(w io.Writer) error { return am.WriteLexicon(s.Task.Lex, w) },
-		func(w io.Writer) error { return acoustic.WriteSenoneModel(s.Task.Senones, w) },
-		func(w io.Writer) error { return s.Task.LM.WriteARPA(w) },
-		s.AM, s.LM)
+		func(w io.Writer) error { return acoustic.WriteSenoneModel(s.Task.Senones, w) })
 }
 
 // flatGraphMeta records what a flat CSR section pair cannot express itself:
@@ -67,12 +63,9 @@ func graphMetaOf(g *wfst.WFST) *flatGraphMeta {
 	return &flatGraphMeta{Start: int32(g.Start()), States: g.NumStates(), Sorted: g.InSorted()}
 }
 
-// writeFlatBundle assembles the v3 container from its parts. Packed models
-// may be nil (a converted bundle without compressed sections is still
-// loadable; the sections exist for footprint parity with the paper).
+// writeFlatBundle assembles the v3 container from its parts.
 func writeFlatBundle(path string, meta bundleMeta, amG, lmG *wfst.WFST,
-	lexicon, senones, arpa func(io.Writer) error,
-	packedAM *compress.AM, packedLM *compress.LM) error {
+	lexicon, senones func(io.Writer) error) error {
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return err
@@ -94,13 +87,6 @@ func writeFlatBundle(path string, meta bundleMeta, amG, lmG *wfst.WFST,
 	add(flatstore.SectionLMArcs, func(out io.Writer) error { return wfst.WriteFlatArcs(lmG, out) })
 	add(flatstore.SectionLexicon, lexicon)
 	add(flatstore.SectionSenones, senones)
-	add(flatstore.SectionARPA, arpa)
-	if packedAM != nil {
-		add(flatstore.SectionAMPacked, func(out io.Writer) error { return compress.WriteAM(packedAM, out) })
-	}
-	if packedLM != nil {
-		add(flatstore.SectionLMPacked, func(out io.Writer) error { return compress.WriteLM(packedLM, out) })
-	}
 	if err != nil {
 		return err
 	}
@@ -161,7 +147,7 @@ func loadFlat(path string, verify bool) (rec *Recognizer, err error) {
 		return nil, &BundleError{File: "meta", Reason: "structure", Cause: fmt.Errorf("implausible graph state counts %d/%d", meta.AM.States, meta.LM.States)}
 	}
 
-	r := &Recognizer{TaskName: meta.TaskName, recognizerFlatState: recognizerFlatState{bundle: b}}
+	r := &Recognizer{TaskName: meta.TaskName, bundle: b}
 	lex, ferr := b.MustSection(flatstore.SectionLexicon)
 	if ferr != nil {
 		return nil, flatErr(ferr)
@@ -247,12 +233,10 @@ func flatErr(err error) error {
 }
 
 // ConvertBundle rewrites a v2 directory bundle as a v3 flat bundle at
-// dstPath. The graphs, lexicon, senone model and ARPA text carried over are
-// the ones the v2 loader itself produces, so recognition output from the
-// converted bundle is byte-identical to the v2 path (the CI format-compat
-// job asserts this). The compressed sections are re-encoded from the
-// graphs with freshly trained quantizers — deterministic for a given
-// bundle.
+// dstPath. The graphs, lexicon and senone model carried over are the ones
+// the v2 loader itself produces, so recognition output from the converted
+// bundle is byte-identical to the v2 path (the CI format-compat job asserts
+// this).
 func ConvertBundle(srcDir, dstPath string) error {
 	r, err := LoadRecognizer(srcDir)
 	if err != nil {
@@ -271,32 +255,9 @@ func ConvertBundle(srcDir, dstPath string) error {
 	meta.AM = graphMetaOf(r.AMGraph)
 	meta.LM = graphMetaOf(r.LMGraph)
 
-	packedAM, packedLM := encodePacked(r)
 	return writeFlatBundle(dstPath, meta, r.AMGraph, r.LMGraph,
 		func(w io.Writer) error { return am.WriteLexicon(r.Lex, w) },
-		func(w io.Writer) error { return acoustic.WriteSenoneModel(r.Senones, w) },
-		func(w io.Writer) error { return r.Model.WriteARPA(w) },
-		packedAM, packedLM)
-}
-
-// encodePacked builds the compressed sections from a loaded recognizer's
-// graphs. Encoding failures degrade to omitting the sections rather than
-// failing the conversion: the packed forms are a footprint artifact, not a
-// decode dependency.
-func encodePacked(r *Recognizer) (*compress.AM, *compress.LM) {
-	var packedAM *compress.AM
-	var packedLM *compress.LM
-	if qa, err := compress.TrainQuantizer(compress.CollectWeights(r.AMGraph), 0); err == nil {
-		packedAM, _ = compress.EncodeAM(r.AMGraph, qa)
-	}
-	if r.Model != nil {
-		if gr, err := r.Model.BuildGraph(); err == nil {
-			if ql, err := compress.TrainQuantizer(compress.CollectWeights(gr.G), 0); err == nil {
-				packedLM, _ = compress.EncodeLM(gr, ql)
-			}
-		}
-	}
-	return packedAM, packedLM
+		func(w io.Writer) error { return acoustic.WriteSenoneModel(r.Senones, w) })
 }
 
 // Close releases the bundle mapping backing a v3-loaded recognizer (no-op
@@ -350,48 +311,3 @@ func (r *Recognizer) ResidentBytes() int64 {
 // Mapped reports whether the recognizer decodes through a memory-mapped
 // bundle (false for v2 directory loads and the io.ReaderAt fallback).
 func (r *Recognizer) Mapped() bool { return r.bundle != nil && r.bundle.Mapped() }
-
-// PackedAM parses (once) and returns the bundle's compressed acoustic
-// model, or an error when the section is absent or the recognizer was not
-// loaded from a v3 bundle. The parse is deferred off the load path; the
-// returned model's arc stream reads directly from the bundle mapping.
-func (r *Recognizer) PackedAM() (*compress.AM, error) {
-	r.packedOnce.Do(r.parsePacked)
-	return r.packedAM, r.packedAMErr
-}
-
-// PackedLM parses (once) and returns the bundle's compressed language
-// model; see PackedAM.
-func (r *Recognizer) PackedLM() (*compress.LM, error) {
-	r.packedOnce.Do(r.parsePacked)
-	return r.packedLM, r.packedLMErr
-}
-
-func (r *Recognizer) parsePacked() {
-	if r.bundle == nil {
-		err := fmt.Errorf("unfold: packed sections only exist in v3 bundles")
-		r.packedAMErr, r.packedLMErr = err, err
-		return
-	}
-	if p, ok := r.bundle.Section(flatstore.SectionAMPacked); ok {
-		r.packedAM, r.packedAMErr = compress.ReadAM(p)
-	} else {
-		r.packedAMErr = fmt.Errorf("unfold: bundle has no am-packed section")
-	}
-	if p, ok := r.bundle.Section(flatstore.SectionLMPacked); ok {
-		r.packedLM, r.packedLMErr = compress.ReadLM(p)
-	} else {
-		r.packedLMErr = fmt.Errorf("unfold: bundle has no lm-packed section")
-	}
-}
-
-// recognizerFlatState is the v3-only state carried by Recognizer, split out
-// so persist.go's v2 structures stay untouched.
-type recognizerFlatState struct {
-	bundle      *flatstore.Bundle
-	packedOnce  sync.Once
-	packedAM    *compress.AM
-	packedLM    *compress.LM
-	packedAMErr error
-	packedLMErr error
-}

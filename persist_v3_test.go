@@ -1,7 +1,9 @@
 package unfold
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -104,8 +106,7 @@ func TestLoadRecognizerFastIsMapped(t *testing.T) {
 }
 
 // TestConvertBundle checks the v2→v3 conversion path end to end: the
-// converted bundle must decode byte-identically to its v2 source and carry
-// parseable packed sections.
+// converted bundle must decode byte-identically to its v2 source.
 func TestConvertBundle(t *testing.T) {
 	fx := getBundle(t)
 	dst := filepath.Join(t.TempDir(), "converted.ufb3")
@@ -126,31 +127,100 @@ func TestConvertBundle(t *testing.T) {
 	}
 }
 
-func TestPackedSectionsParse(t *testing.T) {
-	path, fx := saveFlatFixture(t)
-	rec, err := LoadRecognizerFast(path)
+// TestSaveFlatSections pins the section set both writers emit: what a
+// decode reads, without the retired packed and ARPA kinds.
+func TestSaveFlatSections(t *testing.T) {
+	want := []flatstore.SectionKind{
+		flatstore.SectionMeta, flatstore.SectionAMStates, flatstore.SectionAMArcs,
+		flatstore.SectionLMStates, flatstore.SectionLMArcs,
+		flatstore.SectionLexicon, flatstore.SectionSenones,
+	}
+	saved, _ := saveFlatFixture(t)
+	converted := filepath.Join(t.TempDir(), "golden.ufb3")
+	if err := ConvertBundle(goldenV2Dir, converted); err != nil {
+		t.Fatal(err)
+	}
+	for name, path := range map[string]string{"SaveFlat": saved, "ConvertBundle": converted} {
+		b, err := flatstore.Open(path, flatstore.Options{VerifySections: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Kinds(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s wrote sections %v, want %v", name, got, want)
+		}
+		b.Close()
+	}
+}
+
+// oldLayoutBundle rewrites the lean bundle at lean in the layout written
+// before the packed and ARPA sections were retired: the same sections, then
+// kinds 8, 9 and 10. Loaders skip those kinds, so their payload is arbitrary.
+func oldLayoutBundle(t testing.TB, lean string) string {
+	t.Helper()
+	src, err := flatstore.Open(lean, flatstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Close()
-	pam, err := rec.PackedAM()
+	defer src.Close()
+	path := filepath.Join(t.TempDir(), "old-layout.ufb3")
+	w, err := flatstore.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plm, err := rec.PackedLM()
+	add := func(kind flatstore.SectionKind, payload []byte) {
+		t.Helper()
+		if err := w.AddSection(kind, func(out io.Writer) error { _, e := out.Write(payload); return e }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range src.Kinds() {
+		payload, _ := src.Section(k)
+		add(k, payload)
+	}
+	add(flatstore.SectionAMPacked, bytes.Repeat([]byte{0xa5}, 4096))
+	add(flatstore.SectionLMPacked, bytes.Repeat([]byte{0x5a}, 2048))
+	add(flatstore.SectionARPA, []byte("\\data\\\nngram 1=1\n\n\\1-grams:\n-1.0 <s>\n\n\\end\\\n"))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOldLayoutBundleLoads keeps bundles written with the retired sections
+// serving: both load paths skip kinds 8, 9 and 10, decode exactly as the
+// lean bundle does, and count the whole file as resident.
+func TestOldLayoutBundleLoads(t *testing.T) {
+	lean, fx := saveFlatFixture(t)
+	old := oldLayoutBundle(t, lean)
+	st, err := os.Stat(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pam.NumStates() != fx.sys.AM.NumStates() || pam.NumArcs() != fx.sys.AM.NumArcs() {
-		t.Error("packed AM shape differs from the system's")
-	}
-	if plm.NumStates() != fx.sys.LM.NumStates() || plm.V != fx.sys.LM.V {
-		t.Error("packed LM shape differs from the system's")
-	}
-	// Second call returns the cached parse.
-	again, err := rec.PackedAM()
-	if err != nil || again != pam {
-		t.Error("PackedAM not cached")
+	for _, tc := range []struct {
+		name string
+		load func(string) (*Recognizer, error)
+	}{
+		{"full-verify", LoadRecognizer},
+		{"fast", LoadRecognizerFast},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leanRec, err := tc.load(lean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leanRec.Close()
+			oldRec, err := tc.load(old)
+			if err != nil {
+				t.Fatalf("old-layout bundle no longer loads: %v", err)
+			}
+			defer oldRec.Close()
+			if !reflect.DeepEqual(decodeAll(t, fx, oldRec), decodeAll(t, fx, leanRec)) {
+				t.Fatal("old-layout bundle decodes differently from the lean one")
+			}
+			if oldRec.ResidentBytes() != st.Size() {
+				t.Errorf("ResidentBytes %d != old-layout file size %d", oldRec.ResidentBytes(), st.Size())
+			}
+		})
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"repro/internal/am"
 	"repro/internal/compress"
 	"repro/internal/decoder"
+	"repro/internal/flatstore"
 	"repro/internal/lm"
 	"repro/internal/metrics"
 	"repro/internal/pool"
@@ -88,7 +89,9 @@ type Recognizer struct {
 	Scorer  acoustic.Scorer
 	dec     *decoder.OnTheFly
 
-	recognizerFlatState
+	// bundle is the mapping a v3 load decodes through (persist_v3.go);
+	// nil for a v2 load or a task-built System.
+	bundle *flatstore.Bundle
 }
 
 // System is a Recognizer plus the task it was built from: the task record,
